@@ -57,6 +57,7 @@ from .errors import (
     InvalidLabels,
     NoAdmissibleTurningPoint,
     NonConvergence,
+    NonFiniteOutput,
     NotEquivalent,
     ParseError,
     PreconditionViolated,

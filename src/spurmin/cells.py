@@ -107,8 +107,8 @@ def lift_data(sig: CellSignature, X: np.ndarray) -> LiftedData:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if A.shape[1] != X.shape[1]:
         raise ShapeViolation("pattern and data disagree on the sample count")
-    cols = [np.kron(A[:, i], X[:, i]) for i in range(X.shape[1])]
-    return LiftedData(np.column_stack(cols))
+    # column i is kron(A[:, i], X[:, i]): row k * d_X + m holds A[k, i] * X[m, i]
+    return LiftedData((A[:, None, :] * X[None, :, :]).reshape(-1, X.shape[1]))
 
 
 def reformulated_risk(

@@ -25,6 +25,7 @@ from .construction import (
 )
 from .errors import ParseError, PreconditionViolated, SpurminError
 from .io import (
+    _json_text,
     dump_json,
     gen_dataset,
     load_dataset_csv,
@@ -32,7 +33,6 @@ from .io import (
     mlp_to_dict,
     rle_encode,
     save_dataset_csv,
-    to_jsonable,
     xor_dataset,
 )
 from .linear_fit import fit_linear, select_nonzero_residual_row, permute_fit_rows
@@ -92,7 +92,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out:
         dump_json(payload, out)
     else:
-        print(json.dumps(to_jsonable(payload), sort_keys=True, indent=2))
+        print(_json_text(payload))
 
 
 def _activation_arg(spec: str):
@@ -170,10 +170,7 @@ def cmd_verify(args) -> int:
         radius=args.radius, samples=args.samples, seed=args.seed,
     )
     payload = {"config": asdict(_cfg(args)), **cert.as_dict()}
-    if args.cert_out:
-        dump_json(payload, args.cert_out)
-    else:
-        print(json.dumps(to_jsonable(payload), sort_keys=True, indent=2))
+    _emit(payload, args.cert_out)
     return EXIT_OK if cert.verdict else EXIT_CHECK_FAILED
 
 

@@ -61,5 +61,10 @@ class GenerationFailed(SpurminError):
     """A random dataset generator failed to satisfy its constraints after retries."""
 
 
+class NonFiniteOutput(SpurminError):
+    """A value bound for JSON output is NaN or infinite, which JSON cannot
+    represent."""
+
+
 class ParseError(SpurminError):
     """A data or network file could not be parsed (maps to the io exit code)."""

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .activations import PiecewiseLinear
-from .errors import GenerationFailed, ParseError, PreconditionViolated
+from .errors import GenerationFailed, NonFiniteOutput, ParseError, PreconditionViolated
 from .network import Dataset, Mlp
 
 _TYPES = {
@@ -86,8 +86,18 @@ def to_jsonable(obj):
     return obj
 
 
+def _json_text(obj) -> str:
+    """Sorted-key, indented JSON text; NaN and infinities raise
+    NonFiniteOutput rather than being written as non-JSON tokens.  Private,
+    so that tracing counts its time as the caller's own."""
+    try:
+        return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(str(exc)) from None
+
+
 def dump_json(obj, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(_json_text(obj) + "\n")
 
 
 def load_json(path: Union[str, Path]):

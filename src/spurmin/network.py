@@ -215,9 +215,12 @@ def check_assumptions(
     act: PiecewiseLinear,
     loss: LossKind = LossKind.SQUARED,
 ) -> AssumptionReport:
-    """Evaluate the five feasibility conditions; reports, never raises."""
+    """Evaluate the five feasibility conditions.
+
+    A fit that fails with a SpurminError is reported as a NaN baseline
+    residual; any other exception is a bug and propagates."""
     from .activations import find_turning_point
-    from .errors import NoAdmissibleTurningPoint
+    from .errors import NoAdmissibleTurningPoint, SpurminError
     from .linear_fit import fit_linear
 
     d_y = data.d_y
@@ -225,7 +228,7 @@ def check_assumptions(
     try:
         fit = fit_linear(data, loss)
         residual = float(np.linalg.norm(fit.y_tilde - data.Y))
-    except Exception:
+    except SpurminError:
         residual = float("nan")
     try:
         find_turning_point(act)

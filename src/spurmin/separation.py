@@ -123,6 +123,8 @@ def separate(
     n = u.shape[0]
     if v.shape[0] != n or xs.shape[1] != n:
         raise PreconditionViolated("u, v and xs must agree on the sample count")
+    if not (np.isfinite(u).all() and np.isfinite(v).all() and np.isfinite(xs).all()):
+        raise PreconditionViolated("u, v and xs must be finite")
     unorm1 = float(np.sum(np.abs(u)))
     if unorm1 == 0.0:
         raise PreconditionViolated("u must be nonzero")
@@ -216,7 +218,12 @@ def _alpha_max(
     the beta-projections oppose the v ordering: v_i - a*bx_i < v_j - a*bx_j
     needs a < (v_j - v_i) / (bx_j - bx_i) when bx_j > bx_i.  Half the cap
     keeps the inequality strict.
+
+    With beta = 0 every bx_j - bx_i is 0, so no pair can bound alpha and the
+    cap is returned without the scan.
     """
+    if not np.any(beta):
+        return ALPHA_CAP
     n = len(perm)
     group_of = np.empty(n, dtype=int)
     start = 0
@@ -224,7 +231,7 @@ def _alpha_max(
         group_of[start:end] = gid
         start = end
     bound = np.inf
-    bx = beta @ xs if np.any(beta) else np.zeros(xs.shape[1])
+    bx = beta @ xs
     for pi in range(l_prime):
         for pj in range(l_prime, n):
             if group_of[pi] == group_of[pj]:

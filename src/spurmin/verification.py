@@ -83,6 +83,8 @@ def perturbation_local_min_test(
     """
     if radius < 0:
         raise PreconditionViolated("radius must be nonnegative")
+    if samples < 1:
+        raise PreconditionViolated("samples must be at least 1")
     if radius == 0:
         warnings.warn("radius 0 makes the local-minimality test vacuous")
         check = Check("min_risk_delta", True, 0.0, LOCAL_MIN_SLACK, samples=0, seed=seed)

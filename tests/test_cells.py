@@ -110,6 +110,14 @@ class TestLiftAndReformulation:
         lifted = lift_data(sig, np.array([[1.0], [0.0]]))
         assert lifted.x_hat[:, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
 
+    def test_matches_per_sample_kron(self, rng):
+        A = rng.standard_normal((16, 40))
+        X = rng.standard_normal((3, 40))
+        lifted = lift_data(CellSignature((A,), frozenset()), X)
+        oracle = np.column_stack([np.kron(A[:, i], X[:, i]) for i in range(X.shape[1])])
+        assert lifted.x_hat.shape == (48, 40)
+        assert lifted.x_hat.tobytes() == oracle.tobytes()
+
     def test_boundary_cell_rejected(self):
         sig = CellSignature((np.ones((2, 1)),), frozenset({(0, 0, 0)}))
         with pytest.raises(BoundaryCell):

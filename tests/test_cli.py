@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from spurmin import NonFiniteOutput, SpurminError
 from spurmin.cli import main
 from spurmin.io import (
+    dump_json,
     load_dataset_csv,
     load_mlp,
     mlp_from_dict,
@@ -65,6 +67,14 @@ class TestIoRoundtrips:
         back = load_dataset_csv(path)
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.Y, data.Y)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+    def test_dump_json_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "r.json"
+        with pytest.raises(NonFiniteOutput) as info:
+            dump_json({"value": [1.0, bad]}, path)
+        assert isinstance(info.value, SpurminError)
+        assert not path.exists()
 
 
 class TestSubcommands:
@@ -198,6 +208,23 @@ class TestExitCodes:
     def test_width_violation_is_precondition(self, xor_csv):
         assert main(["descend", "--data", xor_csv, "--stage", "corollary",
                      "--dims", "2,2,1", "--activation", "abs"]) == 3
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_verify_without_draws_is_precondition(self, tmp_path, xor_csv, capsys, to_file):
+        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin.io import save_mlp
+
+        xor = load_dataset_csv(xor_csv)
+        net_path = tmp_path / "net.json"
+        save_mlp(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net, net_path)
+        cert_out = tmp_path / "cert.json"
+        argv = ["verify", "--data", xor_csv, "--net", str(net_path), "--samples", "0"]
+        if to_file:
+            argv += ["--cert-out", str(cert_out)]
+        assert main(argv) == 3
+        assert not cert_out.exists()
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out + captured.err
 
     def test_abs_without_corollary_is_precondition(self):
         assert main(["demo", "--activation", "abs"]) == 3

@@ -179,6 +179,23 @@ class TestAssumptions:
         rep = check_assumptions(xor, (2, 4, 2, 1), relu())
         assert rep.balanced_widths_ok
 
+    def test_typed_fit_failure_reported_as_nan(self, rng):
+        # cross-entropy on labels that are not one-hot: the fit raises InvalidLabels
+        data = Dataset(rng.standard_normal((2, 5)), np.array([[0.3, 1.0, 0.0, 1.0, 0.0]]))
+        rep = check_assumptions(data, (2, 3, 1), relu(), LossKind.CROSS_ENTROPY)
+        assert np.isnan(rep.baseline_residual)
+        assert not rep.linear_inseparable
+
+    def test_untyped_fit_failure_propagates(self, xor, monkeypatch):
+        import spurmin.linear_fit
+
+        def broken_fit(data, loss):
+            raise RuntimeError("bug in the fit")
+
+        monkeypatch.setattr(spurmin.linear_fit, "fit_linear", broken_fit)
+        with pytest.raises(RuntimeError):
+            check_assumptions(xor, (2, 3, 1), relu())
+
 
 class TestDatasetValidation:
     def test_sample_count_mismatch(self):

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spurmin import (
+    Dataset,
+    LossKind,
     PreconditionViolated,
     SeparationResult,
     descent_constants_at,
+    fit_linear,
     separate,
     size_constants,
 )
-from spurmin.separation import check_separation, shifted_keys
+from spurmin.separation import _group_bounds, check_separation, shifted_keys
 
 
 def random_instance(rng, n=None, d=None):
@@ -190,3 +193,115 @@ class TestOracleEquivalence:
         assert check_separation(res, u, v, xs, res.alpha_max / 7.0)
         assert abs(np.sum(u[res.I_indices])) > 0
         assert returned_is_oracle_valid(res, u, v, xs)
+
+
+# The pair-by-pair alpha scan without the beta = 0 short-circuit, kept as an
+# oracle for it.
+
+
+def oracle_alpha_max(perm, l_prime, beta, v, xs, bounds):
+    n = len(perm)
+    group_of = np.empty(n, dtype=int)
+    start = 0
+    for gid, end in enumerate(bounds):
+        group_of[start:end] = gid
+        start = end
+    bound = np.inf
+    bx = beta @ xs if np.any(beta) else np.zeros(xs.shape[1])
+    for pi in range(l_prime):
+        for pj in range(l_prime, n):
+            if group_of[pi] == group_of[pj]:
+                continue
+            i, j = perm[pi], perm[pj]
+            dv = v[j] - v[i]
+            dx = bx[j] - bx[i]
+            if dx > 0:
+                bound = min(bound, dv / dx)
+    if not np.isfinite(bound):
+        return 1.0
+    return min(1.0, 0.5 * bound)
+
+
+def oracle_alpha(res, v, xs):
+    return oracle_alpha_max(res.perm, res.l_prime, res.beta, v, xs, list(res.group_bounds))
+
+
+def tiered_instance(rng, n, noise=0.0):
+    """A zero-u first level, a small mixed-u second level holding the split
+    point, and a zero-sum third level: every group-boundary prefix of u
+    vanishes, so the split is nontrivial and falls mid-sample."""
+    n1 = n // 2 - 2
+    n2 = 8
+    n3 = n - n1 - n2
+    v = np.concatenate([np.zeros(n1), np.ones(n2), np.full(n3, 2.0)])
+    v = v + noise * rng.standard_normal(n) * (1.0 + v)
+    u = np.zeros(n)
+    u[n1 : n1 + n2] = rng.standard_normal(n2)
+    u[n1 : n1 + n2] -= np.mean(u[n1 : n1 + n2])
+    u[n1 + n2 :] = rng.standard_normal(n3)
+    u[n1 + n2 :] -= np.mean(u[n1 + n2 :])
+    xs = rng.standard_normal((2, n))
+    return u, v, xs
+
+
+class TestAlphaScan:
+    def test_small_random_instances(self, rng):
+        nontrivial = 0
+        for _ in range(300):
+            u, v, xs = random_instance(rng)
+            res = separate(u, v, xs)
+            assert res.alpha_max == oracle_alpha(res, v, xs)
+            nontrivial += not res.trivial_branch
+        assert nontrivial > 0
+
+    def test_trivial_branch_short_circuit(self, rng):
+        for n in (50, 400):
+            u = rng.standard_normal(n)
+            u -= np.mean(u)
+            v = rng.integers(0, 5, size=n).astype(float)
+            xs = rng.standard_normal((3, n))
+            res = separate(u, v, xs)
+            assert res.trivial_branch
+            assert np.all(res.beta == 0.0)
+            assert res.alpha_max == oracle_alpha(res, v, xs) == 1.0
+
+    def test_float_noise_ties(self):
+        hit_tied = 0
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 7])
+            u, v, xs = tiered_instance(rng, 120, noise=1e-16)
+            res = separate(u, v, xs)
+            assert not res.trivial_branch
+            assert len(res.group_bounds) == 3
+            assert res.alpha_max == oracle_alpha(res, v, xs)
+            assert check_separation(res, u, v, xs, res.alpha_max)
+            hit_tied += len(set(v[res.perm].tolist())) > 3
+        assert hit_tied > 0
+
+    def test_gap_equal_to_tolerance_stays_tied(self):
+        # a gap of exactly tie_tol * (1 + |v|) does not split a group
+        v_sorted = np.array([0.0, 1e-9, 1.0, 1.0 + 2e-9, 3.0])
+        assert _group_bounds(v_sorted, 1e-9) == [2, 4, 5]
+
+    def test_tied_split_shape(self):
+        # 3 levels of 1000 samples, x2 symmetric inside each level: the fit
+        # ties within a level and the split is the first level boundary
+        rng = np.random.default_rng(2)
+        x1 = np.repeat([0.0, 1.0, 2.0], 1000)
+        m = rng.uniform(0.1, 3.0, size=(3, 500))
+        x2 = np.concatenate([np.concatenate([row, -row]) for row in m])
+        y = np.array([0.0, 1.0, 3.0])[x1.astype(int)] + 0.1 * x2 * x2
+        data = Dataset(np.vstack([x1, x2]), y[None, :])
+        fit = fit_linear(data, LossKind.SQUARED)
+        res = separate(fit.v[0], fit.y_tilde[0], data.X)
+        assert res.trivial_branch
+        assert res.l_prime == 1000
+        assert res.alpha_max == 1.0
+
+    @pytest.mark.parametrize("which", ["u", "v", "xs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, rng, which, bad):
+        u, v, xs = random_instance(rng, n=6)
+        {"u": u, "v": v, "xs": xs[0]}[which][2] = bad
+        with pytest.raises(PreconditionViolated, match="finite"):
+            separate(u, v, xs)

@@ -3,6 +3,7 @@ import pytest
 
 from spurmin import (
     LossKind,
+    PreconditionViolated,
     build_deep_minimum,
     build_general_descent,
     build_general_minimum,
@@ -42,6 +43,13 @@ class TestPerturbationTest:
         with pytest.warns(UserWarning):
             cert = perturbation_local_min_test(point.net, xor, SQ, radius=0.0, samples=10, seed=7)
         assert cert.verdict
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_draws_rejected(self, xor, xor_fit, relu_act, samples):
+        # zero draws would report a vacuous pass with an infinite worst delta
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        with pytest.raises(PreconditionViolated):
+            perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=samples, seed=7)
 
     def test_determinism(self, xor, xor_fit, relu_act):
         point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
