@@ -36,7 +36,7 @@ from .io import (
     xor_dataset,
 )
 from .linear_fit import fit_linear, select_nonzero_residual_row, permute_fit_rows
-from .network import Dataset, LossKind, check_assumptions, empirical_risk, forward
+from .network import Dataset, LossKind, Mlp, check_assumptions, empirical_risk, forward
 from .separation import separate
 from .verification import (
     descent_gap,
@@ -84,10 +84,6 @@ def _loss_kind(name: str) -> LossKind:
     return LossKind.SQUARED if name == "squared" else LossKind.CROSS_ENTROPY
 
 
-def _load_data(path: str) -> Dataset:
-    return load_dataset_csv(path)
-
-
 def _emit(payload: dict, out: str | None) -> None:
     if out:
         dump_json(payload, out)
@@ -115,14 +111,14 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
     _emit({"config": asdict(_cfg(args)), **fit.as_dict()}, args.out)
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     act = _activation_arg(args.activation)
     dims = _parse_dims(args.dims)
     fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
@@ -145,7 +141,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_descend(args) -> int:
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     act = _activation_arg(args.activation)
     dims = _parse_dims(args.dims)
     fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
@@ -163,7 +159,7 @@ def cmd_descend(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     net = load_mlp(args.net)
     cert = perturbation_local_min_test(
         net, data, _loss_kind(args.loss),
@@ -175,7 +171,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
     _, perm = select_nonzero_residual_row(fit, data)
     fitp, _ = permute_fit_rows(fit, data, perm)
@@ -187,7 +183,7 @@ def cmd_separate(args) -> int:
 def cmd_cells(args) -> int:
     if args.action != "analyze":
         raise PreconditionViolated(f"unknown cells action {args.action!r}")
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     net = load_mlp(args.net)
     sig = cellmod.activation_pattern(net, data.X)
     payload = {
@@ -219,7 +215,7 @@ def cmd_cells(args) -> int:
 def cmd_path(args) -> int:
     if args.action != "build":
         raise PreconditionViolated(f"unknown path action {args.action!r}")
-    data = _load_data(args.data)
+    data = load_dataset_csv(args.data)
     net_a = load_mlp(args.a)
     net_b = load_mlp(args.b)
     W1a, W2a, b2a, Xa = cellmod.net_cell_inputs(net_a, data.X)
@@ -227,17 +223,7 @@ def cmd_path(args) -> int:
     if b2a != b2b:
         raise PreconditionViolated("endpoints must share the output bias")
     path = cellmod.build_valley_path((W1a, W2a), (W1b, W2b), steps_per_move=args.steps)
-    loss = _loss_kind(args.loss)
-    act = net_a.activation
-    risks, patterns_same = [], True
-    ref = None
-    for W1, W2 in path:
-        net = _assemble_augmented(net_a, W1, W2, b2a)
-        risks.append(empirical_risk(net, data, loss))
-        sig = cellmod.activation_pattern(net, data.X)
-        if ref is None:
-            ref = sig
-        patterns_same = patterns_same and cellmod.signatures_equal(ref, sig)
+    risks, patterns_same = _walk_valley(net_a, path, b2a, data, _loss_kind(args.loss))
     risks_arr = np.asarray(risks)
     payload = {
         "config": asdict(_cfg(args)),
@@ -258,8 +244,6 @@ def cmd_path(args) -> int:
 
 def _assemble_augmented(template, W1_aug, W2_row, b2: float):
     """Rebuild a one-hidden-layer net from augmented first-layer parameters."""
-    from .network import Mlp
-
     d_x = template.dims[0]
     return Mlp(
         template.dims,
@@ -267,6 +251,20 @@ def _assemble_augmented(template, W1_aug, W2_row, b2: float):
         (W1_aug[:, d_x], np.array([b2])),
         template.activation,
     )
+
+
+def _walk_valley(template, path, b2: float, data: Dataset, loss: LossKind):
+    """The risk at each point of a valley path, and whether every point keeps
+    the activation pattern of the first one."""
+    risks, patterns_same, ref = [], True, None
+    for W1, W2 in path:
+        net = _assemble_augmented(template, W1, W2, b2)
+        risks.append(empirical_risk(net, data, loss))
+        sig = cellmod.activation_pattern(net, data.X)
+        if ref is None:
+            ref = sig
+        patterns_same = patterns_same and cellmod.signatures_equal(ref, sig)
+    return risks, patterns_same
 
 
 def cmd_demo(args) -> int:
@@ -394,15 +392,7 @@ def run_demo(
         W1b = W1a / factors[:, None]
         W2b = W2r * factors
         path = cellmod.build_valley_path((W1a, W2r), (W1b, W2b), steps_per_move=10)
-        risks = []
-        patterns_same = True
-        ref = None
-        for W1, W2 in path:
-            net = _assemble_augmented(s1_min.net, W1, W2, b2)
-            risks.append(empirical_risk(net, data, loss))
-            s = cellmod.activation_pattern(net, data.X)
-            ref = ref or s
-            patterns_same = patterns_same and cellmod.signatures_equal(ref, s)
+        risks, patterns_same = _walk_valley(s1_min.net, path, b2, data, loss)
         max_dev = float(np.max(np.abs(np.asarray(risks) - s1_min.risk)))
         report["valley_path"] = {
             "n_points": len(path),

@@ -8,6 +8,14 @@ Four routes, all seeded by the affine baseline fit:
              admissible turning point (unbalanced adjacent slopes)
   balanced - two-piece with s- + s+ = 0 (e.g. |x|), needs one extra hidden row
 
+The first three share one skeleton.  One two-piece scaffold gives the minimum
+(`_minimum_layers`) and the witness (`_witness_layers`) at any depth: the
+one-hidden-layer construction extended by pass-through layers.  The general
+route runs that scaffold through one squeeze (`_squeeze`) into the linear
+pieces beside a turning point t.  Every scaffold is built in a frame whose
+right slope is nonzero, and one reflection step (`_frame`, `_net`) maps it
+back to the activation that was asked for.
+
 Each minimum reproduces the baseline predictions exactly, so its risk equals
 the baseline risk; each witness is an explicit parameter point with strictly
 smaller risk, certifying that the minima are spurious.
@@ -15,7 +23,7 @@ smaller risk, certifying that the minima are spurious.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,8 +41,9 @@ from .errors import (
     StrictDecreaseNotAchieved,
     WidthViolation,
 )
+from .io import mlp_to_dict
 from .linear_fit import LinearFit, permute_fit_rows, select_nonzero_residual_row
-from .network import Dataset, LossKind, Mlp, forward, risk_of_outputs
+from .network import Dataset, Mlp, forward, risk_of_outputs
 from .separation import (
     DescentConstants,
     SeparationResult,
@@ -46,6 +55,8 @@ from .separation import (
 OUTPUT_TOL = 1e-12
 RISK_TOL = 1e-9
 SPURIOUS_RESIDUAL_TOL = 1e-8
+
+Layers = tuple[list[np.ndarray], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -77,12 +88,7 @@ class ConstructionParams:
             "alpha_scales": list(self.alpha_scales),
         }
         if self.turning is not None:
-            d["turning"] = {
-                "t": self.turning.t,
-                "s_minus": self.turning.s_minus,
-                "s_plus": self.turning.s_plus,
-                "sigma": self.turning.sigma,
-            }
+            d["turning"] = asdict(self.turning)
         return d
 
 
@@ -111,12 +117,7 @@ class CertifiedPoint:
             "baseline_risk": self.baseline_risk,
             "spurious": self.spurious,
             "params": self.params.as_dict(),
-            "net": {
-                "dims": list(self.net.dims),
-                "weights": [W.tolist() for W in self.net.weights],
-                "biases": [b.tolist() for b in self.net.biases],
-                "activation": self.net.activation.as_dict(),
-            },
+            "net": mlp_to_dict(self.net),
         }
 
 
@@ -153,29 +154,43 @@ def _require_hidden_wider(dims: tuple[int, ...], d_y: int) -> None:
         )
 
 
+def _require_nonlinear(act: PiecewiseLinear) -> None:
+    # with a linear activation the affine baseline is the global optimum
+    if not act.is_nonlinear:
+        raise PreconditionViolated("activation must be nonlinear")
+
+
 def _two_piece_or_raise(act: PiecewiseLinear) -> tuple[float, float]:
     if not act.is_two_piece:
         raise PreconditionViolated("this route needs a two-piece activation")
+    _require_nonlinear(act)
     return act.s_minus, act.s_plus
 
 
-def _require_unbalanced(s_minus: float, s_plus: float) -> None:
-    if s_minus + s_plus == 0.0:
-        raise NoAdmissibleTurningPoint(
-            "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
-        )
+def _frame(act: PiecewiseLinear, s_plus: float) -> tuple[PiecewiseLinear, bool]:
+    """The activation the scaffold formulas run in, and whether it is act
+    reflected: the formulas divide by the right slope s_plus, and when that
+    is zero the mirrored activation g(x) = h(-x) supplies a nonzero one."""
+    return (act, False) if s_plus != 0.0 else (act.reflect(), True)
 
 
-def _reflect_net_params(weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
-    """In-place sign flip of every layer but the last; composing with the
-    reflected activation leaves the network function unchanged."""
-    for i in range(len(weights) - 1):
-        weights[i] = -weights[i]
-        biases[i] = -biases[i]
+def _net(dims: tuple[int, ...], act: PiecewiseLinear, reflected: bool,
+         weights: list[np.ndarray], biases: list[np.ndarray]) -> Mlp:
+    """The network for act from parameters built in its frame.  A reflected
+    frame flips the sign of every layer but the last; composed with the
+    reflected activation that leaves the network function unchanged."""
+    if reflected:
+        weights = [-W for W in weights[:-1]] + weights[-1:]
+        biases = [-b for b in biases[:-1]] + biases[-1:]
+    return Mlp(dims, tuple(weights), tuple(biases), act)
 
 
-def _is_spurious(fit: LinearFit, data: Dataset) -> bool:
-    return float(np.linalg.norm(fit.y_tilde - data.Y)) > SPURIOUS_RESIDUAL_TOL
+def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, TurningPoint]:
+    """The general route's frame and the turning point it squeezes into."""
+    _require_nonlinear(act)
+    tp = find_turning_point(act)
+    build_act, reflected = _frame(act, tp.s_plus)
+    return build_act, reflected, find_turning_point(build_act) if reflected else tp
 
 
 def _certify_minimum(
@@ -206,7 +221,15 @@ def _certify_minimum(
         risk=risk,
         baseline_risk=fit.risk,
         params=params,
-        spurious=_is_spurious(fit, data),
+        spurious=float(np.linalg.norm(fit.y_tilde - data.Y)) > SPURIOUS_RESIDUAL_TOL,
+    )
+
+
+def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
+             params: ConstructionParams, spurious: bool = True) -> CertifiedPoint:
+    return CertifiedPoint(
+        net=net, kind="descent_witness", stage=stage, risk=risk,
+        baseline_risk=fit.risk, params=params, spurious=spurious,
     )
 
 
@@ -215,94 +238,26 @@ def default_eta(fit: LinearFit) -> float:
     return min(0.0, float(np.min(fit.y_tilde))) - 1.0
 
 
-# ---------------------------------------------------------------------------
-# shallow route (one hidden layer, two-piece)
-
-
-def _shallow_minimum_params(
-    fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    d_x, d_1, d_y = dims
-    W1 = np.vstack([fit.w_tilde[:, :d_x], np.zeros((d_1 - d_y, d_x))])
-    b1 = np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(d_1 - d_y)])
-    W2 = np.hstack([np.eye(d_y) / s_plus, np.zeros((d_y, d_1 - d_y))])
-    b2 = eta * np.ones(d_y)
-    return W1, b1, W2, b2
-
-
-def build_shallow_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    eta: Optional[float] = None,
-) -> CertifiedPoint:
-    """One-hidden-layer minimum: the top rows carry the baseline shifted by a
-    negative eta so every unit stays on the positive piece, and the output
-    layer undoes the shift; the network computes exactly the baseline."""
-    _check_dims(fit, data, dims)
-    if len(dims) != 3:
-        raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    _require_hidden_wider(dims, data.d_y)
-    s_minus, s_plus = _two_piece_or_raise(act)
+def _checked_eta(fit: LinearFit, eta: Optional[float]) -> float:
     if eta is None:
         eta = default_eta(fit)
     if not np.all(fit.y_tilde - eta > 0):
         raise PreconditionViolated("eta must keep the shifted baseline strictly positive")
+    return eta
 
-    build_act, reflected = (act, False) if s_plus != 0.0 else (act.reflect(), True)
-    W1, b1, W2, b2 = _shallow_minimum_params(fit, dims, build_act.s_plus, eta)
-    weights, biases = [W1, W2], [b1, b2]
-    if reflected:
-        _reflect_net_params(weights, biases)
-    net = Mlp(dims, tuple(weights), tuple(biases), act)
-    params = ConstructionParams(eta=eta)
-    interval = None if reflected else (0.0, np.inf)
-    return _certify_minimum(net, fit, data, "1", params, interval)
+
+def _split(fit: LinearFit, data: Dataset) -> tuple[LinearFit, np.ndarray, SeparationResult]:
+    """The fit with a nonzero-residual row first, the permutation that undoes
+    that reorder, and the sample split of that row behind every witness."""
+    _, perm = select_nonzero_residual_row(fit, data)
+    fitp, _ = permute_fit_rows(fit, data, perm)
+    return fitp, np.argsort(perm), separate(fitp.v[0], fitp.y_tilde[0], data.X)
 
 
 def _default_eta_rest(fit: LinearFit) -> np.ndarray:
     """Per-row shifts keeping rows 2..d_Y of the baseline strictly positive
     after subtraction."""
     return np.min(fit.y_tilde[1:], axis=1) - 1.0 if fit.y_tilde.shape[0] > 1 else np.zeros(0)
-
-
-def _shallow_descent_params(
-    fitp: LinearFit,
-    dims: tuple[int, ...],
-    s_minus: float,
-    s_plus: float,
-    beta: np.ndarray,
-    consts: DescentConstants,
-    eta_rest: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the witness layers for a permuted fit (nonzero row first).
-
-    Rows of the hidden layer: the baseline's first row tilted by -alpha*beta
-    and its negation (these two change sign exactly across the split), the
-    remaining baseline rows shifted to stay positive, then zero padding.
-    """
-    d_x, d_1, d_y = dims
-    w_row = fitp.w_tilde[0, :d_x]
-    w_off = fitp.w_tilde[0, d_x]
-    a, g, e1 = consts.alpha, consts.gamma, consts.eta1
-
-    rows = [w_row - a * beta, -(w_row - a * beta)]
-    brows = [w_off - e1 + g, -w_off + e1 + g]
-    for i in range(1, d_y):
-        rows.append(fitp.w_tilde[i, :d_x])
-        brows.append(fitp.w_tilde[i, d_x] - eta_rest[i - 1])
-    pad = d_1 - (d_y + 1)
-    W1 = np.vstack(rows + [np.zeros((pad, d_x))])
-    b1 = np.concatenate([np.asarray(brows), np.zeros(pad)])
-
-    W2 = np.zeros((d_y, d_1))
-    W2[0, 0] = 1.0 / (s_plus + s_minus)
-    W2[0, 1] = -1.0 / (s_plus + s_minus)
-    for i in range(1, d_y):
-        W2[i, i + 1] = 1.0 / s_plus
-    b2 = np.concatenate([[e1], eta_rest])
-    return W1, b1, W2, b2
 
 
 def _verified_descent(
@@ -337,6 +292,202 @@ def _verified_descent(
     )
 
 
+# ---------------------------------------------------------------------------
+# the two-piece scaffold: minimum and witness at any depth, in the build frame
+
+
+def _pass_through(d_out: int, d_in: int, d_y: int, s_plus: float, fill_col: bool) -> np.ndarray:
+    """(1/s+) * (sum_j E_jj [+ sum_{j>d_Y} E_{j,d_Y+1}]): copies the payload
+    rows; with fill_col the padding rows replicate column d_Y+1 so every unit
+    stays strictly positive."""
+    W = np.zeros((d_out, d_in))
+    W[range(d_y), range(d_y)] = 1.0 / s_plus
+    if fill_col:
+        W[d_y:, d_y] = 1.0 / s_plus
+    return W
+
+
+def _minimum_layers(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta: float) -> Layers:
+    """Layer 1 carries the baseline shifted by a negative eta so every unit
+    stays on the positive piece, middle layers forward the payload (and
+    replicate the positive pad unit), and the output layer undoes the slope
+    and the shift: the network computes exactly the baseline."""
+    d_x, d_y = dims[0], dims[-1]
+    weights = [np.vstack([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])]
+    biases = [np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)])]
+    for i in range(2, len(dims) - 1):
+        weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=True))
+        biases.append(np.zeros(dims[i]))
+    weights.append(np.hstack([np.eye(d_y) / s_plus, np.zeros((d_y, dims[-2] - d_y))]))
+    biases.append(eta * np.ones(d_y))
+    return weights, biases
+
+
+def _shallow_minimum_params(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta: float):
+    (W1, W2), (b1, b2) = _minimum_layers(fit, dims, s_plus, eta)
+    return W1, b1, W2, b2
+
+
+def _shallow_descent_params(
+    fitp: LinearFit,
+    dims: tuple[int, ...],
+    s_minus: float,
+    s_plus: float,
+    beta: np.ndarray,
+    consts: DescentConstants,
+    eta_rest: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the witness layers for a permuted fit (nonzero row first).
+
+    Rows of the hidden layer: the baseline's first row tilted by -alpha*beta
+    and its negation (these two change sign exactly across the split), the
+    remaining baseline rows shifted to stay positive, then zero padding.
+    """
+    d_x, d_1, d_y = dims
+    w_off = fitp.w_tilde[0, d_x]
+    a, g, e1 = consts.alpha, consts.gamma, consts.eta1
+    tilted = fitp.w_tilde[0, :d_x] - a * beta
+    pad = d_1 - (d_y + 1)
+    W1 = np.vstack([tilted, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
+    b1 = np.concatenate(
+        [[w_off - e1 + g, -w_off + e1 + g], fitp.w_tilde[1:, d_x] - eta_rest, np.zeros(pad)]
+    )
+    W2 = np.zeros((d_y, d_1))
+    W2[0, :2] = 1.0 / (s_plus + s_minus), -1.0 / (s_plus + s_minus)
+    W2[range(1, d_y), range(2, d_y + 1)] = 1.0 / s_plus
+    b2 = np.concatenate([[e1], eta_rest])
+    return W1, b1, W2, b2
+
+
+def default_lambda(stage1_output: np.ndarray) -> float:
+    return max(0.0, -float(np.min(stage1_output))) + 1.0
+
+
+def _witness_layers(
+    fit: LinearFit,
+    data: Dataset,
+    dims: tuple[int, ...],
+    act: PiecewiseLinear,
+    alpha: Optional[float],
+    lambda_shift: Optional[float] = None,
+) -> tuple[list[np.ndarray], list[np.ndarray], ConstructionParams, Optional[np.ndarray], float]:
+    """The two-piece witness at any depth, in act's build frame.
+
+    Layer 1 tilts the nonzero-gradient baseline row along the separating
+    direction and nudges it by gamma; the sign split makes the first-order
+    risk change strictly negative while rows 2.. reproduce the baseline.
+    Deeper nets add a positive shift lambda in layer 2 so everything
+    downstream rides the positive piece, forward the payload, and subtract
+    lambda at the output.  Returns the layers, the params, and the output
+    (None with one hidden layer) and risk of the one-hidden-layer witness.
+    """
+    build_act, reflected = _frame(act, act.s_plus)
+    s_minus, s_plus = build_act.s_minus, build_act.s_plus
+    fitp, inv, res = _split(fit, data)
+    eta_rest = _default_eta_rest(fitp)
+    shallow = (dims[0], dims[1], dims[-1])
+
+    def layers(consts: DescentConstants) -> Layers:
+        W1, b1, W2, b2 = _shallow_descent_params(
+            fitp, shallow, s_minus, s_plus, res.beta, consts, eta_rest
+        )
+        return [W1, W2[inv]], [b1, b2[inv]]
+
+    # gamma's sign is governed by the activation frame the formulas run in
+    slope_ratio = (s_plus - s_minus) / (s_plus + s_minus)
+    net, consts, risk = _verified_descent(
+        lambda c: _net(shallow, act, reflected, *layers(c)),
+        res, fitp.v[0], fitp.y_tilde[0], data.X, slope_ratio, fit, data, alpha0=alpha,
+    )
+    (W1, W2), (b1, b2) = layers(consts)
+    params = ConstructionParams(
+        alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1, eta_rest=tuple(eta_rest)
+    )
+    if len(dims) == 3:
+        return [W1, W2], [b1, b2], params, None, risk
+
+    s_out = forward(net, data.X).output
+    lam = default_lambda(s_out) if lambda_shift is None else lambda_shift
+    if not np.all(s_out + lam > 0):
+        raise PreconditionViolated("lambda must make the witness output strictly positive")
+    d_y = dims[-1]
+    weights = [W1, np.vstack([W2, np.zeros((dims[2] - d_y, dims[1]))])]
+    biases = [b1, lam * np.ones(dims[2]) + np.concatenate([b2, np.zeros(dims[2] - d_y)])]
+    for i in range(3, len(dims)):
+        weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=False))
+        biases.append(np.zeros(dims[i]))
+    biases[-1] = -lam * np.ones(d_y)
+    return weights, biases, replace(params, lambda_shift=lam), s_out, risk
+
+
+def _check_deep_witness(out: np.ndarray, shallow_out: Optional[np.ndarray]) -> None:
+    if shallow_out is not None and float(np.max(np.abs(out - shallow_out))) > OUTPUT_TOL:
+        raise ConstructionError("deep witness output deviates from the shallow witness")
+
+
+# ---------------------------------------------------------------------------
+# shallow and deep routes (two-piece)
+
+
+def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
+                       act: PiecewiseLinear, eta: Optional[float], stage: str) -> CertifiedPoint:
+    _require_hidden_wider(dims, data.d_y)
+    _, s_plus = _two_piece_or_raise(act)
+    eta = _checked_eta(fit, eta)
+    build_act, reflected = _frame(act, s_plus)
+    net = _net(dims, act, reflected, *_minimum_layers(fit, dims, build_act.s_plus, eta))
+    interval = None if reflected else (0.0, np.inf)
+    return _certify_minimum(net, fit, data, stage, ConstructionParams(eta=eta), interval)
+
+
+def build_shallow_minimum(
+    fit: LinearFit,
+    data: Dataset,
+    dims: tuple[int, ...],
+    act: PiecewiseLinear,
+    eta: Optional[float] = None,
+) -> CertifiedPoint:
+    """One-hidden-layer minimum: the top rows carry the baseline shifted by a
+    negative eta so every unit stays on the positive piece, and the output
+    layer undoes the shift; the network computes exactly the baseline."""
+    _check_dims(fit, data, dims)
+    if len(dims) != 3:
+        raise PreconditionViolated("shallow route needs exactly one hidden layer")
+    return _two_piece_minimum(fit, data, dims, act, eta, "1")
+
+
+def build_deep_minimum(
+    fit: LinearFit,
+    data: Dataset,
+    dims: tuple[int, ...],
+    act: PiecewiseLinear,
+    eta: Optional[float] = None,
+) -> CertifiedPoint:
+    """Depth-independent minimum: the first layer is the shallow one, middle
+    layers forward the payload (and replicate the positive pad unit), and the
+    output layer undoes the eta shift."""
+    _check_dims(fit, data, dims)
+    return _two_piece_minimum(fit, data, dims, act, eta, "2")
+
+
+def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                       alpha: Optional[float], lambda_shift: Optional[float] = None) -> CertifiedPoint:
+    s_minus, s_plus = _two_piece_or_raise(act)
+    if s_minus + s_plus == 0.0:
+        raise NoAdmissibleTurningPoint(
+            "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
+        )
+    weights, biases, params, shallow_out, risk = _witness_layers(
+        fit, data, dims, act, alpha, lambda_shift
+    )
+    net = _net(dims, act, _frame(act, s_plus)[1], weights, biases)
+    if shallow_out is None:
+        return _witness(net, "1", risk, fit, params)
+    out = forward(net, data.X).output
+    _check_deep_witness(out, shallow_out)
+    return _witness(net, "2", risk_of_outputs(out, data.Y, fit.loss), fit, params)
+
+
 def build_shallow_descent(
     fit: LinearFit,
     data: Dataset,
@@ -351,107 +502,9 @@ def build_shallow_descent(
     _check_dims(fit, data, dims)
     if len(dims) != 3:
         raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    d_y = data.d_y
-    if dims[1] < d_y + 1:
-        raise WidthViolation(f"need hidden width >= {d_y + 1}, got {dims[1]}")
-    s_minus, s_plus = _two_piece_or_raise(act)
-    _require_unbalanced(s_minus, s_plus)
-
-    _, perm = select_nonzero_residual_row(fit, data)
-    fitp, _ = permute_fit_rows(fit, data, perm)
-    u = fitp.v[0]
-    v = fitp.y_tilde[0]
-    res = separate(u, v, data.X)
-    eta_rest = _default_eta_rest(fitp)
-
-    build_act, reflected = (act, False) if s_plus != 0.0 else (act.reflect(), True)
-    # gamma's sign is governed by the activation frame the formulas run in
-    slope_ratio = (build_act.s_plus - build_act.s_minus) / (
-        build_act.s_plus + build_act.s_minus
-    )
-
-    def assemble(consts: DescentConstants) -> Mlp:
-        W1, b1, W2, b2 = _shallow_descent_params(
-            fitp, dims, build_act.s_minus, build_act.s_plus, res.beta, consts, eta_rest
-        )
-        weights, biases = [W1, W2], [b1, b2]
-        if reflected:
-            _reflect_net_params(weights, biases)
-        inv = np.argsort(perm)
-        weights[-1] = weights[-1][inv]
-        biases[-1] = biases[-1][inv]
-        return Mlp(dims, tuple(weights), tuple(biases), act)
-
-    net, consts, risk = _verified_descent(
-        assemble, res, u, v, data.X, slope_ratio, fit, data, alpha0=alpha
-    )
-    params = ConstructionParams(
-        alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1,
-        eta_rest=tuple(eta_rest),
-    )
-    return CertifiedPoint(
-        net=net, kind="descent_witness", stage="1", risk=risk,
-        baseline_risk=fit.risk, params=params, spurious=True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# deep route (arbitrary depth, two-piece)
-
-
-def _pass_through(d_out: int, d_in: int, d_y: int, s_plus: float, fill_col: bool) -> np.ndarray:
-    """(1/s+) * (sum_j E_jj [+ sum_{j>d_Y} E_{j,d_Y+1}]): copies the payload
-    rows; with fill_col the padding rows replicate column d_Y+1 so every unit
-    stays strictly positive."""
-    W = np.zeros((d_out, d_in))
-    for j in range(d_y):
-        W[j, j] = 1.0 / s_plus
-    if fill_col:
-        for j in range(d_y, d_out):
-            W[j, d_y] = 1.0 / s_plus
-    return W
-
-
-def build_deep_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    eta: Optional[float] = None,
-) -> CertifiedPoint:
-    """Depth-independent minimum: the first layer is the shallow one, middle
-    layers forward the payload (and replicate the positive pad unit), and the
-    output layer undoes the eta shift."""
-    _check_dims(fit, data, dims)
-    _require_hidden_wider(dims, data.d_y)
-    s_minus, s_plus = _two_piece_or_raise(act)
-    if eta is None:
-        eta = default_eta(fit)
-    if not np.all(fit.y_tilde - eta > 0):
-        raise PreconditionViolated("eta must keep the shifted baseline strictly positive")
-    d_x, d_y = data.d_x, data.d_y
-    L = len(dims) - 1
-
-    build_act, reflected = (act, False) if s_plus != 0.0 else (act.reflect(), True)
-    sp = build_act.s_plus
-    W1 = np.vstack([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])
-    b1 = np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)])
-    weights, biases = [W1], [b1]
-    for i in range(2, L):
-        weights.append(_pass_through(dims[i], dims[i - 1], d_y, sp, fill_col=True))
-        biases.append(np.zeros(dims[i]))
-    weights.append(np.hstack([np.eye(d_y) / sp, np.zeros((d_y, dims[L - 1] - d_y))]))
-    biases.append(eta * np.ones(d_y))
-    if reflected:
-        _reflect_net_params(weights, biases)
-    net = Mlp(dims, tuple(weights), tuple(biases), act)
-    params = ConstructionParams(eta=eta)
-    interval = None if reflected else (0.0, np.inf)
-    return _certify_minimum(net, fit, data, "2", params, interval)
-
-
-def default_lambda(stage1_output: np.ndarray) -> float:
-    return max(0.0, -float(np.min(stage1_output))) + 1.0
+    if dims[1] < data.d_y + 1:
+        raise WidthViolation(f"need hidden width >= {data.d_y + 1}, got {dims[1]}")
+    return _two_piece_descent(fit, data, dims, act, alpha)
 
 
 def build_deep_descent(
@@ -464,57 +517,11 @@ def build_deep_descent(
 ) -> CertifiedPoint:
     """Depth extension of the shallow witness: layer 2 adds a positive shift
     lambda so everything downstream rides the positive piece, and the output
-    layer subtracts it; the output equals the shallow witness output exactly."""
+    layer subtracts it; the output equals the shallow witness output exactly.
+    With one hidden layer this is the shallow witness (stage "1")."""
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
-    L = len(dims) - 1
-    if L == 2:
-        return build_shallow_descent(fit, data, dims, act, alpha=alpha)
-    s_minus, s_plus = _two_piece_or_raise(act)
-    _require_unbalanced(s_minus, s_plus)
-    d_y = data.d_y
-
-    shallow = build_shallow_descent(
-        fit, data, (dims[0], dims[1], dims[-1]), act, alpha=alpha
-    )
-    s_out = forward(shallow.net, data.X).output
-    lam = default_lambda(s_out) if lambda_shift is None else lambda_shift
-    if not np.all(s_out + lam > 0):
-        raise PreconditionViolated("lambda must make the witness output strictly positive")
-
-    build_act, reflected = (act, False) if s_plus != 0.0 else (act.reflect(), True)
-    sp = build_act.s_plus
-    W1s, W2s = shallow.net.weights
-    b1s, b2s = shallow.net.biases
-    if reflected:
-        # shallow net stores reflected-then-flipped params; recover the
-        # build-activation frame before stacking deeper layers
-        W1s, b1s = -W1s, -b1s
-
-    weights = [W1s.copy()]
-    biases = [b1s.copy()]
-    W2 = np.vstack([W2s, np.zeros((dims[2] - d_y, dims[1]))])
-    b2 = lam * np.ones(dims[2]) + np.concatenate([b2s, np.zeros(dims[2] - d_y)])
-    weights.append(W2)
-    biases.append(b2)
-    for i in range(3, L):
-        weights.append(_pass_through(dims[i], dims[i - 1], d_y, sp, fill_col=False))
-        biases.append(np.zeros(dims[i]))
-    weights.append(_pass_through(dims[L], dims[L - 1], d_y, sp, fill_col=False))
-    biases.append(-lam * np.ones(d_y))
-    if reflected:
-        _reflect_net_params(weights, biases)
-    net = Mlp(dims, tuple(weights), tuple(biases), act)
-
-    out = forward(net, data.X).output
-    if float(np.max(np.abs(out - s_out))) > OUTPUT_TOL:
-        raise ConstructionError("deep witness output deviates from the shallow witness")
-    risk = risk_of_outputs(out, data.Y, fit.loss)
-    params = replace(shallow.params, lambda_shift=lam)
-    return CertifiedPoint(
-        net=net, kind="descent_witness", stage="2", risk=risk,
-        baseline_risk=fit.risk, params=params, spurious=True,
-    )
+    return _two_piece_descent(fit, data, dims, act, alpha, lambda_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +533,72 @@ def default_m_scale(first_layer_pre: np.ndarray, sigma: float) -> float:
     return max(1.0, 2.0 * float(np.linalg.norm(first_layer_pre)) / sigma)
 
 
-def _general_route_setup(act: PiecewiseLinear):
-    """Turning point, local two-piece frame, and whether reflection is needed."""
-    tp = find_turning_point(act)
-    if tp.s_plus != 0.0:
-        return act, tp, False
-    act_r = act.reflect()
-    tp_r = find_turning_point(act_r)
-    return act_r, tp_r, True
+def _radius_scale(pre: np.ndarray, sigma: float, scale: Optional[float], name: str,
+                  factor: float = 1.0) -> float:
+    """A squeeze scale (factor times the default when none is given) that
+    keeps ||pre|| / scale inside the linearity radius sigma."""
+    if scale is None:
+        scale = default_m_scale(pre, sigma) * factor
+    if np.linalg.norm(pre) / scale >= sigma:
+        raise PreconditionViolated(f"{name} too small for the linearity radius sigma")
+    return scale
+
+
+def _squeeze(weights: list[np.ndarray], biases: list[np.ndarray], t: float, h_t: float,
+             m_scale: float, out_scale: float) -> Layers:
+    """Move a build-frame scaffold into the linear piece right of the turning
+    point t.  Layer 1 is divided by M and translated to t; each hidden layer,
+    whose weights the caller has already scaled, is translated to t with the
+    h(t) back-off and takes its scaffold bias divided by out_scale; the
+    output layer scales back up by out_scale, the total scale-down of the
+    last hidden layer."""
+    sq_w = [weights[0] / m_scale]
+    sq_b = [biases[0] / m_scale + t * np.ones(len(biases[0]))]
+    for W, b in zip(weights[1:-1], biases[1:-1]):
+        sq_w.append(W)
+        sq_b.append(t * np.ones(len(b)) - h_t * (W @ np.ones(W.shape[1])) + b / out_scale)
+    W = weights[-1]
+    sq_w.append(out_scale * W)
+    sq_b.append(biases[-1] - out_scale * h_t * (W @ np.ones(W.shape[1])))
+    return sq_w, sq_b
+
+
+def _general_minimum(
+    fit: LinearFit,
+    data: Dataset,
+    dims: tuple[int, ...],
+    act: PiecewiseLinear,
+    frame: tuple[PiecewiseLinear, bool, TurningPoint],
+    eta: Optional[float] = None,
+    m_scale: Optional[float] = None,
+    alpha_scales: Optional[tuple[float, ...]] = None,
+    m_factor: float = 1.0,
+) -> CertifiedPoint:
+    build_act, reflected, tp = frame
+    n_alpha = max(0, len(dims) - 3)
+    eta = _checked_eta(fit, eta)
+    if alpha_scales is None:
+        alpha_scales = tuple(0.5 for _ in range(n_alpha))
+    if len(alpha_scales) != n_alpha:
+        raise PreconditionViolated(f"need {n_alpha} alpha scales for {len(dims) - 1} layers")
+    if any(not (0 < a_i < 1) for a_i in alpha_scales):
+        raise PreconditionViolated("alpha scales must lie in (0, 1)")
+
+    weights, biases = _minimum_layers(fit, dims, tp.s_plus, eta)
+    pre1 = weights[0] @ data.X + biases[0][:, None]
+    m_scale = _radius_scale(pre1, tp.sigma, m_scale, "m_scale", m_factor)
+    prod = 1.0
+    for i, a_i in enumerate(alpha_scales, start=1):
+        prod *= a_i
+        weights[i] = a_i * weights[i]
+    net = _net(dims, act, reflected, *_squeeze(
+        weights, biases, tp.t, float(build_act(tp.t)), m_scale, m_scale / prod
+    ))
+    params = ConstructionParams(
+        eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
+    )
+    interval = None if reflected else (tp.t, tp.t + tp.sigma)
+    return _certify_minimum(net, fit, data, "3", params, interval)
 
 
 def build_general_minimum(
@@ -552,55 +617,8 @@ def build_general_minimum(
     family is infinite."""
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
-    if not act.is_nonlinear:
-        raise PreconditionViolated("activation must be nonlinear")
-    work_act, tp, reflected = _general_route_setup(act)
-    t, sp, sigma = tp.t, tp.s_plus, tp.sigma
-    h_t = float(work_act(t))
-    L = len(dims) - 1
-    d_x, d_y = data.d_x, data.d_y
-    if eta is None:
-        eta = default_eta(fit)
-    if not np.all(fit.y_tilde - eta > 0):
-        raise PreconditionViolated("eta must keep the shifted baseline strictly positive")
-    if alpha_scales is None:
-        alpha_scales = tuple(0.5 for _ in range(max(0, L - 2)))
-    if len(alpha_scales) != max(0, L - 2):
-        raise PreconditionViolated(f"need {max(0, L - 2)} alpha scales for {L} layers")
-    if any(not (0 < a_i < 1) for a_i in alpha_scales):
-        raise PreconditionViolated("alpha scales must lie in (0, 1)")
-
-    # two-piece scaffold in the work frame
-    base_W1 = np.vstack([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])
-    base_b1 = np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)])
-    pre1 = base_W1 @ data.X + base_b1[:, None]
-    if m_scale is None:
-        m_scale = default_m_scale(pre1, sigma)
-    if np.linalg.norm(pre1) / m_scale >= sigma:
-        raise PreconditionViolated("m_scale too small for the linearity radius sigma")
-
-    weights = [base_W1 / m_scale]
-    biases = [base_b1 / m_scale + t * np.ones(dims[1])]
-    prod = 1.0
-    for i in range(2, L):
-        a_i = alpha_scales[i - 2]
-        prod *= a_i
-        Wp = _pass_through(dims[i], dims[i - 1], d_y, sp, fill_col=True)
-        weights.append(a_i * Wp)
-        # the scaffold's middle biases are zero, so only the h(t) back-off
-        # and the translation to t remain
-        biases.append(-a_i * h_t * (Wp @ np.ones(dims[i - 1])) + t * np.ones(dims[i]))
-    WL = np.hstack([np.eye(d_y) / sp, np.zeros((d_y, dims[L - 1] - d_y))])
-    weights.append((m_scale / prod) * WL)
-    biases.append(-(m_scale / prod) * h_t * (WL @ np.ones(dims[L - 1])) + eta * np.ones(d_y))
-    if reflected:
-        _reflect_net_params(weights, biases)
-    net = Mlp(dims, tuple(weights), tuple(biases), act)
-    params = ConstructionParams(
-        eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
-    )
-    interval = None if reflected else (t, t + sigma)
-    return _certify_minimum(net, fit, data, "3", params, interval)
+    frame = _turning_frame(act)
+    return _general_minimum(fit, data, dims, act, frame, eta, m_scale, alpha_scales)
 
 
 def build_general_descent(
@@ -618,68 +636,25 @@ def build_general_descent(
     The output equals the deep witness output exactly."""
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
-    if not act.is_nonlinear:
-        raise PreconditionViolated("activation must be nonlinear")
-    work_act, tp, reflected = _general_route_setup(act)
-    t, sigma = tp.t, tp.sigma
-    h_t = float(work_act(t))
+    build_act, reflected, tp = _turning_frame(act)
     local = two_piece(tp.s_minus, tp.s_plus)
-    L = len(dims) - 1
-    d_y = data.d_y
+    weights, biases, params, shallow_out, _ = _witness_layers(fit, data, dims, local, alpha)
+    deep_trace = forward(Mlp(dims, tuple(weights), tuple(biases), local), data.X)
+    _check_deep_witness(deep_trace.output, shallow_out)
 
-    deep = build_deep_descent(fit, data, dims, local, alpha=alpha)
-    deep_trace = forward(deep.net, data.X)
-    d_weights = [W.copy() for W in deep.net.weights]
-    d_biases = [b.copy() for b in deep.net.biases]
-
-    pre1 = deep_trace.pre[0]
-    if m_scale is None:
-        m_scale = default_m_scale(pre1, sigma)
-    if np.linalg.norm(pre1) / m_scale >= sigma:
-        raise PreconditionViolated("m_scale too small for the linearity radius sigma")
-    if L >= 3:
-        pre2 = deep_trace.pre[1]
-        if m_tilde is None:
-            m_tilde = max(1.0, 2.0 * float(np.linalg.norm(pre2 / m_scale)) / sigma)
-        if np.linalg.norm(pre2 / m_scale) / m_tilde >= sigma:
-            raise PreconditionViolated("m_tilde too small for the linearity radius sigma")
+    m_scale = _radius_scale(deep_trace.pre[0], tp.sigma, m_scale, "m_scale")
+    if len(dims) > 3:
+        m_tilde = _radius_scale(deep_trace.pre[1] / m_scale, tp.sigma, m_tilde, "m_tilde")
+        weights[1] = weights[1] / m_tilde
     else:
         m_tilde = 1.0
-
-    weights = [d_weights[0] / m_scale]
-    biases = [d_biases[0] / m_scale + t * np.ones(dims[1])]
-    if L >= 3:
-        W2 = d_weights[1]
-        weights.append(W2 / m_tilde)
-        biases.append(
-            t * np.ones(dims[2])
-            - (h_t / m_tilde) * (W2 @ np.ones(dims[1]))
-            + d_biases[1] / (m_scale * m_tilde)
-        )
-        for i in range(3, L):
-            Wi = d_weights[i - 1]
-            weights.append(Wi)
-            biases.append(
-                -h_t * (Wi @ np.ones(dims[i - 1]))
-                + t * np.ones(dims[i])
-                + d_biases[i - 1] / (m_scale * m_tilde)
-            )
-    WL = d_weights[L - 1]
-    weights.append(m_scale * m_tilde * WL)
-    biases.append(d_biases[L - 1] - m_scale * m_tilde * h_t * (WL @ np.ones(dims[L - 1])))
-    if reflected:
-        _reflect_net_params(weights, biases)
-    net = Mlp(dims, tuple(weights), tuple(biases), act)
-
-    out = forward(net, data.X).output
-    risk = risk_of_outputs(out, data.Y, fit.loss)
+    net = _net(dims, act, reflected, *_squeeze(
+        weights, biases, tp.t, float(build_act(tp.t)), m_scale, m_scale * m_tilde
+    ))
+    risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
     if not risk < fit.risk - 1e-12:
         raise StrictDecreaseNotAchieved("squeezed witness lost its strict decrease")
-    params = replace(deep.params, m_scale=m_scale, m_tilde=m_tilde, turning=tp)
-    return CertifiedPoint(
-        net=net, kind="descent_witness", stage="3", risk=risk,
-        baseline_risk=fit.risk, params=params, spurious=True,
-    )
+    return _witness(net, "3", risk, fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
 
 # ---------------------------------------------------------------------------
@@ -702,41 +677,31 @@ def build_balanced_descent(
     d_x, d_1, d_y = dims
     if d_1 < d_y + 2:
         raise WidthViolation(f"balanced route needs hidden width >= {d_y + 2}, got {d_1}")
-    s_minus, s_plus = _two_piece_or_raise(act)
-    if s_minus + s_plus != 0.0:
+    s_minus, sp = _two_piece_or_raise(act)
+    if s_minus + sp != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
+    # a nonlinear balanced activation has s_plus != 0: no reflection needed
 
-    _, perm = select_nonzero_residual_row(fit, data)
-    fitp, _ = permute_fit_rows(fit, data, perm)
-    u = fitp.v[0]
-    v = fitp.y_tilde[0]
-    res = separate(u, v, data.X)
+    fitp, inv, res = _split(fit, data)
+    u, v = fitp.v[0], fitp.y_tilde[0]
     eta = default_eta(fitp)
     eta_rest = _default_eta_rest(fitp)
-    # balanced slopes with s_plus = 0 would force s_minus = 0, i.e. a linear
-    # activation, which two_piece() rejects; no reflection needed here
-    sp = s_plus
 
     def assemble(consts: DescentConstants) -> Mlp:
         a, g, e1 = consts.alpha, consts.gamma, consts.eta1
-        w_row = fitp.w_tilde[0, :d_x]
-        w_off = fitp.w_tilde[0, d_x]
-        rows = [w_row - a * res.beta, w_row, -(w_row - a * res.beta)]
-        brows = [w_off - e1 + g, w_off - eta, -w_off + e1 + g]
-        for i in range(1, d_y):
-            rows.append(fitp.w_tilde[i, :d_x])
-            brows.append(fitp.w_tilde[i, d_x] - eta_rest[i - 1])
+        w_row, w_off = fitp.w_tilde[0, :d_x], fitp.w_tilde[0, d_x]
+        tilted = w_row - a * res.beta
         pad = d_1 - (d_y + 2)
-        W1 = np.vstack(rows + [np.zeros((pad, d_x))])
-        b1 = np.concatenate([np.asarray(brows), np.zeros(pad)])
+        W1 = np.vstack([tilted, w_row, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
+        b1 = np.concatenate([
+            [w_off - e1 + g, w_off - eta, -w_off + e1 + g],
+            fitp.w_tilde[1:, d_x] - eta_rest,
+            np.zeros(pad),
+        ])
         W2 = np.zeros((d_y, d_1))
-        W2[0, 0] = 1.0 / (2.0 * sp)
-        W2[0, 1] = 1.0 / sp
-        W2[0, 2] = -1.0 / (2.0 * sp)
-        for i in range(1, d_y):
-            W2[i, i + 2] = 1.0 / sp
+        W2[0, :3] = 1.0 / (2.0 * sp), 1.0 / sp, -1.0 / (2.0 * sp)
+        W2[range(1, d_y), range(3, d_y + 2)] = 1.0 / sp
         b2 = np.concatenate([[eta], eta_rest])
-        inv = np.argsort(perm)
         return Mlp(dims, (W1, W2[inv]), (b1, b2[inv]), act)
 
     if gamma is not None:
@@ -749,18 +714,12 @@ def build_balanced_descent(
         net = assemble(consts)
         risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
     else:
-        net, consts, risk = _verified_descent(
-            assemble, res, u, v, data.X, None, fit, data
-        )
+        net, consts, risk = _verified_descent(assemble, res, u, v, data.X, None, fit, data)
     params = ConstructionParams(
         eta=eta, eta_rest=tuple(eta_rest),
         alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1,
     )
-    return CertifiedPoint(
-        net=net, kind="descent_witness", stage="corollary", risk=risk,
-        baseline_risk=fit.risk, params=params,
-        spurious=bool(risk < fit.risk - 1e-12),
-    )
+    return _witness(net, "corollary", risk, fit, params, bool(risk < fit.risk - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -778,21 +737,16 @@ def build_minimum(
     """Route to a minimum construction by stage name ("1", "2", "3", or
     "corollary"/"auto"); the balanced case uses the shallow/deep minimum,
     which only needs a nonzero right slope."""
-    if stage == "auto":
-        if act.is_two_piece:
-            stage = "1" if len(dims) == 3 else "2"
-        else:
-            stage = "3"
+    if stage == "auto" and not act.is_two_piece:
+        stage = "3"
+    elif stage in ("auto", "corollary"):
+        stage = "1" if len(dims) == 3 else "2"
     if stage == "1":
         return build_shallow_minimum(fit, data, dims, act, **overrides)
     if stage == "2":
         return build_deep_minimum(fit, data, dims, act, **overrides)
     if stage == "3":
         return build_general_minimum(fit, data, dims, act, **overrides)
-    if stage == "corollary":
-        if len(dims) == 3:
-            return build_shallow_minimum(fit, data, dims, act, **overrides)
-        return build_deep_minimum(fit, data, dims, act, **overrides)
     raise PreconditionViolated(f"unknown stage {stage!r}")
 
 
@@ -837,28 +791,15 @@ def enumerate_family(
     reproducible."""
     if k < 1:
         raise PreconditionViolated("k must be >= 1")
-    members = []
-    L = len(dims) - 1
-    for idx in range(k):
-        if idx == 0:
-            members.append(build_general_minimum(fit, data, dims, act))
-            continue
+    _check_dims(fit, data, dims)
+    _require_hidden_wider(dims, data.d_y)
+    frame = _turning_frame(act)
+    members = [_general_minimum(fit, data, dims, act, frame)]
+    for idx in range(1, k):
         rng = np.random.default_rng([seed, idx])
         eta = default_eta(fit) - 2.0 * rng.random()
-        alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, L - 2)))
-        base_W1 = np.vstack(
-            [fit.w_tilde[:, : data.d_x], np.zeros((dims[1] - data.d_y, data.d_x))]
-        )
-        base_b1 = np.concatenate(
-            [fit.w_tilde[:, data.d_x] - eta, -eta * np.ones(dims[1] - data.d_y)]
-        )
-        pre1 = base_W1 @ data.X + base_b1[:, None]
-        work_act, tp, _ = _general_route_setup(act)
-        m_lo = default_m_scale(pre1, tp.sigma)
-        m = m_lo * (1.0 + rng.random())
-        members.append(
-            build_general_minimum(
-                fit, data, dims, act, eta=eta, m_scale=m, alpha_scales=alphas
-            )
-        )
+        alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, len(dims) - 3)))
+        members.append(_general_minimum(
+            fit, data, dims, act, frame, eta=eta, alpha_scales=alphas, m_factor=1.0 + rng.random()
+        ))
     return members

@@ -139,7 +139,20 @@ def load_dataset_csv(path: Union[str, Path]) -> Dataset:
     M = np.asarray(rows, dtype=float)
     if M.shape[1] != len(header):
         raise ParseError(f"{path}: ragged rows")
+    bad = _first_non_finite(M)
+    if bad is not None:
+        row, col = bad
+        raise ParseError(
+            f"{path}: non-finite cell {float(M[row, col])} in column "
+            f"{header[col].strip()!r} of sample {row + 1}"
+        )
     return Dataset(M[:, x_cols].T, M[:, y_cols].T)
+
+
+def _first_non_finite(A: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first NaN or infinite entry in row-major order, if any."""
+    bad = np.argwhere(~np.isfinite(A))
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 
 def mlp_to_dict(net: Mlp) -> dict:
@@ -152,12 +165,18 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 
 def mlp_from_dict(d: dict) -> Mlp:
-    return Mlp(
-        tuple(d["dims"]),
-        tuple(np.asarray(W, dtype=float) for W in d["weights"]),
-        tuple(np.asarray(b, dtype=float) for b in d["biases"]),
-        PiecewiseLinear.from_dict(d["activation"]),
-    )
+    """The network a dict from `mlp_to_dict` describes.  JSON text may carry
+    NaN or Infinity literals, so non-finite parameters raise ParseError."""
+    weights = tuple(np.asarray(W, dtype=float) for W in d["weights"])
+    biases = tuple(np.asarray(b, dtype=float) for b in d["biases"])
+    for kind, arrays in (("weights", weights), ("biases", biases)):
+        for layer, A in enumerate(arrays):
+            bad = _first_non_finite(A)
+            if bad is not None:
+                raise ParseError(
+                    f"network {kind}[{layer}] has non-finite entry {float(A[bad])} at {list(bad)}"
+                )
+    return Mlp(tuple(d["dims"]), weights, biases, PiecewiseLinear.from_dict(d["activation"]))
 
 
 def save_mlp(net: Mlp, path: Union[str, Path]) -> None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spurmin import NonFiniteOutput, SpurminError
+from spurmin import NonFiniteOutput, ParseError, SpurminError
 from spurmin.cli import main
 from spurmin.io import (
     dump_json,
@@ -225,6 +225,36 @@ class TestExitCodes:
         assert not cert_out.exists()
         captured = capsys.readouterr()
         assert "Infinity" not in captured.out + captured.err
+
+    def test_linear_two_piece_activation_is_precondition(self, xor_csv, capsys):
+        linear = '{"breakpoints": [0], "slopes": [1, 1], "anchor": 0}'
+        assert main(["construct", "--data", xor_csv, "--dims", "2,3,1",
+                     "--activation", linear]) == 3
+        assert "nonlinear" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_is_parse_error(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x1,x2,y1\n0,0,0\n0,1,1\n1,0,{cell}\n1,1,0\n")
+        with pytest.raises(ParseError, match="column 'y1' of sample 3"):
+            load_dataset_csv(bad)
+        assert main(["descend", "--data", str(bad), "--dims", "2,3,1"]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_non_finite_net_weight_is_parse_error(self, tmp_path, xor_csv, capsys):
+        from spurmin import build_shallow_minimum, fit_linear, relu
+
+        xor = load_dataset_csv(xor_csv)
+        net = mlp_to_dict(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net)
+        net["weights"][1][0][2] = float("nan")
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))  # json writes the NaN literal
+        with pytest.raises(ParseError, match=r"weights\[1\]"):
+            mlp_from_dict(json.loads(net_path.read_text()))
+        cert_out = tmp_path / "cert.json"
+        assert main(["verify", "--data", xor_csv, "--net", str(net_path),
+                     "--cert-out", str(cert_out)]) == 2
+        assert not cert_out.exists()
 
     def test_abs_without_corollary_is_precondition(self):
         assert main(["demo", "--activation", "abs"]) == 3

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spurmin import (
     Dataset,
     LossKind,
     NoAdmissibleTurningPoint,
+    PiecewiseLinear,
+    PreconditionViolated,
+    SpurminError,
     WidthViolation,
     absolute_value,
     build_balanced_descent,
@@ -20,10 +25,12 @@ from spurmin import (
     enumerate_family,
     fit_linear,
     forward,
+    leaky_relu,
     params_distance,
     relu,
     three_piece,
     two_piece,
+    xor_dataset,
 )
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
@@ -330,3 +337,105 @@ class TestFamilyAndRouting:
         assert build_minimum(xor_fit, xor, (2, 3, 3, 1), relu()).stage == "2"
         assert build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece()).stage == "3"
         assert build_descent(xor_fit, xor, (2, 4, 1), absolute_value()).stage == "corollary"
+
+
+class TestSharedScaffold:
+    @pytest.mark.parametrize(
+        "act", [relu(), leaky_relu(0.3), two_piece(1.0, 0.0)], ids=["relu", "leaky", "reflected"]
+    )
+    def test_shallow_minimum_is_the_deep_one_at_one_hidden_layer(self, xor, xor_fit, act):
+        shallow = build_shallow_minimum(xor_fit, xor, (2, 3, 1), act)
+        deep = build_deep_minimum(xor_fit, xor, (2, 3, 1), act)
+        for a, b in zip(shallow.net.weights + shallow.net.biases, deep.net.weights + deep.net.biases):
+            assert np.array_equal(a, b)
+
+    # turning points with h(t) != 0 run the squeeze's h(t) back-off; the
+    # second activation has a zero right slope, so it is built reflected and
+    # its pre-activations land in the mirrored interval (-t - sigma, -t)
+    @pytest.mark.parametrize(
+        "act, sign",
+        [
+            (PiecewiseLinear((0.8,), (0.3, 0.7), 1.3), 1.0),
+            (PiecewiseLinear((0.45,), (0.29, 0.0), -0.71), -1.0),
+        ],
+        ids=["offset", "offset_reflected"],
+    )
+    @pytest.mark.parametrize("dims", [(2, 3, 3, 1), (2, 3, 3, 3, 1)], ids=["depth3", "depth4"])
+    def test_general_route_with_nonzero_h_at_t(self, xor, xor_fit, act, sign, dims):
+        minimum = build_general_minimum(xor_fit, xor, dims, act)
+        tp = minimum.params.turning
+        assert float((act if sign > 0 else act.reflect())(tp.t)) != 0.0
+        assert abs(minimum.risk - xor_fit.risk) <= 1e-9
+        for z in forward(minimum.net, xor.X).hidden_pre:
+            assert np.all(sign * z > tp.t) and np.all(sign * z < tp.t + tp.sigma)
+
+        witness = build_general_descent(xor_fit, xor, dims, act)
+        assert witness.risk < xor_fit.risk - 1e-12
+
+        family = enumerate_family(xor_fit, xor, dims, act, k=4, seed=5)
+        for m in family:
+            assert abs(m.risk - xor_fit.risk) <= 1e-9
+        assert min(
+            params_distance(a.net, b.net) for i, a in enumerate(family) for b in family[i + 1 :]
+        ) > 1e-6
+
+
+class TestLinearActivationsRejected:
+    def test_constant_activation_on_the_deep_route(self, xor, xor_fit):
+        constant = PiecewiseLinear((0.0,), (0.0, 0.0), 0.0)
+        with pytest.raises(PreconditionViolated):
+            build_minimum(xor_fit, xor, (2, 3, 3, 1), constant)
+
+    @pytest.mark.parametrize("slopes", [(1.0, 1.0), (0.0, 0.0), (-0.5, -0.5)])
+    @pytest.mark.parametrize("dims", [(2, 4, 1), (2, 3, 3, 1)])
+    def test_every_two_piece_shaped_route(self, xor, xor_fit, slopes, dims):
+        act = PiecewiseLinear((0.0,), slopes, 0.0)
+        builders = [build_minimum, build_descent, build_shallow_minimum, build_deep_minimum,
+                    build_shallow_descent, build_deep_descent, build_balanced_descent,
+                    build_general_minimum, build_general_descent]
+        for build in builders:
+            with pytest.raises(PreconditionViolated):
+                build(xor_fit, xor, dims, act)
+        with pytest.raises(PreconditionViolated):
+            enumerate_family(xor_fit, xor, dims, act, k=2)
+
+
+SLOPES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 0.2, 2.0]) | st.floats(-3.0, 3.0)
+COORDS = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def route_activations(draw):
+    """Two-piece activations at the origin (equal, balanced and zero right
+    slopes included) or up to three random breakpoints with any anchor."""
+    if draw(st.booleans()):
+        s_minus = draw(SLOPES)
+        s_plus = draw(st.sampled_from([s_minus, -s_minus, 0.0]) | SLOPES)
+        return PiecewiseLinear((0.0,), (s_minus, s_plus), 0.0)
+    bps = sorted(draw(st.lists(COORDS, min_size=1, max_size=3, unique=True)))
+    slopes = draw(st.lists(SLOPES, min_size=len(bps) + 1, max_size=len(bps) + 1))
+    return PiecewiseLinear(tuple(bps), tuple(slopes), draw(st.just(0.0) | COORDS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    act=route_activations(),
+    depth=st.integers(1, 3),
+    extra_width=st.integers(1, 2),
+    two_outputs=st.booleans(),
+)
+def test_routes_meet_postconditions_or_raise_typed(act, depth, extra_width, two_outputs):
+    data = random_two_output_dataset() if two_outputs else xor_dataset()
+    fit = fit_linear(data, SQ)
+    dims = (data.d_x, *[data.d_y + extra_width] * depth, data.d_y)
+    for build in (build_minimum, build_descent):
+        try:
+            point = build(fit, data, dims, act)
+        except SpurminError:
+            continue
+        assert np.isfinite(point.risk)
+        assert all(np.all(np.isfinite(p)) for p in point.net.weights + point.net.biases)
+        if point.kind == "minimum":
+            assert abs(point.risk - fit.risk) <= 1e-9
+        else:
+            assert point.risk < fit.risk - 1e-12
