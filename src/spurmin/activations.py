@@ -90,13 +90,28 @@ class PiecewiseLinear:
         if not self.breakpoints:
             out = self.anchor + self.slopes[0] * x
             return out if out.ndim else float(out)
-        bps = np.asarray(self.breakpoints)
-        knots = np.asarray(self._knots)
-        slopes = np.asarray(self.slopes)
-        p = np.searchsorted(bps, x, side="right")
-        ref = np.clip(p - 1, 0, len(bps) - 1)
-        out = knots[ref] + slopes[p] * (x - bps[ref])
+        slope, knot, ref = self._piece(x)
+        out = knot + slope * (x - ref)
         return out if out.ndim else float(out)
+
+    def _piece(self, x: np.ndarray) -> tuple[np.ndarray, ArrayLike, ArrayLike]:
+        """Slope, knot value and reference breakpoint of the piece holding
+        each entry of x (at least one breakpoint).
+
+        An entry at a breakpoint belongs to the piece on its right, and NaN
+        to the last piece, as with searchsorted(..., side="right").  The
+        comparisons pick the same table entries as that lookup, so values
+        built from them are bit-identical to it.
+        """
+        bps, sls, knots = self.breakpoints, self.slopes, self._knots
+        slope = np.where(x < bps[0], sls[0], sls[1])
+        knot, ref = knots[0], bps[0]
+        for k in range(1, len(bps)):
+            left = x < bps[k]
+            slope = np.where(left, slope, sls[k + 1])
+            knot = np.where(left, knot, knots[k])
+            ref = np.where(left, ref, bps[k])
+        return slope, knot, ref
 
     def slope_at(self, x: float) -> tuple[float, bool]:
         """Slope of the open piece containing x.
@@ -107,9 +122,8 @@ class PiecewiseLinear:
         """
         if not self.breakpoints:
             return self.slopes[0], False
-        p = int(np.searchsorted(np.asarray(self.breakpoints), x, side="right"))
-        on_bp = p > 0 and self.breakpoints[p - 1] == x
-        return self.slopes[p], bool(on_bp)
+        slope, _, ref = self._piece(np.asarray(x, dtype=float))
+        return float(slope), bool(ref == x)
 
     def piece_slopes(self, x: np.ndarray, boundary_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized slope lookup plus a boundary mask.
@@ -120,11 +134,11 @@ class PiecewiseLinear:
         x = np.asarray(x, dtype=float)
         if not self.breakpoints:
             return np.full(x.shape, self.slopes[0]), np.zeros(x.shape, dtype=bool)
-        bps = np.asarray(self.breakpoints)
-        p = np.searchsorted(bps, x, side="right")
-        slopes = np.asarray(self.slopes)[p]
-        dist = np.min(np.abs(x[..., None] - bps), axis=-1)
-        return slopes, dist <= boundary_tol
+        slope, _, _ = self._piece(x)
+        boundary = np.abs(x - self.breakpoints[0]) <= boundary_tol
+        for b in self.breakpoints[1:]:
+            boundary |= np.abs(x - b) <= boundary_tol
+        return slope, boundary
 
     def reflect(self) -> "PiecewiseLinear":
         """The mirrored activation g(x) = h(-x)."""

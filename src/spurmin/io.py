@@ -130,6 +130,11 @@ def load_dataset_csv(path: Union[str, Path]) -> Dataset:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: sample {len(rows) + 1} has {len(row)} cells "
+                    f"but the header has {len(header)}"
+                )
             try:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
@@ -137,8 +142,6 @@ def load_dataset_csv(path: Union[str, Path]) -> Dataset:
     if not rows:
         raise ParseError(f"{path}: no samples")
     M = np.asarray(rows, dtype=float)
-    if M.shape[1] != len(header):
-        raise ParseError(f"{path}: ragged rows")
     bad = _first_non_finite(M)
     if bad is not None:
         row, col = bad

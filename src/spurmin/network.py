@@ -32,6 +32,8 @@ class Dataset:
             raise ShapeViolation(f"X has {X.shape[1]} samples but Y has {Y.shape[1]}")
         if X.shape[1] < 1:
             raise PreconditionViolated("need at least one sample")
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            raise PreconditionViolated("X and Y must be finite (no NaN or infinity)")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -64,18 +66,23 @@ def _check_one_hot(Y: np.ndarray) -> None:
 
 
 def per_sample_loss(kind: LossKind, Y: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
-    """Vector of per-sample losses over the columns of Y / Yhat."""
+    """Per-sample losses over the columns of Y / Yhat.
+
+    Y is d_Y x n.  Yhat is d_Y x n too, or a stack of such predictions with
+    leading batch axes; the loss reduces over axis -2, so the result has the
+    shape of Yhat without it.
+    """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Yhat = np.atleast_2d(np.asarray(Yhat, dtype=float))
-    if Y.shape != Yhat.shape:
+    if Y.ndim != 2 or Y.shape != Yhat.shape[-2:]:
         raise ShapeViolation(f"label/prediction shape mismatch: {Y.shape} vs {Yhat.shape}")
     if kind is LossKind.SQUARED:
         d = Yhat - Y
-        return 0.5 * np.sum(d * d, axis=0)
+        return 0.5 * np.sum(d * d, axis=-2)
     _check_one_hot(Y)
-    z = Yhat - np.max(Yhat, axis=0, keepdims=True)
-    log_softmax = z - np.log(np.sum(np.exp(z), axis=0, keepdims=True))
-    return -np.sum(Y * log_softmax, axis=0)
+    z = Yhat - np.max(Yhat, axis=-2, keepdims=True)
+    log_softmax = z - np.log(np.sum(np.exp(z), axis=-2, keepdims=True))
+    return -np.sum(Y * log_softmax, axis=-2)
 
 
 def loss_gradient(kind: LossKind, Y: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
@@ -98,8 +105,11 @@ def loss_gradient(kind: LossKind, Y: np.ndarray, Yhat: np.ndarray) -> np.ndarray
     return Y.sum(axis=0, keepdims=True) * softmax - Y
 
 
-def risk_of_outputs(Yhat: np.ndarray, Y: np.ndarray, kind: LossKind) -> float:
-    return float(np.sum(per_sample_loss(kind, Y, Yhat)) / np.atleast_2d(Y).shape[1])
+def risk_of_outputs(Yhat: np.ndarray, Y: np.ndarray, kind: LossKind) -> float | np.ndarray:
+    """Mean per-sample loss: a float, or one risk per prediction when Yhat
+    carries leading batch axes."""
+    risk = np.sum(per_sample_loss(kind, Y, Yhat), axis=-1) / np.atleast_2d(Y).shape[1]
+    return risk if risk.ndim else float(risk)
 
 
 @dataclass(frozen=True)
@@ -162,15 +172,28 @@ def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != net.dims[0]:
         raise ShapeViolation(f"input must be {net.dims[0]} x n, got {X.shape}")
+    pre, post = _layer_outputs(net.weights, net.biases, net.activation, X)
+    return ForwardTrace(tuple(pre), tuple(post))
+
+
+def _layer_outputs(
+    weights, biases, activation: PiecewiseLinear, X: np.ndarray
+) -> tuple[list, list]:
+    """Pre- and post-activation outputs of every layer on the columns of X.
+
+    Every weight and bias may carry one leading batch axis, (B, d_j, d_{j-1})
+    and (B, d_j), to evaluate B networks of one shape in stacked matmuls;
+    each network's outputs are bit-identical to its own unstacked pass.
+    """
     pre, post = [], []
     cur = X
-    L = net.n_layers
-    for j in range(L):
-        z = net.weights[j] @ cur + net.biases[j][:, None]
+    L = len(weights)
+    for j, (W, b) in enumerate(zip(weights, biases)):
+        z = W @ cur + b[..., None]
         pre.append(z)
-        cur = net.activation(z) if j < L - 1 else z
+        cur = activation(z) if j < L - 1 else z
         post.append(cur)
-    return ForwardTrace(tuple(pre), tuple(post))
+    return pre, post
 
 
 def empirical_risk(net: Mlp, data: Dataset, loss: LossKind) -> float:

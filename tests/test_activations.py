@@ -208,3 +208,101 @@ class TestValidationAndSerde:
         assert relu().is_nonlinear
         assert not PiecewiseLinear((), (2.0,), 0.0).is_nonlinear
         assert not PiecewiseLinear((0.0,), (2.0, 2.0), 0.0).is_nonlinear
+
+
+# Oracles: the former searchsorted forms of the three piece lookups.
+def searchsorted_call(act, x):
+    x = np.asarray(x, dtype=float)
+    if not act.breakpoints:
+        out = act.anchor + act.slopes[0] * x
+        return out if out.ndim else float(out)
+    bps, knots, slopes = (np.asarray(v) for v in (act.breakpoints, act._knots, act.slopes))
+    p = np.searchsorted(bps, x, side="right")
+    ref = np.clip(p - 1, 0, len(bps) - 1)
+    out = knots[ref] + slopes[p] * (x - bps[ref])
+    return out if out.ndim else float(out)
+
+
+def searchsorted_slope_at(act, x):
+    if not act.breakpoints:
+        return act.slopes[0], False
+    p = int(np.searchsorted(np.asarray(act.breakpoints), x, side="right"))
+    return act.slopes[p], bool(p > 0 and act.breakpoints[p - 1] == x)
+
+
+def searchsorted_piece_slopes(act, x, boundary_tol=0.0):
+    x = np.asarray(x, dtype=float)
+    if not act.breakpoints:
+        return np.full(x.shape, act.slopes[0]), np.zeros(x.shape, dtype=bool)
+    bps = np.asarray(act.breakpoints)
+    p = np.searchsorted(bps, x, side="right")
+    dist = np.min(np.abs(x[..., None] - bps), axis=-1)
+    return np.asarray(act.slopes)[p], dist <= boundary_tol
+
+
+def assert_same_bits(a, b):
+    """Equal values, shapes and bytes, so signed zeros and NaNs match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def probe_points(act, tol):
+    """Every breakpoint, its float neighbours, points within and at tol of
+    it, and signed zeros."""
+    pts = [0.0, -0.0]
+    for b in act.breakpoints:
+        pts += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                b - tol, b + tol, b - 0.5 * tol, b + 0.5 * tol]
+    return pts
+
+
+class TestComparisonLookupMatchesSearchsorted:
+    @given(
+        act=activations(),
+        xs=st.lists(st.floats(allow_nan=False, min_value=-1e6, max_value=1e6), max_size=30),
+        tol=st.sampled_from([0.0, 1e-12, 1e-3, 0.7]),
+        shape=st.sampled_from(["flat", "column", "stacked"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arrays(self, act, xs, tol, shape):
+        x = np.array(xs + probe_points(act, tol))
+        if shape == "column":
+            x = x[:, None]
+        elif shape == "stacked":
+            x = np.stack([x, -x, 2.0 * x])[:, None, :]
+        assert_same_bits(act(x), searchsorted_call(act, x))
+        slopes, boundary = act.piece_slopes(x, boundary_tol=tol)
+        want_slopes, want_boundary = searchsorted_piece_slopes(act, x, boundary_tol=tol)
+        assert_same_bits(slopes, want_slopes)
+        assert_same_bits(boundary, want_boundary)
+
+    @given(act=activations(), x=st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
+           tol=st.sampled_from([0.0, 1e-12, 0.7]))
+    @settings(max_examples=100, deadline=None)
+    def test_scalars(self, act, x, tol):
+        for v in [x, *probe_points(act, tol)]:
+            for arg in (float(v), np.asarray(v), np.float64(v)):
+                got, want = act(arg), searchsorted_call(act, arg)
+                assert type(got) is type(want) is float
+                assert_same_bits(got, want)
+                for got_part, want_part in zip(act.piece_slopes(arg, tol),
+                                               searchsorted_piece_slopes(act, arg, tol)):
+                    assert_same_bits(got_part, want_part)
+            got, want = act.slope_at(float(v)), searchsorted_slope_at(act, float(v))
+            assert got == want and type(got[0]) is type(want[0]) is float
+
+    def test_signed_zero_at_a_zero_breakpoint(self):
+        for act in (relu(), two_piece(-0.5, 2.0), three_piece(), three_piece().reflect()):
+            x = np.array([-0.0, 0.0])
+            assert_same_bits(act(x), searchsorted_call(act, x))
+            assert act.slope_at(-0.0) == searchsorted_slope_at(act, -0.0) == act.slope_at(0.0)
+
+    def test_non_finite_inputs(self):
+        x = np.array([np.nan, np.inf, -np.inf, 0.0])
+        for act in (relu(), three_piece(), PiecewiseLinear((-1.0, 0.5, 2.0), (0.0, 1.0, -2.0, 0.5), 0.3)):
+            with np.errstate(invalid="ignore"):
+                assert_same_bits(act(x), searchsorted_call(act, x))
+                for got, want in zip(act.piece_slopes(x, 0.1), searchsorted_piece_slopes(act, x, 0.1)):
+                    assert_same_bits(got, want)
+            assert act.slope_at(float("nan")) == searchsorted_slope_at(act, float("nan"))

@@ -241,6 +241,15 @@ class TestExitCodes:
         assert main(["descend", "--data", str(bad), "--dims", "2,3,1"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_ragged_csv_row_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,y1\n0,0,0\n0,1\n1,0,1\n")
+        with pytest.raises(ParseError, match="sample 2 has 2 cells but the header has 3"):
+            load_dataset_csv(bad)
+        assert main(["fit", "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and "Traceback" not in err
+
     def test_non_finite_net_weight_is_parse_error(self, tmp_path, xor_csv, capsys):
         from spurmin import build_shallow_minimum, fit_linear, relu
 
@@ -294,6 +303,19 @@ class TestDemo:
 
         errs = validate_report({"config": {"subcommand": "demo", "seed": 1}})
         assert any("missing required" in e for e in errs)
+
+    def test_report_hash_pinned(self):
+        # the sorted-key JSON sha256 prefix of the seed-7 report; any change
+        # to a number in the pipeline's output moves it
+        import hashlib
+
+        from spurmin.cli import run_demo
+        from spurmin.io import to_jsonable
+
+        report, ok, _ = run_demo(seed=7)
+        text = json.dumps(to_jsonable(report), sort_keys=True)
+        assert ok
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "72bd84dce0aa9b61"
 
     def test_config_roundtrips_byte_identically(self, tmp_path):
         out = tmp_path / "report.json"

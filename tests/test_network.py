@@ -7,6 +7,7 @@ from spurmin import (
     LossKind,
     Mlp,
     PiecewiseLinear,
+    PreconditionViolated,
     ShapeViolation,
     check_assumptions,
     empirical_risk,
@@ -15,6 +16,7 @@ from spurmin import (
     per_sample_loss,
     relu,
 )
+from spurmin.network import risk_of_outputs
 from spurmin.verification import fd_gradient_check
 
 identity_act = PiecewiseLinear((), (1.0,), 0.0)
@@ -205,3 +207,31 @@ class TestDatasetValidation:
     def test_needs_samples(self):
         with pytest.raises(Exception):
             Dataset(np.zeros((2, 0)), np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "Y"])
+    def test_non_finite_rejected(self, bad, where):
+        X, Y = np.zeros((2, 3)), np.zeros((1, 3))
+        (X if where == "X" else Y)[0, 1] = bad
+        with pytest.raises(PreconditionViolated, match="finite"):
+            Dataset(X, Y)
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("kind", [LossKind.SQUARED, LossKind.CROSS_ENTROPY])
+    @pytest.mark.parametrize("d_y,n", [(1, 1), (2, 7), (3, 9), (10, 1), (10, 300)])
+    def test_stack_matches_each_prediction(self, rng, kind, d_y, n):
+        Y = np.eye(d_y)[:, np.arange(n) % d_y]
+        stack = 3.0 * rng.standard_normal((2, 5, d_y, n))
+        losses = per_sample_loss(kind, Y, stack)
+        risks = risk_of_outputs(stack, Y, kind)
+        assert losses.shape == (2, 5, n) and risks.shape == (2, 5)
+        for i in range(2):
+            for j in range(5):
+                assert per_sample_loss(kind, Y, stack[i, j]).tolist() == losses[i, j].tolist()
+                assert risk_of_outputs(stack[i, j], Y, kind) == risks[i, j]
+        assert type(risk_of_outputs(stack[0, 0], Y, kind)) is float
+
+    def test_label_shape_must_match_trailing_axes(self, rng):
+        with pytest.raises(ShapeViolation):
+            per_sample_loss(LossKind.SQUARED, np.zeros((1, 4)), np.zeros((3, 1, 5)))

@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spurmin import (
+    Dataset,
     LossKind,
+    Mlp,
+    PiecewiseLinear,
     PreconditionViolated,
     build_deep_minimum,
     build_general_descent,
@@ -10,17 +17,36 @@ from spurmin import (
     build_shallow_descent,
     build_shallow_minimum,
     descent_gap,
+    empirical_risk,
     fd_gradient_check,
     forward,
+    leaky_relu,
     perturbation_local_min_test,
     relu,
     three_piece,
     trace_interval_check,
     two_piece,
 )
+from spurmin import verification
 from spurmin.verification import descent_gap_certificate, witness_pair_certificate
 
 SQ = LossKind.SQUARED
+CE = LossKind.CROSS_ENTROPY
+
+
+@st.composite
+def pl_activations(draw):
+    """Random continuous piecewise-linear activations, 0-3 breakpoints."""
+    k = draw(st.integers(min_value=0, max_value=3))
+    bps = sorted(draw(st.lists(
+        st.floats(min_value=-2, max_value=2, allow_nan=False),
+        min_size=k, max_size=k, unique=True,
+    )))
+    slopes = draw(st.lists(
+        st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=k + 1, max_size=k + 1,
+    ))
+    anchor = draw(st.floats(min_value=-1, max_value=1, allow_nan=False))
+    return PiecewiseLinear(tuple(bps), tuple(slopes), anchor)
 
 
 class TestPerturbationTest:
@@ -147,3 +173,160 @@ class TestTraceInterval:
         d = cert.as_dict()
         assert d["verdict"] is True
         assert d["checks"][0]["name"] == "interval_margin"
+
+
+def serial_draw_risks(net, data, loss, radius, samples, seed):
+    """Oracle: the probe's former serial loop, one fresh Mlp per draw."""
+    seed64 = int(seed) & 0xFFFFFFFFFFFFFFFF
+    risks = []
+    for i in range(samples):
+        rng = np.random.default_rng(seed64 ^ i)
+        weights = tuple(
+            W + radius * (1.0 + np.abs(W)) * rng.uniform(-1.0, 1.0, W.shape)
+            for W in net.weights
+        )
+        biases = tuple(
+            b + radius * (1.0 + np.abs(b)) * rng.uniform(-1.0, 1.0, b.shape)
+            for b in net.biases
+        )
+        risks.append(empirical_risk(Mlp(net.dims, weights, biases, net.activation), data, loss))
+    return risks
+
+
+def assert_probe_matches_serial(net, data, loss, radius=1e-4, samples=40, seed=7):
+    """Per-draw risks, worst delta and verdict equal the serial loop's exactly."""
+    expected = serial_draw_risks(net, data, loss, radius, samples, seed)
+    seed64 = int(seed) & 0xFFFFFFFFFFFFFFFF
+    got = verification._draw_risks(net, data, loss, radius, samples, seed64)
+    assert got.tolist() == expected
+    base = empirical_risk(net, data, loss)
+    worst = np.inf
+    for risk in expected:
+        worst = min(worst, risk - base)
+    check = perturbation_local_min_test(net, data, loss, radius, samples, seed).checks[0]
+    assert check.value == worst
+    assert np.signbit(check.value) == np.signbit(worst)
+    assert check.passed == (worst >= verification.LOCAL_MIN_SLACK)
+
+
+def random_net(dims, act, seed):
+    r = np.random.default_rng(seed)
+    weights = tuple(r.standard_normal((b, a)) for a, b in zip(dims[:-1], dims[1:]))
+    biases = tuple(r.standard_normal(b) for b in dims[1:])
+    return Mlp(dims, weights, biases, act)
+
+
+def one_hot_dataset(n, classes, seed):
+    r = np.random.default_rng(seed)
+    labels = np.arange(n) % classes
+    return Dataset(r.standard_normal((2, n)), np.eye(classes)[:, labels])
+
+
+PROBE_ACTIVATIONS = {
+    "relu": relu(),
+    "leaky0.3": leaky_relu(0.3),
+    "threepiece": three_piece(),
+    "threepiece_reflected": three_piece().reflect(),
+    "right_slope_zero": PiecewiseLinear((0.45,), (0.29, 0.0), -0.71),
+}
+
+
+class TestBatchedProbeParity:
+    @pytest.mark.parametrize("act", PROBE_ACTIVATIONS.values(), ids=PROBE_ACTIVATIONS.keys())
+    @pytest.mark.parametrize("dims", [(2, 3, 1), (2, 3, 3, 1), (2, 3, 3, 3, 1)])
+    def test_constructed_minima_squared(self, xor, xor_fit, act, dims):
+        from spurmin import build_minimum
+
+        stage = "3" if not act.is_two_piece else ("1" if len(dims) == 3 else "2")
+        point = build_minimum(xor_fit, xor, dims, act, stage=stage)
+        assert_probe_matches_serial(point.net, xor, SQ, samples=60)
+
+    @pytest.mark.parametrize("act", PROBE_ACTIVATIONS.values(), ids=PROBE_ACTIVATIONS.keys())
+    @pytest.mark.parametrize("dims", [(2, 4, 3), (2, 4, 4, 3), (2, 5, 4, 4, 3)])
+    def test_cross_entropy(self, act, dims):
+        data = one_hot_dataset(13, 3, seed=len(dims))
+        assert_probe_matches_serial(random_net(dims, act, seed=1), data, CE, radius=1e-2)
+
+    def test_descent_witness_fails_as_before(self, xor, xor_fit, relu_act):
+        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        assert_probe_matches_serial(w.net, xor, SQ, samples=200)
+
+    @pytest.mark.parametrize("budget", [13, 14, 27, 100, 1000])
+    def test_chunk_boundaries(self, xor, monkeypatch, budget):
+        # (2, 3, 1) has 13 parameters: chunks of 1, 1, 2 and 7 draws, and
+        # one chunk of all 50
+        monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
+        net = random_net((2, 3, 1), three_piece(), seed=4)
+        assert_probe_matches_serial(net, xor, SQ, radius=1e-2, samples=50)
+
+    def test_several_chunks_at_default_budget(self):
+        # width 16 x 600 samples: 13 draws per chunk, so 13 + 13 + 4
+        r = np.random.default_rng(5)
+        data = Dataset(r.standard_normal((2, 600)), r.standard_normal((1, 600)))
+        net = random_net((2, 16, 1), leaky_relu(0.3), seed=6)
+        assert_probe_matches_serial(net, data, SQ, radius=1e-3, samples=30)
+
+    def test_one_draw_per_chunk(self):
+        # width 32 x 2200 samples exceeds half the budget: every chunk is one draw
+        r = np.random.default_rng(8)
+        data = Dataset(r.standard_normal((2, 2200)), r.standard_normal((2, 2200)))
+        net = random_net((2, 32, 2), relu(), seed=9)
+        assert 32 * 2200 > verification._CHUNK_ELEMENTS // 2
+        assert_probe_matches_serial(net, data, SQ, radius=1e-3, samples=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        act=pl_activations(),
+        depth=st.integers(min_value=1, max_value=3),
+        width=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=1, max_value=30),
+        ce=st.booleans(),
+        budget=st.sampled_from([7, 50, 1 << 17]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_hypothesis_nets(self, act, depth, width, n, ce, budget, seed):
+        d_y = 3 if ce else 2
+        dims = (2, *[width] * depth, d_y)
+        data = (
+            one_hot_dataset(n, d_y, seed=n)
+            if ce
+            else Dataset(np.random.default_rng(n).standard_normal((2, n)),
+                         np.random.default_rng(n + 1).standard_normal((d_y, n)))
+        )
+        net = random_net(dims, act, seed=seed % 1000)
+        with mock.patch.object(verification, "_CHUNK_ELEMENTS", budget):
+            assert_probe_matches_serial(net, data, CE if ce else SQ,
+                                        radius=1e-2, samples=17, seed=seed)
+
+
+class TestNonFiniteRisk:
+    def test_overflowing_network_rejected(self, xor, relu_act):
+        # the base risk overflows to inf and every draw's delta is NaN
+        net = Mlp((2, 3, 1), (np.full((3, 2), 1e200), np.full((1, 3), 1e200)),
+                  (np.zeros(3), np.zeros(1)), relu_act)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PreconditionViolated, match="not finite"):
+                perturbation_local_min_test(net, xor, SQ, radius=1e-4, samples=20, seed=7)
+
+    def test_overflowing_draws_rejected(self, xor, xor_fit, relu_act):
+        # a finite base risk but draws whose risk overflows to inf
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PreconditionViolated, match="not finite"):
+                perturbation_local_min_test(point.net, xor, SQ, radius=1e300, samples=20, seed=7)
+
+    def test_cli_exit_code(self, tmp_path, xor, relu_act):
+        from spurmin.cli import main
+        from spurmin.io import save_dataset_csv, save_mlp
+
+        net = Mlp((2, 3, 1), (np.full((3, 2), 1e200), np.full((1, 3), 1e200)),
+                  (np.zeros(3), np.zeros(1)), relu_act)
+        save_mlp(net, tmp_path / "net.json")
+        save_dataset_csv(xor, tmp_path / "d.csv")
+        cert_out = tmp_path / "cert.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify", "--data", str(tmp_path / "d.csv"),
+                         "--net", str(tmp_path / "net.json"), "--samples", "20",
+                         "--cert-out", str(cert_out)])
+        assert code == 3
+        assert not cert_out.exists()
