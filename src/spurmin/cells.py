@@ -56,8 +56,9 @@ def activation_pattern(net: Mlp, X: np.ndarray, boundary_tol: float = BOUNDARY_T
     for li, z in enumerate(trace.hidden_pre):
         slopes, on_bp = net.activation.piece_slopes(z, boundary_tol=boundary_tol)
         layers.append(slopes)
-        for unit, sample in zip(*np.nonzero(on_bp)):
-            boundary.add((li, int(unit), int(sample)))
+        if on_bp.any():
+            for unit, sample in zip(*np.nonzero(on_bp)):
+                boundary.add((li, int(unit), int(sample)))
     return CellSignature(tuple(layers), frozenset(boundary))
 
 

@@ -4,11 +4,13 @@ as machine-readable certificates with pinned seeds."""
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PreconditionViolated
 from .network import (
@@ -21,6 +23,26 @@ DESCENT_GAP_MIN = 1e-12
 # A four times larger budget raised peak memory by ~15 MB on a 3000-sample,
 # 16-unit probe, and was no faster.
 _CHUNK_ELEMENTS = 1 << 17
+
+# numpy's SeedSequence hash (a pool of four 32-bit words) and its constants.
+_U32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init, init * mult, ..., init * mult**n, each modulo 2**32."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _U32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# 4 pool fills and 12 cross mixes hash with A; 8 output words hash with B.
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
 
 
 @dataclass(frozen=True)
@@ -60,6 +82,71 @@ class Certificate:
         }
 
 
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s,
+    as a (len(seeds), 4) uint64 array.
+
+    A seed's entropy is its low and high 32-bit words; a seed below 2**32 has
+    only the low word, but the pool pads missing entropy with hashed zeros,
+    so the two hash alike.  Every operand is a uint32 array or scalar, so
+    products wrap modulo 2**32 as in numpy's C code.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zeros = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [
+        (seeds & np.uint64(_U32)).astype(np.uint32),
+        (seeds >> np.uint64(32)).astype(np.uint32),
+        zeros,
+        zeros,
+    ]
+    consts = zip(_HASH_A, _HASH_A[1:])
+
+    def hashmix(v):
+        xor, mult = next(consts)
+        v = (v ^ xor) * mult
+        return v ^ (v >> _XSHIFT)
+
+    pool = [hashmix(e) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = v ^ (v >> _XSHIFT)
+    state = np.empty((*seeds.shape, 8), dtype="<u4")
+    for k in range(8):
+        v = (pool[k % 4] ^ _HASH_B[k]) * _HASH_B[k + 1]
+        state[..., k] = v ^ (v >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands precomputed SeedSequence output to PCG64's seeding, which asks
+    for 4 uint64 words and reads them through a raw pointer: `words` must be
+    one contiguous uint64 row of _seed_words' output."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _uniform_draws(seed64: int, start: int, stop: int, total: int) -> np.ndarray:
+    """Rows i = start..stop-1 of default_rng(seed64 ^ i).uniform(-1, 1, total).
+
+    The seeds are hashed together; each row is then numpy's own PCG64 stream
+    through Generator.random, written in place, and Generator.uniform(-1, 1)
+    is -1 + 2 * random().
+    """
+    words = _seed_words(np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed64))
+    u = np.empty((stop - start, total))
+    for row, w in zip(u, words):
+        np.random.Generator(np.random.PCG64(_SeedWords(w))).random(out=row)
+    u *= 2.0
+    u -= 1.0
+    return u
+
+
 def _draw_risks(
     net: Mlp, data: Dataset, loss: LossKind, radius: float, samples: int, seed64: int
 ) -> np.ndarray:
@@ -69,27 +156,28 @@ def _draw_risks(
     u uniform on [-1, 1] from its own stream default_rng(seed64 ^ i): one
     `uniform` call per draw, split over the weights layer by layer and then
     the biases.  A chunk holds as many draws as keep each stacked array within
-    _CHUNK_ELEMENTS.
+    _CHUNK_ELEMENTS; the streams are made a block of whole chunks at a time,
+    as many draws as that budget holds, since hashing the seeds has a fixed
+    cost per call.
     """
     params = (*net.weights, *net.biases)
     bounds = np.cumsum([0] + [p.size for p in params]).tolist()
     scales = [radius * (1.0 + np.abs(p)) for p in params]
-    per_draw = max(max(net.dims[1:]) * data.n, bounds[-1])
-    chunk = max(1, _CHUNK_ELEMENTS // per_draw)
+    total = bounds[-1]
+    chunk = max(1, _CHUNK_ELEMENTS // max(max(net.dims[1:]) * data.n, total))
+    block = chunk * max(1, _CHUNK_ELEMENTS // (total * chunk))
     L = net.n_layers
     risks = np.empty(samples)
-    for start in range(0, samples, chunk):
-        stop = min(start + chunk, samples)
-        u = np.stack([
-            np.random.default_rng(seed64 ^ i).uniform(-1.0, 1.0, bounds[-1])
-            for i in range(start, stop)
-        ])
-        stacked = [
-            p + s * u[:, a:b].reshape(-1, *p.shape)
-            for p, s, a, b in zip(params, scales, bounds, bounds[1:])
-        ]
-        _, post = _layer_outputs(stacked[:L], stacked[L:], net.activation, data.X)
-        risks[start:stop] = risk_of_outputs(post[-1], data.Y, loss)
+    for first in range(0, samples, block):
+        draws = _uniform_draws(seed64, first, min(first + block, samples), total)
+        for start in range(0, len(draws), chunk):
+            u = draws[start:start + chunk]
+            stacked = [
+                p + s * u[:, a:b].reshape(-1, *p.shape)
+                for p, s, a, b in zip(params, scales, bounds, bounds[1:])
+            ]
+            _, post = _layer_outputs(stacked[:L], stacked[L:], net.activation, data.X)
+            risks[first + start:first + start + len(u)] = risk_of_outputs(post[-1], data.Y, loss)
     return risks
 
 
@@ -108,8 +196,11 @@ def perturbation_local_min_test(
     sample range reproduces the serial run.  A non-finite risk at the network
     or at any draw raises PreconditionViolated: no draw could be compared.
     """
-    if radius < 0:
-        raise PreconditionViolated("radius must be nonnegative")
+    if not (np.isfinite(radius) and radius >= 0):
+        raise PreconditionViolated("radius must be finite and nonnegative")
+    if isinstance(samples, (bool, np.bool_)) or not hasattr(type(samples), "__index__"):
+        raise PreconditionViolated(f"samples must be an integer, not {samples!r}")
+    samples = operator.index(samples)
     if samples < 1:
         raise PreconditionViolated("samples must be at least 1")
     if radius == 0:

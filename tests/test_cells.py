@@ -75,6 +75,25 @@ class TestPattern:
         assert not sig.interior
         assert (0, 0, 0) in sig.boundary  # unit 0, sample (0,0)
 
+    @pytest.mark.parametrize("b1", [0.0, 1.0])
+    def test_boundary_hits_listed_per_layer(self, xor, b1):
+        # layer 0 is X + b1: hits where a coordinate is -b1, none for b1 = 1;
+        # layer 1 is x0 + x1 and x1 - x0, which vanish at (0,0) and on the
+        # diagonal
+        net = Mlp(
+            (2, 2, 2, 1),
+            (np.eye(2), np.array([[1.0, 1.0], [-1.0, 1.0]]), np.ones((1, 2))),
+            (np.full(2, b1), np.array([-2.0 * b1, 0.0]), np.zeros(1)),
+            relu(),
+        )
+        X = xor.X
+        expected = {(0, int(u), int(s)) for u, s in zip(*np.nonzero(X + b1 == 0))}
+        expected |= {(1, 0, int(s)) for s in np.nonzero(X[0] + X[1] == 0)[0]}
+        expected |= {(1, 1, int(s)) for s in np.nonzero(X[1] == X[0])[0]}
+        sig = activation_pattern(net, X)
+        assert sig.boundary == expected
+        assert sig.interior == (not expected)
+
 
 class TestQuotient:
     def test_direct_arithmetic(self):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,23 @@ class TestExitCodes:
         assert not cert_out.exists()
         captured = capsys.readouterr()
         assert "Infinity" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-1e-4"])
+    def test_verify_bad_radius_is_precondition(self, tmp_path, xor_csv, capsys, radius):
+        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin.io import save_mlp
+
+        xor = load_dataset_csv(xor_csv)
+        net_path = tmp_path / "net.json"
+        save_mlp(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net, net_path)
+        cert_out = tmp_path / "cert.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any draw runs
+            code = main(["verify", "--data", xor_csv, "--net", str(net_path),
+                         f"--radius={radius}", "--cert-out", str(cert_out)])
+        assert code == 3
+        assert not cert_out.exists()
+        assert "radius must be finite and nonnegative" in capsys.readouterr().err
 
     def test_linear_two_piece_activation_is_precondition(self, xor_csv, capsys):
         linear = '{"breakpoints": [0], "slopes": [1, 1], "anchor": 0}'

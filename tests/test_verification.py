@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -76,6 +77,28 @@ class TestPerturbationTest:
         point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
         with pytest.raises(PreconditionViolated):
             perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=samples, seed=7)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1e-4])
+    def test_bad_radius_rejected_before_any_draw(self, xor, xor_fit, relu_act, radius):
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PreconditionViolated, match="finite and nonnegative"):
+                    perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
+
+    @pytest.mark.parametrize("samples", [3.0, True, np.True_, "5", None, np.float64(4.0)])
+    def test_non_integer_samples_rejected(self, xor, xor_fit, relu_act, samples):
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        with pytest.raises(PreconditionViolated, match="samples must be an integer"):
+            perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=samples, seed=7)
+
+    def test_numpy_integer_samples_accepted(self, xor, xor_fit, relu_act):
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        a = perturbation_local_min_test(point.net, xor, SQ, samples=np.int64(20), seed=7)
+        b = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=7)
+        assert a.as_dict() == b.as_dict()
+        assert type(a.checks[0].samples) is int
 
     def test_determinism(self, xor, xor_fit, relu_act):
         point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
@@ -297,6 +320,62 @@ class TestBatchedProbeParity:
         with mock.patch.object(verification, "_CHUNK_ELEMENTS", budget):
             assert_probe_matches_serial(net, data, CE if ce else SQ,
                                         radius=1e-2, samples=17, seed=seed)
+
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, -3 & 0xFFFFFFFFFFFFFFFF]
+
+
+def default_rng_block(seed64, start, stop, total):
+    """Oracle: one default_rng(seed64 ^ i).uniform(-1, 1, total) row per draw."""
+    return np.stack([
+        np.random.default_rng(seed64 ^ i).uniform(-1.0, 1.0, total) for i in range(start, stop)
+    ])
+
+
+def assert_same_bytes(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestStreamParity:
+    @settings(max_examples=200, deadline=None)
+    @given(seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8))
+    def test_seed_words_match_seed_sequence(self, seeds):
+        seeds = seeds + EDGE_SEEDS
+        expected = np.stack([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+        assert_same_bytes(verification._seed_words(np.array(seeds, dtype=np.uint64)), expected)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("total", [1, 13, 25, 81, 1000])
+    @pytest.mark.parametrize("start, stop", [(0, 9), (5, 12), (2**20 - 3, 2**20 + 3)])
+    def test_uniform_draws_match_default_rng(self, seed, total, start, stop):
+        assert_same_bytes(verification._uniform_draws(seed, start, stop, total),
+                          default_rng_block(seed, start, stop, total))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        start=st.integers(min_value=0, max_value=2**40),
+        count=st.integers(min_value=1, max_value=6),
+        total=st.sampled_from([1, 13, 25, 81, 1000]),
+    )
+    def test_uniform_draws_hypothesis(self, seed, start, count, total):
+        assert_same_bytes(verification._uniform_draws(seed, start, start + count, total),
+                          default_rng_block(seed, start, start + count, total))
+
+    def test_wide_net_two_draws(self):
+        # two draws of a 34 177-parameter net, the wide benchmark route's size
+        assert_same_bytes(verification._uniform_draws(7, 3, 5, 34177),
+                          default_rng_block(7, 3, 5, 34177))
+
+    def test_probe_builds_no_generator_per_draw(self, xor, xor_fit, relu_act):
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        expected = serial_draw_risks(point.net, xor, SQ, 1e-4, 60, 7)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
+            cert = perturbation_local_min_test(point.net, xor, SQ, samples=60, seed=7)
+            risks = verification._draw_risks(point.net, xor, SQ, 1e-4, 60, 7)
+        assert cert.verdict
+        assert risks.tolist() == expected
 
 
 class TestNonFiniteRisk:
