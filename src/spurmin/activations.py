@@ -4,6 +4,14 @@ An activation is stored as strictly ascending breakpoints, one slope per
 piece, and the function value at the first breakpoint (at 0 when there are
 no breakpoints).  Continuity is structural: values are accumulated from the
 anchor, so no per-piece intercepts can disagree.
+
+Evaluation compares the input with the breakpoints in turn.  A breakpoint
+that no entry lies left of moves every entry to the next piece, and one that
+every entry lies left of ends the scan, so an input inside one piece is
+evaluated with a scalar slope, knot and reference breakpoint; only a
+breakpoint that splits the input selects per entry.  The values are
+bit-identical to a searchsorted(side="right") breakpoint lookup, signed zeros
+and NaN (which lands in the last piece) included.
 """
 
 from __future__ import annotations
@@ -91,26 +99,35 @@ class PiecewiseLinear:
             out = self.anchor + self.slopes[0] * x
             return out if out.ndim else float(out)
         slope, knot, ref = self._piece(x)
-        out = knot + slope * (x - ref)
+        out = x - ref
+        out *= slope
+        out += knot
         return out if out.ndim else float(out)
 
-    def _piece(self, x: np.ndarray) -> tuple[np.ndarray, ArrayLike, ArrayLike]:
+    def _piece(self, x: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         """Slope, knot value and reference breakpoint of the piece holding
         each entry of x (at least one breakpoint).
 
         An entry at a breakpoint belongs to the piece on its right, and NaN
         to the last piece, as with searchsorted(..., side="right").  The
         comparisons pick the same table entries as that lookup, so values
-        built from them are bit-identical to it.
+        built from them are bit-identical to it.  The three are scalars
+        unless some breakpoint splits x.
         """
         bps, sls, knots = self.breakpoints, self.slopes, self._knots
-        slope = np.where(x < bps[0], sls[0], sls[1])
-        knot, ref = knots[0], bps[0]
-        for k in range(1, len(bps)):
-            left = x < bps[k]
-            slope = np.where(left, slope, sls[k + 1])
-            knot = np.where(left, knot, knots[k])
-            ref = np.where(left, ref, bps[k])
+        slope, knot, ref = sls[0], knots[0], bps[0]
+        for k, b in enumerate(bps):
+            left = x < b
+            n_left = np.count_nonzero(left)
+            if n_left == left.size:
+                break
+            if n_left == 0:
+                slope, knot, ref = sls[k + 1], knots[k], b
+            else:
+                slope = np.where(left, slope, sls[k + 1])
+                if k:  # pieces 0 and 1 share knot 0 and breakpoint 0
+                    knot = np.where(left, knot, knots[k])
+                    ref = np.where(left, ref, b)
         return slope, knot, ref
 
     def slope_at(self, x: float) -> tuple[float, bool]:
@@ -135,6 +152,8 @@ class PiecewiseLinear:
         if not self.breakpoints:
             return np.full(x.shape, self.slopes[0]), np.zeros(x.shape, dtype=bool)
         slope, _, _ = self._piece(x)
+        if isinstance(slope, float):
+            slope = np.full(x.shape, slope)
         boundary = np.abs(x - self.breakpoints[0]) <= boundary_tol
         for b in self.breakpoints[1:]:
             boundary |= np.abs(x - b) <= boundary_tol

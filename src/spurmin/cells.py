@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import PiecewiseLinear
-from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation
+from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .network import LossKind, Mlp, forward, loss_gradient, per_sample_loss
 
 BOUNDARY_TOL = 1e-12
@@ -250,7 +250,9 @@ def linear_collapse_check(
     seed: int = 0,
 ) -> bool:
     """True iff the activation pattern is identical across random weight
-    draws, i.e. the whole surface is one cell (linear activations)."""
+    draws, i.e. the whole surface is one cell (linear activations).  The
+    seed must be a nonnegative integer."""
+    seed = check_integer("seed", seed, minimum=0)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d_x = X.shape[0]
     ref = None

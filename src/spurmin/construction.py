@@ -40,6 +40,7 @@ from .errors import (
     PreconditionViolated,
     StrictDecreaseNotAchieved,
     WidthViolation,
+    check_integer,
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, permute_fit_rows, select_nonzero_residual_row
@@ -788,9 +789,10 @@ def enumerate_family(
     """Sample k members of the infinite minimum family by drawing eta, the
     squeeze scale M, and the per-layer alphas from their admissible
     continuous ranges.  Per-member seeded streams make the family bitwise
-    reproducible."""
+    reproducible; the seed must be a nonnegative integer."""
     if k < 1:
         raise PreconditionViolated("k must be >= 1")
+    seed = check_integer("seed", seed, minimum=0)
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
     frame = _turning_frame(act)

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all spurmin modules."""
+"""Exception hierarchy shared by all spurmin modules, and the integer
+argument check that raises it."""
+
+from __future__ import annotations
+
+import operator
+
+import numpy as np
 
 
 class SpurminError(Exception):
@@ -68,3 +75,18 @@ class NonFiniteOutput(SpurminError):
 
 class ParseError(SpurminError):
     """A data or network file could not be parsed (maps to the io exit code)."""
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int, for a count or a seed.
+
+    A bool, a float, a string or anything else without __index__ raises
+    PreconditionViolated rather than being truncated or coerced, and so does
+    an integer below minimum.
+    """
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise PreconditionViolated(f"{name} must be an integer, not {value!r}")
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise PreconditionViolated(f"{name} must be at least {minimum}, not {value}")
+    return value

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .activations import PiecewiseLinear
-from .errors import GenerationFailed, NonFiniteOutput, ParseError, PreconditionViolated
+from .errors import GenerationFailed, NonFiniteOutput, ParseError, PreconditionViolated, check_integer
 from .network import Dataset, Mlp
 
 _TYPES = {
@@ -218,7 +218,7 @@ def blobs_dataset(k: int, seed: int = 0, per_cluster: int = 5) -> Dataset:
     """k Gaussian clusters in the plane with the cluster index as the label."""
     if k < 2:
         raise PreconditionViolated("need at least two clusters")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, minimum=0))
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = 3.0 * np.vstack([np.cos(angles), np.sin(angles)])
     Xs, ys = [], []
@@ -231,7 +231,7 @@ def blobs_dataset(k: int, seed: int = 0, per_cluster: int = 5) -> Dataset:
 
 def linear_dataset(n: int = 6, seed: int = 0) -> Dataset:
     """Exactly affine labels; the negative control for linear inseparability."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, minimum=0))
     X = rng.standard_normal((2, n))
     w = np.array([2.0, -1.0])
     Y = (w @ X + 1.0)[None, :]

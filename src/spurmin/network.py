@@ -189,7 +189,8 @@ def _layer_outputs(
     cur = X
     L = len(weights)
     for j, (W, b) in enumerate(zip(weights, biases)):
-        z = W @ cur + b[..., None]
+        z = W @ cur
+        z += b[..., None]
         pre.append(z)
         cur = activation(z) if j < L - 1 else z
         post.append(cur)

@@ -4,7 +4,6 @@ as machine-readable certificates with pinned seeds."""
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -12,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, check_integer
 from .network import (
     Dataset, ForwardTrace, LossKind, Mlp, _layer_outputs, empirical_risk, forward, risk_of_outputs,
 )
@@ -192,23 +191,22 @@ def perturbation_local_min_test(
     """Sample the perturbation ball around net and pass iff no draw drops the
     risk below the base risk minus rounding slack.
 
-    Per-sample streams are seeded by seed XOR index, so any partition of the
-    sample range reproduces the serial run.  A non-finite risk at the network
-    or at any draw raises PreconditionViolated: no draw could be compared.
+    Per-sample streams are seeded by seed XOR index, with the seed taken
+    modulo 2**64 (a negative seed is masked), so any partition of the sample
+    range reproduces the serial run.  A seed or sample count that is not an
+    integer (a bool or a float included), and a non-finite risk at the
+    network or at any draw, raise PreconditionViolated.
     """
     if not (np.isfinite(radius) and radius >= 0):
         raise PreconditionViolated("radius must be finite and nonnegative")
-    if isinstance(samples, (bool, np.bool_)) or not hasattr(type(samples), "__index__"):
-        raise PreconditionViolated(f"samples must be an integer, not {samples!r}")
-    samples = operator.index(samples)
-    if samples < 1:
-        raise PreconditionViolated("samples must be at least 1")
+    samples = check_integer("samples", samples, minimum=1)
+    seed = check_integer("seed", seed)
     if radius == 0:
         warnings.warn("radius 0 makes the local-minimality test vacuous")
         check = Check("min_risk_delta", True, 0.0, LOCAL_MIN_SLACK, samples=0, seed=seed)
         return Certificate(subject="perturbation_local_min", checks=(check,))
     base = empirical_risk(net, data, loss)
-    risks = _draw_risks(net, data, loss, radius, samples, int(seed) & 0xFFFFFFFFFFFFFFFF)
+    risks = _draw_risks(net, data, loss, radius, samples, seed & 0xFFFFFFFFFFFFFFFF)
     if not (np.isfinite(base) and np.isfinite(risks).all()):
         raise PreconditionViolated(
             f"risk is not finite at the network ({base}) or at some perturbed draw"

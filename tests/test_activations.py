@@ -306,3 +306,111 @@ class TestComparisonLookupMatchesSearchsorted:
                 for got, want in zip(act.piece_slopes(x, 0.1), searchsorted_piece_slopes(act, x, 0.1)):
                     assert_same_bits(got, want)
             assert act.slope_at(float("nan")) == searchsorted_slope_at(act, float("nan"))
+
+
+ONE_PIECE_ACTS = (
+    relu(),
+    two_piece(-0.5, 2.0),
+    three_piece(),
+    three_piece().reflect(),
+    PiecewiseLinear((-1.0, 0.5, 2.0), (0.0, 1.0, -2.0, 0.5), 0.3),
+)
+
+
+def piece_points(act):
+    """For each piece, points that lie in it and in no other: its left
+    breakpoint (which belongs to it), points inside, and the float just
+    below its right breakpoint."""
+    edges = (-np.inf, *act.breakpoints, np.inf)
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        if lo == -np.inf:
+            pts = [hi - 1e6, hi - 7.5, hi - 0.25, np.nextafter(hi, -np.inf)]
+        elif hi == np.inf:
+            pts = [lo, np.nextafter(lo, np.inf), lo + 0.25, lo + 7.5, lo + 1e6]
+        else:
+            pts = [lo, np.nextafter(lo, np.inf), lo + 0.3 * (hi - lo), np.nextafter(hi, -np.inf)]
+        pieces.append(np.array(pts))
+    return pieces
+
+
+def shaped(x):
+    """x as a flat, a 2-d and a stacked (B, d, n) array."""
+    return [x, np.stack([x, x[::-1]]), np.stack([x, x[::-1], x])[:, None, :]]
+
+
+def assert_matches_oracles(act, x, tol=0.0):
+    assert_same_bits(act(x), searchsorted_call(act, x))
+    slopes, boundary = act.piece_slopes(x, boundary_tol=tol)
+    want_slopes, want_boundary = searchsorted_piece_slopes(act, x, boundary_tol=tol)
+    assert_same_bits(slopes, want_slopes)
+    assert_same_bits(boundary, want_boundary)
+    assert slopes.flags.writeable and slopes.flags.owndata
+    for v in np.asarray(x).reshape(-1):
+        got, want = act.slope_at(float(v)), searchsorted_slope_at(act, float(v))
+        assert got == want and type(got[0]) is type(want[0]) is float
+
+
+class TestOnePiecePath:
+    """Inputs that lie wholly in one piece skip the select; they must still
+    match the searchsorted oracles bit for bit."""
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.7])
+    def test_each_piece(self, act, tol):
+        for pts in piece_points(act):
+            for x in shaped(pts):
+                assert isinstance(act._piece(x)[0], float)  # no select ran
+                assert_matches_oracles(act, x, tol)
+            for v in pts:
+                assert_matches_oracles(act, np.asarray(v), tol)
+                assert_same_bits(act(np.float64(v)), searchsorted_call(act, np.float64(v)))
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    def test_exactly_at_a_breakpoint(self, act):
+        for b in act.breakpoints:
+            for x in shaped(np.full(5, b)):
+                assert isinstance(act._piece(x)[0], float)
+                assert_matches_oracles(act, x, 0.0)
+                assert act.piece_slopes(x)[1].all()
+        if 0.0 in act.breakpoints:
+            for x in (np.full(4, -0.0), np.array([0.0, -0.0, -0.0, 0.0])):
+                assert_matches_oracles(act, x, 0.0)
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 5)])
+    def test_empty(self, act, shape):
+        assert_matches_oracles(act, np.empty(shape), 0.1)
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, act, value):
+        with np.errstate(invalid="ignore"):
+            for x in [*shaped(np.full(3, value)), np.asarray(value)]:
+                assert_matches_oracles(act, x, 0.1)
+
+    @given(act=activations(), data=st.data(), tol=st.sampled_from([0.0, 1e-12, 0.7]),
+           shape=st.sampled_from([(7,), (2, 7), (3, 1, 7)]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_piece(self, act, data, tol, shape):
+        edges = (-1e6, *act.breakpoints, 1e6)
+        p = data.draw(st.integers(0, len(edges) - 2))
+        lo, hi = edges[p], edges[p + 1]
+        xs = data.draw(st.lists(
+            st.floats(min_value=lo, max_value=hi, exclude_max=hi > lo),
+            min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+        ))
+        x = np.array(xs).reshape(shape)
+        if act.breakpoints:
+            assert isinstance(act._piece(x)[0], float)
+        assert_matches_oracles(act, x, tol)
+
+    def test_piece_slopes_returns_fresh_arrays(self):
+        for act in (*ONE_PIECE_ACTS, PiecewiseLinear((), (2.0,), 0.0)):
+            x = np.array([[3.0, 4.0], [5.0, 6.0]])
+            first, _ = act.piece_slopes(x)
+            first[...] = -1.0
+            again, _ = act.piece_slopes(x)
+            assert again.flags.writeable and again.flags.owndata
+            assert not np.shares_memory(first, again)
+            assert (again != -1.0).all()

@@ -9,6 +9,7 @@ from spurmin import (
     Mlp,
     NotEquivalent,
     PiecewiseLinear,
+    PreconditionViolated,
     ShapeViolation,
     activation_pattern,
     build_shallow_minimum,
@@ -330,3 +331,8 @@ class TestLinearCollapse:
 
     def test_relu_varies(self, xor):
         assert not linear_collapse_check(relu(), xor.X, 4, trials=50, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, False, "0"])
+    def test_bad_seed_is_precondition(self, xor, seed):
+        with pytest.raises(PreconditionViolated, match="seed must be"):
+            linear_collapse_check(relu(), xor.X, 4, trials=50, seed=seed)

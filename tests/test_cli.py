@@ -283,6 +283,21 @@ class TestExitCodes:
                      "--cert-out", str(cert_out)]) == 2
         assert not cert_out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--seed", "-1"],
+        ["construct", "--stage", "3", "--dims", "2,3,3,1", "--k", "3", "--seed", "-1"],
+        ["gen-data", "--spec", "blobs:3", "--seed", "-1"],
+        ["gen-data", "--spec", "linear", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_precondition(self, tmp_path, xor_csv, capsys, argv):
+        if argv[0] == "construct":
+            argv = argv + ["--data", xor_csv]
+        elif argv[0] == "gen-data":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "seed must be at least 0" in err and "Traceback" not in err
+
     def test_abs_without_corollary_is_precondition(self):
         assert main(["demo", "--activation", "abs"]) == 3
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from spurmin import (
     two_piece,
     xor_dataset,
 )
+from spurmin import construction
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
 
@@ -325,6 +328,19 @@ class TestFamilyAndRouting:
         only = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=1, seed=7)[0]
         default = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
         assert params_distance(only.net, default.net) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_family_bad_seed_rejected_before_any_member(self, xor, xor_fit, relu_act, k, seed):
+        with mock.patch.object(construction, "_general_minimum", side_effect=AssertionError):
+            with pytest.raises(PreconditionViolated, match="seed must be"):
+                enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=k, seed=seed)
+
+    def test_family_numpy_integer_seed_accepted(self, xor, xor_fit, relu_act):
+        a = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=3, seed=np.int64(11))
+        b = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=3, seed=11)
+        for ma, mb in zip(a, b):
+            assert params_distance(ma.net, mb.net) == 0.0
 
     def test_family_determinism(self, xor, xor_fit, relu_act):
         a = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=4, seed=11)

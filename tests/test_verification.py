@@ -100,6 +100,28 @@ class TestPerturbationTest:
         assert a.as_dict() == b.as_dict()
         assert type(a.checks[0].samples) is int
 
+    @pytest.mark.parametrize("radius", [1e-4, 0.0])
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, np.False_, "7", None, np.float64(7.0)])
+    def test_non_integer_seed_rejected_before_any_draw(self, xor, xor_fit, relu_act, seed, radius):
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # before the radius-0 warning too
+                with pytest.raises(PreconditionViolated, match="seed must be an integer"):
+                    perturbation_local_min_test(
+                        point.net, xor, SQ, radius=radius, samples=20, seed=seed
+                    )
+
+    def test_numpy_and_negative_integer_seeds_accepted(self, xor, xor_fit, relu_act):
+        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        a = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=np.int64(-3))
+        b = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=-3)
+        c = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=2**64 - 3)
+        assert a.as_dict() == b.as_dict()
+        assert type(a.checks[0].seed) is int
+        # a negative seed is masked to 64 bits
+        assert b.checks[0].value == c.checks[0].value
+
     def test_determinism(self, xor, xor_fit, relu_act):
         point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
         a = perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=100, seed=3)
