@@ -6,6 +6,9 @@ risk becomes convex in the flattened product w_hat = rows of diag(W2) @ W1,
 evaluated against lifted data whose columns are slope-column (Kronecker)
 feature vectors.  Positive per-unit rescalings leave w_hat fixed, which
 yields equivalence classes and risk-invariant valley paths.
+
+`analyze` is the one cell analysis of a network on a dataset; `spurmin cells
+analyze` and the demo both report from it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
-from .network import LossKind, Mlp, forward, loss_gradient, per_sample_loss
+from .io import rle_encode
+from .network import Dataset, LossKind, Mlp, empirical_risk, forward, loss_gradient, per_sample_loss
 
 BOUNDARY_TOL = 1e-12
 
@@ -48,13 +52,14 @@ def signatures_equal(a: CellSignature, b: CellSignature) -> bool:
     )
 
 
-def activation_pattern(net: Mlp, X: np.ndarray, boundary_tol: float = BOUNDARY_TOL) -> CellSignature:
-    """Collect the activation slope at every hidden (unit, sample) pre-activation."""
+def activation_pattern(net: Mlp, X: np.ndarray) -> CellSignature:
+    """Collect the activation slope at every hidden (unit, sample)
+    pre-activation; entries within BOUNDARY_TOL of a breakpoint are hits."""
     trace = forward(net, X)
     layers = []
     boundary = set()
     for li, z in enumerate(trace.hidden_pre):
-        slopes, on_bp = net.activation.piece_slopes(z, boundary_tol=boundary_tol)
+        slopes, on_bp = net.activation.piece_slopes(z, boundary_tol=BOUNDARY_TOL)
         layers.append(slopes)
         if on_bp.any():
             for unit, sample in zip(*np.nonzero(on_bp)):
@@ -285,3 +290,30 @@ def net_cell_inputs(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     W1_aug = np.hstack([net.weights[0], net.biases[0][:, None]])
     X_aug = np.vstack([X, np.ones((1, X.shape[1]))])
     return W1_aug, net.weights[1][0], float(net.biases[1][0]), X_aug
+
+
+def analyze(net: Mlp, data: Dataset, loss: LossKind) -> dict:
+    """The cell analysis of net on data: its activation pattern (run-length
+    encoded per layer), breakpoint hits and risk.  A one-hidden-layer,
+    single-output net in an open cell also gets the in-cell reformulated risk
+    and quotient gradient residual, and under squared loss the risk of the
+    cell's convex optimum, a lower bound for every net with this pattern."""
+    sig = activation_pattern(net, data.X)
+    payload = {
+        "pattern_rle": [rle_encode(layer) for layer in sig.layers],
+        "boundary_hits": sorted(sig.boundary),
+        "interior": sig.interior,
+        "risk": empirical_risk(net, data, loss),
+    }
+    if net.n_layers == 2 and net.dims[-1] == 1 and sig.interior:
+        W1a, W2r, b2, Xa = net_cell_inputs(net, data.X)
+        lifted = lift_data(sig, Xa)
+        q = quotient_map(W1a, W2r)
+        payload["reformulated_risk"] = reformulated_risk(q, lifted, data.Y, loss, output_bias=b2)
+        payload["quotient_gradient_residual"] = quotient_gradient_residual(
+            q, lifted, data.Y, loss, output_bias=b2
+        )
+        if loss is LossKind.SQUARED:
+            _, risk_star = solve_cell_optimum(lifted, data.Y, output_bias=b2)
+            payload["cell_risk_lower_bound"] = risk_star
+    return payload

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,18 +31,19 @@ from .io import (
     load_dataset_csv,
     load_mlp,
     mlp_to_dict,
-    rle_encode,
     save_dataset_csv,
     xor_dataset,
 )
 from .linear_fit import fit_linear, select_nonzero_residual_row, permute_fit_rows
-from .network import Dataset, LossKind, Mlp, check_assumptions, empirical_risk, forward
+from .network import Dataset, LossKind, Mlp, check_assumptions, empirical_risk
 from .separation import separate
 from .verification import (
-    descent_gap,
+    RISK_MATCH_TOL,
+    Certificate,
+    descent_gap_certificate,
     fd_gradient_check,
     perturbation_local_min_test,
-    trace_interval_check,
+    witness_pair_certificate,
 )
 
 EXIT_OK = 0
@@ -147,15 +148,15 @@ def cmd_descend(args) -> int:
     fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
     minimum = build_minimum(fit, data, dims, act, stage=args.stage)
     witness = build_descent(fit, data, dims, act, stage=args.stage)
-    gap = descent_gap(minimum.risk, witness.risk)
+    gap = descent_gap_certificate(minimum.risk, witness.risk)
     payload = {
         "config": asdict(_cfg(args)),
         "minimum": minimum.as_dict(),
         "witness": witness.as_dict(),
-        "gap": gap,
+        "gap": gap.checks[0].value,
     }
     _emit(payload, args.out)
-    return EXIT_OK if gap > 1e-12 else EXIT_CHECK_FAILED
+    return EXIT_OK if gap.verdict else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -185,30 +186,8 @@ def cmd_cells(args) -> int:
         raise PreconditionViolated(f"unknown cells action {args.action!r}")
     data = load_dataset_csv(args.data)
     net = load_mlp(args.net)
-    sig = cellmod.activation_pattern(net, data.X)
-    payload = {
-        "config": asdict(_cfg(args)),
-        "pattern_rle": [rle_encode(layer) for layer in sig.layers],
-        "boundary_hits": sorted(sig.boundary),
-        "interior": sig.interior,
-    }
-    loss = _loss_kind(args.loss)
-    payload["risk"] = empirical_risk(net, data, loss)
-    if net.n_layers == 2 and net.dims[-1] == 1 and sig.interior:
-        W1a, W2r, b2, Xa = cellmod.net_cell_inputs(net, data.X)
-        sig_a = cellmod.CellSignature(sig.layers, sig.boundary)
-        lifted = cellmod.lift_data(sig_a, Xa)
-        q = cellmod.quotient_map(W1a, W2r)
-        payload["reformulated_risk"] = cellmod.reformulated_risk(
-            q, lifted, data.Y, loss, output_bias=b2
-        )
-        payload["quotient_gradient_residual"] = cellmod.quotient_gradient_residual(
-            q, lifted, data.Y, loss, output_bias=b2
-        )
-        if loss is LossKind.SQUARED:
-            _, risk_star = cellmod.solve_cell_optimum(lifted, data.Y, output_bias=b2)
-            payload["cell_risk_lower_bound"] = risk_star
-    _emit(payload, args.out)
+    payload = cellmod.analyze(net, data, _loss_kind(args.loss))
+    _emit({"config": asdict(_cfg(args)), **payload}, args.out)
     return EXIT_OK
 
 
@@ -319,39 +298,33 @@ def run_demo(
             ("3", (2, 3, 3, 1), three_piece_act),
         ]
 
-    stage_reports = {}
+    stage_reports, minima = {}, {}
     for stage, dims, stage_act in stages:
-        minimum = build_minimum(fit, data, dims, stage_act, stage=stage)
+        minimum = minima[stage] = build_minimum(fit, data, dims, stage_act, stage=stage)
         witness = build_descent(fit, data, dims, stage_act, stage=stage)
-        pert = perturbation_local_min_test(
-            minimum.net, data, loss, radius=1e-4, samples=500, seed=seed
-        )
-        lo, hi = (0.0, np.inf)
-        if stage == "3":
-            tp = minimum.params.turning
-            lo, hi = tp.t, tp.t + tp.sigma
-        interval = trace_interval_check(forward(minimum.net, data.X), lo, hi)
-        gap = descent_gap(minimum.risk, witness.risk)
+        pair = {
+            c.name: c
+            for c in witness_pair_certificate(minimum, witness, data, loss, seed=seed).checks
+        }
+        probe = Certificate("perturbation_local_min", (pair["min_risk_delta"],))
         stage_reports[stage] = {
             "minimum": minimum.as_dict(),
             "witness": witness.as_dict(),
-            "gap": gap,
-            "perturbation": pert.as_dict(),
-            "interval": interval.as_dict(),
+            "gap": pair["descent_gap"].value,
+            "perturbation": probe.as_dict(),
+            "interval": minimum.interval.as_dict(),
         }
-        record(f"stage{stage}_risk_matches_baseline", abs(minimum.risk - fit.risk) <= 1e-9)
-        record(f"stage{stage}_gap_positive", gap > 1e-12)
-        record(f"stage{stage}_local_min_sampled", pert.verdict)
-        record(f"stage{stage}_trace_interval", interval.verdict)
+        record(f"stage{stage}_risk_matches_baseline", pair["minimum_matches_baseline"].passed)
+        record(f"stage{stage}_gap_positive", pair["descent_gap"].passed)
+        record(f"stage{stage}_local_min_sampled", probe.verdict)
+        record(f"stage{stage}_trace_interval", minimum.interval.verdict)
     report["stages"] = stage_reports
 
     balanced_act = parse_activation("abs")
     balanced = build_descent(fit, data, (2, 4, 1), balanced_act, stage="corollary")
-    report["corollary"] = {
-        "witness": balanced.as_dict(),
-        "gap": descent_gap(fit.risk, balanced.risk),
-    }
-    record("corollary_gap_positive", fit.risk - balanced.risk > 1e-12)
+    gap = descent_gap_certificate(fit.risk, balanced.risk)
+    report["corollary"] = {"witness": balanced.as_dict(), "gap": gap.checks[0].value}
+    record("corollary_gap_positive", gap.verdict)
 
     if not corollary_only:
         family = enumerate_family(fit, data, (2, 3, 3, 1), act, k=10, seed=seed)
@@ -368,18 +341,15 @@ def run_demo(
         record("family_distinct", min(dists) > 1e-6)
         record(
             "family_risks_match",
-            max(abs(m.risk - fit.risk) for m in family) <= 1e-9,
+            max(abs(m.risk - fit.risk) for m in family) <= RISK_MATCH_TOL,
         )
 
-        s1_min = build_minimum(fit, data, (2, 3, 1), act, stage="1")
-        W1a, W2r, b2, Xa = cellmod.net_cell_inputs(s1_min.net, data.X)
-        sig = cellmod.activation_pattern(s1_min.net, data.X)
-        lifted = cellmod.lift_data(sig, Xa)
-        q = cellmod.quotient_map(W1a, W2r)
-        reform = cellmod.reformulated_risk(q, lifted, data.Y, loss, output_bias=b2)
-        residual = cellmod.quotient_gradient_residual(q, lifted, data.Y, loss, output_bias=b2)
+        s1_min = minima["1"]
+        cells = cellmod.analyze(s1_min.net, data, loss)
+        reform = cells["reformulated_risk"]
+        residual = cells["quotient_gradient_residual"]
         report["cells"] = {
-            "pattern_rle": [rle_encode(layer) for layer in sig.layers],
+            "pattern_rle": cells["pattern_rle"],
             "reformulated_risk": reform,
             "reformulation_delta": abs(reform - s1_min.risk),
             "quotient_gradient_residual": residual,
@@ -388,6 +358,7 @@ def run_demo(
         record("cells_quotient_residual", residual <= 1e-8)
 
         # valley path between two rescalings of the constructed minimum
+        W1a, W2r, b2, _ = cellmod.net_cell_inputs(s1_min.net, data.X)
         factors = np.array([2.0, 0.5, 3.0])
         W1b = W1a / factors[:, None]
         W2b = W2r * factors
@@ -439,21 +410,10 @@ def run_demo(
 
 
 def _cfg(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.command,
-        data=getattr(args, "data", None),
-        dims=getattr(args, "dims", None),
-        activation=getattr(args, "activation", None),
-        loss=getattr(args, "loss", "squared"),
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", 1e-8),
-        out=getattr(args, "out", None),
-        stage=getattr(args, "stage", "auto"),
-        k=getattr(args, "k", 1),
-        radius=getattr(args, "radius", 1e-4),
-        samples=getattr(args, "samples", 500),
-        steps=getattr(args, "steps", 10),
-    )
+    """The run's provenance: every RunConfig field the subcommand's parser
+    set, the dataclass defaults for the rest."""
+    given = vars(args).keys() & {f.name for f in fields(RunConfig)}
+    return RunConfig(subcommand=args.command, **{name: getattr(args, name) for name in given})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,11 @@ back to the activation that was asked for.
 Each minimum reproduces the baseline predictions exactly, so its risk equals
 the baseline risk; each witness is an explicit parameter point with strictly
 smaller risk, certifying that the minima are spurious.
+
+Every minimum is certified as it is built (`_certify_minimum`): output
+identity, risk match, and `verification.trace_interval_check` of its hidden
+pre-activations against the route's interval, mirrored to (-hi, -lo) for a
+reflected build.  The point keeps that certificate as `interval`.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from .separation import (
     separate,
     size_constants,
 )
+from .verification import RISK_MATCH_TOL, Certificate, trace_interval_check
 
 OUTPUT_TOL = 1e-12
-RISK_TOL = 1e-9
 SPURIOUS_RESIDUAL_TOL = 1e-8
 
 Layers = tuple[list[np.ndarray], list[np.ndarray]]
@@ -109,6 +114,7 @@ class CertifiedPoint:
     baseline_risk: float
     params: ConstructionParams
     spurious: bool
+    interval: Optional[Certificate] = None
 
     def as_dict(self) -> dict:
         return {
@@ -200,21 +206,24 @@ def _certify_minimum(
     data: Dataset,
     stage: str,
     params: ConstructionParams,
-    interval: Optional[tuple[float, float]] = None,
+    interval: tuple[float, float],
+    reflected: bool,
 ) -> CertifiedPoint:
     """Postconditions shared by every minimum: output identity, risk match,
-    and hidden pre-activations strictly inside the mandated interval."""
+    and hidden pre-activations strictly inside the route's interval.  The
+    interval is given in the build frame; a reflected network's
+    pre-activations are negated, so it is checked mirrored to (-hi, -lo).
+    A NaN anywhere fails every check."""
     trace = forward(net, data.X)
-    if float(np.max(np.abs(trace.output - fit.y_tilde))) > OUTPUT_TOL:
+    if not float(np.max(np.abs(trace.output - fit.y_tilde))) <= OUTPUT_TOL:
         raise ConstructionError("minimum output does not reproduce the baseline")
     risk = risk_of_outputs(trace.output, data.Y, fit.loss)
-    if abs(risk - fit.risk) > RISK_TOL:
+    if not abs(risk - fit.risk) <= RISK_MATCH_TOL:
         raise ConstructionError("minimum risk deviates from the baseline risk")
-    if interval is not None:
-        lo, hi = interval
-        for z in trace.hidden_pre:
-            if not (np.all(z > lo) and np.all(z < hi)):
-                raise ConstructionError("hidden pre-activation left its interval")
+    lo, hi = (-interval[1], -interval[0]) if reflected else interval
+    cert = trace_interval_check(trace, lo, hi)
+    if not cert.verdict:
+        raise ConstructionError("hidden pre-activation left its interval")
     return CertifiedPoint(
         net=net,
         kind="minimum",
@@ -223,6 +232,7 @@ def _certify_minimum(
         baseline_risk=fit.risk,
         params=params,
         spurious=float(np.linalg.norm(fit.y_tilde - data.Y)) > SPURIOUS_RESIDUAL_TOL,
+        interval=cert,
     )
 
 
@@ -422,7 +432,7 @@ def _witness_layers(
 
 
 def _check_deep_witness(out: np.ndarray, shallow_out: Optional[np.ndarray]) -> None:
-    if shallow_out is not None and float(np.max(np.abs(out - shallow_out))) > OUTPUT_TOL:
+    if shallow_out is not None and not float(np.max(np.abs(out - shallow_out))) <= OUTPUT_TOL:
         raise ConstructionError("deep witness output deviates from the shallow witness")
 
 
@@ -437,8 +447,9 @@ def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     eta = _checked_eta(fit, eta)
     build_act, reflected = _frame(act, s_plus)
     net = _net(dims, act, reflected, *_minimum_layers(fit, dims, build_act.s_plus, eta))
-    interval = None if reflected else (0.0, np.inf)
-    return _certify_minimum(net, fit, data, stage, ConstructionParams(eta=eta), interval)
+    return _certify_minimum(
+        net, fit, data, stage, ConstructionParams(eta=eta), (0.0, np.inf), reflected
+    )
 
 
 def build_shallow_minimum(
@@ -598,8 +609,7 @@ def _general_minimum(
     params = ConstructionParams(
         eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
     )
-    interval = None if reflected else (tp.t, tp.t + tp.sigma)
-    return _certify_minimum(net, fit, data, "3", params, interval)
+    return _certify_minimum(net, fit, data, "3", params, (tp.t, tp.t + tp.sigma), reflected)
 
 
 def build_general_minimum(

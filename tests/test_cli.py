@@ -350,9 +350,58 @@ class TestDemo:
         assert ok
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "72bd84dce0aa9b61"
 
+    @pytest.mark.parametrize("slopes", ["[1,0]", "[-1,0]", "[0.5,0]"])
+    def test_demo_with_reflected_activation(self, slopes):
+        # a zero right slope builds every route in the mirrored frame, so the
+        # minima sit left of the breakpoint
+        from spurmin.cli import run_demo
+
+        spec = '{"breakpoints":[0],"slopes":%s,"anchor":0}' % slopes
+        report, ok, first_failure = run_demo(seed=7, activation_spec=spec)
+        assert ok, first_failure
+        assert all(c["passed"] for c in report["checks"])
+        assert main(["demo", "--activation", spec]) == 0
+
     def test_config_roundtrips_byte_identically(self, tmp_path):
         out = tmp_path / "report.json"
         main(["demo", "--seed", "3", "--out", str(out)])
         cfg = json.loads(out.read_text())["config"]
         once = json.dumps(cfg, sort_keys=True)
         assert json.dumps(json.loads(once), sort_keys=True) == once
+
+
+class TestRunConfig:
+    DEFAULTS = {
+        "data": None, "dims": None, "activation": None, "loss": "squared", "seed": 0,
+        "tol": 1e-8, "out": None, "stage": "auto", "k": 1, "radius": 1e-4,
+        "samples": 500, "steps": 10,
+    }
+
+    @pytest.fixture
+    def net_json(self, tmp_path, xor, xor_fit, relu_act):
+        from spurmin import build_shallow_minimum
+        from spurmin.io import save_mlp
+
+        path = tmp_path / "net.json"
+        save_mlp(build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net, path)
+        return str(path)
+
+    def _config(self, argv, capsys):
+        main(argv)
+        return json.loads(capsys.readouterr().out)["config"]
+
+    def test_descend(self, xor_csv, capsys):
+        cfg = self._config(["descend", "--data", xor_csv, "--dims", "2,3,1", "--seed", "4"], capsys)
+        assert cfg == {**self.DEFAULTS, "subcommand": "descend", "data": xor_csv,
+                       "dims": "2,3,1", "activation": "relu", "seed": 4}
+
+    def test_verify(self, xor_csv, net_json, capsys):
+        cfg = self._config(["verify", "--data", xor_csv, "--net", net_json,
+                            "--samples", "20", "--radius", "1e-3"], capsys)
+        assert cfg == {**self.DEFAULTS, "subcommand": "verify", "data": xor_csv,
+                       "samples": 20, "radius": 1e-3}
+
+    def test_cells_analyze(self, xor_csv, net_json, capsys):
+        cfg = self._config(["cells", "analyze", "--data", xor_csv, "--net", net_json,
+                            "--loss", "squared", "--tol", "1e-6"], capsys)
+        assert cfg == {**self.DEFAULTS, "subcommand": "cells", "data": xor_csv, "tol": 1e-6}

@@ -35,6 +35,8 @@ from spurmin import (
     xor_dataset,
 )
 from spurmin import construction
+from spurmin.activations import find_turning_point
+from spurmin.verification import trace_interval_check
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
 
@@ -455,3 +457,51 @@ def test_routes_meet_postconditions_or_raise_typed(act, depth, extra_width, two_
             assert abs(point.risk - fit.risk) <= 1e-9
         else:
             assert point.risk < fit.risk - 1e-12
+
+
+@pytest.mark.parametrize("s_minus, depth", [(5e-324, 2), (-5e-324, 3)])
+def test_subnormal_slope_raises_typed(s_minus, depth):
+    # 1 / s_minus overflows in the reflected frame; the NaN risk and the
+    # infinite weights must fail the postconditions, not slip past them
+    data = xor_dataset()
+    fit = fit_linear(data, SQ)
+    act = PiecewiseLinear((0.0,), (s_minus, 0.0), 0.0)
+    with np.errstate(all="ignore"), pytest.raises(SpurminError):
+        build_minimum(fit, data, (2, *[2] * depth, 1), act)
+
+
+def _own_frame_interval(act):
+    """The interval a minimum's hidden pre-activations occupy, read off the
+    activation itself: right of the turning point, or left of it when the
+    right slope is zero and the build is reflected."""
+    if act.is_two_piece:
+        return (0.0, np.inf) if act.s_plus != 0.0 else (-np.inf, 0.0)
+    tp = find_turning_point(act)
+    return (tp.t, tp.t + tp.sigma) if tp.s_plus != 0.0 else (tp.t - tp.sigma, tp.t)
+
+
+@pytest.mark.parametrize("stage, dims", [("1", (2, 3, 1)), ("2", (2, 3, 3, 1))])
+@pytest.mark.parametrize("slopes", [(0.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.2, 1.0)])
+def test_two_piece_minimum_keeps_its_interval_certificate(xor, xor_fit, stage, dims, slopes):
+    act = PiecewiseLinear((0.0,), slopes, 0.0)
+    point = build_minimum(xor_fit, xor, dims, act, stage=stage)
+    want = trace_interval_check(forward(point.net, xor.X), *_own_frame_interval(act))
+    assert want.verdict
+    assert point.interval == want
+    assert "interval" not in point.as_dict()
+
+
+@pytest.mark.parametrize("act", [
+    three_piece(),
+    PiecewiseLinear((0.0, 1.0), (1.0, -1.0, 0.0), 0.0),  # turning point at 1, reflected
+])
+def test_general_minimum_keeps_its_interval_certificate(xor, xor_fit, act):
+    for point in [build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3"),
+                  *enumerate_family(xor_fit, xor, (2, 3, 3, 1), act, k=3)]:
+        want = trace_interval_check(forward(point.net, xor.X), *_own_frame_interval(act))
+        assert want.verdict
+        assert point.interval == want
+
+
+def test_witness_has_no_interval_certificate(xor, xor_fit, relu_act):
+    assert build_descent(xor_fit, xor, (2, 3, 1), relu_act).interval is None

@@ -29,6 +29,7 @@ from spurmin import (
     two_piece,
 )
 from spurmin import verification
+from spurmin.network import ForwardTrace
 from spurmin.verification import descent_gap_certificate, witness_pair_certificate
 
 SQ = LossKind.SQUARED
@@ -218,6 +219,28 @@ class TestTraceInterval:
         d = cert.as_dict()
         assert d["verdict"] is True
         assert d["checks"][0]["name"] == "interval_margin"
+
+    @pytest.mark.parametrize(
+        "lo, hi, inside", [(0.0, np.inf, 0.5), (-np.inf, 0.0, -0.5), (0.25, 0.75, 0.5)]
+    )
+    def test_margin_fold_carries_non_finite_entries(self, rng, lo, hi, inside):
+        def check_of(*hidden):
+            out = np.zeros((1, hidden[0].shape[1]))
+            trace = ForwardTrace(pre=(*hidden, out), post=(*hidden, out))
+            with np.errstate(invalid="ignore"):
+                return trace_interval_check(trace, lo, hi).checks[0]
+
+        # finite entries: the least margin over the layers, as before
+        layers = [inside + rng.uniform(-0.2, 0.2, (3, 5)) for _ in range(3)]
+        want = min(min(float(np.min(z) - lo), float(hi - np.max(z))) for z in layers)
+        assert check_of(*layers).value == want
+        assert check_of(*layers).passed
+        # +inf against hi = inf (or -inf against lo = -inf) gives inf - inf =
+        # NaN; the margin must carry a NaN instead of dropping it
+        for bad in (np.inf, -np.inf, np.nan):
+            check = check_of(np.full((2, 3), inside), np.array([[inside, bad, inside]]))
+            assert not check.passed, bad
+            assert not check.value > 0, bad
 
 
 def serial_draw_risks(net, data, loss, radius, samples, seed):
