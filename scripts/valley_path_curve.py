@@ -9,17 +9,7 @@ import argparse
 
 import numpy as np
 
-from spurmin import (
-    LossKind,
-    Mlp,
-    build_shallow_minimum,
-    build_valley_path,
-    empirical_risk,
-    fit_linear,
-    net_cell_inputs,
-    relu,
-    xor_dataset,
-)
+from spurmin import LossKind, Mlp, build_shallow_minimum, fit_linear, relu, walk_valley, xor_dataset
 
 
 def main() -> int:
@@ -32,19 +22,17 @@ def main() -> int:
 
     data = xor_dataset()
     fit = fit_linear(data, LossKind.SQUARED)
-    minimum = build_shallow_minimum(fit, data, (2, 3, 1), relu())
-    W1, W2, b2, _ = net_cell_inputs(minimum.net, data.X)
+    net = build_shallow_minimum(fit, data, (2, 3, 1), relu()).net
     factors = np.array([float(f) for f in args.factors.split(",")])
-    path = build_valley_path((W1, W2), (W1 / factors[:, None], W2 * factors),
-                             steps_per_move=args.steps)
+    far = Mlp(net.dims, (net.weights[0] / factors[:, None], net.weights[1] * factors),
+              (net.biases[0] / factors, net.biases[1]), net.activation)
+    valley = walk_valley(net, far, data, LossKind.SQUARED, steps_per_move=args.steps)
 
     with open(args.out, "w") as fh:
         fh.write("point,risk\n")
-        for i, (W1p, W2p) in enumerate(path):
-            net = Mlp((2, 3, 1), (W1p[:, :2], W2p[None, :]),
-                      (W1p[:, 2], np.array([b2])), relu())
-            fh.write(f"{i},{empirical_risk(net, data, LossKind.SQUARED)!r}\n")
-    print(f"{len(path)} path points written to {args.out}")
+        for i, risk in enumerate(valley["risks"]):
+            fh.write(f"{i},{risk!r}\n")
+    print(f"{valley['n_points']} path points written to {args.out}")
     return 0
 
 

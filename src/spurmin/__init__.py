@@ -33,6 +33,7 @@ from .cells import (
     reformulated_risk,
     signatures_equal,
     solve_cell_optimum,
+    walk_valley,
 )
 from .construction import (
     CertifiedPoint,
@@ -47,6 +48,7 @@ from .construction import (
     build_shallow_descent,
     build_shallow_minimum,
     enumerate_family,
+    min_pairwise_distance,
     params_distance,
 )
 from .errors import (

@@ -26,6 +26,8 @@ from .errors import NoAdmissibleTurningPoint, PreconditionViolated
 # Stand-in for an unbounded piece when sizing downstream scale factors;
 # keeps all derived quantities finite.
 UNBOUNDED_SIGMA = 1e9
+# Relative size below which adjacent slopes count as cancelling (s- + s+ = 0).
+BALANCE_TOL = 1e-12
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -154,9 +156,12 @@ class PiecewiseLinear:
         slope, _, _ = self._piece(x)
         if isinstance(slope, float):
             slope = np.full(x.shape, slope)
-        boundary = np.abs(x - self.breakpoints[0]) <= boundary_tol
-        for b in self.breakpoints[1:]:
-            boundary |= np.abs(x - b) <= boundary_tol
+        d = np.empty(x.shape)
+        boundary = np.zeros(x.shape, dtype=bool)
+        for b in self.breakpoints:
+            np.subtract(x, b, out=d)
+            np.abs(d, out=d)
+            boundary |= d <= boundary_tol
         return slope, boundary
 
     def reflect(self) -> "PiecewiseLinear":
@@ -221,7 +226,7 @@ def three_piece() -> PiecewiseLinear:
     return PiecewiseLinear((0.0, 1.0), (0.2, 1.0, 0.5), 0.0)
 
 
-def find_turning_point(act: PiecewiseLinear, zero_tol: float = 1e-12) -> TurningPoint:
+def find_turning_point(act: PiecewiseLinear) -> TurningPoint:
     """Locate a breakpoint whose adjacent slopes differ and do not cancel.
 
     Returns the first admissible breakpoint in ascending order, preferring one
@@ -240,7 +245,7 @@ def find_turning_point(act: PiecewiseLinear, zero_tol: float = 1e-12) -> Turning
         s_minus, s_plus = act.slopes[i], act.slopes[i + 1]
         if s_minus == s_plus:
             continue
-        if abs(s_minus + s_plus) <= zero_tol * max(1.0, abs(s_minus) + abs(s_plus)):
+        if abs(s_minus + s_plus) <= BALANCE_TOL * max(1.0, abs(s_minus) + abs(s_plus)):
             continue
         left = t - bps[i - 1] if i > 0 else UNBOUNDED_SIGMA
         right = bps[i + 1] - t if i + 1 < len(bps) else UNBOUNDED_SIGMA

@@ -7,8 +7,10 @@ evaluated against lifted data whose columns are slope-column (Kronecker)
 feature vectors.  Positive per-unit rescalings leave w_hat fixed, which
 yields equivalence classes and risk-invariant valley paths.
 
-`analyze` is the one cell analysis of a network on a dataset; `spurmin cells
-analyze` and the demo both report from it.
+`analyze` is the one cell analysis of a network on a dataset, and
+`walk_valley` the one walk along a valley path; `spurmin cells analyze`,
+`spurmin path build` and the demo report from them.  Both score a network
+from a single forward, which gives its risk and its cell signature.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .io import rle_encode
-from .network import Dataset, LossKind, Mlp, empirical_risk, forward, loss_gradient, per_sample_loss
+from .network import (
+    Dataset, ForwardTrace, LossKind, Mlp, forward, loss_gradient, per_sample_loss, risk_of_outputs,
+)
 
 BOUNDARY_TOL = 1e-12
 
@@ -55,16 +59,28 @@ def signatures_equal(a: CellSignature, b: CellSignature) -> bool:
 def activation_pattern(net: Mlp, X: np.ndarray) -> CellSignature:
     """Collect the activation slope at every hidden (unit, sample)
     pre-activation; entries within BOUNDARY_TOL of a breakpoint are hits."""
-    trace = forward(net, X)
+    return _signature(net.activation, forward(net, X))
+
+
+def _signature(act: PiecewiseLinear, trace: ForwardTrace) -> CellSignature:
     layers = []
     boundary = set()
     for li, z in enumerate(trace.hidden_pre):
-        slopes, on_bp = net.activation.piece_slopes(z, boundary_tol=BOUNDARY_TOL)
+        slopes, on_bp = act.piece_slopes(z, boundary_tol=BOUNDARY_TOL)
         layers.append(slopes)
         if on_bp.any():
             for unit, sample in zip(*np.nonzero(on_bp)):
                 boundary.add((li, int(unit), int(sample)))
     return CellSignature(tuple(layers), frozenset(boundary))
+
+
+def _risk_and_signature(net: Mlp, data: Dataset, loss: LossKind) -> tuple[float, CellSignature]:
+    """The empirical risk of net on data and its cell signature, from one
+    forward; the risk is bit-identical to `network.empirical_risk`."""
+    if net.dims[-1] != data.d_y:
+        raise ShapeViolation(f"output width {net.dims[-1]} != label dim {data.d_y}")
+    trace = forward(net, data.X)
+    return risk_of_outputs(trace.output, data.Y, loss), _signature(net.activation, trace)
 
 
 @dataclass(frozen=True)
@@ -292,18 +308,52 @@ def net_cell_inputs(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     return W1_aug, net.weights[1][0], float(net.biases[1][0]), X_aug
 
 
+def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
+                steps_per_move: int) -> dict:
+    """Score the valley path between two one-hidden-layer, single-output
+    networks that are per-unit rescalings of each other and share the output
+    bias: rebuild the network at every path point and forward it once for its
+    risk and its activation pattern.
+
+    Returns n_points, the risk at each point, the largest deviation of a risk
+    from the first one (risk_max_dev), and whether every point keeps the
+    first point's activation pattern (pattern_constant).
+    """
+    W1a, W2a, b2, _ = net_cell_inputs(net_a, data.X)
+    W1b, W2b, b2b, _ = net_cell_inputs(net_b, data.X)
+    if b2 != b2b:
+        raise PreconditionViolated("endpoints must share the output bias")
+    path = build_valley_path((W1a, W2a), (W1b, W2b), steps_per_move=steps_per_move)
+    d_x = net_a.dims[0]
+    risks, pattern_constant, ref = [], True, None
+    for W1, W2 in path:
+        net = Mlp(net_a.dims, (W1[:, :d_x], W2[None, :]), (W1[:, d_x], np.array([b2])),
+                  net_a.activation)
+        risk, sig = _risk_and_signature(net, data, loss)
+        risks.append(risk)
+        if ref is None:
+            ref = sig
+        pattern_constant = pattern_constant and signatures_equal(ref, sig)
+    return {
+        "n_points": len(path),
+        "risks": risks,
+        "risk_max_dev": float(np.max(np.abs(np.asarray(risks) - risks[0]))),
+        "pattern_constant": pattern_constant,
+    }
+
+
 def analyze(net: Mlp, data: Dataset, loss: LossKind) -> dict:
     """The cell analysis of net on data: its activation pattern (run-length
     encoded per layer), breakpoint hits and risk.  A one-hidden-layer,
     single-output net in an open cell also gets the in-cell reformulated risk
     and quotient gradient residual, and under squared loss the risk of the
     cell's convex optimum, a lower bound for every net with this pattern."""
-    sig = activation_pattern(net, data.X)
+    risk, sig = _risk_and_signature(net, data, loss)
     payload = {
         "pattern_rle": [rle_encode(layer) for layer in sig.layers],
         "boundary_hits": sorted(sig.boundary),
         "interior": sig.interior,
-        "risk": empirical_risk(net, data, loss),
+        "risk": risk,
     }
     if net.n_layers == 2 and net.dims[-1] == 1 and sig.interior:
         W1a, W2r, b2, Xa = net_cell_inputs(net, data.X)

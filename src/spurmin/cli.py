@@ -21,7 +21,7 @@ from .construction import (
     build_descent,
     build_minimum,
     enumerate_family,
-    params_distance,
+    min_pairwise_distance,
 )
 from .errors import ParseError, PreconditionViolated, SpurminError
 from .io import (
@@ -35,7 +35,7 @@ from .io import (
     xor_dataset,
 )
 from .linear_fit import fit_linear, select_nonzero_residual_row, permute_fit_rows
-from .network import Dataset, LossKind, Mlp, check_assumptions, empirical_risk
+from .network import LossKind, Mlp, check_assumptions
 from .separation import separate
 from .verification import (
     RISK_MATCH_TOL,
@@ -132,11 +132,7 @@ def cmd_construct(args) -> int:
         "points": [p.as_dict() for p in points],
     }
     if len(points) > 1:
-        payload["min_pairwise_distance"] = min(
-            params_distance(a.net, b.net)
-            for i, a in enumerate(points)
-            for b in points[i + 1 :]
-        )
+        payload["min_pairwise_distance"] = min_pairwise_distance(points)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -195,55 +191,17 @@ def cmd_path(args) -> int:
     if args.action != "build":
         raise PreconditionViolated(f"unknown path action {args.action!r}")
     data = load_dataset_csv(args.data)
-    net_a = load_mlp(args.a)
-    net_b = load_mlp(args.b)
-    W1a, W2a, b2a, Xa = cellmod.net_cell_inputs(net_a, data.X)
-    W1b, W2b, b2b, _ = cellmod.net_cell_inputs(net_b, data.X)
-    if b2a != b2b:
-        raise PreconditionViolated("endpoints must share the output bias")
-    path = cellmod.build_valley_path((W1a, W2a), (W1b, W2b), steps_per_move=args.steps)
-    risks, patterns_same = _walk_valley(net_a, path, b2a, data, _loss_kind(args.loss))
-    risks_arr = np.asarray(risks)
-    payload = {
-        "config": asdict(_cfg(args)),
-        "n_points": len(path),
-        "risks": risks,
-        "risk_max_dev": float(np.max(np.abs(risks_arr - risks_arr[0]))),
-        "pattern_constant": patterns_same,
-    }
+    valley = cellmod.walk_valley(
+        load_mlp(args.a), load_mlp(args.b), data, _loss_kind(args.loss), steps_per_move=args.steps
+    )
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("point,risk\n")
-            for i, r in enumerate(risks):
+            for i, r in enumerate(valley["risks"]):
                 fh.write(f"{i},{r!r}\n")
-    _emit(payload, args.out)
-    ok = patterns_same and payload["risk_max_dev"] <= 1e-10
+    _emit({"config": asdict(_cfg(args)), **valley}, args.out)
+    ok = valley["pattern_constant"] and valley["risk_max_dev"] <= 1e-10
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _assemble_augmented(template, W1_aug, W2_row, b2: float):
-    """Rebuild a one-hidden-layer net from augmented first-layer parameters."""
-    d_x = template.dims[0]
-    return Mlp(
-        template.dims,
-        (W1_aug[:, :d_x], W2_row[None, :]),
-        (W1_aug[:, d_x], np.array([b2])),
-        template.activation,
-    )
-
-
-def _walk_valley(template, path, b2: float, data: Dataset, loss: LossKind):
-    """The risk at each point of a valley path, and whether every point keeps
-    the activation pattern of the first one."""
-    risks, patterns_same, ref = [], True, None
-    for W1, W2 in path:
-        net = _assemble_augmented(template, W1, W2, b2)
-        risks.append(empirical_risk(net, data, loss))
-        sig = cellmod.activation_pattern(net, data.X)
-        if ref is None:
-            ref = sig
-        patterns_same = patterns_same and cellmod.signatures_equal(ref, sig)
-    return risks, patterns_same
 
 
 def cmd_demo(args) -> int:
@@ -328,17 +286,13 @@ def run_demo(
 
     if not corollary_only:
         family = enumerate_family(fit, data, (2, 3, 3, 1), act, k=10, seed=seed)
-        dists = [
-            params_distance(a.net, b.net)
-            for i, a in enumerate(family)
-            for b in family[i + 1 :]
-        ]
+        min_dist = min_pairwise_distance(family)
         report["family"] = {
             "k": len(family),
             "risks": [m.risk for m in family],
-            "min_pairwise_distance": min(dists),
+            "min_pairwise_distance": min_dist,
         }
-        record("family_distinct", min(dists) > 1e-6)
+        record("family_distinct", min_dist > 1e-6)
         record(
             "family_risks_match",
             max(abs(m.risk - fit.risk) for m in family) <= RISK_MATCH_TOL,
@@ -358,20 +312,19 @@ def run_demo(
         record("cells_quotient_residual", residual <= 1e-8)
 
         # valley path between two rescalings of the constructed minimum
-        W1a, W2r, b2, _ = cellmod.net_cell_inputs(s1_min.net, data.X)
-        factors = np.array([2.0, 0.5, 3.0])
-        W1b = W1a / factors[:, None]
-        W2b = W2r * factors
-        path = cellmod.build_valley_path((W1a, W2r), (W1b, W2b), steps_per_move=10)
-        risks, patterns_same = _walk_valley(s1_min.net, path, b2, data, loss)
-        max_dev = float(np.max(np.abs(np.asarray(risks) - s1_min.risk)))
+        net, factors = s1_min.net, np.array([2.0, 0.5, 3.0])
+        rescaled = Mlp(
+            net.dims,
+            (net.weights[0] / factors[:, None], net.weights[1] * factors),
+            (net.biases[0] / factors, net.biases[1]),
+            net.activation,
+        )
+        valley = cellmod.walk_valley(net, rescaled, data, loss, steps_per_move=10)
         report["valley_path"] = {
-            "n_points": len(path),
-            "risk_max_dev": max_dev,
-            "pattern_constant": patterns_same,
+            key: valley[key] for key in ("n_points", "risk_max_dev", "pattern_constant")
         }
-        record("valley_path_risk_invariant", max_dev <= 1e-10)
-        record("valley_path_pattern_constant", patterns_same)
+        record("valley_path_risk_invariant", valley["risk_max_dev"] <= 1e-10)
+        record("valley_path_pattern_constant", valley["pattern_constant"])
 
         identity_act = parse_activation("identity")
         collapse = cellmod.linear_collapse_check(identity_act, data.X, 4, trials=50, seed=seed)

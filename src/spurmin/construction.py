@@ -51,6 +51,7 @@ from .io import mlp_to_dict
 from .linear_fit import LinearFit, permute_fit_rows, select_nonzero_residual_row
 from .network import Dataset, Mlp, forward, risk_of_outputs
 from .separation import (
+    MAX_HALVINGS,
     DescentConstants,
     SeparationResult,
     descent_constants_at,
@@ -140,6 +141,13 @@ def params_distance(a: Mlp, b: Mlp) -> float:
     return dist
 
 
+def min_pairwise_distance(points: list[CertifiedPoint]) -> float:
+    """The smallest `params_distance` between two of at least two points."""
+    return min(
+        params_distance(a.net, b.net) for i, a in enumerate(points) for b in points[i + 1 :]
+    )
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -190,6 +198,13 @@ def _net(dims: tuple[int, ...], act: PiecewiseLinear, reflected: bool,
         weights = [-W for W in weights[:-1]] + weights[-1:]
         biases = [-b for b in biases[:-1]] + biases[-1:]
     return Mlp(dims, tuple(weights), tuple(biases), act)
+
+
+def _require_invertible(name: str, s: float) -> None:
+    """The scaffold formulas divide by the nonzero slope s; a subnormal one
+    would give infinite weights."""
+    if not np.isfinite(1.0 / s):
+        raise PreconditionViolated(f"{name} = {s!r} has no finite reciprocal")
 
 
 def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, TurningPoint]:
@@ -280,26 +295,23 @@ def _verified_descent(
     slope_ratio: Optional[float],
     fit: LinearFit,
     data: Dataset,
-    alpha0: Optional[float] = None,
-    max_halvings: int = 200,
-) -> tuple[Mlp, DescentConstants, float]:
+) -> tuple[Mlp, DescentConstants, np.ndarray, float]:
     """Halve alpha until the assembled network's risk strictly undercuts the
-    baseline; "sufficiently small" is operationalized as this verified search."""
-    if alpha0 is not None:
-        consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha0)
-    else:
-        consts = size_constants(res, u, v, xs, slope_ratio)
+    baseline; "sufficiently small" is operationalized as this verified search.
+    Returns the network, its constants, its output and its risk."""
+    consts = size_constants(res, u, v, xs, slope_ratio)
     alpha = consts.alpha
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         if consts.margin > 0:
             net = assemble(consts)
-            risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
+            out = forward(net, data.X).output
+            risk = risk_of_outputs(out, data.Y, fit.loss)
             if risk < fit.risk - 1e-12:
-                return net, consts, risk
+                return net, consts, out, risk
         alpha *= 0.5
         consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
     raise StrictDecreaseNotAchieved(
-        f"no strict risk decrease after {max_halvings} halvings"
+        f"no strict risk decrease after {MAX_HALVINGS} halvings"
     )
 
 
@@ -323,6 +335,7 @@ def _minimum_layers(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta: f
     stays on the positive piece, middle layers forward the payload (and
     replicate the positive pad unit), and the output layer undoes the slope
     and the shift: the network computes exactly the baseline."""
+    _require_invertible("right slope s_plus of the build frame", s_plus)
     d_x, d_y = dims[0], dims[-1]
     weights = [np.vstack([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])]
     biases = [np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)])]
@@ -379,7 +392,6 @@ def _witness_layers(
     data: Dataset,
     dims: tuple[int, ...],
     act: PiecewiseLinear,
-    alpha: Optional[float],
     lambda_shift: Optional[float] = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray], ConstructionParams, Optional[np.ndarray], float]:
     """The two-piece witness at any depth, in act's build frame.
@@ -394,6 +406,8 @@ def _witness_layers(
     """
     build_act, reflected = _frame(act, act.s_plus)
     s_minus, s_plus = build_act.s_minus, build_act.s_plus
+    _require_invertible("right slope s_plus of the build frame", s_plus)
+    _require_invertible("slope sum s_minus + s_plus", s_minus + s_plus)
     fitp, inv, res = _split(fit, data)
     eta_rest = _default_eta_rest(fitp)
     shallow = (dims[0], dims[1], dims[-1])
@@ -406,9 +420,9 @@ def _witness_layers(
 
     # gamma's sign is governed by the activation frame the formulas run in
     slope_ratio = (s_plus - s_minus) / (s_plus + s_minus)
-    net, consts, risk = _verified_descent(
+    _, consts, s_out, risk = _verified_descent(
         lambda c: _net(shallow, act, reflected, *layers(c)),
-        res, fitp.v[0], fitp.y_tilde[0], data.X, slope_ratio, fit, data, alpha0=alpha,
+        res, fitp.v[0], fitp.y_tilde[0], data.X, slope_ratio, fit, data,
     )
     (W1, W2), (b1, b2) = layers(consts)
     params = ConstructionParams(
@@ -417,7 +431,6 @@ def _witness_layers(
     if len(dims) == 3:
         return [W1, W2], [b1, b2], params, None, risk
 
-    s_out = forward(net, data.X).output
     lam = default_lambda(s_out) if lambda_shift is None else lambda_shift
     if not np.all(s_out + lam > 0):
         raise PreconditionViolated("lambda must make the witness output strictly positive")
@@ -483,14 +496,14 @@ def build_deep_minimum(
 
 
 def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
-                       alpha: Optional[float], lambda_shift: Optional[float] = None) -> CertifiedPoint:
+                       lambda_shift: Optional[float] = None) -> CertifiedPoint:
     s_minus, s_plus = _two_piece_or_raise(act)
     if s_minus + s_plus == 0.0:
         raise NoAdmissibleTurningPoint(
             "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
         )
     weights, biases, params, shallow_out, risk = _witness_layers(
-        fit, data, dims, act, alpha, lambda_shift
+        fit, data, dims, act, lambda_shift
     )
     net = _net(dims, act, _frame(act, s_plus)[1], weights, biases)
     if shallow_out is None:
@@ -505,7 +518,6 @@ def build_shallow_descent(
     data: Dataset,
     dims: tuple[int, ...],
     act: PiecewiseLinear,
-    alpha: Optional[float] = None,
 ) -> CertifiedPoint:
     """Witness with one hidden layer: tilt the nonzero-gradient baseline row
     along the separating direction and nudge by gamma; the sign split makes
@@ -516,7 +528,7 @@ def build_shallow_descent(
         raise PreconditionViolated("shallow route needs exactly one hidden layer")
     if dims[1] < data.d_y + 1:
         raise WidthViolation(f"need hidden width >= {data.d_y + 1}, got {dims[1]}")
-    return _two_piece_descent(fit, data, dims, act, alpha)
+    return _two_piece_descent(fit, data, dims, act)
 
 
 def build_deep_descent(
@@ -525,7 +537,6 @@ def build_deep_descent(
     dims: tuple[int, ...],
     act: PiecewiseLinear,
     lambda_shift: Optional[float] = None,
-    alpha: Optional[float] = None,
 ) -> CertifiedPoint:
     """Depth extension of the shallow witness: layer 2 adds a positive shift
     lambda so everything downstream rides the positive piece, and the output
@@ -533,7 +544,7 @@ def build_deep_descent(
     With one hidden layer this is the shallow witness (stage "1")."""
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
-    return _two_piece_descent(fit, data, dims, act, alpha, lambda_shift)
+    return _two_piece_descent(fit, data, dims, act, lambda_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +649,6 @@ def build_general_descent(
     dims: tuple[int, ...],
     act: PiecewiseLinear,
     m_scale: Optional[float] = None,
-    m_tilde: Optional[float] = None,
-    alpha: Optional[float] = None,
 ) -> CertifiedPoint:
     """Witness for the general route: the deep witness, squeezed into the
     turning point's linear pieces with scales M (layer 1, both sides of t)
@@ -649,13 +658,13 @@ def build_general_descent(
     _require_hidden_wider(dims, data.d_y)
     build_act, reflected, tp = _turning_frame(act)
     local = two_piece(tp.s_minus, tp.s_plus)
-    weights, biases, params, shallow_out, _ = _witness_layers(fit, data, dims, local, alpha)
+    weights, biases, params, shallow_out, _ = _witness_layers(fit, data, dims, local)
     deep_trace = forward(Mlp(dims, tuple(weights), tuple(biases), local), data.X)
     _check_deep_witness(deep_trace.output, shallow_out)
 
     m_scale = _radius_scale(deep_trace.pre[0], tp.sigma, m_scale, "m_scale")
     if len(dims) > 3:
-        m_tilde = _radius_scale(deep_trace.pre[1] / m_scale, tp.sigma, m_tilde, "m_tilde")
+        m_tilde = _radius_scale(deep_trace.pre[1] / m_scale, tp.sigma, None, "m_tilde")
         weights[1] = weights[1] / m_tilde
     else:
         m_tilde = 1.0
@@ -692,6 +701,7 @@ def build_balanced_descent(
     if s_minus + sp != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
     # a nonlinear balanced activation has s_plus != 0: no reflection needed
+    _require_invertible("right slope s_plus", sp)
 
     fitp, inv, res = _split(fit, data)
     u, v = fitp.v[0], fitp.y_tilde[0]
@@ -725,7 +735,7 @@ def build_balanced_descent(
         net = assemble(consts)
         risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
     else:
-        net, consts, risk = _verified_descent(assemble, res, u, v, data.X, None, fit, data)
+        net, consts, _, risk = _verified_descent(assemble, res, u, v, data.X, None, fit, data)
     params = ConstructionParams(
         eta=eta, eta_rest=tuple(eta_rest),
         alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1,

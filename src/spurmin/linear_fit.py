@@ -14,6 +14,9 @@ import numpy as np
 from .errors import AllRowsZero, NonConvergence, PreconditionViolated
 from .network import Dataset, LossKind, loss_gradient, risk_of_outputs
 
+# Residual size, relative to 1 + max |baseline|, below which a row counts as fitted.
+ZERO_RESIDUAL_TOL = 1e-12
+
 
 def augment(X: np.ndarray) -> np.ndarray:
     """Stack a row of ones under X so affine maps read W @ augment(X)."""
@@ -121,9 +124,7 @@ def stationarity_certificate(fit: LinearFit, data: Dataset) -> float:
     return float(np.linalg.norm(fit.v @ augment(data.X).T))
 
 
-def select_nonzero_residual_row(
-    fit: LinearFit, data: Dataset, zero_tol: float = 1e-12
-) -> tuple[int, np.ndarray]:
+def select_nonzero_residual_row(fit: LinearFit, data: Dataset) -> tuple[int, np.ndarray]:
     """Pick an output row with nonzero fitted-prediction gradient.
 
     Returns (k, perm): a 0-based row index k and a permutation of row indices
@@ -135,7 +136,7 @@ def select_nonzero_residual_row(
     """
     row_norms = np.max(np.abs(fit.v), axis=1)
     scale = 1.0 + float(np.max(np.abs(fit.y_tilde)))
-    if np.all(row_norms <= zero_tol * scale):
+    if np.all(row_norms <= ZERO_RESIDUAL_TOL * scale):
         raise AllRowsZero("baseline residual is zero in every output row")
     k = int(np.argmax(row_norms))
     perm = np.array([k] + [i for i in range(data.d_y) if i != k], dtype=int)

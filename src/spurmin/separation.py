@@ -21,6 +21,10 @@ from .errors import PreconditionViolated, SizingFailed
 
 # Cap for alpha when no cross-group pair constrains it.
 ALPHA_CAP = 1.0
+# Relative gap below which sorted values count as tied (one group).
+TIE_TOL = 1e-9
+# Halvings of alpha an alpha search tries before it gives up.
+MAX_HALVINGS = 200
 
 
 @dataclass(frozen=True)
@@ -98,21 +102,16 @@ def _group_bounds(v_sorted: np.ndarray, tie_tol: float) -> list[int]:
     return bounds
 
 
-def separate(
-    u: np.ndarray,
-    v: np.ndarray,
-    xs: np.ndarray,
-    tie_tol: float = 1e-9,
-) -> SeparationResult:
+def separate(u: np.ndarray, v: np.ndarray, xs: np.ndarray) -> SeparationResult:
     """Find a split (I, J) and direction beta satisfying (1.1) and (1.2).
 
     u: zero-sum nonzero row (n,), v: values (n,), xs: points d_X x n with
     pairwise distinct columns.
 
-    Samples are stably sorted by v and grouped with a relative tie tolerance
-    (fit outputs that are analytically equal may differ by float noise).  If
-    some group-boundary prefix of u has nonzero sum, that prefix is the split
-    and beta = 0.  Otherwise the first group holding a nonzero u entry is
+    Samples are stably sorted by v and grouped with the relative tie
+    tolerance TIE_TOL (fit outputs that are analytically equal may differ by
+    float noise).  If some group-boundary prefix of u has nonzero sum, that
+    prefix is the split and beta = 0.  Otherwise the first group holding a nonzero u entry is
     reordered around its max-norm nonzero-u point x_l: members with
     <x_l, x_i> >= ||x_l||^2 go before x_l, the rest after, preserving
     original relative order on both sides, and beta = x_l.
@@ -133,7 +132,7 @@ def separate(
 
     order = np.argsort(v, kind="stable")
     v_sorted = v[order]
-    bounds = _group_bounds(v_sorted, tie_tol)
+    bounds = _group_bounds(v_sorted, TIE_TOL)
 
     nz_tol = 1e-12 * float(np.max(np.abs(u)))
     prefix_tol = 1e-10 * unorm1
@@ -328,7 +327,6 @@ def size_constants(
     v: np.ndarray,
     xs: np.ndarray,
     slope_ratio: float | None,
-    max_halvings: int = 200,
 ) -> DescentConstants:
     """Find constants by halving alpha from min(1, alpha_max) until the split
     inequality, the gap case-formula, and a strict sign margin all hold.
@@ -337,10 +335,10 @@ def size_constants(
     through descent_constants_at if the strict decrease has not manifested.
     """
     alpha = min(ALPHA_CAP, res.alpha_max)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         if alpha <= res.alpha_max and _gap_formula_matches(res, v, xs, alpha):
             consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
             if consts.margin > 0 and consts.midgap > 0:
                 return consts
         alpha *= 0.5
-    raise SizingFailed(f"no admissible alpha after {max_halvings} halvings")
+    raise SizingFailed(f"no admissible alpha after {MAX_HALVINGS} halvings")

@@ -27,8 +27,10 @@ from spurmin import (
     signatures_equal,
     solve_cell_optimum,
     two_piece,
+    walk_valley,
 )
-from spurmin.cells import CellSignature
+from spurmin import cells, network
+from spurmin.cells import CellSignature, analyze
 
 SQ = LossKind.SQUARED
 identity_act = PiecewiseLinear((), (1.0,), 0.0)
@@ -319,6 +321,79 @@ class TestValleyPath:
         path = build_valley_path((W1, W2), p2, steps_per_move=4)
         assert np.array_equal(path[0][0], W1) and np.array_equal(path[0][1], W2)
         assert np.array_equal(path[-1][0], p2[0]) and np.array_equal(path[-1][1], p2[1])
+
+
+def _rescaled(net, factors):
+    """net with hidden unit i scaled down by factors[i] on the way in and up
+    on the way out: the same function, one valley away."""
+    return Mlp(
+        net.dims,
+        (net.weights[0] / factors[:, None], net.weights[1] * factors),
+        (net.biases[0] / factors, net.biases[1]),
+        net.activation,
+    )
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Count network.forward calls, under both names that cells and
+    network call it by."""
+    calls = []
+    original = network.forward
+
+    def counting(net, X):
+        calls.append(net)
+        return original(net, X)
+
+    for module in (network, cells):
+        monkeypatch.setattr(module, "forward", counting)
+    return calls
+
+
+class TestWalkValley:
+    def test_equals_explicit_rebuild_and_score_loop(self, xor, xor_fit, relu_act):
+        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
+        valley = walk_valley(net, far, xor, SQ, steps_per_move=4)
+
+        W1a, W2a, b2, _ = net_cell_inputs(net, xor.X)
+        W1b, W2b, _, _ = net_cell_inputs(far, xor.X)
+        risks, sigs = [], []
+        for W1, W2 in build_valley_path((W1a, W2a), (W1b, W2b), steps_per_move=4):
+            point = Mlp((2, 3, 1), (W1[:, :2], W2[None, :]), (W1[:, 2], np.array([b2])), relu_act)
+            risks.append(empirical_risk(point, xor, SQ))
+            sigs.append(activation_pattern(point, xor.X))
+        assert valley["n_points"] == len(risks) == 13
+        assert valley["risks"] == risks
+        assert valley["risk_max_dev"] == max(abs(r - risks[0]) for r in risks)
+        assert valley["pattern_constant"] is all(signatures_equal(sigs[0], s) for s in sigs)
+        assert valley["pattern_constant"] and valley["risk_max_dev"] <= 1e-10
+
+    def test_differing_output_biases_raise(self, xor, xor_fit, relu_act):
+        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        shifted = Mlp(net.dims, net.weights, (net.biases[0], net.biases[1] + 1.0), net.activation)
+        with pytest.raises(PreconditionViolated, match="output bias"):
+            walk_valley(net, shifted, xor, SQ, steps_per_move=10)
+
+    def test_one_forward_per_path_point(self, xor, xor_fit, relu_act, forward_calls):
+        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        valley = walk_valley(net, _rescaled(net, np.array([2.0, 0.5, 3.0])), xor, SQ,
+                             steps_per_move=10)
+        assert len(forward_calls) == valley["n_points"] == 31
+
+
+class TestAnalyze:
+    def test_forwards_once(self, xor, xor_fit, relu_act, forward_calls):
+        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        payload = analyze(net, xor, SQ)
+        assert len(forward_calls) == 1
+        assert payload["risk"] == empirical_risk(net, xor, SQ)
+
+    def test_output_width_mismatch_is_shape_violation(self, xor, rng):
+        net = Mlp((2, 3, 2), (rng.standard_normal((3, 2)), rng.standard_normal((2, 3))),
+                  (rng.standard_normal(3), rng.standard_normal(2)), relu())
+        with pytest.raises(ShapeViolation, match="output width"):
+            analyze(net, xor, SQ)
 
 
 class TestLinearCollapse:

@@ -250,6 +250,21 @@ class TestExitCodes:
                      "--activation", linear]) == 3
         assert "nonlinear" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims, activation", [
+        ("2,2,2,1", '{"breakpoints":[0],"slopes":[5e-324,0],"anchor":0}'),
+        ("2,3,3,1", '{"breakpoints":[0,1],"slopes":[0.2,5e-324,0],"anchor":0}'),
+    ])
+    def test_subnormal_slope_is_precondition(self, xor_csv, capsys, dims, activation):
+        # rejected before any formula divides by the slope, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["construct", "--data", xor_csv, "--dims", dims,
+                         "--activation", activation])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "precondition violated" in err and "5e-324" in err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_cell_is_parse_error(self, tmp_path, capsys, cell):
         bad = tmp_path / "bad.csv"

@@ -470,6 +470,21 @@ def test_subnormal_slope_raises_typed(s_minus, depth):
         build_minimum(fit, data, (2, *[2] * depth, 1), act)
 
 
+@pytest.mark.parametrize("slopes, dims, stage, slope_name", [
+    ((5e-324, 0.0), (2, 3, 1), "1", "right slope s_plus of the build frame"),
+    ((0.0, 5e-324), (2, 3, 3, 1), "2", "right slope s_plus of the build frame"),
+    ((-(3e-308 - 5e-324), 3e-308), (2, 3, 1), "1", "slope sum s_minus \\+ s_plus"),
+    ((-5e-324, 5e-324), (2, 4, 1), "corollary", "right slope s_plus"),
+    ((0.2, 5e-324), (2, 3, 3, 1), "3", "right slope s_plus of the build frame"),
+], ids=["shallow", "deep-reflected", "shallow-slope-sum", "balanced", "general"])
+def test_witness_rejects_a_slope_without_finite_reciprocal(slopes, dims, stage, slope_name):
+    data = xor_dataset()
+    fit = fit_linear(data, SQ)
+    act = PiecewiseLinear((0.0,), slopes, 0.0)
+    with np.errstate(all="raise"), pytest.raises(PreconditionViolated, match=slope_name):
+        build_descent(fit, data, dims, act, stage=stage)
+
+
 def _own_frame_interval(act):
     """The interval a minimum's hidden pre-activations occupy, read off the
     activation itself: right of the turning point, or left of it when the
