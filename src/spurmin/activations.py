@@ -71,10 +71,6 @@ class PiecewiseLinear:
         return any(s1 != s2 for s1, s2 in zip(self.slopes, self.slopes[1:]))
 
     @property
-    def is_linear(self) -> bool:
-        return not self.is_nonlinear
-
-    @property
     def is_two_piece(self) -> bool:
         """True for the h(x) = s₋x (x ≤ 0), s₊x (x > 0) family."""
         return (
@@ -193,10 +189,6 @@ class TurningPoint:
     s_minus: float
     s_plus: float
     sigma: float
-
-    @property
-    def slope_ratio(self) -> float:
-        return (self.s_plus - self.s_minus) / (self.s_plus + self.s_minus)
 
 
 def two_piece(s_minus: float, s_plus: float) -> PiecewiseLinear:

@@ -27,6 +27,8 @@ from .network import (
 )
 
 BOUNDARY_TOL = 1e-12
+# the largest risk deviation along a valley path that still counts as flat
+VALLEY_RISK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,6 @@ def build_valley_path(
     p1: tuple[np.ndarray, np.ndarray],
     p2: tuple[np.ndarray, np.ndarray],
     steps_per_move: int = 10,
-    tol: float = 1e-12,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Piecewise path from p1 to p2 made of per-unit rescaling moves.
 
@@ -216,7 +217,7 @@ def build_valley_path(
     """
     if steps_per_move < 1:
         raise PreconditionViolated("steps_per_move must be >= 1")
-    if not equivalence_check(p1, p2, tol=tol):
+    if not equivalence_check(p1, p2):
         raise NotEquivalent("endpoints are not rescalings of each other")
     W1a, W2a = np.asarray(p1[0], dtype=float), _as_row(p1[1])
     W1b, W2b = np.asarray(p2[0], dtype=float), _as_row(p2[1])

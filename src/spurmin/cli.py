@@ -3,6 +3,12 @@
 Subcommands: gen-data, fit, construct, descend, verify, cells, path,
 separate, demo.  Exit codes: 0 ok, 1 a check failed, 2 io/parse error,
 3 precondition violated.
+
+Every handler takes the parsed arguments and returns (payload, passed).
+`main` is the one place that writes a payload: it adds the run's `config`
+block and writes the JSON to `--out`, or to stdout without one, then maps
+passed to exit code 0 or 1.  gen-data and demo write their own files and
+return (None, passed).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 from . import cells as cellmod
 from .activations import parse_activation
 from .construction import (
+    _split,
     build_descent,
     build_minimum,
     enumerate_family,
@@ -34,9 +41,8 @@ from .io import (
     save_dataset_csv,
     xor_dataset,
 )
-from .linear_fit import fit_linear, select_nonzero_residual_row, permute_fit_rows
-from .network import LossKind, Mlp, check_assumptions
-from .separation import separate
+from .linear_fit import fit_linear
+from .network import LossKind, Mlp, check_assumptions, loss_gradient, per_sample_loss
 from .verification import (
     RISK_MATCH_TOL,
     Certificate,
@@ -81,17 +87,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _loss_kind(name: str) -> LossKind:
-    return LossKind.SQUARED if name == "squared" else LossKind.CROSS_ENTROPY
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    if out:
-        dump_json(payload, out)
-    else:
-        print(_json_text(payload))
-
-
 def _activation_arg(spec: str):
     if spec.endswith(".json"):
         return parse_activation(json.loads(Path(spec).read_text()))
@@ -104,108 +99,86 @@ def _activation_arg(spec: str):
 # subcommand handlers
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> tuple[None, bool]:
     data = gen_dataset(args.spec, seed=args.seed, check_assumption_flags=args.assumptions)
     save_dataset_csv(data, args.out)
     print(f"wrote {data.n} samples ({data.d_x} features, {data.d_y} labels) to {args.out}")
-    return EXIT_OK
+    return None, True
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
-    fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
-    _emit({"config": asdict(_cfg(args)), **fit.as_dict()}, args.out)
-    return EXIT_OK
+    return fit_linear(data, LossKind(args.loss), tol=args.tol).as_dict(), True
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
     act = _activation_arg(args.activation)
     dims = _parse_dims(args.dims)
-    fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
+    fit = fit_linear(data, LossKind(args.loss), tol=args.tol)
     if args.k > 1:
         points = enumerate_family(fit, data, dims, act, k=args.k, seed=args.seed)
     else:
         points = [build_minimum(fit, data, dims, act, stage=args.stage)]
-    payload = {
-        "config": asdict(_cfg(args)),
-        "points": [p.as_dict() for p in points],
-    }
+    payload = {"points": [p.as_dict() for p in points]}
     if len(points) > 1:
         payload["min_pairwise_distance"] = min_pairwise_distance(points)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_descend(args) -> int:
+def cmd_descend(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
     act = _activation_arg(args.activation)
     dims = _parse_dims(args.dims)
-    fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
+    fit = fit_linear(data, LossKind(args.loss), tol=args.tol)
     minimum = build_minimum(fit, data, dims, act, stage=args.stage)
     witness = build_descent(fit, data, dims, act, stage=args.stage)
     gap = descent_gap_certificate(minimum.risk, witness.risk)
     payload = {
-        "config": asdict(_cfg(args)),
         "minimum": minimum.as_dict(),
         "witness": witness.as_dict(),
         "gap": gap.checks[0].value,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if gap.verdict else EXIT_CHECK_FAILED
+    return payload, gap.verdict
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
     net = load_mlp(args.net)
     cert = perturbation_local_min_test(
-        net, data, _loss_kind(args.loss),
+        net, data, LossKind(args.loss),
         radius=args.radius, samples=args.samples, seed=args.seed,
     )
-    payload = {"config": asdict(_cfg(args)), **cert.as_dict()}
-    _emit(payload, args.cert_out)
-    return EXIT_OK if cert.verdict else EXIT_CHECK_FAILED
+    return cert.as_dict(), cert.verdict
 
 
-def cmd_separate(args) -> int:
+def cmd_separate(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
-    fit = fit_linear(data, _loss_kind(args.loss), tol=args.tol)
-    _, perm = select_nonzero_residual_row(fit, data)
-    fitp, _ = permute_fit_rows(fit, data, perm)
-    res = separate(fitp.v[0], fitp.y_tilde[0], data.X)
-    _emit({"config": asdict(_cfg(args)), **res.as_dict()}, args.out)
-    return EXIT_OK
+    _, _, res = _split(fit_linear(data, LossKind(args.loss), tol=args.tol), data)
+    return res.as_dict(), True
 
 
-def cmd_cells(args) -> int:
-    if args.action != "analyze":
-        raise PreconditionViolated(f"unknown cells action {args.action!r}")
+def cmd_cells(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
     net = load_mlp(args.net)
-    payload = cellmod.analyze(net, data, _loss_kind(args.loss))
-    _emit({"config": asdict(_cfg(args)), **payload}, args.out)
-    return EXIT_OK
+    return cellmod.analyze(net, data, LossKind(args.loss)), True
 
 
-def cmd_path(args) -> int:
-    if args.action != "build":
-        raise PreconditionViolated(f"unknown path action {args.action!r}")
+def cmd_path(args) -> tuple[dict, bool]:
     data = load_dataset_csv(args.data)
     valley = cellmod.walk_valley(
-        load_mlp(args.a), load_mlp(args.b), data, _loss_kind(args.loss), steps_per_move=args.steps
+        load_mlp(args.a), load_mlp(args.b), data, LossKind(args.loss), steps_per_move=args.steps
     )
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("point,risk\n")
             for i, r in enumerate(valley["risks"]):
                 fh.write(f"{i},{r!r}\n")
-    _emit({"config": asdict(_cfg(args)), **valley}, args.out)
-    ok = valley["pattern_constant"] and valley["risk_max_dev"] <= 1e-10
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return valley, valley["pattern_constant"] and valley["risk_max_dev"] <= cellmod.VALLEY_RISK_TOL
 
 
-def cmd_demo(args) -> int:
-    report, ok, first_failure = run_demo(
+def cmd_demo(args) -> tuple[None, bool]:
+    _, ok, first_failure = run_demo(
         seed=args.seed,
         out=args.out,
         activation_spec=args.activation,
@@ -213,7 +186,7 @@ def cmd_demo(args) -> int:
     )
     if not ok:
         print(f"demo check failed: {first_failure}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return None, ok
 
 
 def run_demo(
@@ -323,7 +296,7 @@ def run_demo(
         report["valley_path"] = {
             key: valley[key] for key in ("n_points", "risk_max_dev", "pattern_constant")
         }
-        record("valley_path_risk_invariant", valley["risk_max_dev"] <= 1e-10)
+        record("valley_path_risk_invariant", valley["risk_max_dev"] <= cellmod.VALLEY_RISK_TOL)
         record("valley_path_pattern_constant", valley["pattern_constant"])
 
         identity_act = parse_activation("identity")
@@ -337,21 +310,16 @@ def run_demo(
         rng = np.random.default_rng(seed)
         y = np.array([1.0, 0.0])
         pt = rng.standard_normal(2)
-        from .network import loss_gradient, per_sample_loss
-
-        sq_err = fd_gradient_check(
-            lambda p: float(per_sample_loss(loss, y[:, None], p[:, None])[0]),
-            lambda p: loss_gradient(loss, y[:, None], p[:, None])[:, 0],
-            pt,
-        )
-        ce = LossKind.CROSS_ENTROPY
-        ce_err = fd_gradient_check(
-            lambda p: float(per_sample_loss(ce, y[:, None], p[:, None])[0]),
-            lambda p: loss_gradient(ce, y[:, None], p[:, None])[:, 0],
-            pt,
-        )
-        report["loss_checks"] = {"squared_fd_error": sq_err, "ce_fd_error": ce_err}
-        record("loss_gradients_fd", max(sq_err, ce_err) <= 1e-6)
+        fd_errors = {
+            f"{kind.value}_fd_error": fd_gradient_check(
+                lambda p: float(per_sample_loss(kind, y[:, None], p[:, None])[0]),
+                lambda p: loss_gradient(kind, y[:, None], p[:, None])[:, 0],
+                pt,
+            )
+            for kind in (LossKind.SQUARED, LossKind.CROSS_ENTROPY)
+        }
+        report["loss_checks"] = fd_errors
+        record("loss_gradients_fd", max(fd_errors.values()) <= 1e-6)
 
     ok = all(passed for _, passed in checks)
     first_failure = next((name for name, passed in checks if not passed), None)
@@ -376,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
-        if data:
-            p.add_argument("--data", required=True, help="dataset CSV path")
+    def common(p):
+        p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--loss", choices=["squared", "ce"], default="squared")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-8)
@@ -416,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--radius", type=float, default=1e-4)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--cert-out", dest="cert_out", default=None)
+    p.add_argument("--cert-out", dest="out", help="alias of --out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("separate", help="debug: the separation backing the descent")
@@ -450,10 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: write its payload, with the run's config, to
+    --out or stdout, and return its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, passed = args.fn(args)
+        if payload is not None:
+            payload = {"config": asdict(_cfg(args)), **payload}
+            if args.out:
+                dump_json(payload, args.out)
+            else:
+                print(_json_text(payload))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -466,6 +440,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def entry() -> None:

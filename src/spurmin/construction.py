@@ -24,10 +24,16 @@ Every minimum is certified as it is built (`_certify_minimum`): output
 identity, risk match, and `verification.trace_interval_check` of its hidden
 pre-activations against the route's interval, mirrored to (-hi, -lo) for a
 reflected build.  The point keeps that certificate as `interval`.
+
+Every public builder runs with numpy's overflow and invalid-operation errors
+raised (`_float_checked`): a slope or piece width so small, or large, that a
+scale leaves the float64 range fails as PreconditionViolated before any
+infinite or NaN parameter is built or scored.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -58,7 +64,7 @@ from .separation import (
     separate,
     size_constants,
 )
-from .verification import RISK_MATCH_TOL, Certificate, trace_interval_check
+from .verification import DESCENT_GAP_MIN, RISK_MATCH_TOL, Certificate, trace_interval_check
 
 OUTPUT_TOL = 1e-12
 SPURIOUS_RESIDUAL_TOL = 1e-8
@@ -150,6 +156,23 @@ def min_pairwise_distance(points: list[CertifiedPoint]) -> float:
 
 # ---------------------------------------------------------------------------
 # shared plumbing
+
+
+def _float_checked(build):
+    """build, with numpy overflow and invalid operations raised and turned
+    into PreconditionViolated."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return build(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise PreconditionViolated(
+                f"a construction scale leaves the float64 range ({exc})"
+            ) from None
+
+    return checked
 
 
 def _check_dims(fit: LinearFit, data: Dataset, dims: tuple[int, ...]) -> None:
@@ -306,7 +329,7 @@ def _verified_descent(
             net = assemble(consts)
             out = forward(net, data.X).output
             risk = risk_of_outputs(out, data.Y, fit.loss)
-            if risk < fit.risk - 1e-12:
+            if risk < fit.risk - DESCENT_GAP_MIN:
                 return net, consts, out, risk
         alpha *= 0.5
         consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
@@ -465,6 +488,7 @@ def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     )
 
 
+@_float_checked
 def build_shallow_minimum(
     fit: LinearFit,
     data: Dataset,
@@ -481,6 +505,7 @@ def build_shallow_minimum(
     return _two_piece_minimum(fit, data, dims, act, eta, "1")
 
 
+@_float_checked
 def build_deep_minimum(
     fit: LinearFit,
     data: Dataset,
@@ -513,6 +538,7 @@ def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act
     return _witness(net, "2", risk_of_outputs(out, data.Y, fit.loss), fit, params)
 
 
+@_float_checked
 def build_shallow_descent(
     fit: LinearFit,
     data: Dataset,
@@ -531,6 +557,7 @@ def build_shallow_descent(
     return _two_piece_descent(fit, data, dims, act)
 
 
+@_float_checked
 def build_deep_descent(
     fit: LinearFit,
     data: Dataset,
@@ -623,6 +650,7 @@ def _general_minimum(
     return _certify_minimum(net, fit, data, "3", params, (tp.t, tp.t + tp.sigma), reflected)
 
 
+@_float_checked
 def build_general_minimum(
     fit: LinearFit,
     data: Dataset,
@@ -643,6 +671,7 @@ def build_general_minimum(
     return _general_minimum(fit, data, dims, act, frame, eta, m_scale, alpha_scales)
 
 
+@_float_checked
 def build_general_descent(
     fit: LinearFit,
     data: Dataset,
@@ -672,7 +701,7 @@ def build_general_descent(
         weights, biases, tp.t, float(build_act(tp.t)), m_scale, m_scale * m_tilde
     ))
     risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
-    if not risk < fit.risk - 1e-12:
+    if not risk < fit.risk - DESCENT_GAP_MIN:
         raise StrictDecreaseNotAchieved("squeezed witness lost its strict decrease")
     return _witness(net, "3", risk, fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
@@ -681,6 +710,7 @@ def build_general_descent(
 # balanced route (two-piece with s- + s+ = 0)
 
 
+@_float_checked
 def build_balanced_descent(
     fit: LinearFit,
     data: Dataset,
@@ -740,7 +770,7 @@ def build_balanced_descent(
         eta=eta, eta_rest=tuple(eta_rest),
         alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1,
     )
-    return _witness(net, "corollary", risk, fit, params, bool(risk < fit.risk - 1e-12))
+    return _witness(net, "corollary", risk, fit, params, bool(risk < fit.risk - DESCENT_GAP_MIN))
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +828,7 @@ def build_descent(
     raise PreconditionViolated(f"unknown stage {stage!r}")
 
 
+@_float_checked
 def enumerate_family(
     fit: LinearFit,
     data: Dataset,

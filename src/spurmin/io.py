@@ -214,13 +214,15 @@ def xor_dataset() -> Dataset:
     return Dataset(X, Y)
 
 
-def blobs_dataset(k: int, seed: int = 0, per_cluster: int = 5) -> Dataset:
-    """k Gaussian clusters in the plane with the cluster index as the label."""
+def blobs_dataset(k: int, seed: int = 0) -> Dataset:
+    """k Gaussian clusters of five points in the plane, with the cluster
+    index as the label."""
     if k < 2:
         raise PreconditionViolated("need at least two clusters")
     rng = np.random.default_rng(check_integer("seed", seed, minimum=0))
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = 3.0 * np.vstack([np.cos(angles), np.sin(angles)])
+    per_cluster = 5
     Xs, ys = [], []
     for c in range(k):
         pts = centers[:, c : c + 1] + 0.5 * rng.standard_normal((2, per_cluster))
@@ -229,10 +231,11 @@ def blobs_dataset(k: int, seed: int = 0, per_cluster: int = 5) -> Dataset:
     return Dataset(np.hstack(Xs), np.asarray(ys)[None, :])
 
 
-def linear_dataset(n: int = 6, seed: int = 0) -> Dataset:
-    """Exactly affine labels; the negative control for linear inseparability."""
+def linear_dataset(seed: int = 0) -> Dataset:
+    """Six samples with exactly affine labels; the negative control for
+    linear inseparability."""
     rng = np.random.default_rng(check_integer("seed", seed, minimum=0))
-    X = rng.standard_normal((2, n))
+    X = rng.standard_normal((2, 6))
     w = np.array([2.0, -1.0])
     Y = (w @ X + 1.0)[None, :]
     return Dataset(X, Y)

@@ -82,15 +82,6 @@ class DescentConstants:
     midgap: float
     margin: float
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "eta1": self.eta1,
-            "midgap": self.midgap,
-            "margin": self.margin,
-        }
-
 
 def _group_bounds(v_sorted: np.ndarray, tie_tol: float) -> list[int]:
     """1-based end positions of maximal runs of (near-)equal values."""

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,22 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["l_prime"] == 1 and out["beta"] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("option", ["--out", "--cert-out"])
+    def test_verify_writes_the_certificate_to_out(self, tmp_path, xor_csv, capsys, option):
+        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin.io import save_mlp
+
+        xor = load_dataset_csv(xor_csv)
+        net_path = tmp_path / "net.json"
+        save_mlp(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net, net_path)
+        cert_out = tmp_path / "cert.json"
+        assert main(["verify", "--data", xor_csv, "--net", str(net_path),
+                     "--samples", "20", option, str(cert_out)]) == 0
+        assert capsys.readouterr().out == ""
+        cert = json.loads(cert_out.read_text())
+        assert cert["verdict"] is True
+        assert cert["config"]["out"] == str(cert_out)
+
 
 class TestExitCodes:
     def test_corrupt_csv_is_io_error(self, tmp_path):
@@ -264,6 +284,21 @@ class TestExitCodes:
         assert code == 3
         assert "precondition violated" in err and "5e-324" in err
         assert "RuntimeWarning" not in err
+
+    def test_overflowing_squeeze_scale_exits_3_without_warnings(self, xor_csv):
+        # run as a process, so that a numpy warning would reach stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "spurmin.cli", "construct", "--data", xor_csv,
+             "--dims", "2,3,1", "--activation",
+             '{"breakpoints":[0,1],"slopes":[1.0,2.2250738585072014e-308,0],"anchor":0}'],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert "float64 range" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_cell_is_parse_error(self, tmp_path, capsys, cell):

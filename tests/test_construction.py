@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -520,3 +521,33 @@ def test_general_minimum_keeps_its_interval_certificate(xor, xor_fit, act):
 
 def test_witness_has_no_interval_certificate(xor, xor_fit, relu_act):
     assert build_descent(xor_fit, xor, (2, 3, 1), relu_act).interval is None
+
+
+@pytest.mark.parametrize("breakpoints, slopes, anchor, two_outputs, depth", [
+    ((0.0, 0.5, 1.0), (1.0, 1.0, 1.29e-82, 0.0), 0.0, True, 3),
+    ((0.0, 5e-324), (0.0, 0.0, 1.0), 0.0, False, 1),
+    ((1.0,), (1.0, 2.99e-230), 1.0, False, 3),
+    ((0.0, 1.0), (1.0, 2.2250738585072014e-308, 0.0), 0.0, False, 1),
+], ids=["tiny-piece-slope", "subnormal-piece-width", "tiny-right-slope", "smallest-normal-slope"])
+@pytest.mark.parametrize("extra_width", [1, 2])
+def test_tiny_slopes_and_widths_raise_typed_without_warnings(
+    breakpoints, slopes, anchor, two_outputs, depth, extra_width
+):
+    # a scale that overflows or turns NaN inside a builder must end in a
+    # typed error, not in a numpy warning and inf or NaN parameters
+    data = random_two_output_dataset() if two_outputs else xor_dataset()
+    fit = fit_linear(data, SQ)
+    dims = (data.d_x, *[data.d_y + extra_width] * depth, data.d_y)
+    act = PiecewiseLinear(breakpoints, slopes, anchor)
+    for build in (build_minimum, build_descent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                point = build(fit, data, dims, act)
+            except SpurminError:
+                continue
+        assert all(np.all(np.isfinite(p)) for p in point.net.weights + point.net.biases)
+        if point.kind == "minimum":
+            assert abs(point.risk - fit.risk) <= 1e-9
+        else:
+            assert point.risk < fit.risk - 1e-12
