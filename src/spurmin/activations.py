@@ -11,7 +11,8 @@ every entry lies left of ends the scan, so an input inside one piece is
 evaluated with a scalar slope, knot and reference breakpoint; only a
 breakpoint that splits the input selects per entry.  The values are
 bit-identical to a searchsorted(side="right") breakpoint lookup, signed zeros
-and NaN (which lands in the last piece) included.
+and NaN (which lands in the last piece) included.  A linear activation takes
+the same path: its one piece has the anchor as knot and reference 0.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .errors import NoAdmissibleTurningPoint, PreconditionViolated
 # Stand-in for an unbounded piece when sizing downstream scale factors;
 # keeps all derived quantities finite.
 UNBOUNDED_SIGMA = 1e9
-# Relative size below which adjacent slopes count as cancelling (s- + s+ = 0).
-BALANCE_TOL = 1e-12
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -93,9 +92,6 @@ class PiecewiseLinear:
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
         x = np.asarray(x, dtype=float)
-        if not self.breakpoints:
-            out = self.anchor + self.slopes[0] * x
-            return out if out.ndim else float(out)
         slope, knot, ref = self._piece(x)
         out = x - ref
         out *= slope
@@ -104,16 +100,17 @@ class PiecewiseLinear:
 
     def _piece(self, x: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         """Slope, knot value and reference breakpoint of the piece holding
-        each entry of x (at least one breakpoint).
+        each entry of x.
 
         An entry at a breakpoint belongs to the piece on its right, and NaN
         to the last piece, as with searchsorted(..., side="right").  The
         comparisons pick the same table entries as that lookup, so values
         built from them are bit-identical to it.  The three are scalars
-        unless some breakpoint splits x.
+        unless some breakpoint splits x.  A linear activation (no
+        breakpoints) has one piece: its slope, the anchor, and reference 0.
         """
         bps, sls, knots = self.breakpoints, self.slopes, self._knots
-        slope, knot, ref = sls[0], knots[0], bps[0]
+        slope, knot, ref = sls[0], knots[0], bps[0] if bps else 0.0
         for k, b in enumerate(bps):
             left = x < b
             n_left = np.count_nonzero(left)
@@ -147,8 +144,6 @@ class PiecewiseLinear:
         some breakpoint (exact hits are always flagged).
         """
         x = np.asarray(x, dtype=float)
-        if not self.breakpoints:
-            return np.full(x.shape, self.slopes[0]), np.zeros(x.shape, dtype=bool)
         slope, _, _ = self._piece(x)
         if isinstance(slope, float):
             slope = np.full(x.shape, slope)
@@ -162,8 +157,6 @@ class PiecewiseLinear:
 
     def reflect(self) -> "PiecewiseLinear":
         """The mirrored activation g(x) = h(-x)."""
-        if not self.breakpoints:
-            return PiecewiseLinear((), (-self.slopes[0],), self.anchor)
         bps = tuple(-b for b in reversed(self.breakpoints))
         slopes = tuple(-s for s in reversed(self.slopes))
         return PiecewiseLinear(bps, slopes, self._knots[-1])
@@ -227,7 +220,8 @@ def find_turning_point(act: PiecewiseLinear) -> TurningPoint:
     breakpoint, with a large finite sentinel on unbounded sides.
 
     Raises NoAdmissibleTurningPoint when the activation is linear or every
-    breakpoint has s₋ + s₊ = 0 (e.g. a|x|).
+    breakpoint has s₋ + s₊ = 0 (e.g. a|x|).  The cancellation test is exact,
+    the same one the two-piece and balanced routes apply.
     """
     if not act.is_nonlinear:
         raise NoAdmissibleTurningPoint("activation is linear; no turning point exists")
@@ -235,9 +229,7 @@ def find_turning_point(act: PiecewiseLinear) -> TurningPoint:
     bps = act.breakpoints
     for i, t in enumerate(bps):
         s_minus, s_plus = act.slopes[i], act.slopes[i + 1]
-        if s_minus == s_plus:
-            continue
-        if abs(s_minus + s_plus) <= BALANCE_TOL * max(1.0, abs(s_minus) + abs(s_plus)):
+        if s_minus == s_plus or s_minus + s_plus == 0.0:
             continue
         left = t - bps[i - 1] if i > 0 else UNBOUNDED_SIGMA
         right = bps[i + 1] - t if i + 1 < len(bps) else UNBOUNDED_SIGMA

@@ -21,9 +21,16 @@ the baseline risk; each witness is an explicit parameter point with strictly
 smaller risk, certifying that the minima are spurious.
 
 Every minimum is certified as it is built (`_certify_minimum`): output
-identity, risk match, and `verification.trace_interval_check` of its hidden
-pre-activations against the route's interval, mirrored to (-hi, -lo) for a
-reflected build.  The point keeps that certificate as `interval`.
+identity (to OUTPUT_TOL, scaled on the general route by its output scale
+M / prod(alpha_i)), risk match, and `verification.trace_interval_check` of
+its hidden pre-activations against the route's interval, mirrored to
+(-hi, -lo) for a reflected build.  The point keeps that certificate as
+`interval`.
+
+Every witness takes its alpha from the one alpha search,
+`separation.admissible_constants` (`_verified_descent`): the first admissible
+constants whose network strictly undercuts the baseline, within one budget
+of MAX_HALVINGS halvings.
 
 Every public builder runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
@@ -60,7 +67,7 @@ from .separation import (
     MAX_HALVINGS,
     DescentConstants,
     SeparationResult,
-    descent_constants_at,
+    admissible_constants,
     separate,
     size_constants,
 )
@@ -89,19 +96,9 @@ class ConstructionParams:
     turning: Optional[TurningPoint] = None
 
     def as_dict(self) -> dict:
-        d = {
-            "eta": self.eta,
-            "eta_rest": list(self.eta_rest),
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "eta1": self.eta1,
-            "lambda_shift": self.lambda_shift,
-            "m_scale": self.m_scale,
-            "m_tilde": self.m_tilde,
-            "alpha_scales": list(self.alpha_scales),
-        }
-        if self.turning is not None:
-            d["turning"] = asdict(self.turning)
+        d = asdict(self)
+        if self.turning is None:
+            del d["turning"]
         return d
 
 
@@ -246,14 +243,20 @@ def _certify_minimum(
     params: ConstructionParams,
     interval: tuple[float, float],
     reflected: bool,
+    output_scale: float = 1.0,
 ) -> CertifiedPoint:
     """Postconditions shared by every minimum: output identity, risk match,
     and hidden pre-activations strictly inside the route's interval.  The
     interval is given in the build frame; a reflected network's
     pre-activations are negated, so it is checked mirrored to (-hi, -lo).
-    A NaN anywhere fails every check."""
+    A NaN anywhere fails every check.
+
+    The output identity holds to OUTPUT_TOL times max(1, output_scale): a
+    squeezed minimum multiplies its last hidden layer's rounding by its
+    output scale M / prod(alpha_i)."""
     trace = forward(net, data.X)
-    if not float(np.max(np.abs(trace.output - fit.y_tilde))) <= OUTPUT_TOL:
+    out_tol = OUTPUT_TOL * max(1.0, output_scale)
+    if not float(np.max(np.abs(trace.output - fit.y_tilde))) <= out_tol:
         raise ConstructionError("minimum output does not reproduce the baseline")
     risk = risk_of_outputs(trace.output, data.Y, fit.loss)
     if not abs(risk - fit.risk) <= RISK_MATCH_TOL:
@@ -319,20 +322,17 @@ def _verified_descent(
     fit: LinearFit,
     data: Dataset,
 ) -> tuple[Mlp, DescentConstants, np.ndarray, float]:
-    """Halve alpha until the assembled network's risk strictly undercuts the
-    baseline; "sufficiently small" is operationalized as this verified search.
-    Returns the network, its constants, its output and its risk."""
-    consts = size_constants(res, u, v, xs, slope_ratio)
-    alpha = consts.alpha
-    for _ in range(MAX_HALVINGS):
-        if consts.margin > 0:
-            net = assemble(consts)
-            out = forward(net, data.X).output
-            risk = risk_of_outputs(out, data.Y, fit.loss)
-            if risk < fit.risk - DESCENT_GAP_MIN:
-                return net, consts, out, risk
-        alpha *= 0.5
-        consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
+    """The network of the first admissible constants (largest alpha first)
+    whose risk strictly undercuts the baseline; "sufficiently small" is
+    operationalized as this verified search, which shares the one alpha
+    search and its halving budget with the sizing.  Returns the network, its
+    constants, its output and its risk."""
+    for consts in admissible_constants(res, u, v, xs, slope_ratio):
+        net = assemble(consts)
+        out = forward(net, data.X).output
+        risk = risk_of_outputs(out, data.Y, fit.loss)
+        if risk < fit.risk - DESCENT_GAP_MIN:
+            return net, consts, out, risk
     raise StrictDecreaseNotAchieved(
         f"no strict risk decrease after {MAX_HALVINGS} halvings"
     )
@@ -552,8 +552,7 @@ def build_shallow_descent(
     _check_dims(fit, data, dims)
     if len(dims) != 3:
         raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    if dims[1] < data.d_y + 1:
-        raise WidthViolation(f"need hidden width >= {data.d_y + 1}, got {dims[1]}")
+    _require_hidden_wider(dims, data.d_y)
     return _two_piece_descent(fit, data, dims, act)
 
 
@@ -641,13 +640,16 @@ def _general_minimum(
     for i, a_i in enumerate(alpha_scales, start=1):
         prod *= a_i
         weights[i] = a_i * weights[i]
+    out_scale = m_scale / prod
     net = _net(dims, act, reflected, *_squeeze(
-        weights, biases, tp.t, float(build_act(tp.t)), m_scale, m_scale / prod
+        weights, biases, tp.t, float(build_act(tp.t)), m_scale, out_scale
     ))
     params = ConstructionParams(
         eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
     )
-    return _certify_minimum(net, fit, data, "3", params, (tp.t, tp.t + tp.sigma), reflected)
+    return _certify_minimum(
+        net, fit, data, "3", params, (tp.t, tp.t + tp.sigma), reflected, out_scale
+    )
 
 
 @_float_checked

@@ -70,7 +70,9 @@ def validate_report(report: dict) -> list[str]:
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy containers/scalars to plain Python values."""
+    """Recursively convert numpy containers/scalars, and tuples, to plain
+    Python values.  The report types' `as_dict` is their
+    `dataclasses.asdict`, arrays and tuples included; this makes it JSON."""
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

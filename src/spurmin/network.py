@@ -8,7 +8,7 @@ losses with 1/n, and the output layer is affine (no final activation).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -223,14 +223,7 @@ class AssumptionReport:
     baseline_residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "linear_inseparable": self.linear_inseparable,
-            "distinct_samples": self.distinct_samples,
-            "widths_ok": self.widths_ok,
-            "turning_point_ok": self.turning_point_ok,
-            "balanced_widths_ok": self.balanced_widths_ok,
-            "baseline_residual": self.baseline_residual,
-        }
+        return asdict(self)
 
 
 def check_assumptions(

@@ -9,11 +9,17 @@ reordering of the samples, a split index, and a direction beta such that
 
 then size the constants (alpha, gamma, eta1) that drive the first hidden
 row of the descent network.
+
+`admissible_constants` is the only alpha search: it halves alpha at most
+MAX_HALVINGS times and yields every admissible set of constants, so sizing
+(`size_constants`, its first yield) and the construction's verified descent
+(the first yield whose network descends) share one halving budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .errors import PreconditionViolated, SizingFailed
 ALPHA_CAP = 1.0
 # Relative gap below which sorted values count as tied (one group).
 TIE_TOL = 1e-9
-# Halvings of alpha an alpha search tries before it gives up.
+# Halvings of alpha the alpha search tries before it gives up.
 MAX_HALVINGS = 200
 
 
@@ -57,15 +63,7 @@ class SeparationResult:
         return self.perm[self.l_prime :]
 
     def as_dict(self) -> dict:
-        return {
-            "perm": self.perm.tolist(),
-            "l_prime": self.l_prime,
-            "beta": self.beta.tolist(),
-            "group_bounds": list(self.group_bounds),
-            "t_group": self.t_group,
-            "trivial_branch": self.trivial_branch,
-            "alpha_max": self.alpha_max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -312,6 +310,32 @@ def _gap_formula_matches(res: SeparationResult, v: np.ndarray, xs: np.ndarray, a
     return abs(full_gap - group_gap) <= 1e-12 * (1.0 + abs(full_gap))
 
 
+def admissible_constants(
+    res: SeparationResult,
+    u: np.ndarray,
+    v: np.ndarray,
+    xs: np.ndarray,
+    slope_ratio: float | None,
+) -> Iterator[DescentConstants]:
+    """The one alpha search: halve alpha from min(1, alpha_max), at most
+    MAX_HALVINGS times, and yield the constants at every alpha where the gap
+    case-formula and a strict sign margin hold (margin > 0, midgap > 0).
+
+    Raises SizingFailed when the search ends without a yield.
+    """
+    alpha = min(ALPHA_CAP, res.alpha_max)
+    sized = False
+    for _ in range(MAX_HALVINGS):
+        if alpha <= res.alpha_max and _gap_formula_matches(res, v, xs, alpha):
+            consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
+            if consts.margin > 0 and consts.midgap > 0:
+                sized = True
+                yield consts
+        alpha *= 0.5
+    if not sized:
+        raise SizingFailed(f"no admissible alpha after {MAX_HALVINGS} halvings")
+
+
 def size_constants(
     res: SeparationResult,
     u: np.ndarray,
@@ -319,17 +343,6 @@ def size_constants(
     xs: np.ndarray,
     slope_ratio: float | None,
 ) -> DescentConstants:
-    """Find constants by halving alpha from min(1, alpha_max) until the split
-    inequality, the gap case-formula, and a strict sign margin all hold.
-
-    The caller re-verifies the assembled network's risk and keeps halving
-    through descent_constants_at if the strict decrease has not manifested.
-    """
-    alpha = min(ALPHA_CAP, res.alpha_max)
-    for _ in range(MAX_HALVINGS):
-        if alpha <= res.alpha_max and _gap_formula_matches(res, v, xs, alpha):
-            consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
-            if consts.margin > 0 and consts.midgap > 0:
-                return consts
-        alpha *= 0.5
-    raise SizingFailed(f"no admissible alpha after {MAX_HALVINGS} halvings")
+    """The constants at the largest admissible alpha (the first yield of
+    `admissible_constants`); raises SizingFailed when there is none."""
+    return next(admissible_constants(res, u, v, xs, slope_ratio))

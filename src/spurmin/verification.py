@@ -11,7 +11,7 @@ reports are written from these certificates."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,14 +62,7 @@ class Check:
     seed: Optional[int] = None
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -82,11 +75,7 @@ class Certificate:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "checks": [c.as_dict() for c in self.checks],
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:

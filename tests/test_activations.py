@@ -414,3 +414,70 @@ class TestOnePiecePath:
             assert again.flags.writeable and again.flags.owndata
             assert not np.shares_memory(first, again)
             assert (again != -1.0).all()
+
+
+LINEAR_ACTS = (
+    PiecewiseLinear((), (1.0,), 0.0),
+    PiecewiseLinear((), (-2.5,), 0.75),
+    PiecewiseLinear((), (0.0,), -1.25),
+    PiecewiseLinear((), (-0.0,), -0.0),
+    PiecewiseLinear((), (3.0,), -0.0),
+)
+
+LINEAR_INPUTS = (
+    0.5, -0.0, 0.0, float("nan"), float("inf"), -float("inf"),
+    np.float64(-0.0), np.asarray(0.0), np.asarray(-np.inf), np.asarray(np.nan),
+    np.zeros(0), np.zeros((2, 0)),
+    np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -7.25]),
+    np.array([[-0.0, 0.0], [np.inf, -3.0]]),
+)
+
+
+class TestLinearActivationSharesThePieceLookup:
+    """An activation without breakpoints runs the same piece lookup as any
+    other; its values must be those of anchor + slope * x, bit for bit."""
+
+    @pytest.mark.parametrize("act", LINEAR_ACTS)
+    def test_call(self, act):
+        for x in LINEAR_INPUTS:
+            with np.errstate(invalid="ignore"):
+                got = act(x)
+                want = act.anchor + act.slopes[0] * np.asarray(x, dtype=float)
+            want = want if want.ndim else float(want)
+            assert type(got) is type(want)
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("act", LINEAR_ACTS)
+    def test_piece_slopes(self, act):
+        for x in LINEAR_INPUTS:
+            for tol in (0.0, 0.7):
+                slopes, boundary = act.piece_slopes(x, boundary_tol=tol)
+                assert_same_bits(slopes, np.full(np.shape(x), act.slopes[0]))
+                assert_same_bits(boundary, np.zeros(np.shape(x), dtype=bool))
+
+    @pytest.mark.parametrize("act", LINEAR_ACTS)
+    def test_reflect(self, act):
+        got = act.reflect()
+        want = PiecewiseLinear((), (-act.slopes[0],), act.anchor)
+        assert got == want
+        assert_same_bits(got.slopes, want.slopes)
+        assert_same_bits(got.anchor, want.anchor)
+        assert got.breakpoints == ()
+
+    def test_slope_at_flags_no_boundary(self):
+        # the lookup's reference 0 is not a breakpoint
+        assert PiecewiseLinear((), (2.0,), 1.0).slope_at(0.0) == (2.0, False)
+
+
+class TestOneCancellationRule:
+    def test_near_cancelling_slopes_are_a_turning_point(self):
+        # s- + s+ = 1e-12 is not 0: the same exact test as the routes use
+        act = PiecewiseLinear((0.0,), (-1.0, 1.000000000001), 0.0)
+        assert act.s_minus + act.s_plus != 0.0
+        tp = find_turning_point(act)
+        assert (tp.t, tp.s_minus, tp.s_plus) == (0.0, -1.0, 1.000000000001)
+
+    def test_exactly_cancelling_slopes_are_not(self):
+        for s in (1.0, 1.000000000001, 3e-300):
+            with pytest.raises(NoAdmissibleTurningPoint, match="balanced"):
+                find_turning_point(PiecewiseLinear((0.0,), (-s, s), 0.0))

@@ -455,3 +455,29 @@ class TestRunConfig:
         cfg = self._config(["cells", "analyze", "--data", xor_csv, "--net", net_json,
                             "--loss", "squared", "--tol", "1e-6"], capsys)
         assert cfg == {**self.DEFAULTS, "subcommand": "cells", "data": xor_csv, "tol": 1e-6}
+
+
+class TestRoutesAgree:
+    NEAR_CANCELLING = '{"breakpoints":[0],"slopes":[-1,1.000000000001],"anchor":0}'
+    NARROW_PIECE = '{"breakpoints":[1.5,1.502],"slopes":[0.2,1,0.5],"anchor":0}'
+
+    def test_near_cancelling_slopes_descend_on_stage_3(self, xor_csv, tmp_path, capsys):
+        risks = {}
+        for stage in ("auto", "3"):
+            out = tmp_path / f"{stage}.json"
+            assert main(["descend", "--data", xor_csv, "--dims", "2,4,1", "--stage", stage,
+                         "--activation", self.NEAR_CANCELLING, "--out", str(out)]) == 0
+            risks[stage] = json.loads(out.read_text())["witness"]["risk"]
+        assert risks["3"] == pytest.approx(risks["auto"], abs=1e-12)
+        assert main(["descend", "--data", xor_csv, "--dims", "2,4,1", "--stage", "corollary",
+                     "--activation", self.NEAR_CANCELLING]) == 3
+        assert "balanced route requires" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["construct", "descend"])
+    def test_stage3_minimum_on_a_narrow_piece(self, xor_csv, tmp_path, command):
+        out = tmp_path / "out.json"
+        assert main([command, "--data", xor_csv, "--stage", "3", "--dims", "2,3,3,1",
+                     "--activation", self.NARROW_PIECE, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        minimum = report["points"][0] if command == "construct" else report["minimum"]
+        assert abs(minimum["risk"] - minimum["baseline_risk"]) <= 1e-9

@@ -40,6 +40,8 @@ from spurmin.activations import find_turning_point
 from spurmin.verification import trace_interval_check
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
+from spurmin import ConstructionError, StrictDecreaseNotAchieved, check_assumptions
+from spurmin.separation import MAX_HALVINGS, admissible_constants
 
 from conftest import random_two_output_dataset
 
@@ -551,3 +553,113 @@ def test_tiny_slopes_and_widths_raise_typed_without_warnings(
             assert abs(point.risk - fit.risk) <= 1e-9
         else:
             assert point.risk < fit.risk - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one alpha search, one cancellation rule, the stage-3 output bound, one width rule
+
+
+def _recording_search(monkeypatch):
+    """Record every constants set the witness search draws from the alpha
+    search."""
+    seen = []
+    search = construction.admissible_constants
+
+    def recorded(*args):
+        for consts in search(*args):
+            seen.append(consts)
+            yield consts
+
+    monkeypatch.setattr(construction, "admissible_constants", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("stage, dims, act", [
+    ("1", (2, 3, 1), relu()),
+    ("2", (2, 3, 3, 1), relu()),
+    ("3", (2, 3, 3, 1), three_piece()),
+    ("corollary", (2, 4, 1), absolute_value()),
+])
+def test_witness_is_the_first_admissible_constants_that_descend(xor, xor_fit, monkeypatch,
+                                                                stage, dims, act):
+    seen = _recording_search(monkeypatch)
+    witness = build_descent(xor_fit, xor, dims, act, stage=stage)
+    assert witness.risk < xor_fit.risk - 1e-12
+    assert (witness.params.alpha, witness.params.gamma) == (seen[-1].alpha, seen[-1].gamma)
+    assert [c.alpha for c in seen] == [seen[0].alpha * 0.5**k for k in range(len(seen))]
+
+
+def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkeypatch):
+    # with no network counted as descending, the search runs out after the
+    # sizing's own halvings: MAX_HALVINGS in all, not a second budget
+    seen = _recording_search(monkeypatch)
+    monkeypatch.setattr(construction, "DESCENT_GAP_MIN", np.inf)
+    with pytest.raises(StrictDecreaseNotAchieved, match=f"after {MAX_HALVINGS} halvings"):
+        build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+    fitp, _, res = construction._split(xor_fit, xor)
+    u, v = fitp.v[0], fitp.y_tilde[0]
+    assert seen == list(admissible_constants(res, u, v, xor.X, 1.0))
+    assert len(seen) <= MAX_HALVINGS
+    assert seen[-1].alpha >= min(1.0, res.alpha_max) * 0.5 ** (MAX_HALVINGS - 1)
+
+
+NEAR_CANCELLING = PiecewiseLinear((0.0,), (-1.0, 1.000000000001), 0.0)
+
+
+def test_near_cancelling_slopes_build_on_every_unbalanced_route(xor, xor_fit):
+    # s- + s+ = 1e-12 != 0: not balanced for any route
+    assert check_assumptions(xor, (2, 4, 1), NEAR_CANCELLING).turning_point_ok
+    shallow = build_descent(xor_fit, xor, (2, 4, 1), NEAR_CANCELLING)
+    general = build_descent(xor_fit, xor, (2, 4, 1), NEAR_CANCELLING, stage="3")
+    assert (shallow.stage, general.stage) == ("1", "3")
+    assert general.risk == pytest.approx(0.114731, abs=1e-6)
+    assert abs(general.risk - shallow.risk) <= 1e-12
+    minimum = build_minimum(xor_fit, xor, (2, 4, 1), NEAR_CANCELLING, stage="3")
+    assert abs(minimum.risk - xor_fit.risk) <= 1e-9
+    with pytest.raises(PreconditionViolated, match="balanced route requires"):
+        build_descent(xor_fit, xor, (2, 4, 1), NEAR_CANCELLING, stage="corollary")
+
+
+NARROW_PIECE = PiecewiseLinear((1.5, 1.502), (0.2, 1.0, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 3, 1), (2, 3, 3, 3, 1), (2, 4, 1)])
+def test_stage3_minimum_on_a_narrow_piece_passes_its_output_check(xor, xor_fit, dims):
+    # the squeeze's M / prod(alpha_i) output scale multiplies the rounding
+    # of the last hidden layer; the output identity is bounded accordingly
+    point = build_general_minimum(xor_fit, xor, dims, NARROW_PIECE)
+    scale = point.params.m_scale / np.prod(point.params.alpha_scales)
+    deviation = float(np.max(np.abs(forward(point.net, xor.X).output - xor_fit.y_tilde)))
+    assert deviation <= 1e-12 * max(1.0, scale)
+    assert abs(point.risk - xor_fit.risk) <= 1e-9
+    assert point.interval.verdict
+
+
+def test_stage3_output_check_still_catches_a_squeeze_without_hidden_backoff(xor, xor_fit,
+                                                                            monkeypatch):
+    # with anchor 0.7, h(t) != 0: dropping the hidden layers' h(t) back-off
+    # moves the output far beyond the scaled bound
+    act = PiecewiseLinear((1.5, 1.502), (0.2, 1.0, 0.5), 0.7)
+    assert build_general_minimum(xor_fit, xor, (2, 3, 3, 1), act).risk == pytest.approx(xor_fit.risk)
+    squeeze = construction._squeeze
+
+    def without_hidden_backoff(weights, biases, t, h_t, m_scale, out_scale):
+        sq_w, sq_b = squeeze(weights, biases, t, h_t, m_scale, out_scale)
+        for i in range(1, len(sq_w) - 1):
+            sq_b[i] = sq_b[i] + h_t * (sq_w[i] @ np.ones(sq_w[i].shape[1]))
+        return sq_w, sq_b
+
+    monkeypatch.setattr(construction, "_squeeze", without_hidden_backoff)
+    with pytest.raises(ConstructionError, match="does not reproduce the baseline"):
+        build_general_minimum(xor_fit, xor, (2, 3, 3, 1), act)
+
+
+@pytest.mark.parametrize("two_outputs", [False, True])
+def test_shallow_witness_uses_the_common_width_rule(two_outputs):
+    data = random_two_output_dataset() if two_outputs else xor_dataset()
+    fit = fit_linear(data, SQ)
+    dims = (data.d_x, data.d_y, data.d_y)
+    for build in (build_shallow_descent, build_deep_descent):
+        with pytest.raises(WidthViolation,
+                           match=f"every hidden width must exceed the output width {data.d_y}"):
+            build(fit, data, dims, relu())

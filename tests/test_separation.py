@@ -15,7 +15,10 @@ from spurmin import (
     separate,
     size_constants,
 )
+from spurmin import separation
+from spurmin.errors import SizingFailed
 from spurmin.separation import _group_bounds, check_separation, shifted_keys
+from spurmin.separation import MAX_HALVINGS, admissible_constants
 
 
 def random_instance(rng, n=None, d=None):
@@ -305,3 +308,60 @@ class TestAlphaScan:
         {"u": u, "v": v, "xs": xs[0]}[which][2] = bad
         with pytest.raises(PreconditionViolated, match="finite"):
             separate(u, v, xs)
+
+
+def oracle_admissible(res, u, v, xs, slope_ratio):
+    """Every (halvings, constants) pair the alpha search may yield: alpha =
+    min(1, alpha_max) / 2**k for k < MAX_HALVINGS, kept where the gap case
+    formula holds and the sign margin and midgap are strictly positive."""
+    out = []
+    for k in range(MAX_HALVINGS):
+        alpha = min(1.0, res.alpha_max) * 0.5**k
+        keys = shifted_keys(res, v, xs, alpha)
+        gap = float(np.min(keys[res.l_prime :]) - keys[res.l_prime - 1])
+        group_end = res.group_bounds[res.t_group - 1]
+        formula = gap
+        if res.l_prime < group_end:
+            formula = float(np.min(keys[res.l_prime : group_end]) - keys[res.l_prime - 1])
+        c = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
+        if abs(gap - formula) <= 1e-12 * (1.0 + abs(gap)) and c.margin > 0 and c.midgap > 0:
+            out.append((k, c))
+    return out
+
+
+class TestAdmissibleConstants:
+    @pytest.mark.parametrize("slope_ratio", [1.0, -0.5, None])
+    def test_yields_every_admissible_halving_in_order(self, rng, slope_ratio):
+        skipped_some = False
+        for _ in range(60):
+            u, v, xs = random_instance(rng)
+            res = separate(u, v, xs)
+            want = oracle_admissible(res, u, v, xs, slope_ratio)
+            got = list(admissible_constants(res, u, v, xs, slope_ratio))
+            assert got == [c for _, c in want]
+            assert got[0] == size_constants(res, u, v, xs, slope_ratio)
+            assert all(c.margin > 0 and c.midgap > 0 for c in got)
+            assert [c.alpha for c in got] == [min(1.0, res.alpha_max) * 0.5**k for k, _ in want]
+            skipped_some |= want[0][0] > 0
+        # the draws include splits whose largest alphas are not admissible
+        assert skipped_some
+
+    def test_xor_starts_at_the_cap(self, xor, xor_fit):
+        u, v = xor_fit.v[0], xor_fit.y_tilde[0]
+        res = separate(u, v, xor.X)
+        search = admissible_constants(res, u, v, xor.X, 1.0)
+        first = next(search)
+        assert first == size_constants(res, u, v, xor.X, 1.0)
+        assert first.alpha == min(1.0, res.alpha_max)
+        assert next(search).alpha == 0.5 * first.alpha
+
+    def test_no_admissible_alpha_raises_sizing_failed(self, monkeypatch):
+        u = np.array([1.0, -1.0])
+        v = np.array([0.0, 1.0])
+        xs = np.array([[2.0, 1.0]])
+        res = separate(u, v, xs)
+        monkeypatch.setattr(separation, "_gap_formula_matches", lambda *args: False)
+        with pytest.raises(SizingFailed, match=f"after {MAX_HALVINGS} halvings"):
+            size_constants(res, u, v, xs, 1.0)
+        with pytest.raises(SizingFailed):
+            list(admissible_constants(res, u, v, xs, 1.0))
