@@ -6,15 +6,18 @@ Four routes, all seeded by the affine baseline fit:
   deep     - any depth, two-piece activation
   general  - any depth, any nonlinear piecewise-linear activation with an
              admissible turning point (unbalanced adjacent slopes)
-  balanced - two-piece with s- + s+ = 0 (e.g. |x|), needs one extra hidden row
+  balanced - any depth, two-piece with s- + s+ = 0 (e.g. |x|), needs one
+             extra unit in the first hidden layer
 
-The first three share one skeleton.  One two-piece scaffold gives the minimum
+All four share one skeleton.  One two-piece scaffold gives the minimum
 (`_minimum_layers`) and the witness (`_witness_layers`) at any depth: the
-one-hidden-layer construction extended by pass-through layers.  The general
-route runs that scaffold through one squeeze (`_squeeze`) into the linear
-pieces beside a turning point t.  Every scaffold is built in a frame whose
-right slope is nonzero, and one reflection step (`_frame`, `_net`) maps it
-back to the activation that was asked for.
+one-hidden-layer construction extended by pass-through layers, for the
+witness through one depth lift (`_lift_depth`).  The balanced witness is
+that scaffold with balanced first-layer rows.  The general route runs that
+scaffold through one squeeze (`_squeeze`) into the linear pieces beside a
+turning point t.  Every scaffold is built in a frame whose right slope is
+nonzero, and one reflection step (`_frame`, `_net`) maps it back to the
+activation that was asked for.
 
 Each minimum reproduces the baseline predictions exactly, so its risk equals
 the baseline risk; each witness is an explicit parameter point with strictly
@@ -30,7 +33,8 @@ its hidden pre-activations against the route's interval, mirrored to
 Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
 constants whose network strictly undercuts the baseline, within one budget
-of MAX_HALVINGS halvings.
+of MAX_HALVINGS halvings.  An explicit gamma on the balanced route takes the
+first admissible alpha instead, unverified.
 
 Every public builder runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
@@ -62,14 +66,14 @@ from .errors import (
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, permute_fit_rows, select_nonzero_residual_row
-from .network import Dataset, Mlp, forward, risk_of_outputs
+from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _widths_ok, forward,
+                      risk_of_outputs)
 from .separation import (
     MAX_HALVINGS,
     DescentConstants,
     SeparationResult,
     admissible_constants,
     separate,
-    size_constants,
 )
 from .verification import DESCENT_GAP_MIN, RISK_MATCH_TOL, Certificate, trace_interval_check
 
@@ -182,8 +186,7 @@ def _check_dims(fit: LinearFit, data: Dataset, dims: tuple[int, ...]) -> None:
 
 
 def _require_hidden_wider(dims: tuple[int, ...], d_y: int) -> None:
-    hidden = dims[1:-1]
-    if not hidden or min(hidden) <= d_y:
+    if not _widths_ok(dims, d_y):
         raise WidthViolation(
             f"every hidden width must exceed the output width {d_y}, got {dims}"
         )
@@ -225,6 +228,13 @@ def _require_invertible(name: str, s: float) -> None:
     would give infinite weights."""
     if not np.isfinite(1.0 / s):
         raise PreconditionViolated(f"{name} = {s!r} has no finite reciprocal")
+
+
+def _require_within(name: str, value: Optional[float], lo: float = -np.inf) -> None:
+    """An explicit override must lie in (lo, inf), which NaN never does; None
+    keeps the default."""
+    if value is not None and not lo < value < np.inf:
+        raise PreconditionViolated(f"{name} must lie in ({lo}, inf), got {value!r}")
 
 
 def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, TurningPoint]:
@@ -312,30 +322,22 @@ def _default_eta_rest(fit: LinearFit) -> np.ndarray:
     return np.min(fit.y_tilde[1:], axis=1) - 1.0 if fit.y_tilde.shape[0] > 1 else np.zeros(0)
 
 
-def _verified_descent(
-    assemble,
-    res: SeparationResult,
-    u: np.ndarray,
-    v: np.ndarray,
-    xs: np.ndarray,
-    slope_ratio: Optional[float],
-    fit: LinearFit,
-    data: Dataset,
-) -> tuple[Mlp, DescentConstants, np.ndarray, float]:
-    """The network of the first admissible constants (largest alpha first)
-    whose risk strictly undercuts the baseline; "sufficiently small" is
-    operationalized as this verified search, which shares the one alpha
-    search and its halving budget with the sizing.  Returns the network, its
-    constants, its output and its risk."""
-    for consts in admissible_constants(res, u, v, xs, slope_ratio):
-        net = assemble(consts)
-        out = forward(net, data.X).output
-        risk = risk_of_outputs(out, data.Y, fit.loss)
-        if risk < fit.risk - DESCENT_GAP_MIN:
-            return net, consts, out, risk
-    raise StrictDecreaseNotAchieved(
-        f"no strict risk decrease after {MAX_HALVINGS} halvings"
-    )
+def _verified_descent(assemble, res: SeparationResult, u: np.ndarray, v: np.ndarray,
+                      slope_ratio: Optional[float], fit: LinearFit, data: Dataset,
+                      gamma: Optional[float] = None) -> tuple[DescentConstants, np.ndarray]:
+    """The first admissible constants (largest alpha first) whose network
+    strictly undercuts the baseline risk, and that network's output;
+    "sufficiently small" is operationalized as this verified search, which
+    shares the one alpha search and its halving budget with the sizing.  An
+    explicit gamma takes the first constants with that gamma whether or not
+    they descend (e.g. the gamma = 0 boundary control)."""
+    for consts in admissible_constants(res, u, v, data.X, slope_ratio):
+        if gamma is not None:
+            consts = replace(consts, gamma=gamma, margin=abs(consts.midgap) - abs(gamma))
+        out = forward(assemble(consts), data.X).output
+        if gamma is not None or risk_of_outputs(out, data.Y, fit.loss) < fit.risk - DESCENT_GAP_MIN:
+            return consts, out
+    raise StrictDecreaseNotAchieved(f"no strict risk decrease after {MAX_HALVINGS} halvings")
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +408,56 @@ def _shallow_descent_params(
     return W1, b1, W2, b2
 
 
+def _balanced_descent_params(fitp: LinearFit, dims: tuple[int, ...], s_minus: float, s_plus: float,
+                             beta: np.ndarray, consts: DescentConstants, eta_rest: np.ndarray):
+    """`_shallow_descent_params` for balanced slopes (s_minus = -s_plus): the
+    first baseline row tilted, untilted (shifted by the default eta to stay
+    positive) and tilted negated.  The tilt terms cancel in the output,
+    leaving predictions shifted by exactly -gamma on I and +gamma on J."""
+    eta = default_eta(fitp)
+    d_x, d_1, d_y = dims
+    w_row, w_off = fitp.w_tilde[0, :d_x], fitp.w_tilde[0, d_x]
+    a, g, e1 = consts.alpha, consts.gamma, consts.eta1
+    tilted = w_row - a * beta
+    pad = d_1 - (d_y + 2)
+    W1 = np.vstack([tilted, w_row, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
+    b1 = np.concatenate([
+        [w_off - e1 + g, w_off - eta, -w_off + e1 + g],
+        fitp.w_tilde[1:, d_x] - eta_rest,
+        np.zeros(pad),
+    ])
+    W2 = np.zeros((d_y, d_1))
+    W2[0, :3] = 1.0 / (2.0 * s_plus), 1.0 / s_plus, -1.0 / (2.0 * s_plus)
+    W2[range(1, d_y), range(3, d_y + 2)] = 1.0 / s_plus
+    b2 = np.concatenate([[eta], eta_rest])
+    return W1, b1, W2, b2
+
+
 def default_lambda(stage1_output: np.ndarray) -> float:
     return max(0.0, -float(np.min(stage1_output))) + 1.0
+
+
+def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...], s_plus: float,
+                lambda_shift: Optional[float]) -> tuple[Layers, Optional[float]]:
+    """A one-hidden-layer witness at the depth of dims: layer 2 adds a
+    positive shift lambda so everything downstream rides the positive piece,
+    pass-through layers forward the payload, and the output layer subtracts
+    lambda.  Returns the layers and lambda (None with one hidden layer,
+    where the layers are returned as they are)."""
+    if len(dims) == 3:
+        return layers, None
+    lam = default_lambda(shallow_out) if lambda_shift is None else lambda_shift
+    if not np.all(shallow_out + lam > 0):
+        raise PreconditionViolated("lambda must make the witness output strictly positive")
+    (W1, W2), (b1, b2) = layers
+    d_y = dims[-1]
+    weights = [W1, np.vstack([W2, np.zeros((dims[2] - d_y, dims[1]))])]
+    biases = [b1, lam * np.ones(dims[2]) + np.concatenate([b2, np.zeros(dims[2] - d_y)])]
+    for i in range(3, len(dims)):
+        weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=False))
+        biases.append(np.zeros(dims[i]))
+    biases[-1] = -lam * np.ones(d_y)
+    return (weights, biases), lam
 
 
 def _witness_layers(
@@ -416,60 +466,52 @@ def _witness_layers(
     dims: tuple[int, ...],
     act: PiecewiseLinear,
     lambda_shift: Optional[float] = None,
-) -> tuple[list[np.ndarray], list[np.ndarray], ConstructionParams, Optional[np.ndarray], float]:
-    """The two-piece witness at any depth, in act's build frame.
+    gamma: Optional[float] = None,
+) -> tuple[Mlp, ConstructionParams, ForwardTrace, float]:
+    """The two-piece witness at any depth, for every two-piece route.
 
     Layer 1 tilts the nonzero-gradient baseline row along the separating
     direction and nudges it by gamma; the sign split makes the first-order
     risk change strictly negative while rows 2.. reproduce the baseline.
-    Deeper nets add a positive shift lambda in layer 2 so everything
-    downstream rides the positive piece, forward the payload, and subtract
-    lambda at the output.  Returns the layers, the params, and the output
-    (None with one hidden layer) and risk of the one-hidden-layer witness.
+    Balanced slopes (s- + s+ == 0, exactly) take the balanced rows, any
+    others the two-piece rows; the alpha search, or an explicit gamma at
+    the sizing's first alpha, picks the constants, and `_lift_depth` takes
+    the one-hidden-layer witness to the depth of dims.  Returns the network
+    for act, its params, its forward trace and its risk; the network's
+    layers are in the build frame when act needs no reflection.
     """
     build_act, reflected = _frame(act, act.s_plus)
     s_minus, s_plus = build_act.s_minus, build_act.s_plus
+    balanced = s_minus + s_plus == 0.0
     _require_invertible("right slope s_plus of the build frame", s_plus)
-    _require_invertible("slope sum s_minus + s_plus", s_minus + s_plus)
+    if not balanced:
+        _require_invertible("slope sum s_minus + s_plus", s_minus + s_plus)
     fitp, inv, res = _split(fit, data)
     eta_rest = _default_eta_rest(fitp)
     shallow = (dims[0], dims[1], dims[-1])
+    rows = _balanced_descent_params if balanced else _shallow_descent_params
 
     def layers(consts: DescentConstants) -> Layers:
-        W1, b1, W2, b2 = _shallow_descent_params(
-            fitp, shallow, s_minus, s_plus, res.beta, consts, eta_rest
-        )
+        W1, b1, W2, b2 = rows(fitp, shallow, s_minus, s_plus, res.beta, consts, eta_rest)
         return [W1, W2[inv]], [b1, b2[inv]]
 
-    # gamma's sign is governed by the activation frame the formulas run in
-    slope_ratio = (s_plus - s_minus) / (s_plus + s_minus)
-    _, consts, s_out, risk = _verified_descent(
+    # gamma's sign is governed by the activation frame the formulas run in;
+    # balanced slopes have no slope ratio
+    slope_ratio = None if balanced else (s_plus - s_minus) / (s_plus + s_minus)
+    consts, s_out = _verified_descent(
         lambda c: _net(shallow, act, reflected, *layers(c)),
-        res, fitp.v[0], fitp.y_tilde[0], data.X, slope_ratio, fit, data,
+        res, fitp.v[0], fitp.y_tilde[0], slope_ratio, fit, data, gamma,
     )
-    (W1, W2), (b1, b2) = layers(consts)
-    params = ConstructionParams(
-        alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1, eta_rest=tuple(eta_rest)
-    )
-    if len(dims) == 3:
-        return [W1, W2], [b1, b2], params, None, risk
-
-    lam = default_lambda(s_out) if lambda_shift is None else lambda_shift
-    if not np.all(s_out + lam > 0):
-        raise PreconditionViolated("lambda must make the witness output strictly positive")
-    d_y = dims[-1]
-    weights = [W1, np.vstack([W2, np.zeros((dims[2] - d_y, dims[1]))])]
-    biases = [b1, lam * np.ones(dims[2]) + np.concatenate([b2, np.zeros(dims[2] - d_y)])]
-    for i in range(3, len(dims)):
-        weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=False))
-        biases.append(np.zeros(dims[i]))
-    biases[-1] = -lam * np.ones(d_y)
-    return weights, biases, replace(params, lambda_shift=lam), s_out, risk
-
-
-def _check_deep_witness(out: np.ndarray, shallow_out: Optional[np.ndarray]) -> None:
-    if shallow_out is not None and not float(np.max(np.abs(out - shallow_out))) <= OUTPUT_TOL:
+    lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus, lambda_shift)
+    net = _net(dims, act, reflected, *lifted)
+    trace = forward(net, data.X)
+    if not float(np.max(np.abs(trace.output - s_out))) <= OUTPUT_TOL:
         raise ConstructionError("deep witness output deviates from the shallow witness")
+    params = ConstructionParams(
+        eta=default_eta(fitp) if balanced else None, eta_rest=tuple(eta_rest),
+        alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1, lambda_shift=lam,
+    )
+    return net, params, trace, risk_of_outputs(trace.output, data.Y, fit.loss)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +569,8 @@ def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act
         raise NoAdmissibleTurningPoint(
             "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
         )
-    weights, biases, params, shallow_out, risk = _witness_layers(
-        fit, data, dims, act, lambda_shift
-    )
-    net = _net(dims, act, _frame(act, s_plus)[1], weights, biases)
-    if shallow_out is None:
-        return _witness(net, "1", risk, fit, params)
-    out = forward(net, data.X).output
-    _check_deep_witness(out, shallow_out)
-    return _witness(net, "2", risk_of_outputs(out, data.Y, fit.loss), fit, params)
+    net, params, _, risk = _witness_layers(fit, data, dims, act, lambda_shift)
+    return _witness(net, "1" if len(dims) == 3 else "2", risk, fit, params)
 
 
 @_float_checked
@@ -668,6 +703,7 @@ def build_general_minimum(
     at the output.  M and the alphas range over continuous intervals, so the
     family is infinite."""
     _check_dims(fit, data, dims)
+    _require_within("m_scale", m_scale, lo=0.0)
     _require_hidden_wider(dims, data.d_y)
     frame = _turning_frame(act)
     return _general_minimum(fit, data, dims, act, frame, eta, m_scale, alpha_scales)
@@ -686,13 +722,12 @@ def build_general_descent(
     and M-tilde (layer 2 onward, right of t), then unsqueezed at the output.
     The output equals the deep witness output exactly."""
     _check_dims(fit, data, dims)
+    _require_within("m_scale", m_scale, lo=0.0)
     _require_hidden_wider(dims, data.d_y)
     build_act, reflected, tp = _turning_frame(act)
-    local = two_piece(tp.s_minus, tp.s_plus)
-    weights, biases, params, shallow_out, _ = _witness_layers(fit, data, dims, local)
-    deep_trace = forward(Mlp(dims, tuple(weights), tuple(biases), local), data.X)
-    _check_deep_witness(deep_trace.output, shallow_out)
-
+    # the local activation has s_plus != 0, so the witness net is in the build frame
+    deep, params, deep_trace, _ = _witness_layers(fit, data, dims, two_piece(tp.s_minus, tp.s_plus))
+    weights, biases = list(deep.weights), list(deep.biases)
     m_scale = _radius_scale(deep_trace.pre[0], tp.sigma, m_scale, "m_scale")
     if len(dims) > 3:
         m_tilde = _radius_scale(deep_trace.pre[1] / m_scale, tp.sigma, None, "m_tilde")
@@ -720,58 +755,21 @@ def build_balanced_descent(
     act: PiecewiseLinear,
     gamma: Optional[float] = None,
 ) -> CertifiedPoint:
-    """Witness for balanced two-piece slopes (s- = -s+): an extra middle row
-    carrying the untilted baseline makes the tilt terms cancel in the output,
-    leaving predictions shifted by exactly -gamma on I and +gamma on J."""
+    """Witness for balanced two-piece slopes (s- = -s+) at any depth: an
+    extra first-layer row carrying the untilted baseline makes the tilt terms
+    cancel in the output, leaving predictions shifted by exactly -gamma on I
+    and +gamma on J.  An explicit gamma (e.g. the gamma = 0 boundary
+    control) skips the descent search; spurious records whether the witness
+    still undercuts the baseline."""
     _check_dims(fit, data, dims)
-    if len(dims) != 3:
-        raise PreconditionViolated("balanced route is a one-hidden-layer construction")
-    d_x, d_1, d_y = dims
-    if d_1 < d_y + 2:
-        raise WidthViolation(f"balanced route needs hidden width >= {d_y + 2}, got {d_1}")
-    s_minus, sp = _two_piece_or_raise(act)
-    if s_minus + sp != 0.0:
+    _require_within("gamma", gamma)
+    if not _balanced_widths_ok(dims, data.d_y):
+        raise WidthViolation(f"balanced route needs d_1 >= {data.d_y + 2} and every later "
+                             f"hidden width >= {data.d_y + 1}, got {dims}")
+    s_minus, s_plus = _two_piece_or_raise(act)
+    if s_minus + s_plus != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
-    # a nonlinear balanced activation has s_plus != 0: no reflection needed
-    _require_invertible("right slope s_plus", sp)
-
-    fitp, inv, res = _split(fit, data)
-    u, v = fitp.v[0], fitp.y_tilde[0]
-    eta = default_eta(fitp)
-    eta_rest = _default_eta_rest(fitp)
-
-    def assemble(consts: DescentConstants) -> Mlp:
-        a, g, e1 = consts.alpha, consts.gamma, consts.eta1
-        w_row, w_off = fitp.w_tilde[0, :d_x], fitp.w_tilde[0, d_x]
-        tilted = w_row - a * res.beta
-        pad = d_1 - (d_y + 2)
-        W1 = np.vstack([tilted, w_row, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
-        b1 = np.concatenate([
-            [w_off - e1 + g, w_off - eta, -w_off + e1 + g],
-            fitp.w_tilde[1:, d_x] - eta_rest,
-            np.zeros(pad),
-        ])
-        W2 = np.zeros((d_y, d_1))
-        W2[0, :3] = 1.0 / (2.0 * sp), 1.0 / sp, -1.0 / (2.0 * sp)
-        W2[range(1, d_y), range(3, d_y + 2)] = 1.0 / sp
-        b2 = np.concatenate([[eta], eta_rest])
-        return Mlp(dims, (W1, W2[inv]), (b1, b2[inv]), act)
-
-    if gamma is not None:
-        # explicit gamma override (e.g. the gamma = 0 boundary control)
-        base = size_constants(res, u, v, xs=data.X, slope_ratio=None)
-        consts = DescentConstants(
-            alpha=base.alpha, gamma=gamma, eta1=base.eta1,
-            midgap=base.midgap, margin=abs(base.midgap) - abs(gamma),
-        )
-        net = assemble(consts)
-        risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
-    else:
-        net, consts, _, risk = _verified_descent(assemble, res, u, v, data.X, None, fit, data)
-    params = ConstructionParams(
-        eta=eta, eta_rest=tuple(eta_rest),
-        alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1,
-    )
+    net, params, _, risk = _witness_layers(fit, data, dims, act, gamma=gamma)
     return _witness(net, "corollary", risk, fit, params, bool(risk < fit.risk - DESCENT_GAP_MIN))
 
 

@@ -204,6 +204,19 @@ def empirical_risk(net: Mlp, data: Dataset, loss: LossKind) -> float:
     return risk_of_outputs(forward(net, data.X).output, data.Y, loss)
 
 
+def _widths_ok(dims: tuple[int, ...], d_y: int) -> bool:
+    """Every hidden layer is wider than the output (routes 1, 2 and 3)."""
+    hidden = dims[1:-1]
+    return bool(hidden) and min(hidden) > d_y
+
+
+def _balanced_widths_ok(dims: tuple[int, ...], d_y: int) -> bool:
+    """The balanced route's widths: one extra unit in the first hidden layer,
+    d_1 >= d_Y + 2, and every later hidden layer wider than the output."""
+    hidden = dims[1:-1]
+    return bool(hidden) and hidden[0] >= d_y + 2 and all(d > d_y for d in hidden[1:])
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Feasibility report for the construction routes.
@@ -212,7 +225,8 @@ class AssumptionReport:
     distinct_samples ..... feature columns are pairwise distinct
     widths_ok ............ every hidden layer is wider than the output
     turning_point_ok ..... some breakpoint has unbalanced adjacent slopes
-    balanced_widths_ok ... d_1 >= d_Y + 2 and d_i >= d_Y + 1 (balanced route)
+    balanced_widths_ok ... d_1 >= d_Y + 2 and d_i >= d_Y + 1 (balanced route,
+                           any depth)
     """
 
     linear_inseparable: bool
@@ -240,8 +254,6 @@ def check_assumptions(
     from .errors import NoAdmissibleTurningPoint, SpurminError
     from .linear_fit import fit_linear
 
-    d_y = data.d_y
-    hidden = list(dims[1:-1])
     try:
         fit = fit_linear(data, loss)
         residual = float(np.linalg.norm(fit.y_tilde - data.Y))
@@ -252,16 +264,11 @@ def check_assumptions(
         turning_ok = True
     except NoAdmissibleTurningPoint:
         turning_ok = False
-    balanced_ok = (
-        len(hidden) >= 1
-        and hidden[0] >= d_y + 2
-        and all(d >= d_y + 1 for d in hidden[1:])
-    )
     return AssumptionReport(
         linear_inseparable=bool(residual > 1e-8),
         distinct_samples=data.distinct_columns(),
-        widths_ok=bool(hidden) and min(hidden) > d_y,
+        widths_ok=_widths_ok(dims, data.d_y),
         turning_point_ok=turning_ok,
-        balanced_widths_ok=balanced_ok,
+        balanced_widths_ok=_balanced_widths_ok(dims, data.d_y),
         baseline_residual=residual,
     )

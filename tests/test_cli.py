@@ -139,6 +139,16 @@ class TestSubcommands:
             pair = json.loads(out.read_text())
             assert pair["gap"] > 1e-12
 
+    @pytest.mark.parametrize("dims", ["2,4,4,1", "2,4,3,3,1"])
+    def test_descend_balanced_at_depth(self, tmp_path, xor_csv, dims):
+        # auto routes |x| to the balanced witness at every depth
+        out = tmp_path / "pair.json"
+        assert main(["descend", "--data", xor_csv, "--dims", dims, "--activation", "abs",
+                     "--out", str(out)]) == 0
+        pair = json.loads(out.read_text())
+        assert pair["witness"]["stage"] == "corollary"
+        assert pair["gap"] > 1e-12
+
     def test_family_construct(self, tmp_path, xor_csv):
         out = tmp_path / "fam.json"
         assert main([
@@ -399,6 +409,18 @@ class TestDemo:
         text = json.dumps(to_jsonable(report), sort_keys=True)
         assert ok
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "72bd84dce0aa9b61"
+
+    def test_corollary_report_hash_pinned(self):
+        # the same sorted-key JSON sha256 prefix for the balanced-slope demo
+        import hashlib
+
+        from spurmin.cli import run_demo
+        from spurmin.io import to_jsonable
+
+        report, ok, _ = run_demo(seed=7, activation_spec="abs", corollary_only=True)
+        text = json.dumps(to_jsonable(report), sort_keys=True)
+        assert ok
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "843062e2e86e57ae"
 
     @pytest.mark.parametrize("slopes", ["[1,0]", "[-1,0]", "[0.5,0]"])
     def test_demo_with_reflected_activation(self, slopes):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from unittest import mock
 
@@ -37,7 +38,7 @@ from spurmin import (
 )
 from spurmin import construction
 from spurmin.activations import find_turning_point
-from spurmin.verification import trace_interval_check
+from spurmin.verification import trace_interval_check, witness_pair_certificate
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
 from spurmin import ConstructionError, StrictDecreaseNotAchieved, check_assumptions
@@ -579,6 +580,7 @@ def _recording_search(monkeypatch):
     ("2", (2, 3, 3, 1), relu()),
     ("3", (2, 3, 3, 1), three_piece()),
     ("corollary", (2, 4, 1), absolute_value()),
+    ("corollary", (2, 4, 4, 1), absolute_value()),
 ])
 def test_witness_is_the_first_admissible_constants_that_descend(xor, xor_fit, monkeypatch,
                                                                 stage, dims, act):
@@ -663,3 +665,95 @@ def test_shallow_witness_uses_the_common_width_rule(two_outputs):
         with pytest.raises(WidthViolation,
                            match=f"every hidden width must exceed the output width {data.d_y}"):
             build(fit, data, dims, relu())
+
+
+# ---------------------------------------------------------------------------
+# one witness scaffold: balanced witnesses at any depth, one width rule,
+# typed errors for bad overrides
+
+
+@pytest.mark.parametrize("dims, two_outputs", [
+    ((2, 4, 4, 1), False),
+    ((2, 4, 3, 3, 1), False),
+    ((2, 4, 3, 2), True),
+], ids=["xor-depth2", "xor-depth3", "two-outputs-depth2"])
+def test_deep_balanced_witness_is_the_lifted_shallow_one(dims, two_outputs):
+    data = random_two_output_dataset() if two_outputs else xor_dataset()
+    fit = fit_linear(data, SQ)
+    act = absolute_value()
+    witness = build_descent(fit, data, dims, act)
+    assert witness.stage == "corollary"
+    assert witness.params.lambda_shift is not None
+    minimum = build_minimum(fit, data, dims, act, stage="corollary")
+    assert witness_pair_certificate(minimum, witness, data, SQ).verdict
+    shallow = build_balanced_descent(fit, data, (dims[0], dims[1], dims[-1]), act)
+    assert shallow.params.lambda_shift is None
+    deviation = forward(witness.net, data.X).output - forward(shallow.net, data.X).output
+    assert float(np.max(np.abs(deviation))) <= construction.OUTPUT_TOL
+    assert (witness.params.alpha, witness.params.gamma) == (shallow.params.alpha, shallow.params.gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(1e-300, 1e300) | st.sampled_from([1.0, 0.5, 2.0, 1e-3]),
+    negative_right_slope=st.booleans(),
+    two_outputs=st.booleans(),
+    widths=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+)
+def test_balanced_slopes_build_a_witness_at_every_depth(s, negative_right_slope, two_outputs,
+                                                        widths):
+    data = random_two_output_dataset() if two_outputs else xor_dataset()
+    fit = fit_linear(data, SQ)
+    s_plus = -s if negative_right_slope else s
+    assert np.isfinite(1.0 / s_plus)
+    act = PiecewiseLinear((0.0,), (-s_plus, s_plus), 0.0)
+    # the first hidden layer carries one extra unit; later ones exceed d_Y
+    dims = (data.d_x, data.d_y + 1 + widths[0], *[data.d_y + w for w in widths[1:]], data.d_y)
+    assert check_assumptions(data, dims, act).balanced_widths_ok
+    witness = build_descent(fit, data, dims, act)
+    assert witness.stage == "corollary"
+    assert witness.risk < fit.risk - 1e-12
+
+
+@pytest.mark.parametrize("two_outputs", [False, True], ids=["d_y=1", "d_y=2"])
+def test_one_width_rule_for_reports_and_builders(two_outputs):
+    data = random_two_output_dataset() if two_outputs else xor_dataset()
+    fit = fit_linear(data, SQ)
+    for depth in (1, 2, 3):
+        for hidden in itertools.product(range(2, 6), repeat=depth):
+            dims = (data.d_x, *hidden, data.d_y)
+            report = check_assumptions(data, dims, absolute_value())
+            for build, act, ok in [
+                (build_balanced_descent, absolute_value(), report.balanced_widths_ok),
+                (build_deep_descent, relu(), report.widths_ok),
+            ]:
+                try:
+                    build(fit, data, dims, act)
+                except WidthViolation:
+                    assert not ok, (build.__name__, dims)
+                else:
+                    assert ok, (build.__name__, dims)
+
+
+@pytest.mark.parametrize("build, override, value", [
+    (build_balanced_descent, "gamma", float("nan")),
+    (build_balanced_descent, "gamma", float("inf")),
+    (build_balanced_descent, "gamma", -float("inf")),
+    (build_general_minimum, "m_scale", 0.0),
+    (build_general_minimum, "m_scale", -2.0),
+    (build_general_minimum, "m_scale", float("nan")),
+    (build_general_minimum, "m_scale", float("inf")),
+    (build_general_descent, "m_scale", 0.0),
+    (build_general_descent, "m_scale", -2.0),
+    (build_general_descent, "m_scale", float("nan")),
+    (build_general_descent, "m_scale", float("inf")),
+])
+def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, override, value):
+    act = absolute_value() if override == "gamma" else relu()
+    # the value is rejected where it enters, before the scaffold divides by it
+    with mock.patch.object(construction, "_split", side_effect=AssertionError), \
+            mock.patch.object(construction, "_minimum_layers", side_effect=AssertionError), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolated, match=f"{override} must lie in"):
+            build(xor_fit, xor, (2, 4, 3, 1), act, **{override: value})
