@@ -27,7 +27,8 @@ from .network import (
 )
 
 BOUNDARY_TOL = 1e-12
-# the largest risk deviation along a valley path that still counts as flat
+# the largest risk deviation along a valley path that still counts as flat,
+# relative to max(1, |risk at the first point|)
 VALLEY_RISK_TOL = 1e-10
 
 
@@ -184,22 +185,50 @@ def solve_cell_optimum(
     return q, reformulated_risk(q, lifted, Y, LossKind.SQUARED, output_bias)
 
 
+def _unit_factors(
+    p1: tuple[np.ndarray, np.ndarray],
+    p2: tuple[np.ndarray, np.ndarray],
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """The positive per-unit factors c with p2 = (W1 / c, W2 * c), each
+    matrix matched to within tol * max(1, its largest entry): the one
+    rescaling rule behind `equivalence_check` and `build_valley_path`.
+
+    c_i = W2b[i] / W2a[i]; a dead unit (W2a[i] = 0) takes the ratio of its
+    incoming rows at the largest entry of p1's row (1 where they agree).
+    Raises NotEquivalent when no such factors exist."""
+    W1a, W1b = np.asarray(p1[0], dtype=float), np.asarray(p2[0], dtype=float)
+    W2a, W2b = _as_row(p1[1]), _as_row(p2[1])
+    if W1a.shape != W1b.shape or W2a.shape != W2b.shape:
+        raise NotEquivalent("endpoints differ in shape")
+    if W1a.ndim != 2 or W1a.shape[0] != W2a.shape[0]:
+        raise ShapeViolation(f"W1 {W1a.shape} and W2 {W2a.shape} do not compose")
+    at = (np.arange(W2a.shape[0]), np.argmax(np.abs(W1a), axis=1))
+    # a zero divisor, an overflow or a NaN leaves a factor or a match that
+    # fails the test below
+    with np.errstate(all="ignore"):
+        ratio = np.where(W1a[at] == W1b[at], 1.0, W1a[at] / W1b[at])
+        c = np.where(W2a == 0.0, ratio, W2b / W2a)
+        ok = bool(np.all(c > 0.0)) and all(
+            np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+            for got, want in ((W1a / c[:, None], W1b), (W2a * c, W2b))
+        )
+    if not ok:
+        raise NotEquivalent("endpoints are not positive per-unit rescalings of each other")
+    return c
+
+
 def equivalence_check(
     p1: tuple[np.ndarray, np.ndarray],
     p2: tuple[np.ndarray, np.ndarray],
     tol: float = 1e-12,
 ) -> bool:
-    """Same quotient image (within tol, max-norm) and matching signs of W2."""
-    W1a, W2a = p1
-    W1b, W2b = p2
-    W2a, W2b = _as_row(W2a), _as_row(W2b)
-    if np.asarray(W1a).shape != np.asarray(W1b).shape or W2a.shape != W2b.shape:
+    """Whether p2 is a positive per-unit rescaling of p1 (`_unit_factors`)."""
+    try:
+        _unit_factors(p1, p2, tol)
+    except NotEquivalent:
         return False
-    qa = quotient_map(W1a, W2a).w_hat
-    qb = quotient_map(W1b, W2b).w_hat
-    if float(np.max(np.abs(qa - qb))) > tol:
-        return False
-    return bool(np.all(np.sign(W2a) == np.sign(W2b)))
+    return True
 
 
 def build_valley_path(
@@ -217,39 +246,17 @@ def build_valley_path(
     """
     if steps_per_move < 1:
         raise PreconditionViolated("steps_per_move must be >= 1")
-    if not equivalence_check(p1, p2):
-        raise NotEquivalent("endpoints are not rescalings of each other")
+    factors = _unit_factors(p1, p2)
     W1a, W2a = np.asarray(p1[0], dtype=float), _as_row(p1[1])
     W1b, W2b = np.asarray(p2[0], dtype=float), _as_row(p2[1])
-    d1 = W2a.shape[0]
-
-    factors = np.ones(d1)
-    for i in range(d1):
-        if W2a[i] != 0.0:
-            factors[i] = W2b[i] / W2a[i]
-        else:
-            # dead unit: a rescale move may still shrink its incoming row,
-            # so the factor comes from positive row proportionality
-            ra, rb = W1a[i], W1b[i]
-            if np.array_equal(ra, rb):
-                continue
-            nz_a, nz_b = ra != 0.0, rb != 0.0
-            if not np.array_equal(nz_a, nz_b) or not np.any(nz_a):
-                raise NotEquivalent(f"dead unit {i}: rows not related by a rescaling")
-            ratios = ra[nz_a] / rb[nz_a]
-            c = float(ratios[0])
-            if c <= 0.0 or float(np.max(np.abs(ratios - c))) > 1e-9 * (1.0 + abs(c)):
-                raise NotEquivalent(f"dead unit {i}: rows not related by a rescaling")
-            factors[i] = c
-    if np.all(factors == 1.0) and np.array_equal(W1a, W1b) and np.array_equal(W2a, W2b):
+    if np.array_equal(W1a, W1b) and np.array_equal(W2a, W2b):
         return [(W1a.copy(), W2a.copy())]
 
     path = [(W1a.copy(), W2a.copy())]
-    cur_W1, cur_W2 = W1a.copy(), W2a.copy()
-    for i in range(d1):
-        c = factors[i]
+    for i, c in enumerate(factors):
+        W1c, W2c = path[-1]
         for s in range(1, steps_per_move + 1):
-            W1s, W2s = cur_W1.copy(), cur_W2.copy()
+            W1s, W2s = W1c.copy(), W2c.copy()
             if s == steps_per_move:
                 # land exactly on the target coordinates for this unit
                 W1s[i], W2s[i] = W1b[i], W2b[i]
@@ -258,9 +265,6 @@ def build_valley_path(
                 W2s[i] = W2a[i] * frac
                 W1s[i] = W1a[i] / frac
             path.append((W1s, W2s))
-        cur_W1 = path[-1][0].copy()
-        cur_W2 = path[-1][1].copy()
-    path[-1] = (W1b.copy(), W2b.copy())
     return path
 
 
@@ -317,8 +321,10 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     risk and its activation pattern.
 
     Returns n_points, the risk at each point, the largest deviation of a risk
-    from the first one (risk_max_dev), and whether every point keeps the
-    first point's activation pattern (pattern_constant).
+    from the first one (risk_max_dev), whether that deviation is within
+    VALLEY_RISK_TOL * max(1, |first risk|) (risk_flat, the one flatness
+    decision), and whether every point keeps the first point's activation
+    pattern (pattern_constant).
     """
     W1a, W2a, b2, _ = net_cell_inputs(net_a, data.X)
     W1b, W2b, b2b, _ = net_cell_inputs(net_b, data.X)
@@ -332,13 +338,14 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
                   net_a.activation)
         risk, sig = _risk_and_signature(net, data, loss)
         risks.append(risk)
-        if ref is None:
-            ref = sig
+        ref = sig if ref is None else ref
         pattern_constant = pattern_constant and signatures_equal(ref, sig)
+    dev = float(np.max(np.abs(np.asarray(risks) - risks[0])))
     return {
         "n_points": len(path),
         "risks": risks,
-        "risk_max_dev": float(np.max(np.abs(np.asarray(risks) - risks[0]))),
+        "risk_max_dev": dev,
+        "risk_flat": dev <= VALLEY_RISK_TOL * max(1.0, abs(risks[0])),
         "pattern_constant": pattern_constant,
     }
 

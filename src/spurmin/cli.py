@@ -44,8 +44,8 @@ from .io import (
 from .linear_fit import fit_linear
 from .network import LossKind, Mlp, check_assumptions, loss_gradient, per_sample_loss
 from .verification import (
-    RISK_MATCH_TOL,
     Certificate,
+    _risk_match,
     descent_gap_certificate,
     fd_gradient_check,
     perturbation_local_min_test,
@@ -174,7 +174,7 @@ def cmd_path(args) -> tuple[dict, bool]:
             fh.write("point,risk\n")
             for i, r in enumerate(valley["risks"]):
                 fh.write(f"{i},{r!r}\n")
-    return valley, valley["pattern_constant"] and valley["risk_max_dev"] <= cellmod.VALLEY_RISK_TOL
+    return valley, valley["pattern_constant"] and valley["risk_flat"]
 
 
 def cmd_demo(args) -> tuple[None, bool]:
@@ -266,10 +266,7 @@ def run_demo(
             "min_pairwise_distance": min_dist,
         }
         record("family_distinct", min_dist > 1e-6)
-        record(
-            "family_risks_match",
-            max(abs(m.risk - fit.risk) for m in family) <= RISK_MATCH_TOL,
-        )
+        record("family_risks_match", all(_risk_match(m.risk, fit.risk).passed for m in family))
 
         s1_min = minima["1"]
         cells = cellmod.analyze(s1_min.net, data, loss)
@@ -296,7 +293,7 @@ def run_demo(
         report["valley_path"] = {
             key: valley[key] for key in ("n_points", "risk_max_dev", "pattern_constant")
         }
-        record("valley_path_risk_invariant", valley["risk_max_dev"] <= cellmod.VALLEY_RISK_TOL)
+        record("valley_path_risk_invariant", valley["risk_flat"])
         record("valley_path_pattern_constant", valley["pattern_constant"])
 
         identity_act = parse_activation("identity")

@@ -24,11 +24,13 @@ the baseline risk; each witness is an explicit parameter point with strictly
 smaller risk, certifying that the minima are spurious.
 
 Every minimum is certified as it is built (`_certify_minimum`): output
-identity (to OUTPUT_TOL, scaled on the general route by its output scale
-M / prod(alpha_i)), risk match, and `verification.trace_interval_check` of
-its hidden pre-activations against the route's interval, mirrored to
-(-hi, -lo) for a reflected build.  The point keeps that certificate as
-`interval`.
+identity (`_reproduces`: to OUTPUT_TOL times the largest of 1, the largest
+baseline output and, on the general route, its output scale
+M / prod(alpha_i)), risk match (`verification._risk_match`: to
+RISK_MATCH_TOL times max(1, baseline risk)), and
+`verification.trace_interval_check` of its hidden pre-activations against
+the route's interval, mirrored to (-hi, -lo) for a reflected build.  The
+point keeps that certificate as `interval`.
 
 Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
@@ -75,7 +77,7 @@ from .separation import (
     admissible_constants,
     separate,
 )
-from .verification import DESCENT_GAP_MIN, RISK_MATCH_TOL, Certificate, trace_interval_check
+from .verification import DESCENT_GAP_MIN, Certificate, _risk_match, trace_interval_check
 
 OUTPUT_TOL = 1e-12
 SPURIOUS_RESIDUAL_TOL = 1e-8
@@ -224,9 +226,10 @@ def _net(dims: tuple[int, ...], act: PiecewiseLinear, reflected: bool,
 
 
 def _require_invertible(name: str, s: float) -> None:
-    """The scaffold formulas divide by the nonzero slope s; a subnormal one
-    would give infinite weights."""
-    if not np.isfinite(1.0 / s):
+    """The scaffold formulas divide by s, a nonzero slope or a sum or double
+    of slopes; a subnormal s would give infinite weights, and an s that
+    overflowed to infinity zero weights."""
+    if not (np.isfinite(s) and np.isfinite(1.0 / s)):
         raise PreconditionViolated(f"{name} = {s!r} has no finite reciprocal")
 
 
@@ -245,6 +248,16 @@ def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, Turning
     return build_act, reflected, find_turning_point(build_act) if reflected else tp
 
 
+def _reproduces(output: np.ndarray, target: np.ndarray, output_scale: float = 1.0) -> bool:
+    """Whether output matches target to OUTPUT_TOL * max(1, output_scale,
+    max |target|), the one output identity.  The rounding of a constructed
+    network grows with the values it carries (the labels' scale) and, on a
+    squeezed network, with the output scale M / prod(alpha_i) that multiplies
+    its last hidden layer; a NaN fails."""
+    scale = max(1.0, output_scale, float(np.max(np.abs(target))))
+    return bool(np.max(np.abs(output - target)) <= OUTPUT_TOL * scale)
+
+
 def _certify_minimum(
     net: Mlp,
     fit: LinearFit,
@@ -261,15 +274,13 @@ def _certify_minimum(
     pre-activations are negated, so it is checked mirrored to (-hi, -lo).
     A NaN anywhere fails every check.
 
-    The output identity holds to OUTPUT_TOL times max(1, output_scale): a
-    squeezed minimum multiplies its last hidden layer's rounding by its
-    output scale M / prod(alpha_i)."""
+    The output identity is `_reproduces` with the route's output scale,
+    and the risk match is `verification._risk_match`."""
     trace = forward(net, data.X)
-    out_tol = OUTPUT_TOL * max(1.0, output_scale)
-    if not float(np.max(np.abs(trace.output - fit.y_tilde))) <= out_tol:
+    if not _reproduces(trace.output, fit.y_tilde, output_scale):
         raise ConstructionError("minimum output does not reproduce the baseline")
     risk = risk_of_outputs(trace.output, data.Y, fit.loss)
-    if not abs(risk - fit.risk) <= RISK_MATCH_TOL:
+    if not _risk_match(risk, fit.risk).passed:
         raise ConstructionError("minimum risk deviates from the baseline risk")
     lo, hi = (-interval[1], -interval[0]) if reflected else interval
     cert = trace_interval_check(trace, lo, hi)
@@ -484,7 +495,10 @@ def _witness_layers(
     s_minus, s_plus = build_act.s_minus, build_act.s_plus
     balanced = s_minus + s_plus == 0.0
     _require_invertible("right slope s_plus of the build frame", s_plus)
-    if not balanced:
+    if balanced:
+        # the balanced rows divide by 2 * s_plus
+        _require_invertible(f"2 * s_plus (right slope s_plus = {s_plus!r})", 2.0 * s_plus)
+    else:
         _require_invertible("slope sum s_minus + s_plus", s_minus + s_plus)
     fitp, inv, res = _split(fit, data)
     eta_rest = _default_eta_rest(fitp)
@@ -505,7 +519,7 @@ def _witness_layers(
     lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus, lambda_shift)
     net = _net(dims, act, reflected, *lifted)
     trace = forward(net, data.X)
-    if not float(np.max(np.abs(trace.output - s_out))) <= OUTPUT_TOL:
+    if not _reproduces(trace.output, s_out):
         raise ConstructionError("deep witness output deviates from the shallow witness")
     params = ConstructionParams(
         eta=default_eta(fitp) if balanced else None, eta_rest=tuple(eta_rest),

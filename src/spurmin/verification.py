@@ -24,7 +24,7 @@ from .network import (
 
 LOCAL_MIN_SLACK = -1e-10  # absorbs summation rounding in the risk
 DESCENT_GAP_MIN = 1e-12
-RISK_MATCH_TOL = 1e-9  # |risk(minimum) - baseline risk|
+RISK_MATCH_TOL = 1e-9  # |risk(minimum) - baseline risk| / max(1, baseline risk)
 FD_STEP = 1e-6  # central-difference step of fd_gradient_check
 # float64 elements per stacked array in one chunk of probe draws (1 MiB).
 # A four times larger budget raised peak memory by ~15 MB on a 3000-sample,
@@ -260,6 +260,15 @@ def trace_interval_check(trace: ForwardTrace, lo: float, hi: float) -> Certifica
     return Certificate(subject="trace_interval", checks=(check,))
 
 
+def _risk_match(risk: float, baseline_risk: float) -> Check:
+    """The one risk-match rule, for every minimum, witness pair and family
+    member: |risk - baseline risk| within RISK_MATCH_TOL * max(1, baseline
+    risk), since the risk's rounding grows with its size.  NaN fails."""
+    tol = RISK_MATCH_TOL * max(1.0, baseline_risk)
+    deviation = float(abs(risk - baseline_risk))
+    return Check("minimum_matches_baseline", bool(deviation <= tol), deviation, tol)
+
+
 def witness_pair_certificate(
     minimum,
     witness,
@@ -274,11 +283,8 @@ def witness_pair_certificate(
     local-minimality probe.  The minimum's interval check stays on the
     minimum (`CertifiedPoint.interval`), where its construction ran it."""
     pert = perturbation_local_min_test(minimum.net, data, loss, radius, samples, seed)
-    deviation = float(abs(minimum.risk - minimum.baseline_risk))
     checks = (
-        Check(
-            "minimum_matches_baseline", bool(deviation <= RISK_MATCH_TOL), deviation, RISK_MATCH_TOL
-        ),
+        _risk_match(minimum.risk, minimum.baseline_risk),
         *descent_gap_certificate(minimum.risk, witness.risk).checks,
         *pert.checks,
     )

@@ -411,3 +411,52 @@ class TestLinearCollapse:
     def test_bad_seed_is_precondition(self, xor, seed):
         with pytest.raises(PreconditionViolated, match="seed must be"):
             linear_collapse_check(relu(), xor.X, 4, trials=50, seed=seed)
+
+
+class TestOneRescalingRule:
+    """`equivalence_check` holds exactly when `build_valley_path` builds."""
+
+    def _path_builds(self, a, b):
+        try:
+            build_valley_path(a, b, steps_per_move=3)
+        except NotEquivalent:
+            return False
+        return True
+
+    def test_dead_unit_with_unrelated_rows(self):
+        W1, W2 = np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([1.0, 0.0])
+        W1b = np.array([[1.0, 2.0], [1.0, 3.0]])
+        assert not equivalence_check((W1, W2), (W1b, W2))
+        assert not self._path_builds((W1, W2), (W1b, W2))
+
+    def test_dead_unit_with_proportional_rows(self):
+        W1, W2 = np.array([[1.0, 2.0], [1.0, -4.0]]), np.array([1.0, 0.0])
+        W1b = np.array([[1.0, 2.0], [0.25, -1.0]])
+        assert equivalence_check((W1, W2), (W1b, W2))
+        path = build_valley_path((W1, W2), (W1b, W2), steps_per_move=4)
+        assert np.array_equal(path[-1][0], W1b) and np.array_equal(path[-1][1], W2)
+        # the dead unit's row shrinks by the factor 4 along the way
+        assert np.allclose(path[6][0][1], W1[1] / 4.0 ** 0.5)
+
+    @pytest.mark.parametrize("magnitude", [1e4, 1e6, 1e9])
+    def test_exact_rescalings_accepted_at_any_weight_magnitude(self, magnitude):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            W1, W2 = magnitude * rng.standard_normal((3, 2)), magnitude * rng.standard_normal(3)
+            factors = rng.uniform(0.5, 2.0, 3)
+            p2 = (W1 / factors[:, None], W2 * factors)
+            assert equivalence_check((W1, W2), p2)
+            assert self._path_builds((W1, W2), p2)
+
+    def test_check_agrees_with_the_path_on_mixed_pairs(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            W1, W2 = rng.standard_normal((3, 2)), rng.standard_normal(3)
+            W2[rng.integers(0, 3)] = 0.0  # one dead unit
+            W1b, W2b = W1 * rng.uniform(0.5, 2.0, (3, 1)), W2.copy()
+            live = W2 != 0.0
+            W2b[live] = W2[live] * W1[live, 0] / W1b[live, 0]
+            if rng.random() < 0.5:
+                W1b[rng.integers(0, 3), rng.integers(0, 2)] *= -1.0
+            a, b = (W1, W2), (W1b, W2b)
+            assert equivalence_check(a, b) == self._path_builds(a, b)

@@ -503,3 +503,34 @@ class TestRoutesAgree:
         report = json.loads(out.read_text())
         minimum = report["points"][0] if command == "construct" else report["minimum"]
         assert abs(minimum["risk"] - minimum["baseline_risk"]) <= 1e-9
+
+
+class TestScaleChecks:
+    def test_balanced_route_needs_a_finite_reciprocal_of_twice_s_plus(self, xor_csv, capsys):
+        act = '{"breakpoints":[0],"slopes":[-1e308,1e308],"anchor":0}'
+        assert main(["descend", "--data", xor_csv, "--dims", "2,4,1", "--activation", act]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated: 2 * s_plus (right slope s_plus = 1e+308)")
+
+    def test_path_build_flat_at_labels_times_1e3(self, tmp_path):
+        from spurmin import Dataset, Mlp, build_shallow_minimum, fit_linear, relu
+        from spurmin.io import save_mlp
+
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((2, 20))
+        data = Dataset(X, 1e3 * (np.sin(2.0 * X[0]) + X[1] ** 2)[None, :])
+        data_csv = tmp_path / "d.csv"
+        save_dataset_csv(data, data_csv)
+        net = build_shallow_minimum(fit_linear(data), data, (2, 3, 1), relu()).net
+        factors = np.array([2.0, 0.5, 3.0])
+        far = Mlp(net.dims, (net.weights[0] / factors[:, None], net.weights[1] * factors),
+                  (net.biases[0] / factors, net.biases[1]), net.activation)
+        a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "path.json"
+        save_mlp(net, a_path)
+        save_mlp(far, b_path)
+        assert main(["path", "build", "--data", str(data_csv), "--a", str(a_path),
+                     "--b", str(b_path), "--steps", "10", "--out", str(out)]) == 0
+        # risk_max_dev is rounding of a risk near 2.4e6 (4.7e-10 on x86-64),
+        # flat relative to the risk
+        res = json.loads(out.read_text())
+        assert res["risk_flat"] and res["pattern_constant"]

@@ -365,3 +365,16 @@ class TestAdmissibleConstants:
             size_constants(res, u, v, xs, 1.0)
         with pytest.raises(SizingFailed):
             list(admissible_constants(res, u, v, xs, 1.0))
+
+
+class TestNearAffineFits:
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+    def test_zero_sum_is_judged_against_the_fitted_values(self, eps):
+        # y = x1 - x2 + 1 + eps * noise: u is tiny, but the rounding in its
+        # sum grows with the fitted values v
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((2, 6))
+            data = Dataset(X, (X[0] - X[1] + 1.0 + eps * rng.standard_normal(6))[None, :])
+            fit = fit_linear(data, LossKind.SQUARED)
+            separate(fit.v[0], fit.y_tilde[0], X)
