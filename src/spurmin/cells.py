@@ -5,7 +5,9 @@ A cell is identified by the matrix of activation slopes realized at every
 risk becomes convex in the flattened product w_hat = rows of diag(W2) @ W1,
 evaluated against lifted data whose columns are slope-column (Kronecker)
 feature vectors.  Positive per-unit rescalings leave w_hat fixed, which
-yields equivalence classes and risk-invariant valley paths.
+yields equivalence classes and risk-invariant valley paths; one rescaling
+rule, on the layers of a network of any depth and output width, decides
+equivalence and gives the valley its moves.
 
 `analyze` is the one cell analysis of a network on a dataset, and
 `walk_valley` the one walk along a valley path; `spurmin cells analyze`,
@@ -185,37 +187,79 @@ def solve_cell_optimum(
     return q, reformulated_risk(q, lifted, Y, LossKind.SQUARED, output_bias)
 
 
-def _unit_factors(
-    p1: tuple[np.ndarray, np.ndarray],
-    p2: tuple[np.ndarray, np.ndarray],
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """The positive per-unit factors c with p2 = (W1 / c, W2 * c), each
-    matrix matched to within tol * max(1, its largest entry): the one
-    rescaling rule behind `equivalence_check` and `build_valley_path`.
+def _pair_layers(p: tuple[np.ndarray, np.ndarray]) -> tuple[list, list]:
+    """A (W1, W2) pair as the layers of a bias-free, single-output network."""
+    W1, W2 = np.asarray(p[0], dtype=float), _as_row(p[1])
+    if W1.ndim != 2 or W1.shape[0] != W2.shape[0]:
+        raise ShapeViolation(f"W1 {W1.shape} and W2 {W2.shape} do not compose")
+    return [W1, W2[None, :]], [np.zeros(W1.shape[0]), np.zeros(1)]
 
-    c_i = W2b[i] / W2a[i]; a dead unit (W2a[i] = 0) takes the ratio of its
-    incoming rows at the largest entry of p1's row (1 where they agree).
+
+def _unit_factors(a: tuple, b: tuple, tol: float = 1e-12) -> list[np.ndarray]:
+    """The positive factors c_l of every hidden layer with which the layers
+    b = (weights, biases) rescale a: row j of b's (W_l, b_l) is a's divided
+    by c_l[j], and column j of b's W_{l+1} is a's multiplied by it.  The one
+    rescaling rule behind `equivalence_check`, `build_valley_path` and
+    `walk_valley`.
+
+    One forward pass over the layers: c_l[j] is the ratio of a's augmented
+    row [W_l[j] * c_{l-1}, b_l[j]] to b's row at the largest entry of a's
+    row (1 where the two agree), for live and dead units alike, and every
+    augmented matrix [W_l | b_l] must match b's to within
+    tol * max(1, its largest entry), the output layer with the factor 1.
     Raises NotEquivalent when no such factors exist."""
-    W1a, W1b = np.asarray(p1[0], dtype=float), np.asarray(p2[0], dtype=float)
-    W2a, W2b = _as_row(p1[1]), _as_row(p2[1])
-    if W1a.shape != W1b.shape or W2a.shape != W2b.shape:
+    if [W.shape for W in a[0]] != [W.shape for W in b[0]]:
         raise NotEquivalent("endpoints differ in shape")
-    if W1a.ndim != 2 or W1a.shape[0] != W2a.shape[0]:
-        raise ShapeViolation(f"W1 {W1a.shape} and W2 {W2a.shape} do not compose")
-    at = (np.arange(W2a.shape[0]), np.argmax(np.abs(W1a), axis=1))
+    factors, c = [], np.ones(a[0][0].shape[1])
     # a zero divisor, an overflow or a NaN leaves a factor or a match that
     # fails the test below
     with np.errstate(all="ignore"):
-        ratio = np.where(W1a[at] == W1b[at], 1.0, W1a[at] / W1b[at])
-        c = np.where(W2a == 0.0, ratio, W2b / W2a)
-        ok = bool(np.all(c > 0.0)) and all(
-            np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
-            for got, want in ((W1a / c[:, None], W1b), (W2a * c, W2b))
-        )
-    if not ok:
-        raise NotEquivalent("endpoints are not positive per-unit rescalings of each other")
-    return c
+        for l, (Wa, ba, Wb, bb) in enumerate(zip(*a, *b)):
+            rows_a, rows_b = np.hstack([Wa * c, ba[:, None]]), np.hstack([Wb, bb[:, None]])
+            c = np.ones(len(rows_a))
+            if l < len(a[0]) - 1:
+                at = (np.arange(len(rows_a)), np.argmax(np.abs(rows_a), axis=1))
+                c = np.where(rows_a[at] == rows_b[at], 1.0, rows_a[at] / rows_b[at])
+                factors.append(c)
+            if not (np.all(c > 0.0) and np.max(np.abs(rows_a / c[:, None] - rows_b))
+                    <= tol * max(1.0, np.max(np.abs(rows_b)))):
+                raise NotEquivalent("endpoints are not positive per-unit rescalings of each other")
+    return factors
+
+
+def _valley_points(a: tuple, b: tuple, steps: int) -> list[tuple[list, list]]:
+    """The layers (weights, biases) along the valley from a to b, made of
+    per-unit rescaling moves, one hidden unit at a time in layer order.
+
+    The move of unit j in hidden layer l interpolates its factor c
+    geometrically from 1 (so no weight crosses zero), dividing row j of
+    (W_l, b_l) and multiplying column j of W_{l+1} by the same amount; the
+    function, hence the risk of a positively homogeneous activation, is
+    invariant along the way.  Its last step lands the row on b's row, and
+    the column on b's column where it feeds the output layer, else on
+    col * c, whose rows a later move lands; so the last point is b bit for
+    bit.  Returns 1 + (hidden units) * steps points, a single one when a
+    equals b."""
+    if steps < 1:
+        raise PreconditionViolated("steps_per_move must be >= 1")
+    factors = _unit_factors(a, b)
+    points = [([np.array(W, dtype=float) for W in a[0]], [np.array(v, dtype=float) for v in a[1]])]
+    if all(np.array_equal(x, y) for x, y in zip([*a[0], *a[1]], [*b[0], *b[1]])):
+        return points
+    for l, cs in enumerate(factors):
+        for j, c in enumerate(cs):
+            Ws, bs = points[-1]
+            row, bias, col = Ws[l][j], bs[l][j], Ws[l + 1][:, j]
+            for s in range(1, steps + 1):
+                W, bi = [x.copy() for x in Ws], [x.copy() for x in bs]
+                if s == steps:
+                    W[l][j], bi[l][j] = b[0][l][j], b[1][l][j]
+                    W[l + 1][:, j] = b[0][l + 1][:, j] if l + 2 == len(W) else col * c
+                else:
+                    frac = c ** (s / steps)
+                    W[l][j], bi[l][j], W[l + 1][:, j] = row / frac, bias / frac, col * frac
+                points.append((W, bi))
+    return points
 
 
 def equivalence_check(
@@ -223,9 +267,10 @@ def equivalence_check(
     p2: tuple[np.ndarray, np.ndarray],
     tol: float = 1e-12,
 ) -> bool:
-    """Whether p2 is a positive per-unit rescaling of p1 (`_unit_factors`)."""
+    """Whether the pair p2 is a positive per-unit rescaling of p1
+    (`_unit_factors` on their `_pair_layers`)."""
     try:
-        _unit_factors(p1, p2, tol)
+        _unit_factors(_pair_layers(p1), _pair_layers(p2), tol)
     except NotEquivalent:
         return False
     return True
@@ -236,36 +281,12 @@ def build_valley_path(
     p2: tuple[np.ndarray, np.ndarray],
     steps_per_move: int = 10,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Piecewise path from p1 to p2 made of per-unit rescaling moves.
-
-    Move i interpolates the factor geometrically from 1 to c_i (so W2 never
-    crosses zero), scaling W2[i] up and W1 row i down by the same amount;
-    the quotient image, hence the in-cell risk, is invariant along the way.
-    Returns 1 + d_1 * steps_per_move points including both endpoints
-    (a single point when p1 == p2).
-    """
-    if steps_per_move < 1:
-        raise PreconditionViolated("steps_per_move must be >= 1")
-    factors = _unit_factors(p1, p2)
-    W1a, W2a = np.asarray(p1[0], dtype=float), _as_row(p1[1])
-    W1b, W2b = np.asarray(p2[0], dtype=float), _as_row(p2[1])
-    if np.array_equal(W1a, W1b) and np.array_equal(W2a, W2b):
-        return [(W1a.copy(), W2a.copy())]
-
-    path = [(W1a.copy(), W2a.copy())]
-    for i, c in enumerate(factors):
-        W1c, W2c = path[-1]
-        for s in range(1, steps_per_move + 1):
-            W1s, W2s = W1c.copy(), W2c.copy()
-            if s == steps_per_move:
-                # land exactly on the target coordinates for this unit
-                W1s[i], W2s[i] = W1b[i], W2b[i]
-            else:
-                frac = c ** (s / steps_per_move)
-                W2s[i] = W2a[i] * frac
-                W1s[i] = W1a[i] / frac
-            path.append((W1s, W2s))
-    return path
+    """The `_valley_points` between the pairs p1 and p2 as (W1, W2) pairs:
+    1 + d_1 * steps_per_move points including both endpoints (a single
+    point when p1 == p2); the quotient image, hence the in-cell risk, is
+    invariant along the way."""
+    points = _valley_points(_pair_layers(p1), _pair_layers(p2), steps_per_move)
+    return [(W[0], W[1][0]) for W, _ in points]
 
 
 def linear_collapse_check(
@@ -315,10 +336,10 @@ def net_cell_inputs(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
 
 def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
                 steps_per_move: int) -> dict:
-    """Score the valley path between two one-hidden-layer, single-output
-    networks that are per-unit rescalings of each other and share the output
-    bias: rebuild the network at every path point and forward it once for its
-    risk and its activation pattern.
+    """Score the valley path between two networks, of any depth and output
+    width, that are per-unit rescalings of each other and share the output
+    bias: build the network at every point of `_valley_points` and forward
+    it once for its risk and its activation pattern.
 
     Returns n_points, the risk at each point, the largest deviation of a risk
     from the first one (risk_max_dev), whether that deviation is within
@@ -326,23 +347,19 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     decision), and whether every point keeps the first point's activation
     pattern (pattern_constant).
     """
-    W1a, W2a, b2, _ = net_cell_inputs(net_a, data.X)
-    W1b, W2b, b2b, _ = net_cell_inputs(net_b, data.X)
-    if b2 != b2b:
+    if not np.array_equal(net_a.biases[-1], net_b.biases[-1]):
         raise PreconditionViolated("endpoints must share the output bias")
-    path = build_valley_path((W1a, W2a), (W1b, W2b), steps_per_move=steps_per_move)
-    d_x = net_a.dims[0]
+    points = _valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
+                            steps_per_move)
     risks, pattern_constant, ref = [], True, None
-    for W1, W2 in path:
-        net = Mlp(net_a.dims, (W1[:, :d_x], W2[None, :]), (W1[:, d_x], np.array([b2])),
-                  net_a.activation)
-        risk, sig = _risk_and_signature(net, data, loss)
+    for point in points:
+        risk, sig = _risk_and_signature(Mlp(net_a.dims, *point, net_a.activation), data, loss)
         risks.append(risk)
         ref = sig if ref is None else ref
         pattern_constant = pattern_constant and signatures_equal(ref, sig)
     dev = float(np.max(np.abs(np.asarray(risks) - risks[0])))
     return {
-        "n_points": len(path),
+        "n_points": len(points),
         "risks": risks,
         "risk_max_dev": dev,
         "risk_flat": dev <= VALLEY_RISK_TOL * max(1.0, abs(risks[0])),

@@ -67,7 +67,7 @@ from .errors import (
     check_integer,
 )
 from .io import mlp_to_dict
-from .linear_fit import LinearFit, permute_fit_rows, select_nonzero_residual_row
+from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
 from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _widths_ok, forward,
                       risk_of_outputs)
 from .separation import (
@@ -80,7 +80,6 @@ from .separation import (
 from .verification import DESCENT_GAP_MIN, Certificate, _risk_match, trace_interval_check
 
 OUTPUT_TOL = 1e-12
-SPURIOUS_RESIDUAL_TOL = 1e-8
 
 Layers = tuple[list[np.ndarray], list[np.ndarray]]
 
@@ -293,7 +292,7 @@ def _certify_minimum(
         risk=risk,
         baseline_risk=fit.risk,
         params=params,
-        spurious=float(np.linalg.norm(fit.y_tilde - data.Y)) > SPURIOUS_RESIDUAL_TOL,
+        spurious=_leaves_residual(fit),
         interval=cert,
     )
 
@@ -307,8 +306,12 @@ def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
 
 
 def default_eta(fit: LinearFit) -> float:
-    """Negative shift with baseline predictions minus eta strictly positive."""
-    return min(0.0, float(np.min(fit.y_tilde))) - 1.0
+    """Negative shift with baseline predictions minus eta strictly positive,
+    by a margin of max(1, max |baseline|): the shifted pre-activations stay
+    as far from the breakpoint as the labels are large, so perturbations
+    relative to the weights stay inside the cell at any label scale."""
+    y = fit.y_tilde
+    return min(0.0, float(np.min(y))) - max(1.0, float(np.max(np.abs(y))))
 
 
 def _checked_eta(fit: LinearFit, eta: Optional[float]) -> float:

@@ -250,7 +250,7 @@ def gen_dataset(spec: str, seed: int = 0, check_assumption_flags: bool = False) 
     inseparable with distinct samples; random specs are retried with shifted
     seeds, exact generators fail outright.
     """
-    from .linear_fit import fit_linear
+    from .linear_fit import _leaves_residual, fit_linear
     from .network import LossKind
 
     def build(s: int) -> Dataset:
@@ -268,9 +268,7 @@ def gen_dataset(spec: str, seed: int = 0, check_assumption_flags: bool = False) 
         data = build(seed + attempt)
         if not check_assumption_flags:
             return data
-        fit = fit_linear(data, LossKind.SQUARED)
-        residual = float(np.linalg.norm(fit.y_tilde - data.Y))
-        if data.distinct_columns() and residual > 1e-8:
+        if data.distinct_columns() and _leaves_residual(fit_linear(data, LossKind.SQUARED)):
             return data
     raise GenerationFailed(
         f"spec {spec!r} could not satisfy the assumption flags after {retries} attempt(s)"

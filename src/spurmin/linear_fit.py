@@ -124,6 +124,15 @@ def stationarity_certificate(fit: LinearFit, data: Dataset) -> float:
     return float(np.linalg.norm(fit.v @ augment(data.X).T))
 
 
+def _leaves_residual(fit: LinearFit) -> bool:
+    """Whether the baseline leaves a residual: some per-sample gradient in v
+    exceeds ZERO_RESIDUAL_TOL * (1 + max |baseline|).  The one rule for it,
+    read by the assumption report, the dataset generator, a minimum's
+    `spurious` flag and the descent's row selection."""
+    scale = 1.0 + float(np.max(np.abs(fit.y_tilde)))
+    return not bool(np.all(np.abs(fit.v) <= ZERO_RESIDUAL_TOL * scale))
+
+
 def select_nonzero_residual_row(fit: LinearFit, data: Dataset) -> tuple[int, np.ndarray]:
     """Pick an output row with nonzero fitted-prediction gradient.
 
@@ -134,11 +143,9 @@ def select_nonzero_residual_row(fit: LinearFit, data: Dataset) -> tuple[int, np.
 
     Raises AllRowsZero when the baseline fits exactly (no descent possible).
     """
-    row_norms = np.max(np.abs(fit.v), axis=1)
-    scale = 1.0 + float(np.max(np.abs(fit.y_tilde)))
-    if np.all(row_norms <= ZERO_RESIDUAL_TOL * scale):
+    if not _leaves_residual(fit):
         raise AllRowsZero("baseline residual is zero in every output row")
-    k = int(np.argmax(row_norms))
+    k = int(np.argmax(np.max(np.abs(fit.v), axis=1)))
     perm = np.array([k] + [i for i in range(data.d_y) if i != k], dtype=int)
     return k, perm
 

@@ -252,20 +252,21 @@ def check_assumptions(
     residual; any other exception is a bug and propagates."""
     from .activations import find_turning_point
     from .errors import NoAdmissibleTurningPoint, SpurminError
-    from .linear_fit import fit_linear
+    from .linear_fit import _leaves_residual, fit_linear
 
     try:
         fit = fit_linear(data, loss)
         residual = float(np.linalg.norm(fit.y_tilde - data.Y))
+        inseparable = _leaves_residual(fit)
     except SpurminError:
-        residual = float("nan")
+        residual, inseparable = float("nan"), False
     try:
         find_turning_point(act)
         turning_ok = True
     except NoAdmissibleTurningPoint:
         turning_ok = False
     return AssumptionReport(
-        linear_inseparable=bool(residual > 1e-8),
+        linear_inseparable=inseparable,
         distinct_samples=data.distinct_columns(),
         widths_ok=_widths_ok(dims, data.d_y),
         turning_point_ok=turning_ok,

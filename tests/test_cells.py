@@ -460,3 +460,50 @@ class TestOneRescalingRule:
                 W1b[rng.integers(0, 3), rng.integers(0, 2)] *= -1.0
             a, b = (W1, W2), (W1b, W2b)
             assert equivalence_check(a, b) == self._path_builds(a, b)
+
+
+def _layer_rescaled(net, seed):
+    """net with every hidden unit of every layer scaled down on the way in
+    and up on the way out by a seeded factor from U(0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    c_in, weights, biases = np.ones(net.dims[0]), [], []
+    for W, b in zip(net.weights, net.biases):
+        c = rng.uniform(0.5, 2.0, len(b)) if len(weights) < net.n_layers - 1 else np.ones(len(b))
+        weights.append(W * c_in / c[:, None])
+        biases.append(b / c)
+        c_in = c
+    return Mlp(net.dims, weights, biases, net.activation)
+
+
+class TestValleyAtAnyDepth:
+    """One rescaling rule on the layers: valleys of route-2 minima at depth
+    and of nets with two outputs walk flat and land exactly on their end."""
+
+    def _minimum(self, dims, two_outputs=False):
+        from conftest import random_two_output_dataset
+        from spurmin import build_minimum, fit_linear, xor_dataset
+
+        data = random_two_output_dataset() if two_outputs else xor_dataset()
+        stage = "1" if len(dims) == 3 else "2"
+        return data, build_minimum(fit_linear(data, SQ), data, dims, relu(), stage=stage).net
+
+    @pytest.mark.parametrize("dims, two_outputs", [
+        ((2, 3, 3, 1), False), ((2, 4, 4, 3, 1), False), ((2, 4, 2), True),
+    ])
+    def test_rescaled_minimum_walks_flat_to_its_end(self, dims, two_outputs):
+        data, net = self._minimum(dims, two_outputs)
+        far = _layer_rescaled(net, seed=sum(dims))
+        valley = walk_valley(net, far, data, SQ, steps_per_move=4)
+        assert valley["risk_flat"] and valley["pattern_constant"]
+        assert valley["n_points"] == 1 + sum(dims[1:-1]) * 4
+        weights, biases = cells._valley_points((net.weights, net.biases),
+                                               (far.weights, far.biases), 4)[-1]
+        for got, want in zip([*weights, *biases], [*far.weights, *far.biases]):
+            assert np.array_equal(got, want)
+
+    def test_sign_flip_in_the_second_layer_is_not_equivalent(self):
+        data, net = self._minimum((2, 3, 3, 1))
+        W, b = [w.copy() for w in net.weights], [x.copy() for x in net.biases]
+        W[1][0], b[1][0], W[2][:, 0] = -W[1][0], -b[1][0], -W[2][:, 0]
+        with pytest.raises(NotEquivalent):
+            walk_valley(net, Mlp(net.dims, W, b, net.activation), data, SQ, steps_per_move=4)

@@ -534,3 +534,24 @@ class TestScaleChecks:
         # flat relative to the risk
         res = json.loads(out.read_text())
         assert res["risk_flat"] and res["pattern_constant"]
+
+
+class TestPathAtDepth:
+    def test_path_build_on_route_2_endpoints(self, tmp_path, xor_csv):
+        min_out = tmp_path / "min.json"
+        main(["construct", "--data", xor_csv, "--stage", "2", "--dims", "2,3,3,1",
+              "--activation", "relu", "--out", str(min_out)])
+        net = mlp_from_dict(json.loads(min_out.read_text())["points"][0]["net"])
+        W, b = [w.copy() for w in net.weights], [x.copy() for x in net.biases]
+        c1, c2 = np.array([2.0, 0.5, 3.0]), np.array([0.25, 4.0, 1.5])
+        W[0], b[0] = W[0] / c1[:, None], b[0] / c1
+        W[1], b[1] = W[1] * c1 / c2[:, None], b[1] / c2
+        W[2] = W[2] * c2
+        a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "path.json"
+        dump_json(mlp_to_dict(net), a_path)
+        dump_json(mlp_to_dict(type(net)(net.dims, W, b, net.activation)), b_path)
+        assert main(["path", "build", "--data", xor_csv, "--a", str(a_path),
+                     "--b", str(b_path), "--steps", "5", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        assert res["n_points"] == 31
+        assert res["risk_flat"] and res["pattern_constant"]

@@ -3,7 +3,9 @@
 The construction's output identities, its risk match and the valley's
 flatness are each relative to the size of the values they compare, so
 scaling the labels by 10^k must not turn a minimum, a witness or a flat
-valley into a failure.
+valley into a failure.  The minimum's shift and the residual rule scale
+with the labels too, so the probe keeps large-label minima and an affine
+fit leaves a residual at any label scale or at none.
 """
 
 import numpy as np
@@ -18,14 +20,18 @@ from spurmin import (
     absolute_value,
     build_descent,
     build_minimum,
+    check_assumptions,
     fit_linear,
     gen_dataset,
     relu,
     three_piece,
     walk_valley,
+    xor_dataset,
 )
 from spurmin.cells import VALLEY_RISK_TOL
-from spurmin.verification import RISK_MATCH_TOL, witness_pair_certificate
+from spurmin.verification import (
+    RISK_MATCH_TOL, perturbation_local_min_test, witness_pair_certificate,
+)
 
 SQ = LossKind.SQUARED
 ROUTES = {
@@ -107,3 +113,29 @@ def test_every_route_builds_and_the_valley_stays_flat_at_any_label_scale(k):
     valley = walk_valley(net, rescaled(net, np.array([2.0, 0.5, 3.0])), data, SQ,
                          steps_per_move=4)
     assert valley["risk_flat"] and valley["pattern_constant"]
+
+
+@pytest.mark.parametrize("stage", ["1", "2", "3"])
+def test_probe_keeps_blobs_minima_at_labels_times_1e4(stage):
+    # the shift's margin grows with the labels, so draws of the probe's
+    # relative radius stay inside the minimum's cell
+    blobs = gen_dataset("blobs:3", seed=0)
+    data = Dataset(blobs.X, 1e4 * blobs.Y)
+    dims, act = ROUTES[stage]
+    minimum = build_minimum(fit_linear(data, SQ), data, dims, act, stage=stage)
+    cert = perturbation_local_min_test(minimum.net, data, SQ, radius=1e-4, samples=500, seed=7)
+    assert cert.verdict
+
+
+def test_affine_labels_leave_no_residual_at_labels_times_1e9():
+    linear = gen_dataset("linear", seed=0)
+    data = Dataset(linear.X, 1e9 * linear.Y)
+    fit = fit_linear(data, SQ)
+    assert not check_assumptions(data, (2, 3, 1), relu()).linear_inseparable
+    assert not build_minimum(fit, data, (2, 3, 1), relu(), stage="1").spurious
+
+
+def test_xor_leaves_a_residual_at_labels_times_1e_minus_9():
+    xor = xor_dataset()
+    report = check_assumptions(Dataset(xor.X, 1e-9 * xor.Y), (2, 3, 1), relu())
+    assert report.linear_inseparable and report.baseline_residual == pytest.approx(1e-9)
