@@ -257,13 +257,26 @@ def parse_activation(spec: Union[str, dict]) -> PiecewiseLinear:
     """Turn a CLI/JSON activation spec into an activation.
 
     Accepts the preset names "relu", "abs", "threepiece", "identity",
-    "leaky:<s_minus>", or a dict {breakpoints, slopes, anchor}.
+    "leaky:<s_minus>", or a dict {breakpoints, slopes, anchor}.  Any other
+    spec, or a dict with a missing or malformed field, raises
+    PreconditionViolated.
     """
     if isinstance(spec, dict):
-        return PiecewiseLinear.from_dict(spec)
+        try:
+            return PiecewiseLinear.from_dict(spec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PreconditionViolated(f"malformed activation {spec!r}: {exc!r}") from None
+    if not isinstance(spec, str):
+        raise PreconditionViolated(f"activation spec must be a name or a dict, not {spec!r}")
     name = spec.strip().lower()
     if name in _PRESETS:
         return _PRESETS[name]()
     if name.startswith("leaky:"):
-        return leaky_relu(float(name.split(":", 1)[1]))
+        try:
+            s_minus = float(name.split(":", 1)[1])
+        except ValueError:
+            raise PreconditionViolated(
+                f"bad activation spec {spec!r}; expected leaky:<s_minus>"
+            ) from None
+        return leaky_relu(s_minus)
     raise PreconditionViolated(f"unknown activation spec: {spec!r}")

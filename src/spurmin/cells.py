@@ -79,13 +79,24 @@ def _signature(act: PiecewiseLinear, trace: ForwardTrace) -> CellSignature:
     return CellSignature(tuple(layers), frozenset(boundary))
 
 
-def _risk_and_signature(net: Mlp, data: Dataset, loss: LossKind) -> tuple[float, CellSignature]:
-    """The empirical risk of net on data and its cell signature, from one
-    forward; the risk is bit-identical to `network.empirical_risk`."""
+def _risk_and_signature(
+    net: Mlp, data: Dataset, loss: LossKind
+) -> tuple[float, CellSignature, ForwardTrace]:
+    """The empirical risk of net on data, its cell signature and the forward
+    trace they come from, from one forward; the risk is bit-identical to
+    `network.empirical_risk`."""
     if net.dims[-1] != data.d_y:
         raise ShapeViolation(f"output width {net.dims[-1]} != label dim {data.d_y}")
     trace = forward(net, data.X)
-    return risk_of_outputs(trace.output, data.Y, loss), _signature(net.activation, trace)
+    return risk_of_outputs(trace.output, data.Y, loss), _signature(net.activation, trace), trace
+
+
+def _pieces_through_origin(act: PiecewiseLinear, z: np.ndarray) -> bool:
+    """Whether every entry of z lies on a piece whose line passes through the
+    origin (knot == slope * ref), the pieces on which h(z) = slope * z and
+    the slope-only lift reproduces the network."""
+    slope, knot, ref = act._piece(z)
+    return bool(np.all(knot == slope * ref))
 
 
 @dataclass(frozen=True)
@@ -353,7 +364,7 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
                             steps_per_move)
     risks, pattern_constant, ref = [], True, None
     for point in points:
-        risk, sig = _risk_and_signature(Mlp(net_a.dims, *point, net_a.activation), data, loss)
+        risk, sig, _ = _risk_and_signature(Mlp(net_a.dims, *point, net_a.activation), data, loss)
         risks.append(risk)
         ref = sig if ref is None else ref
         pattern_constant = pattern_constant and signatures_equal(ref, sig)
@@ -372,15 +383,19 @@ def analyze(net: Mlp, data: Dataset, loss: LossKind) -> dict:
     encoded per layer), breakpoint hits and risk.  A one-hidden-layer,
     single-output net in an open cell also gets the in-cell reformulated risk
     and quotient gradient residual, and under squared loss the risk of the
-    cell's convex optimum, a lower bound for every net with this pattern."""
-    risk, sig = _risk_and_signature(net, data, loss)
+    cell's convex optimum, a lower bound for every net with this pattern.
+    These three need every hidden pre-activation on a piece through the
+    origin: the lift keeps each piece's slope and drops its offset
+    knot - slope * ref, so elsewhere its model is not the network."""
+    risk, sig, trace = _risk_and_signature(net, data, loss)
     payload = {
         "pattern_rle": [rle_encode(layer) for layer in sig.layers],
         "boundary_hits": sorted(sig.boundary),
         "interior": sig.interior,
         "risk": risk,
     }
-    if net.n_layers == 2 and net.dims[-1] == 1 and sig.interior:
+    if (net.n_layers == 2 and net.dims[-1] == 1 and sig.interior
+            and _pieces_through_origin(net.activation, trace.hidden_pre[0])):
         W1a, W2r, b2, Xa = net_cell_inputs(net, data.X)
         lifted = lift_data(sig, Xa)
         q = quotient_map(W1a, W2r)

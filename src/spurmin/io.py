@@ -171,17 +171,20 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 def mlp_from_dict(d: dict) -> Mlp:
     """The network a dict from `mlp_to_dict` describes.  JSON text may carry
-    NaN or Infinity literals, so non-finite parameters raise ParseError."""
-    weights = tuple(np.asarray(W, dtype=float) for W in d["weights"])
-    biases = tuple(np.asarray(b, dtype=float) for b in d["biases"])
-    for kind, arrays in (("weights", weights), ("biases", biases)):
-        for layer, A in enumerate(arrays):
-            bad = _first_non_finite(A)
-            if bad is not None:
-                raise ParseError(
-                    f"network {kind}[{layer}] has non-finite entry {float(A[bad])} at {list(bad)}"
-                )
-    return Mlp(tuple(d["dims"]), weights, biases, PiecewiseLinear.from_dict(d["activation"]))
+    NaN or Infinity literals, so non-finite parameters raise ParseError, and
+    so does a missing field or a field of the wrong kind."""
+    try:
+        weights = tuple(np.asarray(W, dtype=float) for W in d["weights"])
+        biases = tuple(np.asarray(b, dtype=float) for b in d["biases"])
+        for kind, arrays in (("weights", weights), ("biases", biases)):
+            for layer, A in enumerate(arrays):
+                bad = _first_non_finite(A)
+                if bad is not None:
+                    raise ParseError(f"network {kind}[{layer}] has non-finite entry "
+                                     f"{float(A[bad])} at {list(bad)}")
+        return Mlp(tuple(d["dims"]), weights, biases, PiecewiseLinear.from_dict(d["activation"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed network: {exc!r}") from None
 
 
 def save_mlp(net: Mlp, path: Union[str, Path]) -> None:
@@ -258,7 +261,13 @@ def gen_dataset(spec: str, seed: int = 0, check_assumption_flags: bool = False) 
         if name == "xor":
             return xor_dataset()
         if name.startswith("blobs:"):
-            return blobs_dataset(int(name.split(":", 1)[1]), seed=s)
+            try:
+                k = int(name.split(":", 1)[1])
+            except ValueError:
+                raise PreconditionViolated(
+                    f"bad dataset spec {spec!r}; expected blobs:<k>"
+                ) from None
+            return blobs_dataset(k, seed=s)
         if name == "linear":
             return linear_dataset(seed=s)
         raise PreconditionViolated(f"unknown dataset spec: {spec!r}")

@@ -83,12 +83,8 @@ class DescentConstants:
 
 def _group_bounds(v_sorted: np.ndarray, tie_tol: float) -> list[int]:
     """1-based end positions of maximal runs of (near-)equal values."""
-    bounds = []
-    for pos in range(len(v_sorted) - 1):
-        if v_sorted[pos + 1] - v_sorted[pos] > tie_tol * (1.0 + abs(v_sorted[pos])):
-            bounds.append(pos + 1)
-    bounds.append(len(v_sorted))
-    return bounds
+    gaps = np.diff(v_sorted) > tie_tol * (1.0 + np.abs(v_sorted[:-1]))
+    return (np.flatnonzero(gaps) + 1).tolist() + [len(v_sorted)]
 
 
 def separate(u: np.ndarray, v: np.ndarray, xs: np.ndarray) -> SeparationResult:
@@ -122,72 +118,43 @@ def separate(u: np.ndarray, v: np.ndarray, xs: np.ndarray) -> SeparationResult:
         raise PreconditionViolated("u must sum to zero")
 
     order = np.argsort(v, kind="stable")
-    v_sorted = v[order]
-    bounds = _group_bounds(v_sorted, TIE_TOL)
-
-    nz_tol = 1e-12 * float(np.max(np.abs(u)))
+    bounds = _group_bounds(v[order], TIE_TOL)
+    # Trivial branch: the first group-boundary prefix with nonzero u-sum is
+    # the split, beta = 0.  Each prefix is summed on its own: a cumulative
+    # sum rounds differently and can move the split.
     prefix_tol = 1e-10 * unorm1
-
-    # Trivial branch: a group-boundary prefix with nonzero u-sum, beta = 0.
-    for gi, s in enumerate(bounds[:-1], start=1):
-        if abs(float(np.sum(u[order[:s]]))) > prefix_tol:
-            perm = order.copy()
-            beta0 = np.zeros(xs.shape[0])
-            return SeparationResult(
-                perm=perm,
-                l_prime=s,
-                beta=beta0,
-                group_bounds=tuple(bounds),
-                t_group=gi,
-                trivial_branch=True,
-                alpha_max=_alpha_max(perm, s, beta0, v, xs, bounds),
-            )
-
-    # All boundary prefixes vanish; split inside the first group holding a
-    # nonzero u entry.
-    start = 0
-    chosen = None
-    for gi, s in enumerate(bounds, start=1):
-        members = order[start:s]
-        if np.any(np.abs(u[members]) > nz_tol):
-            chosen = (gi, start, s, members)
-            break
-        start = s
-    if chosen is None:
-        raise PreconditionViolated("u must be nonzero")
-    gi, start, s, members = chosen
-
-    norms = np.linalg.norm(xs[:, members], axis=0)
-    nz_mask = np.abs(u[members]) > nz_tol
-    cand = np.where(nz_mask)[0]
-    l_local = cand[np.argmax(norms[cand])]
-    # ties on the norm: keep the lowest original index
-    best = norms[l_local]
-    for c in cand:
-        if norms[c] == best and members[c] < members[l_local]:
-            l_local = c
-    l_orig = members[l_local]
-    beta = xs[:, l_orig].copy()
-    bnorm2 = float(beta @ beta)
-
-    inner = beta @ xs[:, members]
-    before = [m for j, m in enumerate(members) if j != l_local and inner[j] >= bnorm2]
-    after = [m for j, m in enumerate(members) if j != l_local and inner[j] < bnorm2]
-    reordered = np.array(before + [l_orig] + after, dtype=int)
-
+    g = next((g for g, s in enumerate(bounds[:-1])
+              if abs(float(np.sum(u[order[:s]]))) > prefix_tol), None)
+    trivial = g is not None
     perm = order.copy()
-    perm[start:s] = reordered
-    l_prime = start + len(before) + 1
-    if l_prime >= n:
-        # unreachable for zero-sum u with distinct points; guarded for safety
-        raise PreconditionViolated("degenerate separation: empty J")
+    if trivial:
+        l_prime, beta = bounds[g], np.zeros(xs.shape[0])
+    else:
+        # Split inside the group of the first nonzero u entry (one exists:
+        # the largest |u| passes the relative test).
+        nonzero = np.abs(u[order]) > 1e-12 * float(np.max(np.abs(u)))
+        g = int(np.searchsorted(bounds, np.argmax(nonzero), side="right"))
+        start, end = ([0] + bounds)[g], bounds[g]
+        members = order[start:end]
+        cand = nonzero[start:end]
+        norms = np.linalg.norm(xs[:, members], axis=0)[cand]
+        # ties on the norm: keep the lowest original index
+        l_orig = members[cand][norms == np.max(norms)].min()
+        beta = xs[:, l_orig].copy()
+        others = members != l_orig
+        ahead = others & (beta @ xs[:, members] >= float(beta @ beta))
+        perm[start:end] = np.concatenate([members[ahead], [l_orig], members[others & ~ahead]])
+        l_prime = start + int(np.count_nonzero(ahead)) + 1
+        if l_prime >= n:
+            # unreachable for zero-sum u with distinct points; guarded for safety
+            raise PreconditionViolated("degenerate separation: empty J")
     return SeparationResult(
         perm=perm,
         l_prime=l_prime,
         beta=beta,
         group_bounds=tuple(bounds),
-        t_group=gi,
-        trivial_branch=False,
+        t_group=g + 1,
+        trivial_branch=trivial,
         alpha_max=_alpha_max(perm, l_prime, beta, v, xs, bounds),
     )
 
@@ -215,11 +182,7 @@ def _alpha_max(
     if not np.any(beta):
         return ALPHA_CAP
     n = len(perm)
-    group_of = np.empty(n, dtype=int)
-    start = 0
-    for gid, end in enumerate(bounds):
-        group_of[start:end] = gid
-        start = end
+    group_of = np.repeat(np.arange(len(bounds)), np.diff([0] + bounds))
     bound = np.inf
     bx = beta @ xs
     for pi in range(l_prime):
@@ -279,16 +242,12 @@ def descent_constants_at(
     midgap = 0.5 * (min_j - key_l)
     eta1 = key_l + midgap
 
-    group_end = res.group_bounds[res.t_group - 1]
-    if res.l_prime < group_end:
-        gamma_abs = 0.5 * abs(midgap)
-    else:
-        gamma_abs = alpha
-
+    interior = res.l_prime < res.group_bounds[res.t_group - 1]
+    gamma_abs = 0.5 * abs(midgap) if interior else alpha
     u_sum = float(np.sum(u[res.I_indices]))
     drive = u_sum if slope_ratio is None else slope_ratio * u_sum
-    sign = 1.0 if drive > 0 else (-1.0 if drive < 0 else 1.0)
-    gamma = sign * gamma_abs
+    # a zero drive keeps +|gamma|
+    gamma = -gamma_abs if drive < 0 else gamma_abs
     return DescentConstants(
         alpha=alpha,
         gamma=gamma,

@@ -204,6 +204,17 @@ class TestValidationAndSerde:
         with pytest.raises(PreconditionViolated):
             parse_activation("nope")
 
+    @pytest.mark.parametrize("spec", [
+        "leaky:abc",
+        {"breakpoints": [0.0]},
+        {"breakpoints": [0.0], "slopes": [None, 1.0]},
+        {"breakpoints": 0.0, "slopes": [0.0, 1.0]},
+        [0.0, 1.0],
+    ])
+    def test_malformed_spec_is_precondition(self, spec):
+        with pytest.raises(PreconditionViolated):
+            parse_activation(spec)
+
     def test_nonlinearity_flag(self):
         assert relu().is_nonlinear
         assert not PiecewiseLinear((), (2.0,), 0.0).is_nonlinear

@@ -5,18 +5,22 @@ from hypothesis import strategies as st
 
 from spurmin import (
     BoundaryCell,
+    Dataset,
     LossKind,
     Mlp,
     NotEquivalent,
     PiecewiseLinear,
     PreconditionViolated,
     ShapeViolation,
+    absolute_value,
     activation_pattern,
+    build_minimum,
     build_shallow_minimum,
     build_valley_path,
     empirical_risk,
     equivalence_check,
     forward,
+    leaky_relu,
     lift_data,
     linear_collapse_check,
     net_cell_inputs,
@@ -26,6 +30,7 @@ from spurmin import (
     relu,
     signatures_equal,
     solve_cell_optimum,
+    three_piece,
     two_piece,
     walk_valley,
 )
@@ -388,6 +393,30 @@ class TestAnalyze:
         payload = analyze(net, xor, SQ)
         assert len(forward_calls) == 1
         assert payload["risk"] == empirical_risk(net, xor, SQ)
+
+    @pytest.mark.parametrize("act", [relu(), leaky_relu(0.01), absolute_value(), three_piece()])
+    def test_minima_on_pieces_through_the_origin_keep_the_in_cell_keys(self, xor, xor_fit, act):
+        net = build_minimum(xor_fit, xor, (2, 3, 1), act).net
+        payload = analyze(net, xor, SQ)
+        assert abs(payload["reformulated_risk"] - payload["risk"]) <= 1e-12
+        assert {"quotient_gradient_residual", "cell_risk_lower_bound"} <= set(payload)
+
+    @pytest.mark.parametrize("act", [three_piece(), PiecewiseLinear((0.0,), (0.0, 1.0), 1.0)])
+    def test_no_in_cell_keys_on_pieces_off_the_origin(self, act, forward_calls):
+        # both hidden units sit on a piece whose line misses the origin
+        # (threepiece's (1, inf), or the anchor-1 relu): the slope-only lift
+        # would read a reformulated risk of 0.05 or 0.2 against a risk of 4e-5
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((2, 40))
+        W1 = 0.1 * rng.standard_normal((2, 2))
+        W2 = rng.standard_normal((1, 2))
+        net = Mlp((2, 2, 1), (W1, W2), (np.array([3.0, 2.5]), np.array([0.3])), act)
+        Y = forward(net, X).output + 0.01 * rng.standard_normal((1, 40))
+        payload = analyze(net, Dataset(X, Y), SQ)
+        assert len(forward_calls) == 1
+        assert payload["interior"] and payload["risk"] < 1e-4
+        in_cell = {"reformulated_risk", "quotient_gradient_residual", "cell_risk_lower_bound"}
+        assert not in_cell & set(payload)
 
     def test_output_width_mismatch_is_shape_violation(self, xor, rng):
         net = Mlp((2, 3, 2), (rng.standard_normal((3, 2)), rng.standard_normal((2, 3))),

@@ -344,6 +344,29 @@ class TestExitCodes:
         assert not cert_out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["gen-data", "--spec", "blobs:x"],
+        ["construct", "--activation", "leaky:abc"],
+        ["construct", "--activation", '{"breakpoints": [0.0]}'],
+        ["construct", "--activation", '{"breakpoints": [0.0], "slopes": ["a", 1.0]}'],
+    ])
+    def test_malformed_spec_is_precondition(self, tmp_path, xor_csv, capsys, argv):
+        if argv[0] == "construct":
+            argv = argv + ["--data", xor_csv, "--dims", "2,3,1"]
+        else:
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "precondition violated" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("net", [{"dims": [2, 1, 1]}, [1, 2]])
+    def test_malformed_net_file_is_parse_error(self, tmp_path, xor_csv, capsys, net):
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        assert main(["cells", "analyze", "--data", xor_csv, "--net", str(net_path)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error: malformed network" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["demo", "--seed", "-1"],
         ["construct", "--stage", "3", "--dims", "2,3,3,1", "--k", "3", "--seed", "-1"],
         ["gen-data", "--spec", "blobs:3", "--seed", "-1"],

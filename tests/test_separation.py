@@ -310,6 +310,132 @@ class TestAlphaScan:
             separate(u, v, xs)
 
 
+def reference_separate(u, v, xs):
+    """The split search written as loops over samples and group members,
+    kept as the reference that `separate` must match bit for bit: the same
+    groups, the same first nonzero boundary prefix, the same max-norm point
+    (lowest original index on ties) and the same order on both sides of it.
+    Returns the seven SeparationResult fields in declaration order."""
+    order = np.argsort(v, kind="stable")
+    v_sorted = v[order]
+    n = len(u)
+    bounds = []
+    for pos in range(n - 1):
+        if v_sorted[pos + 1] - v_sorted[pos] > separation.TIE_TOL * (1.0 + abs(v_sorted[pos])):
+            bounds.append(pos + 1)
+    bounds.append(n)
+    unorm1 = float(np.sum(np.abs(u)))
+    for gi, s in enumerate(bounds[:-1], start=1):
+        if abs(float(np.sum(u[order[:s]]))) > 1e-10 * unorm1:
+            # beta = 0 leaves alpha at the cap
+            return order, s, np.zeros(xs.shape[0]), tuple(bounds), gi, True, 1.0
+    nz_tol = 1e-12 * float(np.max(np.abs(u)))
+    start = 0
+    for gi, end in enumerate(bounds, start=1):
+        members = order[start:end]
+        if np.any(np.abs(u[members]) > nz_tol):
+            break
+        start = end
+    norms = np.linalg.norm(xs[:, members], axis=0)
+    cand = np.where(np.abs(u[members]) > nz_tol)[0]
+    l_local = cand[np.argmax(norms[cand])]
+    for c in cand:
+        if norms[c] == norms[l_local] and members[c] < members[l_local]:
+            l_local = c
+    l_orig = members[l_local]
+    beta = xs[:, l_orig].copy()
+    bnorm2 = float(beta @ beta)
+    inner = beta @ xs[:, members]
+    before = [m for j, m in enumerate(members) if j != l_local and inner[j] >= bnorm2]
+    after = [m for j, m in enumerate(members) if j != l_local and inner[j] < bnorm2]
+    perm = order.copy()
+    perm[start:end] = np.array(before + [l_orig] + after, dtype=int)
+    l_prime = start + len(before) + 1
+    alpha_max = oracle_alpha_max(perm, l_prime, beta, v, xs, bounds)
+    return perm, l_prime, beta, tuple(bounds), gi, False, alpha_max
+
+
+def assert_same_split(res, u, v, xs):
+    perm, l_prime, beta, bounds, t_group, trivial, alpha_max = reference_separate(u, v, xs)
+    assert res.perm.dtype == perm.dtype and np.array_equal(res.perm, perm)
+    assert type(res.l_prime) is int and res.l_prime == l_prime
+    assert res.beta.dtype == beta.dtype and res.beta.tobytes() == beta.tobytes()
+    assert res.group_bounds == bounds and all(type(b) is int for b in res.group_bounds)
+    assert type(res.t_group) is int and res.t_group == t_group
+    assert res.trivial_branch is trivial
+    assert float(res.alpha_max).hex() == float(alpha_max).hex()
+
+
+def split_group(res):
+    """The members of the group holding the split, in processing order, and
+    the split's position among them."""
+    start = ((0,) + res.group_bounds)[res.t_group - 1]
+    return res.perm[start : res.group_bounds[res.t_group - 1]], res.l_prime - start
+
+
+class TestReferenceSplit:
+    def test_integer_instances(self, rng):
+        # every other draw ties all values, puts the points on three circles
+        # and gives u two opposite entries: the split is inside the group,
+        # candidates often share a norm, and zero-u points of larger norm
+        # (some with <x_l, x_i> = ||x_l||^2) go before the split point
+        circles = np.array([[1, -1, 1, -1, 2, 0, -2, 0, 3, 4, 5, 0, -3, -4, 0, 4],
+                            [1, 1, -1, -1, 0, 2, 0, -2, 4, 3, 0, 5, 4, -3, -5, -3]], dtype=float)
+        nontrivial = tied = ahead = 0
+        for k in range(400):
+            u, v, xs = random_instance(rng)
+            if k % 2:
+                n = int(rng.integers(4, 17))
+                v, xs, u = np.zeros(n), circles[:, rng.permutation(16)[:n]], np.zeros(n)
+                u[rng.choice(n, size=2, replace=False)] = (1.0, -1.0)
+            res = separate(u, v, xs)
+            assert_same_split(res, u, v, xs)
+            if not res.trivial_branch:
+                members, pos = split_group(res)
+                norms = np.linalg.norm(xs[:, members[u[members] != 0.0]], axis=0)
+                nontrivial += 1
+                tied += np.count_nonzero(norms == np.max(norms)) > 1
+                ahead += pos > 2
+        assert nontrivial > 150 and tied > 40 and ahead > 20
+
+    def test_float_instances(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            u = rng.standard_normal(n) * (rng.random(n) < 0.7)
+            u[-1] = -np.sum(u[:-1])
+            v = rng.choice([0.0, 0.5, 1.0], size=n) + 1e-16 * rng.integers(-2, 3, size=n)
+            xs = rng.standard_normal((int(rng.integers(1, 4)), n))
+            if np.any(u != 0.0):
+                assert_same_split(separate(u, v, xs), u, v, xs)
+
+    def test_float_noise_groups(self):
+        for seed in range(6):
+            u, v, xs = tiered_instance(np.random.default_rng([seed, 7]), 120, noise=1e-16)
+            res = separate(u, v, xs)
+            assert not res.trivial_branch
+            assert_same_split(res, u, v, xs)
+
+    def test_3000_sample_tied_sets(self):
+        rng = np.random.default_rng(5)
+        # a zero-u first level of 2990 samples and a mixed second level, both
+        # with float noise: the split falls inside the second group
+        v = np.repeat([1.0, 2.0], [2990, 10]) * (1.0 + 1e-16 * rng.standard_normal(3000))
+        u = np.zeros(3000)
+        u[2990:] = rng.standard_normal(10)
+        u[2990:] -= np.mean(u[2990:])
+        xs = rng.standard_normal((2, 3000))
+        res = separate(u, v, xs)
+        assert not res.trivial_branch and res.group_bounds == (2990, 3000)
+        assert_same_split(res, u, v, xs)
+        # three levels of 1000: the first level boundary splits
+        u = rng.standard_normal(3000)
+        u -= np.mean(u)
+        v = np.repeat([0.0, 1.0, 3.0], 1000)
+        res = separate(u, v, xs)
+        assert res.trivial_branch
+        assert_same_split(res, u, v, xs)
+
+
 def oracle_admissible(res, u, v, xs, slope_ratio):
     """Every (halvings, constants) pair the alpha search may yield: alpha =
     min(1, alpha_max) / 2**k for k < MAX_HALVINGS, kept where the gap case
