@@ -88,10 +88,16 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _activation_arg(spec: str):
+    """A preset name, inline JSON or a .json file path.  Malformed inline
+    JSON is a malformed spec (precondition); an unreadable or malformed file
+    stays an io error, as a --net file is."""
     if spec.endswith(".json"):
         return parse_activation(json.loads(Path(spec).read_text()))
     if spec.startswith("{"):
-        return parse_activation(json.loads(spec))
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise PreconditionViolated(f"malformed activation JSON {spec!r} ({exc})") from None
     return parse_activation(spec)
 
 
@@ -116,10 +122,14 @@ def cmd_construct(args) -> tuple[dict, bool]:
     act = _activation_arg(args.activation)
     dims = _parse_dims(args.dims)
     fit = fit_linear(data, LossKind(args.loss), tol=args.tol)
-    if args.k > 1:
-        points = enumerate_family(fit, data, dims, act, k=args.k, seed=args.seed)
-    else:
+    if args.k == 1:
         points = [build_minimum(fit, data, dims, act, stage=args.stage)]
+    elif args.k > 1 and args.stage not in ("auto", "3"):
+        raise PreconditionViolated(
+            f"--k {args.k} samples the family, which is built on route 3; got --stage {args.stage}"
+        )
+    else:
+        points = enumerate_family(fit, data, dims, act, k=args.k, seed=args.seed)
     payload = {"points": [p.as_dict() for p in points]}
     if len(points) > 1:
         payload["min_pairwise_distance"] = min_pairwise_distance(points)

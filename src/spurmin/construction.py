@@ -12,8 +12,9 @@ Four routes, all seeded by the affine baseline fit:
 All four share one skeleton.  One two-piece scaffold gives the minimum
 (`_minimum_layers`) and the witness (`_witness_layers`) at any depth: the
 one-hidden-layer construction extended by pass-through layers, for the
-witness through one depth lift (`_lift_depth`).  The balanced witness is
-that scaffold with balanced first-layer rows.  The general route runs that
+witness through one depth lift (`_lift_depth`).  One row assembler
+(`_shallow_descent_params`) gives every witness its first layer; balanced
+slopes add one untilted row to its head.  The general route runs that
 scaffold through one squeeze (`_squeeze`) into the linear pieces beside a
 turning point t.  Every scaffold is built in a frame whose right slope is
 nonzero, and one reflection step (`_frame`, `_net`) maps it back to the
@@ -400,50 +401,37 @@ def _shallow_descent_params(
     consts: DescentConstants,
     eta_rest: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the witness layers for a permuted fit (nonzero row first).
+    """Assemble the one-hidden-layer witness layers for a permuted fit
+    (nonzero row first).
 
-    Rows of the hidden layer: the baseline's first row tilted by -alpha*beta
-    and its negation (these two change sign exactly across the split), the
-    remaining baseline rows shifted to stay positive, then zero padding.
+    Rows of the hidden layer: the head, the remaining baseline rows shifted
+    by eta_rest to stay positive, then zero padding.  The head is the
+    baseline's first row tilted by -alpha*beta and its negation (these two
+    change sign exactly across the split).  For balanced slopes
+    (s_minus + s_plus == 0, exactly) the untilted row, shifted by the
+    default eta to stay positive, sits between them: the tilt terms cancel
+    in the output, leaving predictions shifted by exactly -gamma on I and
+    +gamma on J.
     """
-    d_x, d_1, d_y = dims
-    w_off = fitp.w_tilde[0, d_x]
-    a, g, e1 = consts.alpha, consts.gamma, consts.eta1
-    tilted = fitp.w_tilde[0, :d_x] - a * beta
-    pad = d_1 - (d_y + 1)
-    W1 = np.vstack([tilted, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
-    b1 = np.concatenate(
-        [[w_off - e1 + g, -w_off + e1 + g], fitp.w_tilde[1:, d_x] - eta_rest, np.zeros(pad)]
-    )
-    W2 = np.zeros((d_y, d_1))
-    W2[0, :2] = 1.0 / (s_plus + s_minus), -1.0 / (s_plus + s_minus)
-    W2[range(1, d_y), range(2, d_y + 1)] = 1.0 / s_plus
-    b2 = np.concatenate([[e1], eta_rest])
-    return W1, b1, W2, b2
-
-
-def _balanced_descent_params(fitp: LinearFit, dims: tuple[int, ...], s_minus: float, s_plus: float,
-                             beta: np.ndarray, consts: DescentConstants, eta_rest: np.ndarray):
-    """`_shallow_descent_params` for balanced slopes (s_minus = -s_plus): the
-    first baseline row tilted, untilted (shifted by the default eta to stay
-    positive) and tilted negated.  The tilt terms cancel in the output,
-    leaving predictions shifted by exactly -gamma on I and +gamma on J."""
-    eta = default_eta(fitp)
     d_x, d_1, d_y = dims
     w_row, w_off = fitp.w_tilde[0, :d_x], fitp.w_tilde[0, d_x]
     a, g, e1 = consts.alpha, consts.gamma, consts.eta1
     tilted = w_row - a * beta
-    pad = d_1 - (d_y + 2)
-    W1 = np.vstack([tilted, w_row, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
-    b1 = np.concatenate([
-        [w_off - e1 + g, w_off - eta, -w_off + e1 + g],
-        fitp.w_tilde[1:, d_x] - eta_rest,
-        np.zeros(pad),
-    ])
+    if s_minus + s_plus == 0.0:
+        eta = default_eta(fitp)
+        head, head_b = [tilted, w_row, -tilted], [w_off - e1 + g, w_off - eta, -w_off + e1 + g]
+        head_out, out_shift = [1.0 / (2.0 * s_plus), 1.0 / s_plus, -1.0 / (2.0 * s_plus)], eta
+    else:
+        head, head_b = [tilted, -tilted], [w_off - e1 + g, -w_off + e1 + g]
+        head_out, out_shift = [1.0 / (s_plus + s_minus), -1.0 / (s_plus + s_minus)], e1
+    heads = len(head)
+    pad = d_1 - (d_y - 1 + heads)
+    W1 = np.vstack([*head, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
+    b1 = np.concatenate([head_b, fitp.w_tilde[1:, d_x] - eta_rest, np.zeros(pad)])
     W2 = np.zeros((d_y, d_1))
-    W2[0, :3] = 1.0 / (2.0 * s_plus), 1.0 / s_plus, -1.0 / (2.0 * s_plus)
-    W2[range(1, d_y), range(3, d_y + 2)] = 1.0 / s_plus
-    b2 = np.concatenate([[eta], eta_rest])
+    W2[0, :heads] = head_out
+    W2[range(1, d_y), range(heads, d_y - 1 + heads)] = 1.0 / s_plus
+    b2 = np.concatenate([[out_shift], eta_rest])
     return W1, b1, W2, b2
 
 
@@ -487,12 +475,13 @@ def _witness_layers(
     Layer 1 tilts the nonzero-gradient baseline row along the separating
     direction and nudges it by gamma; the sign split makes the first-order
     risk change strictly negative while rows 2.. reproduce the baseline.
-    Balanced slopes (s- + s+ == 0, exactly) take the balanced rows, any
-    others the two-piece rows; the alpha search, or an explicit gamma at
-    the sizing's first alpha, picks the constants, and `_lift_depth` takes
-    the one-hidden-layer witness to the depth of dims.  Returns the network
-    for act, its params, its forward trace and its risk; the network's
-    layers are in the build frame when act needs no reflection.
+    One assembler, `_shallow_descent_params`, gives the rows; balanced
+    slopes (s- + s+ == 0, exactly) add an untilted row to its head.  The
+    alpha search, or an explicit gamma at the sizing's first alpha, picks
+    the constants, and `_lift_depth` takes the one-hidden-layer witness to
+    the depth of dims.  Returns the network for act, its params, its
+    forward trace and its risk; the network's layers are in the build frame
+    when act needs no reflection.
     """
     build_act, reflected = _frame(act, act.s_plus)
     s_minus, s_plus = build_act.s_minus, build_act.s_plus
@@ -506,10 +495,10 @@ def _witness_layers(
     fitp, inv, res = _split(fit, data)
     eta_rest = _default_eta_rest(fitp)
     shallow = (dims[0], dims[1], dims[-1])
-    rows = _balanced_descent_params if balanced else _shallow_descent_params
 
     def layers(consts: DescentConstants) -> Layers:
-        W1, b1, W2, b2 = rows(fitp, shallow, s_minus, s_plus, res.beta, consts, eta_rest)
+        W1, b1, W2, b2 = _shallow_descent_params(fitp, shallow, s_minus, s_plus, res.beta, consts,
+                                                 eta_rest)
         return [W1, W2[inv]], [b1, b2[inv]]
 
     # gamma's sign is governed by the activation frame the formulas run in;
@@ -535,15 +524,20 @@ def _witness_layers(
 # shallow and deep routes (two-piece)
 
 
+def _depth_stage(dims: tuple[int, ...]) -> str:
+    """The two-piece route's label: "1" with one hidden layer, else "2"."""
+    return "1" if len(dims) == 3 else "2"
+
+
 def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
-                       act: PiecewiseLinear, eta: Optional[float], stage: str) -> CertifiedPoint:
+                       act: PiecewiseLinear, eta: Optional[float]) -> CertifiedPoint:
     _require_hidden_wider(dims, data.d_y)
     _, s_plus = _two_piece_or_raise(act)
     eta = _checked_eta(fit, eta)
     build_act, reflected = _frame(act, s_plus)
     net = _net(dims, act, reflected, *_minimum_layers(fit, dims, build_act.s_plus, eta))
     return _certify_minimum(
-        net, fit, data, stage, ConstructionParams(eta=eta), (0.0, np.inf), reflected
+        net, fit, data, _depth_stage(dims), ConstructionParams(eta=eta), (0.0, np.inf), reflected
     )
 
 
@@ -561,7 +555,7 @@ def build_shallow_minimum(
     _check_dims(fit, data, dims)
     if len(dims) != 3:
         raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    return _two_piece_minimum(fit, data, dims, act, eta, "1")
+    return _two_piece_minimum(fit, data, dims, act, eta)
 
 
 @_float_checked
@@ -576,7 +570,7 @@ def build_deep_minimum(
     layers forward the payload (and replicate the positive pad unit), and the
     output layer undoes the eta shift."""
     _check_dims(fit, data, dims)
-    return _two_piece_minimum(fit, data, dims, act, eta, "2")
+    return _two_piece_minimum(fit, data, dims, act, eta)
 
 
 def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
@@ -587,7 +581,7 @@ def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act
             "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
         )
     net, params, _, risk = _witness_layers(fit, data, dims, act, lambda_shift)
-    return _witness(net, "1" if len(dims) == 3 else "2", risk, fit, params)
+    return _witness(net, _depth_stage(dims), risk, fit, params)
 
 
 @_float_checked
@@ -794,6 +788,31 @@ def build_balanced_descent(
 # routing and family enumeration
 
 
+def _stage(stage: str, act: PiecewiseLinear, dims: tuple[int, ...], witness: bool) -> str:
+    """The route a stage name resolves to.  "auto" takes route "3" for an
+    activation that is not two-piece and "corollary" for a witness whose
+    slopes cancel exactly; otherwise "auto", or a minimum asked for on
+    "corollary" (the balanced case uses the shallow/deep minimum, which only
+    needs a nonzero right slope), takes "1" or "2" by depth.  Any other name
+    is returned as given."""
+    if stage == "auto" and not act.is_two_piece:
+        return "3"
+    if stage == "auto" and witness and act.s_minus + act.s_plus == 0.0:
+        return "corollary"
+    if stage == "auto" or (stage == "corollary" and not witness):
+        return _depth_stage(dims)
+    return stage
+
+
+def _route(builders: dict, stage: str, *args, **overrides) -> CertifiedPoint:
+    """Run the builder a resolved stage name selects.  The callers build
+    their tables per call, so a builder replaced on the module (say, by a
+    tracing wrapper) is the one that runs."""
+    if stage not in builders:
+        raise PreconditionViolated(f"unknown stage {stage!r}")
+    return builders[stage](*args, **overrides)
+
+
 def build_minimum(
     fit: LinearFit,
     data: Dataset,
@@ -803,19 +822,9 @@ def build_minimum(
     **overrides,
 ) -> CertifiedPoint:
     """Route to a minimum construction by stage name ("1", "2", "3", or
-    "corollary"/"auto"); the balanced case uses the shallow/deep minimum,
-    which only needs a nonzero right slope."""
-    if stage == "auto" and not act.is_two_piece:
-        stage = "3"
-    elif stage in ("auto", "corollary"):
-        stage = "1" if len(dims) == 3 else "2"
-    if stage == "1":
-        return build_shallow_minimum(fit, data, dims, act, **overrides)
-    if stage == "2":
-        return build_deep_minimum(fit, data, dims, act, **overrides)
-    if stage == "3":
-        return build_general_minimum(fit, data, dims, act, **overrides)
-    raise PreconditionViolated(f"unknown stage {stage!r}")
+    "corollary"/"auto"), resolved by `_stage`."""
+    builders = {"1": build_shallow_minimum, "2": build_deep_minimum, "3": build_general_minimum}
+    return _route(builders, _stage(stage, act, dims, False), fit, data, dims, act, **overrides)
 
 
 def build_descent(
@@ -826,23 +835,11 @@ def build_descent(
     stage: str = "auto",
     **overrides,
 ) -> CertifiedPoint:
-    """Route to a descent-witness construction by stage name."""
-    if stage == "auto":
-        if act.is_two_piece and act.s_minus + act.s_plus == 0.0:
-            stage = "corollary"
-        elif act.is_two_piece:
-            stage = "1" if len(dims) == 3 else "2"
-        else:
-            stage = "3"
-    if stage == "1":
-        return build_shallow_descent(fit, data, dims, act, **overrides)
-    if stage == "2":
-        return build_deep_descent(fit, data, dims, act, **overrides)
-    if stage == "3":
-        return build_general_descent(fit, data, dims, act, **overrides)
-    if stage == "corollary":
-        return build_balanced_descent(fit, data, dims, act, **overrides)
-    raise PreconditionViolated(f"unknown stage {stage!r}")
+    """Route to a descent-witness construction by stage name, resolved by
+    `_stage`."""
+    builders = {"1": build_shallow_descent, "2": build_deep_descent, "3": build_general_descent,
+                "corollary": build_balanced_descent}
+    return _route(builders, _stage(stage, act, dims, True), fit, data, dims, act, **overrides)
 
 
 @_float_checked

@@ -161,6 +161,23 @@ class TestSubcommands:
         for p in fam["points"]:
             assert abs(p["risk"] - 0.125) <= 1e-9
 
+    def test_activation_from_a_json_file(self, tmp_path, xor_csv):
+        act = tmp_path / "leaky.json"
+        act.write_text('{"breakpoints": [0.0], "slopes": [0.25, 1.0], "anchor": 0.0}')
+        out = tmp_path / "min.json"
+        assert main(["construct", "--data", xor_csv, "--dims", "2,3,1",
+                     "--activation", str(act), "--out", str(out)]) == 0
+        point = json.loads(out.read_text())["points"][0]
+        assert point["net"]["activation"]["slopes"] == [0.25, 1.0]
+
+    def test_a_depth_1_pair_is_stage_1_on_either_two_piece_route(self, tmp_path, xor_csv):
+        for stage in ("1", "2"):
+            out = tmp_path / f"pair{stage}.json"
+            assert main(["descend", "--data", xor_csv, "--stage", stage, "--dims", "2,3,1",
+                         "--out", str(out)]) == 0
+            pair = json.loads(out.read_text())
+            assert (pair["minimum"]["stage"], pair["witness"]["stage"]) == ("1", "1")
+
     def test_cells_analyze(self, tmp_path, xor_csv):
         min_out = tmp_path / "min.json"
         main(["construct", "--data", xor_csv, "--stage", "1", "--dims", "2,3,1",
@@ -380,6 +397,43 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "seed must be at least 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["-4", "0"])
+    def test_construct_k_below_one_is_precondition(self, tmp_path, xor_csv, capsys, k):
+        out = tmp_path / "points.json"
+        assert main(["construct", "--data", xor_csv, "--dims", "2,3,1", "--k", k,
+                     "--out", str(out)]) == 3
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["1", "2", "corollary"])
+    def test_family_on_a_two_piece_stage_is_precondition(self, xor_csv, capsys, stage):
+        # the family is sampled on route 3 only, so --stage cannot pick another
+        assert main(["construct", "--data", xor_csv, "--stage", stage, "--dims", "2,4,1",
+                     "--k", "3"]) == 3
+        assert "built on route 3" in capsys.readouterr().err
+
+    def test_malformed_inline_activation_json_is_precondition(self, xor_csv, capsys):
+        assert main(["construct", "--data", xor_csv, "--dims", "2,3,1",
+                     "--activation", "{bad"]) == 3
+        err = capsys.readouterr().err
+        assert "precondition violated: malformed activation JSON" in err
+        assert "Traceback" not in err
+
+    def test_malformed_activation_file_is_io_error(self, tmp_path, xor_csv, capsys):
+        act = tmp_path / "act.json"
+        act.write_text("{bad")
+        assert main(["construct", "--data", xor_csv, "--dims", "2,3,1",
+                     "--activation", str(act)]) == 2
+        assert "io error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, message", [
+        ("2,x,1", "bad dims '2,x,1'"),
+        ("2", "dims needs at least input and output widths"),
+    ])
+    def test_malformed_dims_is_precondition(self, xor_csv, capsys, dims, message):
+        assert main(["construct", "--data", xor_csv, "--dims", dims]) == 3
+        assert message in capsys.readouterr().err
 
     def test_abs_without_corollary_is_precondition(self):
         assert main(["demo", "--activation", "abs"]) == 3

@@ -757,3 +757,157 @@ def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, over
         warnings.simplefilter("error")
         with pytest.raises(PreconditionViolated, match=f"{override} must lie in"):
             build(xor_fit, xor, (2, 4, 3, 1), act, **{override: value})
+
+
+# ---------------------------------------------------------------------------
+# one stage rule, one stage label per depth, typed failures of the builders
+
+
+@pytest.mark.parametrize("build", [build_minimum, build_descent])
+def test_unknown_stage_is_precondition(xor, xor_fit, relu_act, build):
+    with pytest.raises(PreconditionViolated, match="unknown stage '9'"):
+        build(xor_fit, xor, (2, 3, 1), relu_act, stage="9")
+
+
+@pytest.mark.parametrize("stage", ["1", "2", "corollary", "auto"])
+def test_a_two_piece_point_is_labelled_by_its_depth(xor, xor_fit, stage):
+    act = absolute_value() if stage == "corollary" else relu()
+    for dims, label in [((2, 4, 1), "1"), ((2, 4, 3, 1), "2")]:
+        if not (stage == "1" and len(dims) > 3):
+            assert build_minimum(xor_fit, xor, dims, act, stage=stage).stage == label
+    assert build_deep_minimum(xor_fit, xor, (2, 3, 1), relu()).stage == "1"
+    assert build_deep_descent(xor_fit, xor, (2, 3, 1), relu()).stage == "1"
+
+
+def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
+    with pytest.raises(PreconditionViolated, match="k must be >= 1"):
+        enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"alpha_scales": (0.5, 0.5)}, "need 1 alpha scales for 3 layers"),
+    ({"alpha_scales": (1.5,)}, r"alpha scales must lie in \(0, 1\)"),
+    ({"alpha_scales": (0.0,)}, r"alpha scales must lie in \(0, 1\)"),
+    ({"m_scale": 1e-3}, "m_scale too small for the linearity radius sigma"),
+])
+def test_general_minimum_rejects_bad_scales(xor, xor_fit, overrides, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), **overrides)
+
+
+def test_route_1_minimum_rejects_an_eta_above_the_baseline(xor, xor_fit, relu_act):
+    with pytest.raises(PreconditionViolated, match="eta must keep the shifted baseline"):
+        build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act, eta=10.0)
+
+
+def test_route_2_witness_rejects_a_lambda_below_its_output(xor, xor_fit, relu_act):
+    with pytest.raises(PreconditionViolated, match="lambda must make the witness output"):
+        build_deep_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, lambda_shift=-100.0)
+
+
+def test_shallow_minimum_needs_a_two_piece_activation(xor, xor_fit):
+    with pytest.raises(PreconditionViolated, match="this route needs a two-piece activation"):
+        build_shallow_minimum(xor_fit, xor, (2, 3, 1), three_piece())
+
+
+# ---------------------------------------------------------------------------
+# the one witness-row assembler against the two it replaced
+
+
+def reference_shallow_descent_params(fitp, dims, s_minus, s_plus, beta, consts, eta_rest):
+    """The two-piece rows as assembled before the balanced rows were folded in."""
+    d_x, d_1, d_y = dims
+    w_off = fitp.w_tilde[0, d_x]
+    a, g, e1 = consts.alpha, consts.gamma, consts.eta1
+    tilted = fitp.w_tilde[0, :d_x] - a * beta
+    pad = d_1 - (d_y + 1)
+    W1 = np.vstack([tilted, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
+    b1 = np.concatenate(
+        [[w_off - e1 + g, -w_off + e1 + g], fitp.w_tilde[1:, d_x] - eta_rest, np.zeros(pad)]
+    )
+    W2 = np.zeros((d_y, d_1))
+    W2[0, :2] = 1.0 / (s_plus + s_minus), -1.0 / (s_plus + s_minus)
+    W2[range(1, d_y), range(2, d_y + 1)] = 1.0 / s_plus
+    b2 = np.concatenate([[e1], eta_rest])
+    return W1, b1, W2, b2
+
+
+def reference_balanced_descent_params(fitp, dims, s_minus, s_plus, beta, consts, eta_rest):
+    """The balanced rows (tilted, untilted, tilted negated) as assembled
+    before they were folded into the one assembler."""
+    eta = construction.default_eta(fitp)
+    d_x, d_1, d_y = dims
+    w_row, w_off = fitp.w_tilde[0, :d_x], fitp.w_tilde[0, d_x]
+    a, g, e1 = consts.alpha, consts.gamma, consts.eta1
+    tilted = w_row - a * beta
+    pad = d_1 - (d_y + 2)
+    W1 = np.vstack([tilted, w_row, -tilted, fitp.w_tilde[1:, :d_x], np.zeros((pad, d_x))])
+    b1 = np.concatenate([
+        [w_off - e1 + g, w_off - eta, -w_off + e1 + g],
+        fitp.w_tilde[1:, d_x] - eta_rest,
+        np.zeros(pad),
+    ])
+    W2 = np.zeros((d_y, d_1))
+    W2[0, :3] = 1.0 / (2.0 * s_plus), 1.0 / s_plus, -1.0 / (2.0 * s_plus)
+    W2[range(1, d_y), range(3, d_y + 2)] = 1.0 / s_plus
+    b2 = np.concatenate([[eta], eta_rest])
+    return W1, b1, W2, b2
+
+
+def _random_fit(r):
+    """A fit of random data with 1-3 features and 1-3 label rows, with
+    labels at a random scale; its rows are reordered at random, as the
+    witness reorders them to put a nonzero-residual row first."""
+    d_x, d_y = int(r.integers(1, 4)), int(r.integers(1, 4))
+    n = int(r.integers(d_x + 2, d_x + 8))
+    X = r.standard_normal((d_x, n)) * 10.0 ** r.uniform(-2, 2)
+    Y = r.standard_normal((d_y, n)) * 10.0 ** r.uniform(-3, 3) + r.normal(0.0, 5.0, (d_y, 1))
+    data = Dataset(X, Y)
+    fit = fit_linear(data, SQ)
+    fitp, _ = permute_fit_rows(fit, data, r.permutation(d_y))
+    return fitp
+
+
+def _random_slopes(r, balanced):
+    """Build-frame slopes: positive, negative, or the frame of an
+    activation with a zero right slope, found through `construction._frame`."""
+    s = float(10.0 ** r.uniform(-3, 3))
+    kind = r.integers(3)
+    if balanced:
+        left, right = (-s, s) if kind != 1 else (s, -s)
+        act = PiecewiseLinear((0.0,), (left, right), 0.0)
+    elif kind == 0:
+        act = two_piece(s * r.uniform(-0.9, 0.9), s)
+    elif kind == 1:
+        act = two_piece(s * r.uniform(-0.9, 0.9), -s)
+    else:
+        act = two_piece(s * r.choice([-1.0, 1.0]) * r.uniform(0.1, 2.0), 0.0)
+    frame, _ = construction._frame(act, act.s_plus)
+    return frame.s_minus, frame.s_plus
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["two-piece", "balanced"])
+def test_one_row_assembler_matches_the_two_it_replaced_bit_for_bit(balanced):
+    reference = reference_balanced_descent_params if balanced else reference_shallow_descent_params
+    r = np.random.default_rng(2024 + balanced)
+    draws = 0
+    for _ in range(250):
+        fitp = _random_fit(r)
+        d_x, d_y = fitp.w_tilde.shape[1] - 1, fitp.w_tilde.shape[0]
+        for _ in range(10):
+            s_minus, s_plus = _random_slopes(r, balanced)
+            assert (s_minus + s_plus == 0.0) == balanced
+            dims = (d_x, d_y + 1 + balanced + int(r.integers(0, 4)), d_y)
+            beta = r.standard_normal(d_x) * 10.0 ** r.uniform(-2, 2)
+            consts = construction.DescentConstants(
+                alpha=float(0.5 ** r.integers(0, 40)), gamma=float(r.standard_normal()),
+                eta1=float(r.standard_normal() * 10.0 ** r.uniform(-3, 3)),
+                midgap=float(r.standard_normal()), margin=float(r.random()),
+            )
+            eta_rest = construction._default_eta_rest(fitp) + r.standard_normal(d_y - 1)
+            args = (fitp, dims, s_minus, s_plus, beta, consts, eta_rest)
+            for got, want in zip(construction._shallow_descent_params(*args), reference(*args)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            draws += 1
+    assert draws >= 2000
