@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .io import (
     dump_json,
     gen_dataset,
     load_dataset_csv,
+    load_json,
     load_mlp,
     mlp_to_dict,
     save_dataset_csv,
@@ -92,7 +92,7 @@ def _activation_arg(spec: str):
     JSON is a malformed spec (precondition); an unreadable or malformed file
     stays an io error, as a --net file is."""
     if spec.endswith(".json"):
-        return parse_activation(json.loads(Path(spec).read_text()))
+        return parse_activation(load_json(spec))
     if spec.startswith("{"):
         try:
             spec = json.loads(spec)

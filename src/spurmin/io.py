@@ -103,7 +103,13 @@ def dump_json(obj, path: Union[str, Path]) -> None:
 
 
 def load_json(path: Union[str, Path]):
-    return json.loads(Path(path).read_text())
+    """Parse a JSON file; a malformed one raises json.JSONDecodeError with
+    the file's path leading its message."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 def save_dataset_csv(data: Dataset, path: Union[str, Path]) -> None:

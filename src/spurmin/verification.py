@@ -26,9 +26,10 @@ LOCAL_MIN_SLACK = -1e-10  # absorbs summation rounding in the risk
 DESCENT_GAP_MIN = 1e-12
 RISK_MATCH_TOL = 1e-9  # |risk(minimum) - baseline risk| / max(1, baseline risk)
 FD_STEP = 1e-6  # central-difference step of fd_gradient_check
-# float64 elements per stacked array in one chunk of probe draws (1 MiB).
-# A four times larger budget raised peak memory by ~15 MB on a 3000-sample,
-# 16-unit probe, and was no faster.
+# float64 elements per stacked array in one chunk of probe draws (1 MiB), and
+# per array of a block's streams, draws x parameters.  A four times larger
+# budget raised peak memory by ~15 MB on a 3000-sample, 16-unit probe, and was
+# no faster.
 _CHUNK_ELEMENTS = 1 << 17
 
 # numpy's SeedSequence hash (a pool of four 32-bit words) and its constants.
@@ -50,6 +51,38 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 # 4 pool fills and 12 cross mixes hash with A; 8 output words hash with B.
 _HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
 _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+# PCG64, numpy's default bit generator, steps state <- state * M + inc modulo
+# 2**128, so its k-th state is M**k * state_0 + (M**(k-1) + ... + 1) * inc.
+# Streams of up to _ARRAY_STREAM_MAX parameters per draw are computed from
+# that as array arithmetic, longer ones by numpy's generator, one per draw.
+# Arrays against generators for 500 draws on a 2-core Xeon (numpy 2.4): 0.4
+# against 1.8 ms at 13 parameters, 1.5 against 2.0 ms at 64, 2.0 against
+# 1.6 ms at 128; for 3 draws of 34 177, 2.4 against 0.34 ms.  The paths
+# crossed between 97 and 128 parameters there, and at 65-97 in an earlier
+# measurement on the same kind of host; the bound sits below both.
+_ARRAY_STREAM_MAX = 64
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_LO32 = np.uint64(_U32)
+_1, _11, _32, _58, _63, _64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+
+
+def _jump_consts(n: int) -> list[np.ndarray]:
+    """High and low uint64 words of M**k, then of M**(k-1) + ... + 1, for
+    k = 1..n."""
+    powers, sums = [_PCG_MULT], [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+        sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
+    return [
+        np.array([v >> shift & _MASK64 for v in values], dtype=np.uint64)
+        for values in (powers, sums) for shift in (64, 0)
+    ]
+
+
+_POW_HI, _POW_LO, _SUM_HI, _SUM_LO = _jump_consts(_ARRAY_STREAM_MAX)
 
 
 @dataclass(frozen=True)
@@ -127,17 +160,76 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def _mul128(ah, al, bh, bl):
+    """(a * b) mod 2**128 for broadcast (high, low) uint64 word arrays: the
+    low words' full product from 32-bit limbs, the cross terms mod 2**64."""
+    a0, a1, b0, b1 = al & _LO32, al >> _32, bl & _LO32, bl >> _32
+    mid = a1 * b0
+    hi = mid >> _32
+    mid &= _LO32
+    mid += a0 * b1
+    mid += (a0 * b0) >> _32  # mid stays below 2**64
+    mid >>= _32
+    hi += mid
+    hi += a1 * b1
+    hi += ah * bl
+    hi += al * bh
+    return hi, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    """(a + b) mod 2**128 for broadcast (high, low) uint64 word arrays."""
+    lo = al + bl
+    return ah + bh + (lo < bl), lo
+
+
+def _pcg64_random(words: np.ndarray, total: int) -> np.ndarray:
+    """Generator(PCG64(w)).random(total) for every row w of _seed_words'
+    output, as one (rows, total) array.
+
+    Seeding takes initstate = w0 * 2**64 + w1 and inc = 2 * (w2 * 2**64 + w3)
+    + 1, and sets state_0 = (inc + initstate) * M + inc.  Draw k = 1..total
+    steps, then outputs state_k's XSL-RR word rotr64(hi ^ lo, hi >> 58), and
+    random() scales its top 53 bits by 2**-53.
+    """
+    inc = (words[:, 2:3] << _1) | (words[:, 3:4] >> _63), (words[:, 3:4] << _1) | _1
+    seeded = _add128(*inc, words[:, 0:1], words[:, 1:2])
+    state0 = _add128(*_mul128(*seeded, _POW_HI[:1], _POW_LO[:1]), *inc)
+    # state_k for the whole block, its sum added in place
+    hi, lo = _mul128(_POW_HI[:total], _POW_LO[:total], *state0)
+    step_hi, step_lo = _mul128(_SUM_HI[:total], _SUM_LO[:total], *inc)
+    lo += step_lo
+    hi += step_hi
+    hi += lo < step_lo
+    lo ^= hi
+    hi >>= _58
+    np.right_shift(lo, hi, out=step_lo)
+    np.subtract(_64, hi, out=hi)
+    hi &= _63
+    lo <<= hi
+    lo |= step_lo
+    lo >>= _11
+    u = lo.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
+
+
 def _uniform_draws(seed64: int, start: int, stop: int, total: int) -> np.ndarray:
     """Rows i = start..stop-1 of default_rng(seed64 ^ i).uniform(-1, 1, total).
 
-    The seeds are hashed together; each row is then numpy's own PCG64 stream
-    through Generator.random, written in place, and Generator.uniform(-1, 1)
-    is -1 + 2 * random().
+    The seeds are hashed together.  Up to _ARRAY_STREAM_MAX parameters per
+    draw, the block's PCG64 streams are then computed together as array
+    arithmetic; above it, each row is numpy's own PCG64 stream through
+    Generator.random, written in place.  Both give the same bits, and
+    Generator.uniform(-1, 1) is -1 + 2 * random().
     """
     words = _seed_words(np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed64))
-    u = np.empty((stop - start, total))
-    for row, w in zip(u, words):
-        np.random.Generator(np.random.PCG64(_SeedWords(w))).random(out=row)
+    if total <= _ARRAY_STREAM_MAX:
+        u = _pcg64_random(words, total)
+    else:
+        u = np.empty((stop - start, total))
+        for row, w in zip(u, words):
+            np.random.Generator(np.random.PCG64(_SeedWords(w))).random(out=row)
     u *= 2.0
     u -= 1.0
     return u
@@ -152,9 +244,10 @@ def _draw_risks(
     u uniform on [-1, 1] from its own stream default_rng(seed64 ^ i): one
     `uniform` call per draw, split over the weights layer by layer and then
     the biases.  A chunk holds as many draws as keep each stacked array within
-    _CHUNK_ELEMENTS; the streams are made a block of whole chunks at a time,
-    as many draws as that budget holds, since hashing the seeds has a fixed
-    cost per call.
+    _CHUNK_ELEMENTS.  The streams are made a block of whole chunks at a time,
+    as many draws as that budget holds, since each call has a fixed cost:
+    _uniform_draws hashes the block's seeds together and, for a net of at
+    most _ARRAY_STREAM_MAX parameters, computes its streams as arrays too.
     """
     params = (*net.weights, *net.biases)
     bounds = np.cumsum([0] + [p.size for p in params]).tolist()

@@ -427,6 +427,28 @@ class TestExitCodes:
                      "--activation", str(act)]) == 2
         assert "io error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--dims", "2,3,1", "--activation", "BAD"],
+        ["verify", "--net", "BAD"],
+        ["cells", "analyze", "--net", "BAD"],
+        ["path", "build", "--a", "BAD", "--b", "GOOD"],
+        ["path", "build", "--a", "GOOD", "--b", "BAD"],
+    ])
+    def test_malformed_json_file_error_names_the_file(
+        self, tmp_path, xor_csv, xor, xor_fit, relu_act, capsys, argv
+    ):
+        from spurmin import build_shallow_minimum
+        from spurmin.io import save_mlp
+
+        bad, good = tmp_path / "malformed.json", tmp_path / "net.json"
+        bad.write_text("{bad")
+        save_mlp(build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net, good)
+        files = {"BAD": str(bad), "GOOD": str(good)}
+        assert main([files.get(a, a) for a in argv] + ["--data", xor_csv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: {bad}: Expecting property name")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("dims, message", [
         ("2,x,1", "bad dims '2,x,1'"),
         ("2", "dims needs at least input and output widths"),

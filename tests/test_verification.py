@@ -391,7 +391,7 @@ class TestStreamParity:
         assert_same_bytes(verification._seed_words(np.array(seeds, dtype=np.uint64)), expected)
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    @pytest.mark.parametrize("total", [1, 13, 25, 81, 1000])
+    @pytest.mark.parametrize("total", [1, 13, 25, 64, 65, 81, 1000])
     @pytest.mark.parametrize("start, stop", [(0, 9), (5, 12), (2**20 - 3, 2**20 + 3)])
     def test_uniform_draws_match_default_rng(self, seed, total, start, stop):
         assert_same_bytes(verification._uniform_draws(seed, start, stop, total),
@@ -421,6 +421,24 @@ class TestStreamParity:
             risks = verification._draw_risks(point.net, xor, SQ, 1e-4, 60, 7)
         assert cert.verdict
         assert risks.tolist() == expected
+
+    @pytest.mark.parametrize("dims", [(2, 3, 1), (2, 3, 3, 1)])
+    def test_small_net_probe_builds_no_generator(self, xor, xor_fit, relu_act, dims):
+        # 13 and 25 parameters: the streams are array arithmetic, with no
+        # numpy generator, and still give the serial oracle's risks
+        from spurmin import build_minimum
+
+        net = build_minimum(xor_fit, xor, dims, relu_act).net
+        assert sum(p.size for p in (*net.weights, *net.biases)) <= verification._ARRAY_STREAM_MAX
+        expected = serial_draw_risks(net, xor, SQ, 1e-4, 60, 7)
+        worst = min(expected) - empirical_risk(net, xor, SQ)
+        with mock.patch.object(np.random, "Generator", side_effect=AssertionError), \
+                mock.patch.object(np.random, "PCG64", side_effect=AssertionError):
+            risks = verification._draw_risks(net, xor, SQ, 1e-4, 60, 7)
+            check = perturbation_local_min_test(net, xor, SQ, samples=60, seed=7).checks[0]
+        assert risks.tolist() == expected
+        assert check.value == worst
+        assert check.passed and worst >= verification.LOCAL_MIN_SLACK
 
 
 class TestNonFiniteRisk:
