@@ -5,20 +5,26 @@ piece, and the function value at the first breakpoint (at 0 when there are
 no breakpoints).  Continuity is structural: values are accumulated from the
 anchor, so no per-piece intercepts can disagree.
 
-Evaluation compares the input with the breakpoints in turn.  A breakpoint
-that no entry lies left of moves every entry to the next piece, and one that
-every entry lies left of ends the scan, so an input inside one piece is
-evaluated with a scalar slope, knot and reference breakpoint; only a
-breakpoint that splits the input selects per entry.  The values are
-bit-identical to a searchsorted(side="right") breakpoint lookup, signed zeros
-and NaN (which lands in the last piece) included.  A linear activation takes
-the same path: its one piece has the anchor as knot and reference 0.
+Evaluation starts from the input's extremes.  The least entry's piece is
+found by bisection on the breakpoints, and the greatest entry is read only
+when a breakpoint lies above the least.  When both lie in one piece, as on
+every hidden layer of a constructed minimum, the input is evaluated with
+that piece's scalar slope, knot and reference breakpoint, and the steps
+that are exact identities (subtracting a reference of +0.0, multiplying by
+a slope of 1.0) are skipped.  Otherwise the breakpoints are compared with
+the input in turn, and only a breakpoint that splits it selects per entry.
+The values are bit-identical to a searchsorted(side="right") breakpoint
+lookup, signed zeros and NaN (which lands in the last piece) included.  A
+linear activation takes the same path: its one piece has the anchor as
+knot and reference 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Union
+from math import copysign
+from typing import Optional, Union
 
 import numpy as np
 
@@ -93,9 +99,22 @@ class PiecewiseLinear:
     def __call__(self, x: ArrayLike) -> ArrayLike:
         x = np.asarray(x, dtype=float)
         slope, knot, ref = self._piece(x)
-        out = x - ref
-        out *= slope
-        out += knot
+        # x - (+0.0) and x * 1.0 are exact identities, signed zeros and NaN
+        # included, so they are skipped; + knot always runs (it maps -0.0
+        # to +0.0) and the first step that runs writes a fresh array
+        if isinstance(ref, float) and ref == 0.0 and copysign(1.0, ref) == 1.0:
+            out = x
+        else:
+            out = x - ref
+        if not (isinstance(slope, float) and slope == 1.0):
+            if out is x:
+                out = x * slope
+            else:
+                out *= slope
+        if out is x:
+            out = x + knot
+        else:
+            out += knot
         return out if out.ndim else float(out)
 
     def _piece(self, x: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
@@ -103,14 +122,29 @@ class PiecewiseLinear:
         each entry of x.
 
         An entry at a breakpoint belongs to the piece on its right, and NaN
-        to the last piece, as with searchsorted(..., side="right").  The
-        comparisons pick the same table entries as that lookup, so values
-        built from them are bit-identical to it.  The three are scalars
-        unless some breakpoint splits x.  A linear activation (no
-        breakpoints) has one piece: its slope, the anchor, and reference 0.
+        to the last piece, as with searchsorted(..., side="right").  When
+        x's least and greatest entries lie in one piece (see `_span`), the
+        three are that piece's Python floats; otherwise `_select` compares
+        x with the breakpoints.  Both pick the same table entries as the
+        searchsorted lookup, so values built from them are bit-identical
+        to it.  A linear activation (no breakpoints) has one piece: its
+        slope, the anchor, and reference 0.
         """
+        span = self._span(x)
+        if span is None:
+            return self._select(x)
+        p = span[0]
+        q = max(p - 1, 0)  # pieces 0 and 1 share knot 0 and breakpoint 0
+        return self.slopes[p], self._knots[q], self.breakpoints[q] if self.breakpoints else 0.0
+
+    def _select(self, x: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+        """`_piece` for an x that is empty, holds NaN or is split: the
+        breakpoints are compared with x in turn.  One that no entry lies
+        left of moves every entry to the next piece, one that every entry
+        lies left of ends the scan, and only one that splits x selects per
+        entry."""
         bps, sls, knots = self.breakpoints, self.slopes, self._knots
-        slope, knot, ref = sls[0], knots[0], bps[0] if bps else 0.0
+        slope, knot, ref = sls[0], knots[0], bps[0]
         for k, b in enumerate(bps):
             left = x < b
             n_left = np.count_nonzero(left)
@@ -124,6 +158,31 @@ class PiecewiseLinear:
                     knot = np.where(left, knot, knots[k])
                     ref = np.where(left, ref, b)
         return slope, knot, ref
+
+    def _span(self, x: np.ndarray) -> Optional[tuple[int, float, float]]:
+        """(p, lo, hi): the index p of the one piece holding every entry of
+        x, and bounds lo <= x <= hi; None when x is empty, holds NaN or is
+        split by a breakpoint.
+
+        lo is x's least entry and p = bisect_right(breakpoints, lo), its
+        searchsorted(side="right") piece.  x's greatest entry is read as hi
+        only when a breakpoint lies above lo, and x is one piece when hi
+        lies below that breakpoint.  With no breakpoint above lo, x is one
+        piece and hi is +inf.  Without breakpoints p is 0 and x is not read.
+        """
+        bps = self.breakpoints
+        if not bps:
+            return 0, -np.inf, np.inf
+        if not x.size:
+            return None
+        lo = float(x.min())
+        if lo != lo:  # NaN
+            return None
+        p = bisect_right(bps, lo)
+        if p == len(bps):
+            return p, lo, np.inf
+        hi = float(x.max())
+        return (p, lo, hi) if hi < bps[p] else None
 
     def slope_at(self, x: float) -> tuple[float, bool]:
         """Slope of the open piece containing x.
@@ -141,14 +200,26 @@ class PiecewiseLinear:
         """Vectorized slope lookup plus a boundary mask.
 
         An entry is flagged as boundary when it lies within boundary_tol of
-        some breakpoint (exact hits are always flagged).
+        some breakpoint (exact hits are always flagged).  For a one-piece x
+        whose bounds clear both neighbouring breakpoints by more than
+        boundary_tol, the mask is all False with no per-breakpoint pass:
+        rounding is monotone, so no entry's computed distance to a
+        breakpoint is smaller than its bound's, and the breakpoints beyond
+        the two neighbours are farther still.
         """
         x = np.asarray(x, dtype=float)
-        slope, _, _ = self._piece(x)
+        span = self._span(x)
+        slope = self._select(x)[0] if span is None else self.slopes[span[0]]
         if isinstance(slope, float):
             slope = np.full(x.shape, slope)
-        d = np.empty(x.shape)
         boundary = np.zeros(x.shape, dtype=bool)
+        if span is not None:
+            p, lo, hi = span
+            bps = self.breakpoints
+            if ((p == 0 or lo - bps[p - 1] > boundary_tol)
+                    and (p == len(bps) or bps[p] - hi > boundary_tol)):
+                return slope, boundary
+        d = np.empty(x.shape)
         for b in self.breakpoints:
             np.subtract(x, b, out=d)
             np.abs(d, out=d)

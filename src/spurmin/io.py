@@ -117,8 +117,8 @@ def save_dataset_csv(data: Dataset, path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for j in range(data.n):
-            writer.writerow([repr(float(v)) for v in (*data.X[:, j], *data.Y[:, j])])
+        # tolist() yields Python floats, which the writer formats with repr
+        writer.writerows(np.vstack([data.X, data.Y]).T.tolist())
 
 
 def load_dataset_csv(path: Union[str, Path]) -> Dataset:

@@ -427,6 +427,113 @@ class TestOnePiecePath:
             assert (again != -1.0).all()
 
 
+class TestExtremesLookup:
+    """The piece is found from x's least and greatest entries, and the
+    boundary mask is skipped when both clear the neighbouring breakpoints;
+    every case must still match the searchsorted oracles bit for bit."""
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3, 0.7])
+    def test_extreme_within_tol_of_a_neighbour_is_flagged(self, act, tol):
+        # each piece's entries within tol/2 of its left or right breakpoint,
+        # alone and beside an entry deep inside the piece
+        edges = (-np.inf, *act.breakpoints, np.inf)
+        for lo, hi in zip(edges, edges[1:]):
+            deep = 0.5 * (lo + hi) if np.isfinite(lo + hi) else (hi - 5.0 if lo == -np.inf else lo + 5.0)
+            near = [v for v in (lo + 0.5 * tol, hi - 0.5 * tol) if np.isfinite(v) and lo <= v < hi]
+            for x in (np.array(near), np.array([*near, deep])):
+                for xs in shaped(x):
+                    assert act._span(xs) is not None  # one piece: no select ran
+                    assert_matches_oracles(act, xs, tol)
+                    assert act.piece_slopes(xs, tol)[1].any()
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    def test_greatest_entry_at_a_breakpoint_splits(self, act):
+        # the breakpoint belongs to the piece on its right
+        for b in act.breakpoints:
+            for x in shaped(np.array([b - 0.25, np.nextafter(b, -np.inf), b])):
+                assert act._span(x) is None
+                for tol in (0.0, 1e-12):
+                    assert_matches_oracles(act, x, tol)
+
+    def test_extreme_at_exactly_tol_is_flagged(self):
+        # |1e-12 - 0| == 1e-12: on the boundary, not clear of it
+        x = np.array([1e-12, 2.0])
+        assert relu().piece_slopes(x, boundary_tol=1e-12)[1].tolist() == [True, False]
+        assert_matches_oracles(relu(), x, 1e-12)
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    def test_one_piece_values_with_a_nan(self, act):
+        for pts in piece_points(act):
+            for x in shaped(np.append(pts, np.nan)):
+                assert act._span(x) is None
+                with np.errstate(invalid="ignore"):
+                    assert_matches_oracles(act, x, 0.1)
+
+    @pytest.mark.parametrize("act", ONE_PIECE_ACTS)
+    def test_infinite_extremes(self, act):
+        first, last = act.breakpoints[0], act.breakpoints[-1]
+        cases = [
+            (np.array([-np.inf, first - 3.0]), 0),
+            (np.array([last + 3.0, np.inf]), len(act.breakpoints)),
+            (np.array([-np.inf, -np.inf]), 0),
+            (np.array([np.inf, np.inf]), len(act.breakpoints)),
+            (np.array([-np.inf, np.inf]), None),
+        ]
+        with np.errstate(invalid="ignore"):
+            for x, piece in cases:
+                for xs in shaped(x):
+                    span = act._span(xs)
+                    assert (None if span is None else span[0]) == piece
+                    for tol in (0.0, 0.7, np.inf):
+                        assert_matches_oracles(act, xs, tol)
+
+    @pytest.mark.parametrize("act", (*ONE_PIECE_ACTS, PiecewiseLinear((), (2.0,), 0.5)))
+    @pytest.mark.parametrize("shape", [(0,), (4, 0), (3, 0, 6)])
+    def test_empty(self, act, shape):
+        x = np.empty(shape)
+        span = act._span(x)
+        assert span is None if act.breakpoints else span[0] == 0
+        y = act(x)
+        assert y.shape == shape and not np.shares_memory(y, x)
+        slopes, boundary = act.piece_slopes(x, 0.1)
+        assert slopes.shape == boundary.shape == shape
+
+    @pytest.mark.parametrize("act, x", [
+        (relu(), np.array([0.5, 2.0, 3.0])),  # ref +0.0, slope 1: only + knot
+        (relu(), np.array([-0.5, -2.0])),  # ref +0.0, slope 0: * slope, + knot
+        (two_piece(-0.5, 2.0), np.array([0.0, 1.5])),  # ref +0.0, slope 2
+        (three_piece(), np.array([0.0, 0.25, 0.75])),  # middle piece: ref 0.0, slope 1
+        (PiecewiseLinear((0.5,), (2.0, 1.0), 0.3), np.array([0.5, 4.0])),  # - ref, slope 1
+        (PiecewiseLinear((), (1.0,), 0.0), np.array([-0.0, 0.0, np.inf])),  # identity
+        (PiecewiseLinear((), (1.0,), -0.0), np.array([-0.0, 7.0])),  # + (-0.0) only
+        (PiecewiseLinear((-0.0,), (0.0, 2.0), -0.0), np.array([-0.0, 0.0, 3.0])),  # ref -0.0
+    ])
+    def test_skipped_steps_never_alias_x(self, act, x):
+        before = x.tobytes()
+        for xs in shaped(x):
+            xs_before = xs.tobytes()
+            y = act(xs)
+            assert y is not xs and not np.shares_memory(y, xs)
+            assert xs.tobytes() == xs_before
+            assert_same_bits(y, searchsorted_call(act, xs))
+            y[...] = 99.0
+            assert_same_bits(act(xs), searchsorted_call(act, xs))
+        assert x.tobytes() == before
+        for v in x:
+            got = act(np.asarray(v))
+            assert type(got) is float
+            assert_same_bits(got, searchsorted_call(act, np.asarray(v)))
+
+    def test_minus_zero_reference_is_subtracted(self):
+        # -0.0 - (-0.0) = +0.0, then * 2 + (-0.0) stays +0.0; skipping the
+        # subtraction would give -0.0
+        act = PiecewiseLinear((-0.0,), (0.0, 2.0), -0.0)
+        got = act(np.array([-0.0]))
+        assert_same_bits(got, np.array([0.0]))
+        assert_same_bits(got, searchsorted_call(act, np.array([-0.0])))
+
+
 LINEAR_ACTS = (
     PiecewiseLinear((), (1.0,), 0.0),
     PiecewiseLinear((), (-2.5,), 0.75),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spurmin import NonFiniteOutput, ParseError, SpurminError
+from spurmin import Dataset, NonFiniteOutput, ParseError, SpurminError
 from spurmin.cli import main
 from spurmin.io import (
     dump_json,
@@ -38,6 +38,35 @@ class TestIoRoundtrips:
         assert np.array_equal(back.Y, xor.Y)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,y1"
+
+    def test_dataset_csv_golden_bytes(self, tmp_path):
+        # shortest round-trip reprs, signed zero, subnormals and the largest
+        # magnitudes included, and the csv module's CRLF row ends
+        data = Dataset(
+            np.array([[-0.0, 5e-324, 1e308], [1e-310, 0.1, -1e308]]),
+            np.array([[1.0 / 3.0, -2.5, 0.0]]),
+        )
+        path = tmp_path / "g.csv"
+        save_dataset_csv(data, path)
+        assert path.read_bytes() == (
+            b"x1,x2,y1\r\n"
+            b"-0.0,1e-310,0.3333333333333333\r\n"
+            b"5e-324,0.1,-2.5\r\n"
+            b"1e+308,-1e+308,0.0\r\n"
+        )
+        back = load_dataset_csv(path)
+        assert back.X.tobytes() == data.X.tobytes() and back.Y.tobytes() == data.Y.tobytes()
+
+    def test_dataset_csv_matches_per_value_repr(self, tmp_path):
+        # reference: one row per sample, repr(float(v)) of each numpy scalar
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.standard_normal((3, 50)) * 10.0 ** rng.integers(-300, 300, (3, 50)),
+                       rng.standard_normal((2, 50)))
+        path = tmp_path / "r.csv"
+        save_dataset_csv(data, path)
+        rows = [",".join(f"x{i + 1}" for i in range(3)) + ",y1,y2"]
+        rows += [",".join(repr(float(v)) for v in (*data.X[:, j], *data.Y[:, j])) for j in range(50)]
+        assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
 
     def test_mlp_json(self, xor, xor_fit, relu_act, tmp_path):
         from spurmin import build_shallow_minimum

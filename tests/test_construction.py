@@ -38,7 +38,7 @@ from spurmin import (
 )
 from spurmin import construction
 from spurmin.activations import find_turning_point
-from spurmin.verification import trace_interval_check, witness_pair_certificate
+from spurmin.verification import _risk_match, trace_interval_check, witness_pair_certificate
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
 from spurmin import ConstructionError, StrictDecreaseNotAchieved, check_assumptions
@@ -458,9 +458,23 @@ def test_routes_meet_postconditions_or_raise_typed(act, depth, extra_width, two_
         assert np.isfinite(point.risk)
         assert all(np.all(np.isfinite(p)) for p in point.net.weights + point.net.biases)
         if point.kind == "minimum":
-            assert abs(point.risk - fit.risk) <= 1e-9
+            assert _risk_match(point.risk, fit.risk).passed
         else:
             assert point.risk < fit.risk - 1e-12
+
+
+def test_narrow_piece_minimum_matches_by_the_library_rule():
+    # A piece of width 1e-5 forces M ~ 1e7, and the output layer's scale-up
+    # by M / prod(alpha) amplifies rounding: the risk is 1.33e-9 off a
+    # baseline of 2.27, above an absolute 1e-9 but inside _risk_match's
+    # 1e-9 * max(1, baseline)
+    data = random_two_output_dataset()
+    fit = fit_linear(data, SQ)
+    act = PiecewiseLinear((-1.0, -0.99999, 0.0), (0.0, 0.0, 1.0, 0.0), 0.0)
+    point = build_minimum(fit, data, (2, 3, 3, 2), act)
+    assert (point.kind, point.stage) == ("minimum", "3")
+    match = _risk_match(point.risk, fit.risk)
+    assert match.passed and match.value > 1e-9
 
 
 @pytest.mark.parametrize("s_minus, depth", [(5e-324, 2), (-5e-324, 3)])
