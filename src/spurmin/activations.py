@@ -133,46 +133,56 @@ class PiecewiseLinear:
         span = self._span(x)
         if span is None:
             return self._select(x)
-        p = span[0]
+        p, _, _, split = span
+        if split:
+            return self._select(x, p)
         q = max(p - 1, 0)  # pieces 0 and 1 share knot 0 and breakpoint 0
         return self.slopes[p], self._knots[q], self.breakpoints[q] if self.breakpoints else 0.0
 
-    def _select(self, x: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    def _select(self, x: np.ndarray,
+                split: Optional[int] = None) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         """`_piece` for an x that is empty, holds NaN or is split: the
         breakpoints are compared with x in turn.  One that no entry lies
         left of moves every entry to the next piece, one that every entry
         lies left of ends the scan, and only one that splits x selects per
-        entry."""
+        entry.  split is the index of a breakpoint `_span` found to split
+        x: the scan starts there, in the piece of x's least entry, and
+        selects at it without counting."""
         bps, sls, knots = self.breakpoints, self.slopes, self._knots
-        slope, knot, ref = sls[0], knots[0], bps[0]
-        for k, b in enumerate(bps):
+        p = split or 0
+        q = max(p - 1, 0)  # pieces 0 and 1 share knot 0 and breakpoint 0
+        slope, knot, ref = sls[p], knots[q], bps[q]
+        for k in range(p, len(bps)):
+            b = bps[k]
             left = x < b
-            n_left = np.count_nonzero(left)
-            if n_left == left.size:
-                break
-            if n_left == 0:
-                slope, knot, ref = sls[k + 1], knots[k], b
-            else:
-                slope = np.where(left, slope, sls[k + 1])
-                if k:  # pieces 0 and 1 share knot 0 and breakpoint 0
-                    knot = np.where(left, knot, knots[k])
-                    ref = np.where(left, ref, b)
+            if k != split:
+                n_left = np.count_nonzero(left)
+                if n_left == left.size:
+                    break
+                if n_left == 0:
+                    slope, knot, ref = sls[k + 1], knots[k], b
+                    continue
+            slope = np.where(left, slope, sls[k + 1])
+            if k:
+                knot = np.where(left, knot, knots[k])
+                ref = np.where(left, ref, b)
         return slope, knot, ref
 
-    def _span(self, x: np.ndarray) -> Optional[tuple[int, float, float]]:
-        """(p, lo, hi): the index p of the one piece holding every entry of
-        x, and bounds lo <= x <= hi; None when x is empty, holds NaN or is
-        split by a breakpoint.
+    def _span(self, x: np.ndarray) -> Optional[tuple[int, float, float, bool]]:
+        """(p, lo, hi, split): the index p of the piece holding x's least
+        entry, bounds lo <= x <= hi, and whether the breakpoint above piece
+        p splits x; None when x is empty or holds NaN.
 
         lo is x's least entry and p = bisect_right(breakpoints, lo), its
         searchsorted(side="right") piece.  x's greatest entry is read as hi
-        only when a breakpoint lies above lo, and x is one piece when hi
-        lies below that breakpoint.  With no breakpoint above lo, x is one
-        piece and hi is +inf.  Without breakpoints p is 0 and x is not read.
+        only when a breakpoint lies above lo, and breakpoint p splits x
+        when hi reaches it; otherwise every entry lies in piece p.  With no
+        breakpoint above lo, x is one piece and hi is +inf.  Without
+        breakpoints p is 0 and x is not read.
         """
         bps = self.breakpoints
         if not bps:
-            return 0, -np.inf, np.inf
+            return 0, -np.inf, np.inf, False
         if not x.size:
             return None
         lo = float(x.min())
@@ -180,9 +190,9 @@ class PiecewiseLinear:
             return None
         p = bisect_right(bps, lo)
         if p == len(bps):
-            return p, lo, np.inf
+            return p, lo, np.inf, False
         hi = float(x.max())
-        return (p, lo, hi) if hi < bps[p] else None
+        return p, lo, hi, hi >= bps[p]
 
     def slope_at(self, x: float) -> tuple[float, bool]:
         """Slope of the open piece containing x.
@@ -209,12 +219,15 @@ class PiecewiseLinear:
         """
         x = np.asarray(x, dtype=float)
         span = self._span(x)
-        slope = self._select(x)[0] if span is None else self.slopes[span[0]]
+        if span is None or span[3]:
+            slope = self._select(x, span[0] if span else None)[0]
+        else:
+            slope = self.slopes[span[0]]
         if isinstance(slope, float):
             slope = np.full(x.shape, slope)
         boundary = np.zeros(x.shape, dtype=bool)
-        if span is not None:
-            p, lo, hi = span
+        if span is not None and not span[3]:
+            p, lo, hi, _ = span
             bps = self.breakpoints
             if ((p == 0 or lo - bps[p - 1] > boundary_tol)
                     and (p == len(bps) or bps[p] - hi > boundary_tol)):

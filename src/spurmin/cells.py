@@ -11,8 +11,10 @@ equivalence and gives the valley its moves.
 
 `analyze` is the one cell analysis of a network on a dataset, and
 `walk_valley` the one walk along a valley path; `spurmin cells analyze`,
-`spurmin path build` and the demo report from them.  Both score a network
-from a single forward, which gives its risk and its cell signature.
+`spurmin path build` and the demo report from them.  `analyze` scores a
+network from a single forward, which gives its risk and its cell signature;
+`walk_valley` forwards its path's points in stacked chunks, bit-identical to
+one forward each.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .io import rle_encode
 from .network import (
-    Dataset, ForwardTrace, LossKind, Mlp, forward, loss_gradient, per_sample_loss, risk_of_outputs,
+    Dataset, ForwardTrace, LossKind, Mlp, _stacked_outputs, forward, loss_gradient,
+    per_sample_loss, risk_of_outputs,
 )
+from .verification import _stack_size
 
 BOUNDARY_TOL = 1e-12
 # the largest risk deviation along a valley path that still counts as flat,
@@ -309,9 +313,23 @@ def linear_collapse_check(
 ) -> bool:
     """True iff the activation pattern is identical across random weight
     draws, i.e. the whole surface is one cell (linear activations).  The
-    seed must be a nonnegative integer."""
+    seed must be a nonnegative integer, and hidden_width and trials
+    positive integers.
+
+    An activation with one slope on every piece (not is_nonlinear) gives
+    every hidden unit that slope at every sample, NaN and inf included,
+    under every weight draw, so the answer is True without drawing.  Any
+    other activation is sampled: trials one-hidden-layer networks from
+    default_rng([seed, trial]), stopping at the first whose pattern
+    differs from the first network's."""
     seed = check_integer("seed", seed, minimum=0)
+    hidden_width = check_integer("hidden_width", hidden_width, minimum=1)
+    trials = check_integer("trials", trials, minimum=1)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2:
+        raise ShapeViolation(f"X must be d_x x n, got {X.shape}")
+    if not act.is_nonlinear:
+        return True
     d_x = X.shape[0]
     ref = None
     for trial in range(trials):
@@ -349,25 +367,38 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
                 steps_per_move: int) -> dict:
     """Score the valley path between two networks, of any depth and output
     width, that are per-unit rescalings of each other and share the output
-    bias: build the network at every point of `_valley_points` and forward
-    it once for its risk and its activation pattern.
+    bias.  The points of `_valley_points` are forwarded in stacked chunks
+    of `verification._stack_size` networks; each chunk gives its points'
+    risks from one `risk_of_outputs` and their slopes from one
+    `piece_slopes` per hidden layer.  Risks and slopes are bit-identical to
+    building and forwarding each point's network.
 
-    Returns n_points, the risk at each point, the largest deviation of a risk
-    from the first one (risk_max_dev), whether that deviation is within
-    VALLEY_RISK_TOL * max(1, |first risk|) (risk_flat, the one flatness
-    decision), and whether every point keeps the first point's activation
-    pattern (pattern_constant).
+    Returns n_points, the risk at each point (Python floats), the largest
+    deviation of a risk from the first one (risk_max_dev), whether that
+    deviation is within VALLEY_RISK_TOL * max(1, |first risk|) (risk_flat,
+    the one flatness decision), and whether every point keeps the first
+    point's slope at every hidden unit and sample (pattern_constant, the
+    `signatures_equal` rule).
     """
     if not np.array_equal(net_a.biases[-1], net_b.biases[-1]):
         raise PreconditionViolated("endpoints must share the output bias")
     points = _valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
                             steps_per_move)
+    if net_a.dims[-1] != data.d_y:
+        raise ShapeViolation(f"output width {net_a.dims[-1]} != label dim {data.d_y}")
+    if data.d_x != net_a.dims[0]:
+        raise ShapeViolation(f"input must be {net_a.dims[0]} x n, got {data.X.shape}")
+    act = net_a.activation
+    size = _stack_size(net_a.dims, data.n)
     risks, pattern_constant, ref = [], True, None
-    for point in points:
-        risk, sig, _ = _risk_and_signature(Mlp(net_a.dims, *point, net_a.activation), data, loss)
-        risks.append(risk)
-        ref = sig if ref is None else ref
-        pattern_constant = pattern_constant and signatures_equal(ref, sig)
+    for start in range(0, len(points), size):
+        pre, post = _stacked_outputs(points[start:start + size], act, data.X)
+        risks += risk_of_outputs(post[-1], data.Y, loss).tolist()
+        slopes = [act.piece_slopes(z)[0] for z in pre[:-1]]
+        ref = [s[0] for s in slopes] if ref is None else ref
+        pattern_constant = pattern_constant and all(
+            bool(np.all(s == r)) for s, r in zip(slopes, ref)
+        )
     dev = float(np.max(np.abs(np.asarray(risks) - risks[0])))
     return {
         "n_points": len(points),

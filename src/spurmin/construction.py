@@ -24,14 +24,16 @@ Each minimum reproduces the baseline predictions exactly, so its risk equals
 the baseline risk; each witness is an explicit parameter point with strictly
 smaller risk, certifying that the minima are spurious.
 
-Every minimum is certified as it is built (`_certify_minimum`): output
-identity (`_reproduces`: to OUTPUT_TOL times the largest of 1, the largest
-baseline output and, on the general route, its output scale
-M / prod(alpha_i)), risk match (`verification._risk_match`: to
-RISK_MATCH_TOL times max(1, baseline risk)), and
-`verification.trace_interval_check` of its hidden pre-activations against
-the route's interval, mirrored to (-hi, -lo) for a reflected build.  The
-point keeps that certificate as `interval`.
+Every minimum is certified from the forward trace of its network
+(`_certify_minimum`), which `_certified` gives it: a family's members are
+built first and forwarded together in stacked chunks, bit-identical to one
+forward each.  The checks are output identity (`_reproduces`: to
+OUTPUT_TOL times the largest of 1, the largest baseline output and, on the
+general route, its output scale M / prod(alpha_i)), risk match
+(`verification._risk_match`: to RISK_MATCH_TOL times max(1, baseline
+risk)), and `verification.trace_interval_check` of its hidden
+pre-activations against the route's interval, mirrored to (-hi, -lo) for a
+reflected build.  The point keeps that certificate as `interval`.
 
 Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -69,8 +71,8 @@ from .errors import (
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
-from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _widths_ok, forward,
-                      risk_of_outputs)
+from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _stacked_outputs,
+                      _widths_ok, forward, risk_of_outputs)
 from .separation import (
     MAX_HALVINGS,
     DescentConstants,
@@ -78,7 +80,8 @@ from .separation import (
     admissible_constants,
     separate,
 )
-from .verification import DESCENT_GAP_MIN, Certificate, _risk_match, trace_interval_check
+from .verification import (DESCENT_GAP_MIN, Certificate, _risk_match, _stack_size,
+                           trace_interval_check)
 
 OUTPUT_TOL = 1e-12
 
@@ -258,44 +261,94 @@ def _reproduces(output: np.ndarray, target: np.ndarray, output_scale: float = 1.
     return bool(np.max(np.abs(output - target)) <= OUTPUT_TOL * scale)
 
 
-def _certify_minimum(
-    net: Mlp,
-    fit: LinearFit,
-    data: Dataset,
-    stage: str,
-    params: ConstructionParams,
-    interval: tuple[float, float],
-    reflected: bool,
-    output_scale: float = 1.0,
-) -> CertifiedPoint:
-    """Postconditions shared by every minimum: output identity, risk match,
-    and hidden pre-activations strictly inside the route's interval.  The
-    interval is given in the build frame; a reflected network's
+@dataclass(frozen=True)
+class _Draft:
+    """A built minimum before its certificate: the network, its stage and
+    params, the route's interval in the build frame, whether the network was
+    built reflected, and its output scale (see `_reproduces`)."""
+
+    net: Mlp
+    stage: str
+    params: ConstructionParams
+    interval: tuple[float, float]
+    reflected: bool
+    output_scale: float = 1.0
+
+
+def _certify_minimum(draft: _Draft, trace: ForwardTrace, fit: LinearFit, data: Dataset,
+                     spurious: bool) -> CertifiedPoint:
+    """Postconditions shared by every minimum, checked on the forward trace
+    of its network on data.X that the caller gives: output identity, risk
+    match, and hidden pre-activations strictly inside the route's interval.
+    The interval is given in the build frame; a reflected network's
     pre-activations are negated, so it is checked mirrored to (-hi, -lo).
     A NaN anywhere fails every check.
 
     The output identity is `_reproduces` with the route's output scale,
-    and the risk match is `verification._risk_match`."""
-    trace = forward(net, data.X)
-    if not _reproduces(trace.output, fit.y_tilde, output_scale):
+    and the risk match is `verification._risk_match`.  spurious is
+    `_leaves_residual(fit)`, the same for every minimum of one fit."""
+    if not _reproduces(trace.output, fit.y_tilde, draft.output_scale):
         raise ConstructionError("minimum output does not reproduce the baseline")
     risk = risk_of_outputs(trace.output, data.Y, fit.loss)
     if not _risk_match(risk, fit.risk).passed:
         raise ConstructionError("minimum risk deviates from the baseline risk")
-    lo, hi = (-interval[1], -interval[0]) if reflected else interval
+    lo, hi = (-draft.interval[1], -draft.interval[0]) if draft.reflected else draft.interval
     cert = trace_interval_check(trace, lo, hi)
     if not cert.verdict:
         raise ConstructionError("hidden pre-activation left its interval")
     return CertifiedPoint(
-        net=net,
+        net=draft.net,
         kind="minimum",
-        stage=stage,
+        stage=draft.stage,
         risk=risk,
         baseline_risk=fit.risk,
-        params=params,
-        spurious=_leaves_residual(fit),
+        params=draft.params,
+        spurious=spurious,
         interval=cert,
     )
+
+
+def _traces(nets: list[Mlp], X: np.ndarray) -> Iterator[ForwardTrace]:
+    """The forward trace of each network, of one shape and activation, on
+    the columns of X, in order.  The networks are forwarded in stacked
+    chunks of `verification._stack_size` networks, and each trace is the
+    network's views into its chunk's pre- and post-activations, bit-identical
+    to its own `forward`.  A chunk of one network, or one whose stacked pass
+    overflows, is forwarded one network at a time, so an overflow surfaces
+    at the network that causes it, after the traces before it."""
+    size = _stack_size(nets[0].dims, X.shape[1]) if len(nets) > 1 else 1
+    for start in range(0, len(nets), size):
+        chunk = nets[start:start + size]
+        if len(chunk) > 1:
+            try:
+                pre, post = _stacked_outputs([(n.weights, n.biases) for n in chunk],
+                                             chunk[0].activation, X)
+            except FloatingPointError:
+                pass
+            else:
+                for i in range(len(chunk)):
+                    yield ForwardTrace(tuple(z[i] for z in pre), tuple(a[i] for a in post))
+                continue
+        for net in chunk:
+            yield forward(net, X)
+
+
+def _certified(drafts: Iterable[_Draft], fit: LinearFit, data: Dataset) -> list[CertifiedPoint]:
+    """Every draft built and certified, in draw order: all drafts are built
+    first, then forwarded together through `_traces` and certified one by
+    one.  A failure is the first failing draft's, as if each were built and
+    certified before the next: when a build raises, the drafts built before
+    it are certified on the way out, and a certificate that fails there
+    replaces the build's exception."""
+    built = []
+    try:
+        for draft in drafts:
+            built.append(draft)
+    finally:
+        spurious = _leaves_residual(fit)
+        points = [_certify_minimum(draft, trace, fit, data, spurious)
+                  for draft, trace in zip(built, _traces([d.net for d in built], data.X))]
+    return points
 
 
 def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
@@ -536,9 +589,8 @@ def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     eta = _checked_eta(fit, eta)
     build_act, reflected = _frame(act, s_plus)
     net = _net(dims, act, reflected, *_minimum_layers(fit, dims, build_act.s_plus, eta))
-    return _certify_minimum(
-        net, fit, data, _depth_stage(dims), ConstructionParams(eta=eta), (0.0, np.inf), reflected
-    )
+    draft = _Draft(net, _depth_stage(dims), ConstructionParams(eta=eta), (0.0, np.inf), reflected)
+    return _certified([draft], fit, data)[0]
 
 
 @_float_checked
@@ -668,7 +720,8 @@ def _general_minimum(
     m_scale: Optional[float] = None,
     alpha_scales: Optional[tuple[float, ...]] = None,
     m_factor: float = 1.0,
-) -> CertifiedPoint:
+) -> _Draft:
+    """One member of the general route's family, built but not certified."""
     build_act, reflected, tp = frame
     n_alpha = max(0, len(dims) - 3)
     eta = _checked_eta(fit, eta)
@@ -693,9 +746,27 @@ def _general_minimum(
     params = ConstructionParams(
         eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
     )
-    return _certify_minimum(
-        net, fit, data, "3", params, (tp.t, tp.t + tp.sigma), reflected, out_scale
-    )
+    return _Draft(net, "3", params, (tp.t, tp.t + tp.sigma), reflected, out_scale)
+
+
+def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear, k: int,
+            seed: int, **first) -> list[CertifiedPoint]:
+    """k certified members of the general route's family: member 0 with
+    the overrides in first (eta, m_scale, alpha_scales), the defaults
+    without them, and member idx >= 1 with eta, the alphas and the factor
+    on the default M drawn from its own stream default_rng([seed, idx])."""
+    frame = _turning_frame(act)
+
+    def drafts() -> Iterator[_Draft]:
+        yield _general_minimum(fit, data, dims, act, frame, **first)
+        for idx in range(1, k):
+            rng = np.random.default_rng([seed, idx])
+            eta = default_eta(fit) - 2.0 * rng.random()
+            alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, len(dims) - 3)))
+            yield _general_minimum(fit, data, dims, act, frame, eta=eta, alpha_scales=alphas,
+                                   m_factor=1.0 + rng.random())
+
+    return _certified(drafts(), fit, data)
 
 
 @_float_checked
@@ -712,12 +783,12 @@ def build_general_minimum(
     pre-activation into the linear piece right of the turning point t by
     scaling down with M (and per-layer alphas), translate by t, and undo both
     at the output.  M and the alphas range over continuous intervals, so the
-    family is infinite."""
+    family is infinite; this is its member 0, a family of one."""
     _check_dims(fit, data, dims)
     _require_within("m_scale", m_scale, lo=0.0)
     _require_hidden_wider(dims, data.d_y)
-    frame = _turning_frame(act)
-    return _general_minimum(fit, data, dims, act, frame, eta, m_scale, alpha_scales)
+    return _family(fit, data, dims, act, 1, 0, eta=eta, m_scale=m_scale,
+                   alpha_scales=alpha_scales)[0]
 
 
 @_float_checked
@@ -854,19 +925,17 @@ def enumerate_family(
     """Sample k members of the infinite minimum family by drawing eta, the
     squeeze scale M, and the per-layer alphas from their admissible
     continuous ranges.  Per-member seeded streams make the family bitwise
-    reproducible; the seed must be a nonnegative integer."""
+    reproducible; the seed must be a nonnegative integer.
+
+    Every member is built first; the members are then forwarded in stacked
+    chunks of `verification._stack_size` networks, and each is certified by
+    `_certify_minimum` from its views into its chunk's trace (`_certified`).
+    The members and their certificates are bit-identical to building and
+    certifying one member at a time, and a failure is the first failing
+    member's."""
     if k < 1:
         raise PreconditionViolated("k must be >= 1")
     seed = check_integer("seed", seed, minimum=0)
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
-    frame = _turning_frame(act)
-    members = [_general_minimum(fit, data, dims, act, frame)]
-    for idx in range(1, k):
-        rng = np.random.default_rng([seed, idx])
-        eta = default_eta(fit) - 2.0 * rng.random()
-        alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, len(dims) - 3)))
-        members.append(_general_minimum(
-            fit, data, dims, act, frame, eta=eta, alpha_scales=alphas, m_factor=1.0 + rng.random()
-        ))
-    return members
+    return _family(fit, data, dims, act, k, seed)

@@ -197,6 +197,15 @@ def _layer_outputs(
     return pre, post
 
 
+def _stacked_outputs(layers: list, activation: PiecewiseLinear, X: np.ndarray) -> tuple[list, list]:
+    """`_layer_outputs` of networks of one shape, each given as its
+    (weights, biases), in one stacked pass: every output carries a leading
+    axis with one entry per network, bit-identical to its own pass."""
+    weights = [np.stack(Ws) for Ws in zip(*(w for w, _ in layers))]
+    biases = [np.stack(bs) for bs in zip(*(b for _, b in layers))]
+    return _layer_outputs(weights, biases, activation, X)
+
+
 def empirical_risk(net: Mlp, data: Dataset, loss: LossKind) -> float:
     """(1/n) sum of per-sample losses at the network outputs."""
     if net.dims[-1] != data.d_y:

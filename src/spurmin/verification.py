@@ -26,10 +26,10 @@ LOCAL_MIN_SLACK = -1e-10  # absorbs summation rounding in the risk
 DESCENT_GAP_MIN = 1e-12
 RISK_MATCH_TOL = 1e-9  # |risk(minimum) - baseline risk| / max(1, baseline risk)
 FD_STEP = 1e-6  # central-difference step of fd_gradient_check
-# float64 elements per stacked array in one chunk of probe draws (1 MiB), and
-# per array of a block's streams, draws x parameters.  A four times larger
-# budget raised peak memory by ~15 MB on a 3000-sample, 16-unit probe, and was
-# no faster.
+# float64 elements per stacked array in one chunk of networks (1 MiB), and
+# per array of a block of probe streams, draws x parameters.  A four times
+# larger budget raised peak memory by ~15 MB on a 3000-sample, 16-unit probe,
+# and was no faster.
 _CHUNK_ELEMENTS = 1 << 17
 
 # numpy's SeedSequence hash (a pool of four 32-bit words) and its constants.
@@ -83,6 +83,16 @@ def _jump_consts(n: int) -> list[np.ndarray]:
 
 
 _POW_HI, _POW_LO, _SUM_HI, _SUM_LO = _jump_consts(_ARRAY_STREAM_MAX)
+
+
+def _stack_size(dims: tuple[int, ...], n: int) -> int:
+    """How many networks of shape dims one stacked pass on n samples takes:
+    as many as keep each stacked array, a layer's outputs (d_j x n) or all
+    parameters of a network, within _CHUNK_ELEMENTS; at least one.  The one
+    chunk rule of the probe's draws, a family's members and a valley's
+    points."""
+    params = sum(a * b + a for a, b in zip(dims[1:], dims[:-1]))
+    return max(1, _CHUNK_ELEMENTS // max(max(dims[1:]) * n, params))
 
 
 @dataclass(frozen=True)
@@ -243,8 +253,8 @@ def _draw_risks(
     Draw i moves every weight and bias entry p by radius * (1 + |p|) * u, with
     u uniform on [-1, 1] from its own stream default_rng(seed64 ^ i): one
     `uniform` call per draw, split over the weights layer by layer and then
-    the biases.  A chunk holds as many draws as keep each stacked array within
-    _CHUNK_ELEMENTS.  The streams are made a block of whole chunks at a time,
+    the biases.  A chunk holds `_stack_size` draws, as many as keep each
+    stacked array within _CHUNK_ELEMENTS.  The streams are made a block of whole chunks at a time,
     as many draws as that budget holds, since each call has a fixed cost:
     _uniform_draws hashes the block's seeds together and, for a net of at
     most _ARRAY_STREAM_MAX parameters, computes its streams as arrays too.
@@ -253,7 +263,7 @@ def _draw_risks(
     bounds = np.cumsum([0] + [p.size for p in params]).tolist()
     scales = [radius * (1.0 + np.abs(p)) for p in params]
     total = bounds[-1]
-    chunk = max(1, _CHUNK_ELEMENTS // max(max(net.dims[1:]) * data.n, total))
+    chunk = _stack_size(net.dims, data.n)
     block = chunk * max(1, _CHUNK_ELEMENTS // (total * chunk))
     L = net.n_layers
     risks = np.empty(samples)

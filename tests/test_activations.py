@@ -443,7 +443,7 @@ class TestExtremesLookup:
             near = [v for v in (lo + 0.5 * tol, hi - 0.5 * tol) if np.isfinite(v) and lo <= v < hi]
             for x in (np.array(near), np.array([*near, deep])):
                 for xs in shaped(x):
-                    assert act._span(xs) is not None  # one piece: no select ran
+                    assert not act._span(xs)[3]  # one piece: no select ran
                     assert_matches_oracles(act, xs, tol)
                     assert act.piece_slopes(xs, tol)[1].any()
 
@@ -452,7 +452,7 @@ class TestExtremesLookup:
         # the breakpoint belongs to the piece on its right
         for b in act.breakpoints:
             for x in shaped(np.array([b - 0.25, np.nextafter(b, -np.inf), b])):
-                assert act._span(x) is None
+                assert act._span(x)[3]
                 for tol in (0.0, 1e-12):
                     assert_matches_oracles(act, x, tol)
 
@@ -484,7 +484,7 @@ class TestExtremesLookup:
             for x, piece in cases:
                 for xs in shaped(x):
                     span = act._span(xs)
-                    assert (None if span is None else span[0]) == piece
+                    assert (None if span[3] else span[0]) == piece
                     for tol in (0.0, 0.7, np.inf):
                         assert_matches_oracles(act, xs, tol)
 
@@ -532,6 +532,56 @@ class TestExtremesLookup:
         got = act(np.array([-0.0]))
         assert_same_bits(got, np.array([0.0]))
         assert_same_bits(got, searchsorted_call(act, np.array([-0.0])))
+
+
+class TestSplitSelectStartsAtTheSpan:
+    """A split input's select starts at the piece `_span` found for its
+    least entry and selects at the breakpoint above it without counting;
+    the values still match the searchsorted oracles and the full scan."""
+
+    SPLIT_POOL_ACTS = (*ONE_PIECE_ACTS, PiecewiseLinear((-0.0,), (0.0, 2.0), -0.0))
+
+    @pytest.mark.parametrize("act", SPLIT_POOL_ACTS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fuzz_against_the_full_scan(self, act, seed):
+        rng = np.random.default_rng(seed)
+        bps = np.array(act.breakpoints)
+        pool = np.concatenate([bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),
+                               bps + 1e-12, bps - 1e-12, bps + 0.3, bps - 0.3,
+                               [0.0, -0.0, np.inf, -np.inf, 5e-324, -1e308, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trial in range(40):
+                n = int(rng.integers(2, 9))
+                x = rng.choice(pool, n)
+                if trial % 3 == 0:
+                    x[rng.integers(n)] = np.nan
+                for xs in shaped(x):
+                    span = act._span(xs)
+                    start = span[0] if span is not None and span[3] else None
+                    for got, want in zip(act._select(xs, start), act._select(xs)):
+                        assert_same_bits(np.asarray(got), np.asarray(want))
+                    assert_matches_oracles(act, xs, (0.0, 1e-12, 0.7)[trial % 3])
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 4)])
+    def test_empty_scans_from_the_first_breakpoint(self, shape):
+        act = ONE_PIECE_ACTS[-1]
+        assert act._span(np.empty(shape)) is None
+        assert_matches_oracles(act, np.empty(shape), 0.1)
+
+    def test_breakpoints_below_the_least_entry_are_not_compared(self, monkeypatch):
+        # breakpoints (-1, 0.5, 2): x's least entry lies in piece 1 and
+        # breakpoint 0.5 splits it, so only breakpoint 2 is counted
+        act = ONE_PIECE_ACTS[-1]
+        x = np.array([0.0, 1.0, -0.5, 0.5])
+        counted = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: counted.append(a.size) or count_nonzero(a))
+        span = act._span(x)
+        assert span[:1] + span[3:] == (1, True)
+        got = act(x)
+        assert counted == [x.size]
+        monkeypatch.undo()
+        assert_same_bits(got, searchsorted_call(act, x))
 
 
 LINEAR_ACTS = (

@@ -34,7 +34,7 @@ from spurmin import (
     two_piece,
     walk_valley,
 )
-from spurmin import cells, network
+from spurmin import cells, network, verification
 from spurmin.cells import CellSignature, analyze
 
 SQ = LossKind.SQUARED
@@ -380,11 +380,23 @@ class TestWalkValley:
         with pytest.raises(PreconditionViolated, match="output bias"):
             walk_valley(net, shifted, xor, SQ, steps_per_move=10)
 
-    def test_one_forward_per_path_point(self, xor, xor_fit, relu_act, forward_calls):
+    def test_one_stacked_pass_per_chunk(self, xor, xor_fit, relu_act, forward_calls,
+                                        monkeypatch):
+        # 31 points of (2, 3, 1) on 4 samples fit one chunk: one stacked
+        # pass over all of them, and no network built or forwarded per point
+        passes, stacked = [], cells._stacked_outputs
+
+        def counting(layers, act, X):
+            passes.append(len(layers))
+            return stacked(layers, act, X)
+
+        monkeypatch.setattr(cells, "_stacked_outputs", counting)
         net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
-        valley = walk_valley(net, _rescaled(net, np.array([2.0, 0.5, 3.0])), xor, SQ,
-                             steps_per_move=10)
-        assert len(forward_calls) == valley["n_points"] == 31
+        far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
+        monkeypatch.setattr(cells, "Mlp", None)  # a network built per point raises
+        valley = walk_valley(net, far, xor, SQ, steps_per_move=10)
+        assert passes == [valley["n_points"]] == [31]
+        assert not forward_calls
 
 
 class TestAnalyze:
@@ -536,3 +548,184 @@ class TestValleyAtAnyDepth:
         W[1][0], b[1][0], W[2][:, 0] = -W[1][0], -b[1][0], -W[2][:, 0]
         with pytest.raises(NotEquivalent):
             walk_valley(net, Mlp(net.dims, W, b, net.activation), data, SQ, steps_per_move=4)
+
+
+# ---------------------------------------------------------------------------
+# the stacked valley walk and the exact collapse answer, against the
+# one-network-at-a-time loops they replaced, kept here as oracles
+
+
+def _walk_valley_one_at_a_time(net_a, net_b, data, loss, steps_per_move):
+    """walk_valley as a loop that builds and forwards every point's network."""
+    points = cells._valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
+                                  steps_per_move)
+    risks, pattern_constant, ref = [], True, None
+    for point in points:
+        risk, sig, _ = cells._risk_and_signature(Mlp(net_a.dims, *point, net_a.activation), data,
+                                                 loss)
+        risks.append(risk)
+        ref = sig if ref is None else ref
+        pattern_constant = pattern_constant and signatures_equal(ref, sig)
+    dev = float(np.max(np.abs(np.asarray(risks) - risks[0])))
+    return {
+        "n_points": len(points),
+        "risks": risks,
+        "risk_max_dev": dev,
+        "risk_flat": dev <= cells.VALLEY_RISK_TOL * max(1.0, abs(risks[0])),
+        "pattern_constant": pattern_constant,
+    }
+
+
+def _assert_same_walk(got, want):
+    assert got.keys() == want.keys()
+    assert got["n_points"] == want["n_points"]
+    assert [type(r) for r in got["risks"]] == [float] * want["n_points"]
+    assert np.array(got["risks"]).tobytes() == np.array(want["risks"]).tobytes()
+    for key in ("risk_max_dev", "risk_flat", "pattern_constant"):
+        assert got[key] == want[key] and type(got[key]) is type(want[key])
+
+
+def _random_net(dims, act, seed):
+    rng = np.random.default_rng(seed)
+    return Mlp(dims, [rng.standard_normal((b, a)) for a, b in zip(dims, dims[1:])],
+               [rng.standard_normal(b) for b in dims[1:]], act)
+
+
+class TestStackedValleyMatchesTheLoop:
+    @pytest.mark.parametrize("dims, two_outputs", [
+        ((2, 3, 1), False), ((2, 3, 3, 1), False), ((2, 4, 3, 3, 1), False),
+        ((2, 3, 2), True), ((2, 4, 3, 2), True), ((2, 3, 3, 3, 2), True),
+    ])
+    @pytest.mark.parametrize("act", [relu(), two_piece(1.0, 0.0), three_piece()],
+                             ids=["relu", "reflected", "threepiece"])
+    def test_rescaled_minima(self, dims, two_outputs, act):
+        from conftest import random_two_output_dataset
+        from spurmin import fit_linear, xor_dataset
+
+        data = random_two_output_dataset() if two_outputs else xor_dataset()
+        stage = "3" if not act.is_two_piece else ("1" if len(dims) == 3 else "2")
+        net = build_minimum(fit_linear(data, SQ), data, dims, act, stage=stage).net
+        far = _layer_rescaled(net, seed=sum(dims))
+        want = _walk_valley_one_at_a_time(net, far, data, SQ, 3)
+        _assert_same_walk(walk_valley(net, far, data, SQ, steps_per_move=3), want)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 1), (2, 4, 3, 2), (3, 3, 3, 3, 1)])
+    @pytest.mark.parametrize("act", [relu(), three_piece(), PiecewiseLinear((-0.5, 0.5), (1.0, -0.5, 2.0), 0.3)],
+                             ids=["relu", "threepiece", "offset"])
+    def test_random_nets_whose_pattern_moves(self, dims, act):
+        # rescaling moves pre-activations across breakpoints off the origin,
+        # so the pattern, and off the origin the risk, changes along the way
+        rng = np.random.default_rng(len(dims))
+        data = Dataset(rng.standard_normal((dims[0], 9)), rng.standard_normal((dims[-1], 9)))
+        net = _random_net(dims, act, seed=sum(dims))
+        far = _layer_rescaled(net, seed=7)
+        want = _walk_valley_one_at_a_time(net, far, data, SQ, 4)
+        _assert_same_walk(walk_valley(net, far, data, SQ, steps_per_move=4), want)
+        # only relu's one breakpoint at the origin keeps every sign
+        assert want["pattern_constant"] is want["risk_flat"] is (act.breakpoints == (0.0,))
+
+    def test_cross_entropy(self):
+        rng = np.random.default_rng(2)
+        labels = rng.integers(0, 3, 11)
+        data = Dataset(rng.standard_normal((2, 11)), np.eye(3)[:, labels])
+        net = _random_net((2, 4, 4, 3), leaky_relu(0.2), seed=3)
+        far = _layer_rescaled(net, seed=4)
+        want = _walk_valley_one_at_a_time(net, far, data, LossKind.CROSS_ENTROPY, 2)
+        _assert_same_walk(walk_valley(net, far, data, LossKind.CROSS_ENTROPY, 2), want)
+
+    @pytest.mark.parametrize("budget", [1, 250, 500, 1000, 3000, 1 << 17])
+    def test_chunk_boundaries(self, monkeypatch, budget):
+        # (2, 5, 4, 2) on 50 samples: 250 elements in a point's widest layer
+        # output, so 1, 1, 2, 4 and 12 points per chunk, the last chunk
+        # short, and one chunk of all 37
+        rng = np.random.default_rng(14)
+        data = Dataset(rng.standard_normal((2, 50)), rng.standard_normal((2, 50)))
+        net = _random_net((2, 5, 4, 2), three_piece(), seed=15)
+        far = _layer_rescaled(net, seed=16)
+        want = _walk_valley_one_at_a_time(net, far, data, SQ, 4)
+        monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
+        assert verification._stack_size(net.dims, data.n) == max(1, budget // 250)
+        _assert_same_walk(walk_valley(net, far, data, SQ, steps_per_move=4), want)
+
+    def test_shape_errors_as_before(self, xor, xor_fit, relu_act):
+        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
+        two_labels = Dataset(xor.X, np.vstack([xor.Y, xor.Y]))
+        three_features = Dataset(np.vstack([xor.X, xor.X[:1]]), xor.Y)
+        for data, match in ((two_labels, "output width"), (three_features, "input must be")):
+            for walk in (walk_valley, _walk_valley_one_at_a_time):
+                with pytest.raises(ShapeViolation, match=match):
+                    walk(net, far, data, SQ, 3)
+
+
+def _sampled_collapse(act, X, hidden_width, trials, seed):
+    """linear_collapse_check as the sampled loop alone."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    ref = None
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        net = Mlp(
+            (X.shape[0], hidden_width, 1),
+            (rng.standard_normal((hidden_width, X.shape[0])), rng.standard_normal((1, hidden_width))),
+            (rng.standard_normal(hidden_width), rng.standard_normal(1)),
+            act,
+        )
+        sig = activation_pattern(net, X)
+        if ref is None:
+            ref = sig
+        elif not signatures_equal(ref, sig):
+            return False
+    return True
+
+
+ONE_SLOPE_ACTS = {
+    "identity": identity_act,
+    "slope2": PiecewiseLinear((), (2.0,), 0.0),
+    "anchored": PiecewiseLinear((), (-0.5,), 1.25),
+    "breakpoints_one_slope": PiecewiseLinear((-1.0, 0.0, 2.0), (3.0, 3.0, 3.0, 3.0), -0.5),
+}
+
+
+class TestExactCollapse:
+    @pytest.mark.parametrize("act", ONE_SLOPE_ACTS.values(), ids=ONE_SLOPE_ACTS.keys())
+    def test_one_slope_answer_is_the_sampled_answer(self, xor, act):
+        rng = np.random.default_rng(0)
+        X_nan, X_inf = xor.X.copy(), rng.standard_normal((3, 5))
+        X_nan[1, 2] = np.nan
+        X_inf[0, 1], X_inf[2, 4] = np.inf, -np.inf
+        for X in (xor.X, X_nan, X_inf):
+            for seed in range(21):
+                for width in range(1, 9):
+                    with np.errstate(all="ignore"):
+                        want = _sampled_collapse(act, X, width, 3, seed)
+                    assert want is True
+                    assert linear_collapse_check(act, X, width, trials=3, seed=seed) is want
+
+    def test_one_slope_draws_nothing(self, xor, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for act in ONE_SLOPE_ACTS.values():
+            assert linear_collapse_check(act, xor.X, 4, trials=50, seed=0) is True
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("act", [relu(), leaky_relu(0.5), three_piece()],
+                             ids=["relu", "leaky", "threepiece"])
+    def test_nonlinear_activations_still_sample(self, xor, act, seed):
+        for width in (1, 2, 4):
+            for trials in (1, 2, 50):
+                want = _sampled_collapse(act, xor.X, width, trials, seed)
+                assert linear_collapse_check(act, xor.X, width, trials=trials, seed=seed) is want
+
+    @pytest.mark.parametrize("act", [identity_act, relu()], ids=["identity", "relu"])
+    @pytest.mark.parametrize("name, value", [
+        ("hidden_width", -1), ("hidden_width", 0), ("hidden_width", 2.5), ("hidden_width", True),
+        ("hidden_width", "4"), ("trials", 0), ("trials", -3), ("trials", 1.0), ("trials", None),
+    ])
+    def test_typed_arguments_before_any_shortcut(self, xor, act, name, value):
+        args = {"hidden_width": 4, "trials": 5, name: value}
+        with pytest.raises(PreconditionViolated, match=f"{name} must be"):
+            linear_collapse_check(act, xor.X, args["hidden_width"], trials=args["trials"], seed=0)
+
+    @pytest.mark.parametrize("act", [identity_act, relu()], ids=["identity", "relu"])
+    def test_three_dimensional_X_is_a_shape_violation(self, act):
+        with pytest.raises(ShapeViolation):
+            linear_collapse_check(act, np.zeros((2, 3, 4)), 4, trials=5, seed=0)

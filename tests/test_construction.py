@@ -36,7 +36,7 @@ from spurmin import (
     two_piece,
     xor_dataset,
 )
-from spurmin import construction
+from spurmin import construction, verification
 from spurmin.activations import find_turning_point
 from spurmin.verification import _risk_match, trace_interval_check, witness_pair_certificate
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
@@ -925,3 +925,153 @@ def test_one_row_assembler_matches_the_two_it_replaced_bit_for_bit(balanced):
                 assert got.tobytes() == want.tobytes()
             draws += 1
     assert draws >= 2000
+
+
+# ---------------------------------------------------------------------------
+# the stacked family against the one-member-at-a-time loop it replaced, kept
+# here as the oracle
+
+
+@construction._float_checked
+def _family_one_at_a_time(fit, data, dims, act, k, seed):
+    """enumerate_family as a loop: each member built, forwarded and
+    certified before the next is drawn."""
+    frame = construction._turning_frame(act)
+
+    def member(**draw):
+        draft = construction._general_minimum(fit, data, dims, act, frame, **draw)
+        trace = construction.forward(draft.net, data.X)
+        return construction._certify_minimum(draft, trace, fit, data,
+                                             construction._leaves_residual(fit))
+
+    members = [member()]
+    for idx in range(1, k):
+        rng = np.random.default_rng([seed, idx])
+        eta = construction.default_eta(fit) - 2.0 * rng.random()
+        alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, len(dims) - 3)))
+        members.append(member(eta=eta, alpha_scales=alphas, m_factor=1.0 + rng.random()))
+    return members
+
+
+def _assert_same_members(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.kind, g.stage, g.spurious, g.params) == (w.kind, w.stage, w.spurious, w.params)
+        assert np.float64(g.risk).tobytes() == np.float64(w.risk).tobytes()
+        assert g.interval == w.interval and g.baseline_risk == w.baseline_risk
+        assert g.net.dims == w.net.dims and g.net.activation == w.net.activation
+        for a, b in zip(g.net.weights + g.net.biases, w.net.weights + w.net.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _tied_dataset(per_level=20, seed=1):
+    """A small copy of the benchmark's tied_split data: x1 in {0, 1, 2},
+    x2 = +-m inside each level, so the affine fit ties within a level."""
+    rng = np.random.default_rng([seed, 2])
+    x1 = np.repeat([0.0, 1.0, 2.0], per_level)
+    m = rng.uniform(0.1, 3.0, (3, per_level // 2))
+    x2 = np.concatenate([np.concatenate([row, -row]) for row in m])
+    y = np.array([0.0, 1.0, 3.0])[x1.astype(int)] + 0.1 * x2 * x2
+    return Dataset(np.vstack([x1, x2]), y[None, :])
+
+
+FAMILY_ACTS = {"relu": relu(), "reflected": two_piece(1.0, 0.0), "threepiece": three_piece()}
+
+
+class TestStackedFamilyMatchesTheLoop:
+    @pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
+    @pytest.mark.parametrize("hidden", [(3,), (3, 3), (3, 3, 3)], ids=["depth1", "depth2", "depth3"])
+    @pytest.mark.parametrize("two_outputs", [False, True], ids=["d_y1", "d_y2"])
+    def test_members_bit_identical(self, act, hidden, two_outputs):
+        data = random_two_output_dataset() if two_outputs else xor_dataset()
+        fit = fit_linear(data, SQ)
+        dims = (2, *hidden, data.d_y)
+        want = _family_one_at_a_time(fit, data, dims, act, 6, 3)
+        _assert_same_members(enumerate_family(fit, data, dims, act, k=6, seed=3), want)
+
+    def test_family_of_one_is_the_general_minimum(self, xor, xor_fit):
+        for act in FAMILY_ACTS.values():
+            want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0)
+            _assert_same_members([build_general_minimum(xor_fit, xor, (2, 3, 3, 1), act)], want)
+            _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), act, k=1), want)
+
+    @pytest.mark.parametrize("budget", [1, 960, 1920, 2880, 1 << 17])
+    def test_chunk_boundaries_on_tied_data(self, monkeypatch, budget):
+        # (2, 16, 1) on 60 samples: 960 elements in a member's hidden layer,
+        # so 1, 1, 2 and 3 members per chunk, the last chunk short, and one
+        # chunk of all 7
+        data = _tied_dataset()
+        fit = fit_linear(data, SQ)
+        want = _family_one_at_a_time(fit, data, (2, 16, 1), relu(), 7, 5)
+        monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
+        assert verification._stack_size((2, 16, 1), data.n) == max(1, budget // 960)
+        _assert_same_members(enumerate_family(fit, data, (2, 16, 1), relu(), k=7, seed=5), want)
+
+    def test_an_overflowing_stacked_pass_falls_back_to_one_forward_each(self, xor, xor_fit,
+                                                                       monkeypatch):
+        want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), relu(), 5, 2)
+
+        def overflowing(*args):
+            raise FloatingPointError("overflow encountered in matmul")
+
+        monkeypatch.setattr(construction, "_stacked_outputs", overflowing)
+        _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu(), k=5, seed=2),
+                             want)
+
+
+def _outcome(monkeypatch, run, failures):
+    """What run() raises, as (type, message), with construction.<name>
+    failing at call number `at` for every name: (at, None) returns False
+    there, (at, exc) raises exc.  Also returns the calls of each name."""
+    calls = dict.fromkeys(failures, 0)
+    with monkeypatch.context() as patch:
+        for name, (at, exc) in failures.items():
+            def failing(*args, _name=name, _at=at, _exc=exc, _original=getattr(construction, name),
+                        **kwargs):
+                calls[_name] += 1
+                if calls[_name] - 1 != _at:
+                    return _original(*args, **kwargs)
+                if _exc is None:
+                    return False
+                raise _exc
+            patch.setattr(construction, name, failing)
+        try:
+            run()
+        except Exception as exc:
+            return (type(exc), str(exc)), calls
+    return None, calls
+
+
+FAILURES = {
+    "certificate of member 2": {"_reproduces": (2, None)},
+    "build of member 4": {"_radius_scale": (4, PreconditionViolated("m_scale too small"))},
+    "certificate of member 2, build of member 4": {
+        "_reproduces": (2, None),
+        "_radius_scale": (4, PreconditionViolated("m_scale too small")),
+    },
+    "forward of member 3": {
+        "_stacked_outputs": (0, FloatingPointError("overflow encountered in matmul")),
+        "forward": (3, FloatingPointError("overflow encountered in matmul")),
+    },
+    "certificate of member 1, forward of member 3": {
+        "_reproduces": (1, None),
+        "_stacked_outputs": (0, FloatingPointError("overflow encountered in matmul")),
+        "forward": (3, FloatingPointError("overflow encountered in matmul")),
+    },
+}
+
+
+@pytest.mark.parametrize("failures", FAILURES.values(), ids=FAILURES.keys())
+def test_family_raises_for_its_first_failing_member(xor, xor_fit, monkeypatch, failures):
+    # the oracle builds and certifies one member at a time, so it raises for
+    # the first failing member in draw order, after certifying the members
+    # before it; the oracle never stacks, and every certificate is counted
+    failures = {"_reproduces": (-1, None), **failures}
+    dims, act = (2, 3, 3, 1), relu()
+    got, got_calls = _outcome(
+        monkeypatch, lambda: enumerate_family(xor_fit, xor, dims, act, k=6, seed=9), failures)
+    oracle = {name: fail for name, fail in failures.items() if name != "_stacked_outputs"}
+    want, want_calls = _outcome(
+        monkeypatch, lambda: _family_one_at_a_time(xor_fit, xor, dims, act, 6, 9), oracle)
+    assert got is not None and got == want
+    assert got_calls["_reproduces"] == want_calls["_reproduces"]
