@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from spurmin import LossKind, Mlp, build_shallow_minimum, fit_linear, relu, walk_valley, xor_dataset
+from spurmin import LossKind, Mlp, build_minimum, fit_linear, relu, walk_valley, xor_dataset
 
 
 def main() -> int:
@@ -22,7 +22,7 @@ def main() -> int:
 
     data = xor_dataset()
     fit = fit_linear(data, LossKind.SQUARED)
-    net = build_shallow_minimum(fit, data, (2, 3, 1), relu()).net
+    net = build_minimum(fit, data, (2, 3, 1), relu(), stage="1").net
     factors = np.array([float(f) for f in args.factors.split(",")])
     far = Mlp(net.dims, (net.weights[0] / factors[:, None], net.weights[1] * factors),
               (net.biases[0] / factors, net.biases[1]), net.activation)

@@ -38,15 +38,8 @@ from .cells import (
 from .construction import (
     CertifiedPoint,
     ConstructionParams,
-    build_balanced_descent,
-    build_deep_descent,
-    build_deep_minimum,
     build_descent,
-    build_general_descent,
-    build_general_minimum,
     build_minimum,
-    build_shallow_descent,
-    build_shallow_minimum,
     enumerate_family,
     min_pairwise_distance,
     params_distance,

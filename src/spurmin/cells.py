@@ -314,7 +314,8 @@ def linear_collapse_check(
     """True iff the activation pattern is identical across random weight
     draws, i.e. the whole surface is one cell (linear activations).  The
     seed must be a nonnegative integer, and hidden_width and trials
-    positive integers.
+    positive integers.  An X without samples is refused: every empty
+    pattern equals every other, so a True there would check nothing.
 
     An activation with one slope on every piece (not is_nonlinear) gives
     every hidden unit that slope at every sample, NaN and inf included,
@@ -328,6 +329,8 @@ def linear_collapse_check(
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2:
         raise ShapeViolation(f"X must be d_x x n, got {X.shape}")
+    if X.shape[1] == 0:
+        raise PreconditionViolated("need at least one sample")
     if not act.is_nonlinear:
         return True
     d_x = X.shape[0]

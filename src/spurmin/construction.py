@@ -1,13 +1,35 @@
 """Explicit spurious-local-minimum networks and their descent witnesses.
 
-Four routes, all seeded by the affine baseline fit:
+Four routes, all seeded by the affine baseline fit, named by their stage:
 
-  shallow  - one hidden layer, two-piece activation
-  deep     - any depth, two-piece activation
-  general  - any depth, any nonlinear piecewise-linear activation with an
-             admissible turning point (unbalanced adjacent slopes)
-  balanced - any depth, two-piece with s- + s+ = 0 (e.g. |x|), needs one
-             extra unit in the first hidden layer
+  "1"         - one hidden layer, two-piece activation
+  "2"         - any depth, two-piece activation
+  "3"         - any depth, any nonlinear piecewise-linear activation with an
+                admissible turning point (unbalanced adjacent slopes)
+  "corollary" - any depth, two-piece with s- + s+ = 0 (e.g. |x|), needs one
+                extra unit in the first hidden layer
+
+There are three entry points.  `build_minimum` and `build_descent` build
+one point of their kind on the route a stage name selects, and
+`enumerate_family` samples route 3's infinite family of minima.  The two
+routers share one preamble (`_routed`): the stage rule (`_stage`, which
+resolves "auto"), the overrides the route takes, the dimensions, one hidden
+layer on route "1", the ranges of m_scale and gamma, and the width rule
+(`network._balanced_widths_ok` on "corollary", `network._widths_ok`
+elsewhere).  Then each runs its route's builder from one table per point
+kind, with the overrides that route takes:
+
+  stage        `_MINIMA`                  `_WITNESSES`
+  "1"          _two_piece_minimum: eta    _two_piece_descent: none
+  "2"          _two_piece_minimum: eta    _two_piece_descent: lambda_shift
+  "3"          _general_family_head:      _general_descent: m_scale
+               eta, m_scale, alpha_scales
+  "corollary"  (resolves to "1" or "2")   _balanced_descent: gamma
+
+An override the route does not take is a PreconditionViolated naming the
+route and the overrides it takes.  Routes "1" and "2" differ only in the
+depth precondition and in lambda_shift: a two-piece point is labelled "1"
+with one hidden layer and "2" otherwise, whichever of the two was asked for.
 
 All four share one skeleton.  One two-piece scaffold gives the minimum
 (`_minimum_layers`) and the witness (`_witness_layers`) at any depth: the
@@ -41,7 +63,7 @@ constants whose network strictly undercuts the baseline, within one budget
 of MAX_HALVINGS halvings.  An explicit gamma on the balanced route takes the
 first admissible alpha instead, unverified.
 
-Every public builder runs with numpy's overflow and invalid-operation errors
+Every entry point runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
 scale leaves the float64 range fails as PreconditionViolated before any
 infinite or NaN parameter is built or scored.
@@ -574,7 +596,8 @@ def _witness_layers(
 
 
 # ---------------------------------------------------------------------------
-# shallow and deep routes (two-piece)
+# the route builders, each run after the routers' preamble (`_routed`) has
+# checked the dimensions, the depth, the override ranges and the widths
 
 
 def _depth_stage(dims: tuple[int, ...]) -> str:
@@ -583,8 +606,12 @@ def _depth_stage(dims: tuple[int, ...]) -> str:
 
 
 def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
-                       act: PiecewiseLinear, eta: Optional[float]) -> CertifiedPoint:
-    _require_hidden_wider(dims, data.d_y)
+                       act: PiecewiseLinear, eta: Optional[float] = None) -> CertifiedPoint:
+    """Routes 1 and 2: the first layer carries the baseline shifted by a
+    negative eta so every unit stays on the positive piece, middle layers
+    forward the payload (and replicate the positive pad unit), and the
+    output layer undoes the shift; the network computes exactly the
+    baseline."""
     _, s_plus = _two_piece_or_raise(act)
     eta = _checked_eta(fit, eta)
     build_act, reflected = _frame(act, s_plus)
@@ -593,40 +620,10 @@ def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     return _certified([draft], fit, data)[0]
 
 
-@_float_checked
-def build_shallow_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    eta: Optional[float] = None,
-) -> CertifiedPoint:
-    """One-hidden-layer minimum: the top rows carry the baseline shifted by a
-    negative eta so every unit stays on the positive piece, and the output
-    layer undoes the shift; the network computes exactly the baseline."""
-    _check_dims(fit, data, dims)
-    if len(dims) != 3:
-        raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    return _two_piece_minimum(fit, data, dims, act, eta)
-
-
-@_float_checked
-def build_deep_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    eta: Optional[float] = None,
-) -> CertifiedPoint:
-    """Depth-independent minimum: the first layer is the shallow one, middle
-    layers forward the payload (and replicate the positive pad unit), and the
-    output layer undoes the eta shift."""
-    _check_dims(fit, data, dims)
-    return _two_piece_minimum(fit, data, dims, act, eta)
-
-
 def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
                        lambda_shift: Optional[float] = None) -> CertifiedPoint:
+    """Routes 1 and 2: the two-piece witness (`_witness_layers`), lifted to
+    the depth of dims by lambda; with one hidden layer it is labelled "1"."""
     s_minus, s_plus = _two_piece_or_raise(act)
     if s_minus + s_plus == 0.0:
         raise NoAdmissibleTurningPoint(
@@ -634,45 +631,6 @@ def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act
         )
     net, params, _, risk = _witness_layers(fit, data, dims, act, lambda_shift)
     return _witness(net, _depth_stage(dims), risk, fit, params)
-
-
-@_float_checked
-def build_shallow_descent(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-) -> CertifiedPoint:
-    """Witness with one hidden layer: tilt the nonzero-gradient baseline row
-    along the separating direction and nudge by gamma; the sign split makes
-    the first-order risk change strictly negative while rows 2.. reproduce
-    the baseline exactly."""
-    _check_dims(fit, data, dims)
-    if len(dims) != 3:
-        raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    _require_hidden_wider(dims, data.d_y)
-    return _two_piece_descent(fit, data, dims, act)
-
-
-@_float_checked
-def build_deep_descent(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    lambda_shift: Optional[float] = None,
-) -> CertifiedPoint:
-    """Depth extension of the shallow witness: layer 2 adds a positive shift
-    lambda so everything downstream rides the positive piece, and the output
-    layer subtracts it; the output equals the shallow witness output exactly.
-    With one hidden layer this is the shallow witness (stage "1")."""
-    _check_dims(fit, data, dims)
-    _require_hidden_wider(dims, data.d_y)
-    return _two_piece_descent(fit, data, dims, act, lambda_shift)
-
-
-# ---------------------------------------------------------------------------
-# general route (arbitrary piecewise-linear with an admissible turning point)
 
 
 def default_m_scale(first_layer_pre: np.ndarray, sigma: float) -> float:
@@ -769,43 +727,22 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
     return _certified(drafts(), fit, data)
 
 
-@_float_checked
-def build_general_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    eta: Optional[float] = None,
-    m_scale: Optional[float] = None,
-    alpha_scales: Optional[tuple[float, ...]] = None,
-) -> CertifiedPoint:
-    """Minimum for any admissible piecewise-linear activation: squeeze every
-    pre-activation into the linear piece right of the turning point t by
-    scaling down with M (and per-layer alphas), translate by t, and undo both
-    at the output.  M and the alphas range over continuous intervals, so the
-    family is infinite; this is its member 0, a family of one."""
-    _check_dims(fit, data, dims)
-    _require_within("m_scale", m_scale, lo=0.0)
-    _require_hidden_wider(dims, data.d_y)
-    return _family(fit, data, dims, act, 1, 0, eta=eta, m_scale=m_scale,
-                   alpha_scales=alpha_scales)[0]
+def _general_family_head(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
+                         act: PiecewiseLinear, **first) -> CertifiedPoint:
+    """Route 3: squeeze every pre-activation into the linear piece right of
+    the turning point t by scaling down with M (and per-layer alphas),
+    translate by t, and undo both at the output.  M and the alphas range
+    over continuous intervals, so the family is infinite; this is its
+    member 0, a family of one."""
+    return _family(fit, data, dims, act, 1, 0, **first)[0]
 
 
-@_float_checked
-def build_general_descent(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    m_scale: Optional[float] = None,
-) -> CertifiedPoint:
-    """Witness for the general route: the deep witness, squeezed into the
-    turning point's linear pieces with scales M (layer 1, both sides of t)
-    and M-tilde (layer 2 onward, right of t), then unsqueezed at the output.
-    The output equals the deep witness output exactly."""
-    _check_dims(fit, data, dims)
-    _require_within("m_scale", m_scale, lo=0.0)
-    _require_hidden_wider(dims, data.d_y)
+def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                     m_scale: Optional[float] = None) -> CertifiedPoint:
+    """Route 3: the two-piece witness of the turning point's slopes,
+    squeezed into their linear pieces with scales M (layer 1, both sides of
+    t) and M-tilde (layer 2 onward, right of t), then unsqueezed at the
+    output.  The output equals that witness's output exactly."""
     build_act, reflected, tp = _turning_frame(act)
     # the local activation has s_plus != 0, so the witness net is in the build frame
     deep, params, deep_trace, _ = _witness_layers(fit, data, dims, two_piece(tp.s_minus, tp.s_plus))
@@ -825,29 +762,14 @@ def build_general_descent(
     return _witness(net, "3", risk, fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
 
-# ---------------------------------------------------------------------------
-# balanced route (two-piece with s- + s+ = 0)
-
-
-@_float_checked
-def build_balanced_descent(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    gamma: Optional[float] = None,
-) -> CertifiedPoint:
-    """Witness for balanced two-piece slopes (s- = -s+) at any depth: an
+def _balanced_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                      gamma: Optional[float] = None) -> CertifiedPoint:
+    """Route "corollary", two-piece slopes with s- = -s+ at any depth: an
     extra first-layer row carrying the untilted baseline makes the tilt terms
     cancel in the output, leaving predictions shifted by exactly -gamma on I
     and +gamma on J.  An explicit gamma (e.g. the gamma = 0 boundary
     control) skips the descent search; spurious records whether the witness
     still undercuts the baseline."""
-    _check_dims(fit, data, dims)
-    _require_within("gamma", gamma)
-    if not _balanced_widths_ok(dims, data.d_y):
-        raise WidthViolation(f"balanced route needs d_1 >= {data.d_y + 2} and every later "
-                             f"hidden width >= {data.d_y + 1}, got {dims}")
     s_minus, s_plus = _two_piece_or_raise(act)
     if s_minus + s_plus != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
@@ -857,6 +779,19 @@ def build_balanced_descent(
 
 # ---------------------------------------------------------------------------
 # routing and family enumeration
+
+# stage -> (builder, the overrides it takes), one table per point kind
+_MINIMA = {
+    "1": (_two_piece_minimum, ("eta",)),
+    "2": (_two_piece_minimum, ("eta",)),
+    "3": (_general_family_head, ("eta", "m_scale", "alpha_scales")),
+}
+_WITNESSES = {
+    "1": (_two_piece_descent, ()),
+    "2": (_two_piece_descent, ("lambda_shift",)),
+    "3": (_general_descent, ("m_scale",)),
+    "corollary": (_balanced_descent, ("gamma",)),
+}
 
 
 def _stage(stage: str, act: PiecewiseLinear, dims: tuple[int, ...], witness: bool) -> str:
@@ -875,53 +810,54 @@ def _stage(stage: str, act: PiecewiseLinear, dims: tuple[int, ...], witness: boo
     return stage
 
 
-def _route(builders: dict, stage: str, *args, **overrides) -> CertifiedPoint:
-    """Run the builder a resolved stage name selects.  The callers build
-    their tables per call, so a builder replaced on the module (say, by a
-    tracing wrapper) is the one that runs."""
-    if stage not in builders:
+def _routed(witness: bool, fit: LinearFit, data: Dataset, dims: tuple[int, ...],
+            act: PiecewiseLinear, stage: str, overrides: dict) -> CertifiedPoint:
+    """The preamble both routers share, in this order: the stage rule, the
+    overrides the route takes, the dimensions, one hidden layer on route
+    "1", the ranges of m_scale and gamma, and the width rule (the balanced
+    one on "corollary"); then the route's builder from its kind's table."""
+    kind, routes = ("witness", _WITNESSES) if witness else ("minimum", _MINIMA)
+    stage = _stage(stage, act, dims, witness)
+    if stage not in routes:
         raise PreconditionViolated(f"unknown stage {stage!r}")
-    return builders[stage](*args, **overrides)
-
-
-def build_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    stage: str = "auto",
-    **overrides,
-) -> CertifiedPoint:
-    """Route to a minimum construction by stage name ("1", "2", "3", or
-    "corollary"/"auto"), resolved by `_stage`."""
-    builders = {"1": build_shallow_minimum, "2": build_deep_minimum, "3": build_general_minimum}
-    return _route(builders, _stage(stage, act, dims, False), fit, data, dims, act, **overrides)
-
-
-def build_descent(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    stage: str = "auto",
-    **overrides,
-) -> CertifiedPoint:
-    """Route to a descent-witness construction by stage name, resolved by
-    `_stage`."""
-    builders = {"1": build_shallow_descent, "2": build_deep_descent, "3": build_general_descent,
-                "corollary": build_balanced_descent}
-    return _route(builders, _stage(stage, act, dims, True), fit, data, dims, act, **overrides)
+    build, takes = routes[stage]
+    refused = sorted(set(overrides) - set(takes))
+    if refused:
+        raise PreconditionViolated(f"route {stage}'s {kind} takes "
+                                   f"{', '.join(takes) or 'no override'}; got {', '.join(refused)}")
+    _check_dims(fit, data, dims)
+    if stage == "1" and len(dims) != 3:
+        raise PreconditionViolated("shallow route needs exactly one hidden layer")
+    _require_within("m_scale", overrides.get("m_scale"), lo=0.0)
+    _require_within("gamma", overrides.get("gamma"))
+    if stage != "corollary":
+        _require_hidden_wider(dims, data.d_y)
+    elif not _balanced_widths_ok(dims, data.d_y):
+        raise WidthViolation(f"balanced route needs d_1 >= {data.d_y + 2} and every later "
+                             f"hidden width >= {data.d_y + 1}, got {dims}")
+    return build(fit, data, dims, act, **overrides)
 
 
 @_float_checked
-def enumerate_family(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    k: int,
-    seed: int = 0,
-) -> list[CertifiedPoint]:
+def build_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                  stage: str = "auto", **overrides) -> CertifiedPoint:
+    """A certified minimum on the route a stage name ("1", "2", "3", or
+    "corollary"/"auto") resolves to by `_stage`, with the overrides that
+    route takes (`_MINIMA`)."""
+    return _routed(False, fit, data, dims, act, stage, overrides)
+
+
+@_float_checked
+def build_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                  stage: str = "auto", **overrides) -> CertifiedPoint:
+    """A descent witness on the route a stage name resolves to by `_stage`,
+    with the overrides that route takes (`_WITNESSES`)."""
+    return _routed(True, fit, data, dims, act, stage, overrides)
+
+
+@_float_checked
+def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                     k: int, seed: int = 0) -> list[CertifiedPoint]:
     """Sample k members of the infinite minimum family by drawing eta, the
     squeeze scale M, and the per-layer alphas from their admissible
     continuous ranges.  Per-member seeded streams make the family bitwise

@@ -177,23 +177,25 @@ def _alpha_max(
     keeps the inequality strict.
 
     With beta = 0 every bx_j - bx_i is 0, so no pair can bound alpha and the
-    cap is returned without the scan.
+    cap is returned without the scan.  Each i in I is scanned against all of
+    J at once: the cross-group mask, then dx > 0, then the least dv / dx,
+    the same elementwise operations as one pair at a time in O(n) memory; a
+    NaN quotient is skipped (`np.fmin`), as a pairwise running min skips it.
     """
     if not np.any(beta):
         return ALPHA_CAP
-    n = len(perm)
     group_of = np.repeat(np.arange(len(bounds)), np.diff([0] + bounds))
     bound = np.inf
     bx = beta @ xs
+    J = perm[l_prime:]
+    v_J, bx_J, group_J = v[J], bx[J], group_of[l_prime:]
     for pi in range(l_prime):
-        for pj in range(l_prime, n):
-            if group_of[pi] == group_of[pj]:
-                continue
-            i, j = perm[pi], perm[pj]
-            dv = v[j] - v[i]
-            dx = bx[j] - bx[i]
-            if dx > 0:
-                bound = min(bound, dv / dx)
+        i = perm[pi]
+        cross = group_J != group_of[pi]
+        dx = bx_J[cross] - bx[i]
+        up = dx > 0
+        if up.any():
+            bound = min(bound, np.fmin.reduce((v_J[cross][up] - v[i]) / dx[up]))
     if not np.isfinite(bound):
         return ALPHA_CAP
     return min(ALPHA_CAP, 0.5 * bound)

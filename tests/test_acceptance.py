@@ -44,8 +44,8 @@ def test_criterion_1_linear_baseline(xor, fit):
 
 
 def test_criterion_2_stage1(xor, fit):
-    minimum = sp.build_shallow_minimum(fit, xor, (2, 3, 1), sp.relu())
-    witness = sp.build_shallow_descent(fit, xor, (2, 3, 1), sp.relu())
+    minimum = sp.build_minimum(fit, xor, (2, 3, 1), sp.relu(), stage="1")
+    witness = sp.build_descent(fit, xor, (2, 3, 1), sp.relu(), stage="1")
     out = sp.forward(minimum.net, xor.X).output
     pert = sp.perturbation_local_min_test(minimum.net, xor, SQ, radius=1e-4, samples=500, seed=7)
     gap = minimum.risk - witness.risk
@@ -60,18 +60,18 @@ def test_criterion_2_stage1(xor, fit):
 
 
 def test_criterion_3_stage2_stage3(xor, fit):
-    m2 = sp.build_deep_minimum(fit, xor, (2, 3, 3, 1), sp.relu())
-    w2 = sp.build_deep_descent(fit, xor, (2, 3, 3, 1), sp.relu())
-    m3 = sp.build_general_minimum(fit, xor, (2, 3, 3, 1), sp.three_piece())
-    w3 = sp.build_general_descent(fit, xor, (2, 3, 3, 1), sp.three_piece())
+    m2 = sp.build_minimum(fit, xor, (2, 3, 3, 1), sp.relu(), stage="2")
+    w2 = sp.build_descent(fit, xor, (2, 3, 3, 1), sp.relu(), stage="2")
+    m3 = sp.build_minimum(fit, xor, (2, 3, 3, 1), sp.three_piece(), stage="3")
+    w3 = sp.build_descent(fit, xor, (2, 3, 3, 1), sp.three_piece(), stage="3")
 
     t2 = sp.forward(m2.net, xor.X)
     t3 = sp.forward(m3.net, xor.X)
     pos_ok = all(np.all(z > 0) for z in t2.hidden_pre)
     unit_ok = all(np.all(z > 0) and np.all(z < 1) for z in t3.hidden_pre)
 
-    w1_relu = sp.build_shallow_descent(fit, xor, (2, 3, 1), sp.relu())
-    w1_local = sp.build_shallow_descent(fit, xor, (2, 3, 1), sp.two_piece(0.2, 1.0))
+    w1_relu = sp.build_descent(fit, xor, (2, 3, 1), sp.relu(), stage="1")
+    w1_local = sp.build_descent(fit, xor, (2, 3, 1), sp.two_piece(0.2, 1.0), stage="1")
     ok = (
         abs(m2.risk - 0.125) <= 1e-9
         and abs(m3.risk - 0.125) <= 1e-9
@@ -88,11 +88,11 @@ def test_criterion_3_stage2_stage3(xor, fit):
 
 
 def test_criterion_4_corollary(xor, fit):
-    witness = sp.build_balanced_descent(fit, xor, (2, 4, 1), sp.absolute_value())
+    witness = sp.build_descent(fit, xor, (2, 4, 1), sp.absolute_value(), stage="corollary")
     gap = fit.risk - witness.risk
     rejected = False
     try:
-        sp.build_balanced_descent(fit, xor, (2, 2, 1), sp.absolute_value())
+        sp.build_descent(fit, xor, (2, 2, 1), sp.absolute_value(), stage="corollary")
     except sp.WidthViolation:
         rejected = True
     ok = witness.risk < 0.125 and gap > 1e-12 and rejected
@@ -195,7 +195,7 @@ def test_criterion_7_cell_geometry(xor, fit):
         count += 1
     identity_ok = worst <= 1e-12
 
-    minimum = sp.build_shallow_minimum(fit, xor, (2, 3, 1), act)
+    minimum = sp.build_minimum(fit, xor, (2, 3, 1), act, stage="1")
     W1a, W2r, b2, Xa = cells.net_cell_inputs(minimum.net, xor.X)
     lifted = cells.lift_data(cells.activation_pattern(minimum.net, xor.X), Xa)
     residual = cells.quotient_gradient_residual(

@@ -15,7 +15,6 @@ from spurmin import (
     absolute_value,
     activation_pattern,
     build_minimum,
-    build_shallow_minimum,
     build_valley_path,
     empirical_risk,
     equivalence_check,
@@ -56,7 +55,7 @@ def random_interior_net(rng, act, d_x=2, d_1=4, X=None):
 
 class TestPattern:
     def test_stage1_minimum_all_ones(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         sig = activation_pattern(point.net, xor.X)
         assert sig.interior
         assert np.array_equal(sig.pattern, np.ones((3, 4)))
@@ -151,7 +150,7 @@ class TestLiftAndReformulation:
             lift_data(sig, np.array([[1.0], [0.0]]))
 
     def test_stage1_reformulation_identity(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         W1a, W2r, b2, Xa = net_cell_inputs(point.net, xor.X)
         sig = activation_pattern(point.net, xor.X)
         lifted = lift_data(sig, Xa)
@@ -208,7 +207,7 @@ class TestLiftAndReformulation:
 
 class TestResidualAndOptimum:
     def test_stage1_minimum_stationary(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         W1a, W2r, b2, Xa = net_cell_inputs(point.net, xor.X)
         lifted = lift_data(activation_pattern(point.net, xor.X), Xa)
         q = quotient_map(W1a, W2r)
@@ -222,7 +221,7 @@ class TestResidualAndOptimum:
         assert quotient_gradient_residual(q, lifted, xor.Y, SQ, output_bias=b2) > 1e-6
 
     def test_cell_optimum_stationary_and_bounds(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         _, _, b2, Xa = net_cell_inputs(point.net, xor.X)
         lifted = lift_data(activation_pattern(point.net, xor.X), Xa)
         q_star, risk_star = solve_cell_optimum(lifted, xor.Y, output_bias=b2)
@@ -291,7 +290,7 @@ class TestEquivalence:
 
 class TestValleyPath:
     def test_two_rescalings_constant_risk(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         W1a, W2r, b2, Xa = net_cell_inputs(point.net, xor.X)
         factors = np.array([2.0, 0.5, 3.0])
         p2 = (W1a / factors[:, None], W2r * factors)
@@ -357,7 +356,7 @@ def forward_calls(monkeypatch):
 
 class TestWalkValley:
     def test_equals_explicit_rebuild_and_score_loop(self, xor, xor_fit, relu_act):
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
         valley = walk_valley(net, far, xor, SQ, steps_per_move=4)
 
@@ -375,7 +374,7 @@ class TestWalkValley:
         assert valley["pattern_constant"] and valley["risk_max_dev"] <= 1e-10
 
     def test_differing_output_biases_raise(self, xor, xor_fit, relu_act):
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         shifted = Mlp(net.dims, net.weights, (net.biases[0], net.biases[1] + 1.0), net.activation)
         with pytest.raises(PreconditionViolated, match="output bias"):
             walk_valley(net, shifted, xor, SQ, steps_per_move=10)
@@ -391,7 +390,7 @@ class TestWalkValley:
             return stacked(layers, act, X)
 
         monkeypatch.setattr(cells, "_stacked_outputs", counting)
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
         monkeypatch.setattr(cells, "Mlp", None)  # a network built per point raises
         valley = walk_valley(net, far, xor, SQ, steps_per_move=10)
@@ -401,7 +400,7 @@ class TestWalkValley:
 
 class TestAnalyze:
     def test_forwards_once(self, xor, xor_fit, relu_act, forward_calls):
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         payload = analyze(net, xor, SQ)
         assert len(forward_calls) == 1
         assert payload["risk"] == empirical_risk(net, xor, SQ)
@@ -648,7 +647,7 @@ class TestStackedValleyMatchesTheLoop:
         _assert_same_walk(walk_valley(net, far, data, SQ, steps_per_move=4), want)
 
     def test_shape_errors_as_before(self, xor, xor_fit, relu_act):
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
         two_labels = Dataset(xor.X, np.vstack([xor.Y, xor.Y]))
         three_features = Dataset(np.vstack([xor.X, xor.X[:1]]), xor.Y)
@@ -729,3 +728,16 @@ class TestExactCollapse:
     def test_three_dimensional_X_is_a_shape_violation(self, act):
         with pytest.raises(ShapeViolation):
             linear_collapse_check(act, np.zeros((2, 3, 4)), 4, trials=5, seed=0)
+
+    @pytest.mark.parametrize("act", [identity_act, relu()], ids=["identity", "relu"])
+    @pytest.mark.parametrize("X", [np.zeros((2, 0)), np.zeros(0)], ids=["d_x=2", "1-d"])
+    def test_no_samples_is_a_precondition_not_a_pass(self, act, X):
+        # every empty pattern equals every other: a True here would check nothing
+        with pytest.raises(PreconditionViolated, match="need at least one sample"):
+            linear_collapse_check(act, X, 4, trials=5, seed=0)
+
+    def test_no_samples_is_refused_after_the_argument_checks(self):
+        with pytest.raises(PreconditionViolated, match="trials must be"):
+            linear_collapse_check(relu(), np.zeros((2, 0)), 4, trials=0, seed=0)
+        with pytest.raises(ShapeViolation):
+            linear_collapse_check(relu(), np.zeros((2, 0, 3)), 4, trials=5, seed=0)

@@ -69,10 +69,10 @@ class TestIoRoundtrips:
         assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
 
     def test_mlp_json(self, xor, xor_fit, relu_act, tmp_path):
-        from spurmin import build_shallow_minimum
+        from spurmin import build_minimum
         from spurmin.io import save_mlp
 
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         path = tmp_path / "net.json"
         save_mlp(net, path)
         back = load_mlp(path)
@@ -82,9 +82,9 @@ class TestIoRoundtrips:
         assert back.activation == net.activation
 
     def test_mlp_dict_roundtrip(self, xor, xor_fit, relu_act):
-        from spurmin import build_shallow_minimum
+        from spurmin import build_minimum
 
-        net = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         clone = mlp_from_dict(mlp_to_dict(net))
         assert clone.dims == net.dims
 
@@ -253,12 +253,12 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("option", ["--out", "--cert-out"])
     def test_verify_writes_the_certificate_to_out(self, tmp_path, xor_csv, capsys, option):
-        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin import build_minimum, fit_linear, relu
         from spurmin.io import save_mlp
 
         xor = load_dataset_csv(xor_csv)
         net_path = tmp_path / "net.json"
-        save_mlp(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net, net_path)
+        save_mlp(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net, net_path)
         cert_out = tmp_path / "cert.json"
         assert main(["verify", "--data", xor_csv, "--net", str(net_path),
                      "--samples", "20", option, str(cert_out)]) == 0
@@ -288,12 +288,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_verify_without_draws_is_precondition(self, tmp_path, xor_csv, capsys, to_file):
-        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin import build_minimum, fit_linear, relu
         from spurmin.io import save_mlp
 
         xor = load_dataset_csv(xor_csv)
         net_path = tmp_path / "net.json"
-        save_mlp(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net, net_path)
+        save_mlp(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net, net_path)
         cert_out = tmp_path / "cert.json"
         argv = ["verify", "--data", xor_csv, "--net", str(net_path), "--samples", "0"]
         if to_file:
@@ -305,12 +305,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("radius", ["nan", "inf", "-1e-4"])
     def test_verify_bad_radius_is_precondition(self, tmp_path, xor_csv, capsys, radius):
-        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin import build_minimum, fit_linear, relu
         from spurmin.io import save_mlp
 
         xor = load_dataset_csv(xor_csv)
         net_path = tmp_path / "net.json"
-        save_mlp(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net, net_path)
+        save_mlp(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net, net_path)
         cert_out = tmp_path / "cert.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any draw runs
@@ -375,10 +375,10 @@ class TestExitCodes:
         assert "parse error" in err and "Traceback" not in err
 
     def test_non_finite_net_weight_is_parse_error(self, tmp_path, xor_csv, capsys):
-        from spurmin import build_shallow_minimum, fit_linear, relu
+        from spurmin import build_minimum, fit_linear, relu
 
         xor = load_dataset_csv(xor_csv)
-        net = mlp_to_dict(build_shallow_minimum(fit_linear(xor), xor, (2, 3, 1), relu()).net)
+        net = mlp_to_dict(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net)
         net["weights"][1][0][2] = float("nan")
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(net))  # json writes the NaN literal
@@ -466,12 +466,12 @@ class TestExitCodes:
     def test_malformed_json_file_error_names_the_file(
         self, tmp_path, xor_csv, xor, xor_fit, relu_act, capsys, argv
     ):
-        from spurmin import build_shallow_minimum
+        from spurmin import build_minimum
         from spurmin.io import save_mlp
 
         bad, good = tmp_path / "malformed.json", tmp_path / "net.json"
         bad.write_text("{bad")
-        save_mlp(build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net, good)
+        save_mlp(build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net, good)
         files = {"BAD": str(bad), "GOOD": str(good)}
         assert main([files.get(a, a) for a in argv] + ["--data", xor_csv]) == 2
         err = capsys.readouterr().err
@@ -579,11 +579,11 @@ class TestRunConfig:
 
     @pytest.fixture
     def net_json(self, tmp_path, xor, xor_fit, relu_act):
-        from spurmin import build_shallow_minimum
+        from spurmin import build_minimum
         from spurmin.io import save_mlp
 
         path = tmp_path / "net.json"
-        save_mlp(build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act).net, path)
+        save_mlp(build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net, path)
         return str(path)
 
     def _config(self, argv, capsys):
@@ -641,7 +641,7 @@ class TestScaleChecks:
         assert err.startswith("precondition violated: 2 * s_plus (right slope s_plus = 1e+308)")
 
     def test_path_build_flat_at_labels_times_1e3(self, tmp_path):
-        from spurmin import Dataset, Mlp, build_shallow_minimum, fit_linear, relu
+        from spurmin import Dataset, Mlp, build_minimum, fit_linear, relu
         from spurmin.io import save_mlp
 
         rng = np.random.default_rng(3)
@@ -649,7 +649,7 @@ class TestScaleChecks:
         data = Dataset(X, 1e3 * (np.sin(2.0 * X[0]) + X[1] ** 2)[None, :])
         data_csv = tmp_path / "d.csv"
         save_dataset_csv(data, data_csv)
-        net = build_shallow_minimum(fit_linear(data), data, (2, 3, 1), relu()).net
+        net = build_minimum(fit_linear(data), data, (2, 3, 1), relu(), stage="1").net
         factors = np.array([2.0, 0.5, 3.0])
         far = Mlp(net.dims, (net.weights[0] / factors[:, None], net.weights[1] * factors),
                   (net.biases[0] / factors, net.biases[1]), net.activation)

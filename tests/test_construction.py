@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from unittest import mock
 
@@ -16,15 +17,8 @@ from spurmin import (
     SpurminError,
     WidthViolation,
     absolute_value,
-    build_balanced_descent,
-    build_deep_descent,
-    build_deep_minimum,
     build_descent,
-    build_general_descent,
-    build_general_minimum,
     build_minimum,
-    build_shallow_descent,
-    build_shallow_minimum,
     empirical_risk,
     enumerate_family,
     fit_linear,
@@ -51,7 +45,7 @@ SQ = LossKind.SQUARED
 
 class TestShallowMinimum:
     def test_xor_default_parameters(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         assert point.kind == "minimum" and point.stage == "1"
         assert point.risk == pytest.approx(0.125, abs=1e-9)
         assert point.spurious
@@ -65,31 +59,31 @@ class TestShallowMinimum:
         assert np.max(np.abs(out - 0.5)) <= 1e-12
 
     def test_family_member_same_risk(self, xor, xor_fit, relu_act):
-        deep_eta = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act, eta=-10.0)
+        deep_eta = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1", eta=-10.0)
         assert np.allclose(deep_eta.net.biases[0], [10.5, 10.0, 10.0], atol=1e-12)
         assert np.allclose(deep_eta.net.biases[1], [-10.0], atol=1e-12)
         assert deep_eta.risk == pytest.approx(0.125, abs=1e-9)
 
     def test_pre_activations_strictly_positive(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         assert np.all(forward(point.net, xor.X).pre[0] > 0)
 
     def test_zero_residual_not_spurious(self, rng):
         X = rng.standard_normal((2, 5))
         data = Dataset(X, (X[0] - 0.5 * X[1] + 1.0)[None, :])
         fit = fit_linear(data, SQ)
-        point = build_shallow_minimum(fit, data, (2, 3, 1), relu())
+        point = build_minimum(fit, data, (2, 3, 1), relu(), stage="1")
         assert point.risk <= 1e-18
         assert not point.spurious
 
     def test_width_violation(self, xor, xor_fit, relu_act):
         with pytest.raises(WidthViolation):
-            build_shallow_minimum(xor_fit, xor, (2, 1, 1), relu_act)
+            build_minimum(xor_fit, xor, (2, 1, 1), relu_act, stage="1")
 
 
 class TestShallowDescent:
     def test_xor_strict_decrease(self, xor, xor_fit, relu_act):
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         assert w.kind == "descent_witness"
         assert w.risk < 0.125 - 1e-6
         assert w.params.gamma > 0  # drive = slope_ratio * sum_I(u) = 0.5 > 0
@@ -99,7 +93,7 @@ class TestShallowDescent:
         # 0.5 - 2.25a at (1,1), 0.5 + 0.25a at (0,0), 0.5 - 0.75a at the two
         # label-1 corners, so risk(a) = (1 - a/2 + 6.25 a^2) / 8; the halving
         # search lands on a = 1/16
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         a = w.params.alpha
         assert a == 0.0625
         assert w.params.gamma == pytest.approx(a / 4, abs=1e-12)
@@ -109,7 +103,7 @@ class TestShallowDescent:
 
     def test_first_row_output_formula(self, xor, xor_fit, relu_act):
         # oracle: yhat_1j = v_j - a*beta.x_j -/+ slope_ratio*gamma across the split
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         a, g = w.params.alpha, w.params.gamma
         u, v = xor_fit.v[0], xor_fit.y_tilde[0]
         res = separate(u, v, xor.X)
@@ -128,7 +122,7 @@ class TestShallowDescent:
 
         u, v = xor_fit.v[0], xor_fit.y_tilde[0]
         res = separate(u, v, xor.X)
-        good = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        good = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         c = descent_constants_at(res, u, v, xor.X, 1.0, good.params.alpha)
         flipped = type(c)(alpha=c.alpha, gamma=-c.gamma, eta1=c.eta1, midgap=c.midgap, margin=c.margin)
         W1, b1, W2, b2 = _shallow_descent_params(
@@ -140,7 +134,7 @@ class TestShallowDescent:
     def test_multi_output_other_rows_exact(self):
         data = random_two_output_dataset(seed=3)
         fit = fit_linear(data, SQ)
-        w = build_shallow_descent(fit, data, (2, 4, 2), two_piece(0.25, 1.0))
+        w = build_descent(fit, data, (2, 4, 2), two_piece(0.25, 1.0), stage="1")
         assert w.risk < fit.risk - 1e-12
         out = forward(w.net, data.X).output
         k, _ = select_nonzero_residual_row(fit, data)
@@ -149,18 +143,18 @@ class TestShallowDescent:
         assert np.max(np.abs(out[other] - fit.y_tilde[other])) <= 1e-12
 
     def test_zero_padded_row_with_extra_width(self, xor, xor_fit, relu_act):
-        w = build_shallow_descent(xor_fit, xor, (2, 5, 1), relu_act)
+        w = build_descent(xor_fit, xor, (2, 5, 1), relu_act, stage="1")
         assert w.risk < 0.125
         assert np.allclose(w.net.weights[0][2:], 0.0)
 
     def test_balanced_slopes_rejected(self, xor, xor_fit):
         with pytest.raises(NoAdmissibleTurningPoint):
-            build_shallow_descent(xor_fit, xor, (2, 3, 1), absolute_value())
+            build_descent(xor_fit, xor, (2, 3, 1), absolute_value(), stage="1")
 
 
 class TestDeepRoutes:
     def test_deep_minimum_xor(self, xor, xor_fit, relu_act):
-        point = build_deep_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
         trace = forward(point.net, xor.X)
         assert point.risk == pytest.approx(0.125, abs=1e-9)
         assert np.max(np.abs(trace.output - 0.5)) <= 1e-12
@@ -168,38 +162,38 @@ class TestDeepRoutes:
             assert np.all(z > 0)
 
     def test_depth_independence(self, xor, xor_fit, relu_act):
-        deeper = build_deep_minimum(xor_fit, xor, (2, 3, 3, 3, 1), relu_act)
+        deeper = build_minimum(xor_fit, xor, (2, 3, 3, 3, 1), relu_act, stage="2")
         assert deeper.risk == pytest.approx(0.125, abs=1e-9)
 
     def test_leaky_scaling_cancels(self, xor, xor_fit):
-        point = build_deep_minimum(xor_fit, xor, (2, 3, 3, 1), two_piece(0.5, 2.0))
+        point = build_minimum(xor_fit, xor, (2, 3, 3, 1), two_piece(0.5, 2.0), stage="2")
         assert np.max(np.abs(forward(point.net, xor.X).output - 0.5)) <= 1e-12
 
     def test_deep_descent_matches_shallow(self, xor, xor_fit, relu_act):
-        shallow = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
-        deep = build_deep_descent(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        shallow = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        deep = build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
         assert abs(deep.risk - shallow.risk) <= 1e-12
         out_s = forward(shallow.net, xor.X).output
         out_d = forward(deep.net, xor.X).output
         assert np.max(np.abs(out_s - out_d)) <= 1e-12
 
     def test_lambda_doubling_same_output(self, xor, xor_fit, relu_act):
-        d1 = build_deep_descent(xor_fit, xor, (2, 3, 3, 1), relu_act)
-        d2 = build_deep_descent(
-            xor_fit, xor, (2, 3, 3, 1), relu_act, lambda_shift=2.0 * d1.params.lambda_shift
+        d1 = build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
+        d2 = build_descent(
+            xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2", lambda_shift=2.0 * d1.params.lambda_shift
         )
         assert np.max(np.abs(forward(d1.net, xor.X).output - forward(d2.net, xor.X).output)) <= 1e-12
 
     def test_lambda_default_on_positive_output(self, xor, xor_fit, relu_act):
         # the shallow witness output is strictly positive here, so the
         # max(0, -min) branch collapses and lambda = 1
-        d = build_deep_descent(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        d = build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
         assert d.params.lambda_shift == 1.0
 
 
 class TestGeneralRoute:
     def test_three_piece_minimum_interval(self, xor, xor_fit):
-        point = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece())
+        point = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
         trace = forward(point.net, xor.X)
         assert point.risk == pytest.approx(0.125, abs=1e-9)
         assert np.max(np.abs(trace.output - 0.5)) <= 1e-12
@@ -207,28 +201,28 @@ class TestGeneralRoute:
             assert np.all(z > 0.0) and np.all(z < 1.0)
 
     def test_alpha_scale_family(self, xor, xor_fit):
-        p1 = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), alpha_scales=(0.25,))
-        p2 = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), alpha_scales=(0.5,))
+        p1 = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", alpha_scales=(0.25,))
+        p2 = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", alpha_scales=(0.5,))
         assert params_distance(p1.net, p2.net) > 1e-3
         assert np.max(np.abs(forward(p1.net, xor.X).output - forward(p2.net, xor.X).output)) <= 1e-12
 
     def test_relu_through_general_route(self, xor, xor_fit, relu_act):
-        general = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
-        deep = build_deep_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        general = build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="3")
+        deep = build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
         assert np.max(np.abs(
             forward(general.net, xor.X).output - forward(deep.net, xor.X).output
         )) <= 1e-12
 
     def test_descent_matches_local_two_piece_chain(self, xor, xor_fit):
-        w3 = build_general_descent(xor_fit, xor, (2, 3, 3, 1), three_piece())
-        w1 = build_shallow_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0))
+        w3 = build_descent(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
+        w1 = build_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0), stage="1")
         assert abs(w3.risk - w1.risk) <= 1e-10
         assert w3.risk < 0.125 - 1e-12
 
     def test_m_scaling_same_output(self, xor, xor_fit):
-        w_def = build_general_descent(xor_fit, xor, (2, 3, 3, 1), three_piece())
-        w_big = build_general_descent(
-            xor_fit, xor, (2, 3, 3, 1), three_piece(), m_scale=3.0 * w_def.params.m_scale
+        w_def = build_descent(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
+        w_big = build_descent(
+            xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", m_scale=3.0 * w_def.params.m_scale
         )
         assert np.max(np.abs(
             forward(w_def.net, xor.X).output - forward(w_big.net, xor.X).output
@@ -238,19 +232,19 @@ class TestGeneralRoute:
         # a breakpoint squeezed to width 1e-12 forces a huge scale M; the
         # outputs stay equal to the unsqueezed chain within conditioning
         act = type(three_piece())((0.0, 1e-12), (0.2, 1.0, 0.5), 0.0)
-        w = build_general_descent(xor_fit, xor, (2, 3, 3, 1), act)
-        ref = build_shallow_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0))
+        w = build_descent(xor_fit, xor, (2, 3, 3, 1), act, stage="3")
+        ref = build_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0), stage="1")
         assert abs(w.risk - ref.risk) <= 1e-9
         assert w.params.m_scale > 1e10
 
     def test_abs_rejected(self, xor, xor_fit):
         with pytest.raises(NoAdmissibleTurningPoint):
-            build_general_minimum(xor_fit, xor, (2, 3, 3, 1), absolute_value())
+            build_minimum(xor_fit, xor, (2, 3, 3, 1), absolute_value(), stage="3")
 
 
 class TestBalancedRoute:
     def test_xor_witness(self, xor, xor_fit):
-        w = build_balanced_descent(xor_fit, xor, (2, 4, 1), absolute_value())
+        w = build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary")
         assert w.risk < 0.125 - 1e-12
         assert w.spurious
         # sign rule: sgn(gamma) = sgn(sum_I u) = +1 on this fixture
@@ -261,17 +255,17 @@ class TestBalancedRoute:
         assert w.risk == pytest.approx(0.09375, abs=1e-12)
 
     def test_gamma_zero_boundary_control(self, xor, xor_fit):
-        w = build_balanced_descent(xor_fit, xor, (2, 4, 1), absolute_value(), gamma=0.0)
+        w = build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary", gamma=0.0)
         assert w.risk == pytest.approx(xor_fit.risk, abs=1e-12)
         assert not w.spurious
 
     def test_width_violation(self, xor, xor_fit):
         with pytest.raises(WidthViolation):
-            build_balanced_descent(xor_fit, xor, (2, 2, 1), absolute_value())
+            build_descent(xor_fit, xor, (2, 2, 1), absolute_value(), stage="corollary")
 
     def test_first_row_shift_oracle(self, xor, xor_fit):
         # outputs are exactly baseline -/+ gamma across the split
-        w = build_balanced_descent(xor_fit, xor, (2, 4, 1), absolute_value())
+        w = build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary")
         g = w.params.gamma
         u, v = xor_fit.v[0], xor_fit.y_tilde[0]
         res = separate(u, v, xor.X)
@@ -285,10 +279,10 @@ class TestBalancedRoute:
 class TestNegativeSlopePair:
     def test_all_routes_consistent(self, xor, xor_fit):
         act = two_piece(-0.5, 1.0)
-        m = build_shallow_minimum(xor_fit, xor, (2, 3, 1), act)
-        w1 = build_shallow_descent(xor_fit, xor, (2, 3, 1), act)
-        w2 = build_deep_descent(xor_fit, xor, (2, 3, 3, 1), act)
-        w3 = build_general_descent(xor_fit, xor, (2, 3, 3, 1), act)
+        m = build_minimum(xor_fit, xor, (2, 3, 1), act, stage="1")
+        w1 = build_descent(xor_fit, xor, (2, 3, 1), act, stage="1")
+        w2 = build_descent(xor_fit, xor, (2, 3, 3, 1), act, stage="2")
+        w3 = build_descent(xor_fit, xor, (2, 3, 3, 1), act, stage="3")
         assert m.risk == pytest.approx(0.125, abs=1e-9)
         assert w1.risk < 0.125 - 1e-12
         assert abs(w1.risk - w2.risk) <= 1e-12
@@ -297,22 +291,22 @@ class TestNegativeSlopePair:
 
 class TestReflection:
     def test_zero_right_slope_minimum(self, xor, xor_fit):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), two_piece(1.0, 0.0))
+        point = build_minimum(xor_fit, xor, (2, 3, 1), two_piece(1.0, 0.0), stage="1")
         assert point.risk == pytest.approx(0.125, abs=1e-9)
 
     def test_zero_right_slope_descent(self, xor, xor_fit):
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), two_piece(1.0, 0.0))
+        w = build_descent(xor_fit, xor, (2, 3, 1), two_piece(1.0, 0.0), stage="1")
         assert w.risk < 0.125 - 1e-12
 
     def test_reflected_pair_same_risk(self, xor, xor_fit):
-        for builder in (build_shallow_minimum, build_shallow_descent):
-            a = builder(xor_fit, xor, (2, 3, 1), two_piece(0.5, 2.0))
-            b = builder(xor_fit, xor, (2, 3, 1), two_piece(-2.0, -0.5))
+        for builder in (build_minimum, build_descent):
+            a = builder(xor_fit, xor, (2, 3, 1), two_piece(0.5, 2.0), stage="1")
+            b = builder(xor_fit, xor, (2, 3, 1), two_piece(-2.0, -0.5), stage="1")
             assert abs(a.risk - b.risk) <= 1e-12
 
     def test_deep_reflection(self, xor, xor_fit):
-        a = build_deep_descent(xor_fit, xor, (2, 3, 3, 1), two_piece(1.0, 0.0))
-        b = build_deep_descent(xor_fit, xor, (2, 3, 3, 1), two_piece(0.0, -1.0))
+        a = build_descent(xor_fit, xor, (2, 3, 3, 1), two_piece(1.0, 0.0), stage="2")
+        b = build_descent(xor_fit, xor, (2, 3, 3, 1), two_piece(0.0, -1.0), stage="2")
         assert a.risk < 0.125
         assert abs(a.risk - b.risk) <= 1e-12
 
@@ -332,7 +326,7 @@ class TestFamilyAndRouting:
 
     def test_family_k1_is_default(self, xor, xor_fit, relu_act):
         only = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=1, seed=7)[0]
-        default = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        default = build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="3")
         assert params_distance(only.net, default.net) == 0.0
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -366,8 +360,8 @@ class TestSharedScaffold:
         "act", [relu(), leaky_relu(0.3), two_piece(1.0, 0.0)], ids=["relu", "leaky", "reflected"]
     )
     def test_shallow_minimum_is_the_deep_one_at_one_hidden_layer(self, xor, xor_fit, act):
-        shallow = build_shallow_minimum(xor_fit, xor, (2, 3, 1), act)
-        deep = build_deep_minimum(xor_fit, xor, (2, 3, 1), act)
+        shallow = build_minimum(xor_fit, xor, (2, 3, 1), act, stage="1")
+        deep = build_minimum(xor_fit, xor, (2, 3, 1), act, stage="2")
         for a, b in zip(shallow.net.weights + shallow.net.biases, deep.net.weights + deep.net.biases):
             assert np.array_equal(a, b)
 
@@ -384,14 +378,14 @@ class TestSharedScaffold:
     )
     @pytest.mark.parametrize("dims", [(2, 3, 3, 1), (2, 3, 3, 3, 1)], ids=["depth3", "depth4"])
     def test_general_route_with_nonzero_h_at_t(self, xor, xor_fit, act, sign, dims):
-        minimum = build_general_minimum(xor_fit, xor, dims, act)
+        minimum = build_minimum(xor_fit, xor, dims, act, stage="3")
         tp = minimum.params.turning
         assert float((act if sign > 0 else act.reflect())(tp.t)) != 0.0
         assert abs(minimum.risk - xor_fit.risk) <= 1e-9
         for z in forward(minimum.net, xor.X).hidden_pre:
             assert np.all(sign * z > tp.t) and np.all(sign * z < tp.t + tp.sigma)
 
-        witness = build_general_descent(xor_fit, xor, dims, act)
+        witness = build_descent(xor_fit, xor, dims, act, stage="3")
         assert witness.risk < xor_fit.risk - 1e-12
 
         family = enumerate_family(xor_fit, xor, dims, act, k=4, seed=5)
@@ -412,12 +406,12 @@ class TestLinearActivationsRejected:
     @pytest.mark.parametrize("dims", [(2, 4, 1), (2, 3, 3, 1)])
     def test_every_two_piece_shaped_route(self, xor, xor_fit, slopes, dims):
         act = PiecewiseLinear((0.0,), slopes, 0.0)
-        builders = [build_minimum, build_descent, build_shallow_minimum, build_deep_minimum,
-                    build_shallow_descent, build_deep_descent, build_balanced_descent,
-                    build_general_minimum, build_general_descent]
-        for build in builders:
+        builders = [(build_minimum, "auto"), (build_descent, "auto"), (build_minimum, "1"),
+                    (build_minimum, "2"), (build_descent, "1"), (build_descent, "2"),
+                    (build_descent, "corollary"), (build_minimum, "3"), (build_descent, "3")]
+        for build, stage in builders:
             with pytest.raises(PreconditionViolated):
-                build(xor_fit, xor, dims, act)
+                build(xor_fit, xor, dims, act, stage=stage)
         with pytest.raises(PreconditionViolated):
             enumerate_family(xor_fit, xor, dims, act, k=2)
 
@@ -611,7 +605,7 @@ def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkey
     seen = _recording_search(monkeypatch)
     monkeypatch.setattr(construction, "DESCENT_GAP_MIN", np.inf)
     with pytest.raises(StrictDecreaseNotAchieved, match=f"after {MAX_HALVINGS} halvings"):
-        build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
     fitp, _, res = construction._split(xor_fit, xor)
     u, v = fitp.v[0], fitp.y_tilde[0]
     assert seen == list(admissible_constants(res, u, v, xor.X, 1.0))
@@ -643,7 +637,7 @@ NARROW_PIECE = PiecewiseLinear((1.5, 1.502), (0.2, 1.0, 0.5), 0.0)
 def test_stage3_minimum_on_a_narrow_piece_passes_its_output_check(xor, xor_fit, dims):
     # the squeeze's M / prod(alpha_i) output scale multiplies the rounding
     # of the last hidden layer; the output identity is bounded accordingly
-    point = build_general_minimum(xor_fit, xor, dims, NARROW_PIECE)
+    point = build_minimum(xor_fit, xor, dims, NARROW_PIECE, stage="3")
     scale = point.params.m_scale / np.prod(point.params.alpha_scales)
     deviation = float(np.max(np.abs(forward(point.net, xor.X).output - xor_fit.y_tilde)))
     assert deviation <= 1e-12 * max(1.0, scale)
@@ -656,7 +650,7 @@ def test_stage3_output_check_still_catches_a_squeeze_without_hidden_backoff(xor,
     # with anchor 0.7, h(t) != 0: dropping the hidden layers' h(t) back-off
     # moves the output far beyond the scaled bound
     act = PiecewiseLinear((1.5, 1.502), (0.2, 1.0, 0.5), 0.7)
-    assert build_general_minimum(xor_fit, xor, (2, 3, 3, 1), act).risk == pytest.approx(xor_fit.risk)
+    assert build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3").risk == pytest.approx(xor_fit.risk)
     squeeze = construction._squeeze
 
     def without_hidden_backoff(weights, biases, t, h_t, m_scale, out_scale):
@@ -667,7 +661,7 @@ def test_stage3_output_check_still_catches_a_squeeze_without_hidden_backoff(xor,
 
     monkeypatch.setattr(construction, "_squeeze", without_hidden_backoff)
     with pytest.raises(ConstructionError, match="does not reproduce the baseline"):
-        build_general_minimum(xor_fit, xor, (2, 3, 3, 1), act)
+        build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3")
 
 
 @pytest.mark.parametrize("two_outputs", [False, True])
@@ -675,10 +669,10 @@ def test_shallow_witness_uses_the_common_width_rule(two_outputs):
     data = random_two_output_dataset() if two_outputs else xor_dataset()
     fit = fit_linear(data, SQ)
     dims = (data.d_x, data.d_y, data.d_y)
-    for build in (build_shallow_descent, build_deep_descent):
+    for stage in ("1", "2"):
         with pytest.raises(WidthViolation,
                            match=f"every hidden width must exceed the output width {data.d_y}"):
-            build(fit, data, dims, relu())
+            build_descent(fit, data, dims, relu(), stage=stage)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +694,7 @@ def test_deep_balanced_witness_is_the_lifted_shallow_one(dims, two_outputs):
     assert witness.params.lambda_shift is not None
     minimum = build_minimum(fit, data, dims, act, stage="corollary")
     assert witness_pair_certificate(minimum, witness, data, SQ).verdict
-    shallow = build_balanced_descent(fit, data, (dims[0], dims[1], dims[-1]), act)
+    shallow = build_descent(fit, data, (dims[0], dims[1], dims[-1]), act, stage="corollary")
     assert shallow.params.lambda_shift is None
     deviation = forward(witness.net, data.X).output - forward(shallow.net, data.X).output
     assert float(np.max(np.abs(deviation))) <= construction.OUTPUT_TOL
@@ -737,32 +731,33 @@ def test_one_width_rule_for_reports_and_builders(two_outputs):
         for hidden in itertools.product(range(2, 6), repeat=depth):
             dims = (data.d_x, *hidden, data.d_y)
             report = check_assumptions(data, dims, absolute_value())
-            for build, act, ok in [
-                (build_balanced_descent, absolute_value(), report.balanced_widths_ok),
-                (build_deep_descent, relu(), report.widths_ok),
+            for stage, act, ok in [
+                ("corollary", absolute_value(), report.balanced_widths_ok),
+                ("2", relu(), report.widths_ok),
             ]:
                 try:
-                    build(fit, data, dims, act)
+                    build_descent(fit, data, dims, act, stage=stage)
                 except WidthViolation:
-                    assert not ok, (build.__name__, dims)
+                    assert not ok, (stage, dims)
                 else:
-                    assert ok, (build.__name__, dims)
+                    assert ok, (stage, dims)
 
 
-@pytest.mark.parametrize("build, override, value", [
-    (build_balanced_descent, "gamma", float("nan")),
-    (build_balanced_descent, "gamma", float("inf")),
-    (build_balanced_descent, "gamma", -float("inf")),
-    (build_general_minimum, "m_scale", 0.0),
-    (build_general_minimum, "m_scale", -2.0),
-    (build_general_minimum, "m_scale", float("nan")),
-    (build_general_minimum, "m_scale", float("inf")),
-    (build_general_descent, "m_scale", 0.0),
-    (build_general_descent, "m_scale", -2.0),
-    (build_general_descent, "m_scale", float("nan")),
-    (build_general_descent, "m_scale", float("inf")),
+@pytest.mark.parametrize("build, stage, override, value", [
+    (build_descent, "corollary", "gamma", float("nan")),
+    (build_descent, "corollary", "gamma", float("inf")),
+    (build_descent, "corollary", "gamma", -float("inf")),
+    (build_minimum, "3", "m_scale", 0.0),
+    (build_minimum, "3", "m_scale", -2.0),
+    (build_minimum, "3", "m_scale", float("nan")),
+    (build_minimum, "3", "m_scale", float("inf")),
+    (build_descent, "3", "m_scale", 0.0),
+    (build_descent, "3", "m_scale", -2.0),
+    (build_descent, "3", "m_scale", float("nan")),
+    (build_descent, "3", "m_scale", float("inf")),
 ])
-def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, override, value):
+def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, stage, override,
+                                                       value):
     act = absolute_value() if override == "gamma" else relu()
     # the value is rejected where it enters, before the scaffold divides by it
     with mock.patch.object(construction, "_split", side_effect=AssertionError), \
@@ -770,7 +765,39 @@ def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, over
             warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionViolated, match=f"{override} must lie in"):
-            build(xor_fit, xor, (2, 4, 3, 1), act, **{override: value})
+            build(xor_fit, xor, (2, 4, 3, 1), act, stage=stage, **{override: value})
+
+
+@pytest.mark.parametrize("build, stage, dims, act, overrides, takes", [
+    (build_minimum, "1", (2, 3, 1), relu(), {"gamma": 1.0}, "eta"),
+    (build_minimum, "2", (2, 3, 3, 1), relu(), {"lambda_shift": 2.0}, "eta"),
+    (build_minimum, "3", (2, 3, 3, 1), three_piece(), {"gamma": 1.0},
+     "eta, m_scale, alpha_scales"),
+    (build_descent, "1", (2, 3, 1), relu(), {"lambda_shift": 2.0}, "no override"),
+    (build_descent, "2", (2, 3, 3, 1), relu(), {"eta": -2.0, "gamma": None}, "lambda_shift"),
+    (build_descent, "3", (2, 3, 3, 1), three_piece(), {"alpha_scales": (0.5,)}, "m_scale"),
+    (build_descent, "corollary", (2, 4, 1), absolute_value(), {"m_scale": 2.0}, "gamma"),
+], ids=["minimum-1", "minimum-2", "minimum-3", "witness-1", "witness-2", "witness-3",
+        "witness-corollary"])
+def test_an_override_the_route_does_not_take_is_precondition(xor, xor_fit, build, stage, dims,
+                                                             act, overrides, takes):
+    # refused by the route's table, naming the route and what it takes,
+    # before the dimensions are checked
+    kind = "minimum" if build is build_minimum else "witness"
+    refused = ", ".join(sorted(overrides))
+    with mock.patch.object(construction, "_check_dims", side_effect=AssertionError):
+        with pytest.raises(PreconditionViolated,
+                           match=re.escape(f"route {stage}'s {kind} takes {takes}; got {refused}")):
+            build(xor_fit, xor, dims, act, stage=stage, **overrides)
+
+
+def test_auto_refuses_an_override_of_the_route_it_resolves_to(xor, xor_fit):
+    with pytest.raises(PreconditionViolated, match="route 1's minimum takes eta; got m_scale"):
+        build_minimum(xor_fit, xor, (2, 3, 1), relu(), m_scale=2.0)
+    with pytest.raises(PreconditionViolated, match="route 1's minimum takes eta; got gamma"):
+        build_minimum(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary", gamma=0.0)
+    with pytest.raises(PreconditionViolated, match="route corollary's witness takes gamma; got eta"):
+        build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), eta=-2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +816,8 @@ def test_a_two_piece_point_is_labelled_by_its_depth(xor, xor_fit, stage):
     for dims, label in [((2, 4, 1), "1"), ((2, 4, 3, 1), "2")]:
         if not (stage == "1" and len(dims) > 3):
             assert build_minimum(xor_fit, xor, dims, act, stage=stage).stage == label
-    assert build_deep_minimum(xor_fit, xor, (2, 3, 1), relu()).stage == "1"
-    assert build_deep_descent(xor_fit, xor, (2, 3, 1), relu()).stage == "1"
+    assert build_minimum(xor_fit, xor, (2, 3, 1), relu(), stage="2").stage == "1"
+    assert build_descent(xor_fit, xor, (2, 3, 1), relu(), stage="2").stage == "1"
 
 
 def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
@@ -806,22 +833,22 @@ def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
 ])
 def test_general_minimum_rejects_bad_scales(xor, xor_fit, overrides, message):
     with pytest.raises(PreconditionViolated, match=message):
-        build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), **overrides)
+        build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", **overrides)
 
 
 def test_route_1_minimum_rejects_an_eta_above_the_baseline(xor, xor_fit, relu_act):
     with pytest.raises(PreconditionViolated, match="eta must keep the shifted baseline"):
-        build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act, eta=10.0)
+        build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1", eta=10.0)
 
 
 def test_route_2_witness_rejects_a_lambda_below_its_output(xor, xor_fit, relu_act):
     with pytest.raises(PreconditionViolated, match="lambda must make the witness output"):
-        build_deep_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, lambda_shift=-100.0)
+        build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2", lambda_shift=-100.0)
 
 
 def test_shallow_minimum_needs_a_two_piece_activation(xor, xor_fit):
     with pytest.raises(PreconditionViolated, match="this route needs a two-piece activation"):
-        build_shallow_minimum(xor_fit, xor, (2, 3, 1), three_piece())
+        build_minimum(xor_fit, xor, (2, 3, 1), three_piece(), stage="1")
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +1019,7 @@ class TestStackedFamilyMatchesTheLoop:
     def test_family_of_one_is_the_general_minimum(self, xor, xor_fit):
         for act in FAMILY_ACTS.values():
             want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0)
-            _assert_same_members([build_general_minimum(xor_fit, xor, (2, 3, 3, 1), act)], want)
+            _assert_same_members([build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3")], want)
             _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), act, k=1), want)
 
     @pytest.mark.parametrize("budget", [1, 960, 1920, 2880, 1 << 17])

@@ -21,8 +21,8 @@ def two_out():
 class TestMultiOutput:
     def test_deep_pair(self, two_out):
         data, fit = two_out
-        m = sp.build_deep_minimum(fit, data, (2, 4, 3, 2), sp.relu())
-        w = sp.build_deep_descent(fit, data, (2, 4, 3, 2), sp.relu())
+        m = sp.build_minimum(fit, data, (2, 4, 3, 2), sp.relu(), stage="2")
+        w = sp.build_descent(fit, data, (2, 4, 3, 2), sp.relu(), stage="2")
         assert abs(m.risk - fit.risk) <= 1e-9
         assert w.risk < fit.risk - 1e-12
         cert = sp.perturbation_local_min_test(m.net, data, SQ, 1e-4, 300, 11)
@@ -30,8 +30,8 @@ class TestMultiOutput:
 
     def test_general_pair_with_interval(self, two_out):
         data, fit = two_out
-        m = sp.build_general_minimum(fit, data, (2, 4, 3, 2), sp.three_piece())
-        w = sp.build_general_descent(fit, data, (2, 4, 3, 2), sp.three_piece())
+        m = sp.build_minimum(fit, data, (2, 4, 3, 2), sp.three_piece(), stage="3")
+        w = sp.build_descent(fit, data, (2, 4, 3, 2), sp.three_piece(), stage="3")
         assert abs(m.risk - fit.risk) <= 1e-9
         assert w.risk < fit.risk - 1e-12
         for z in sp.forward(m.net, data.X).hidden_pre:
@@ -41,7 +41,7 @@ class TestMultiOutput:
 
     def test_balanced_pair(self, two_out):
         data, fit = two_out
-        w = sp.build_balanced_descent(fit, data, (2, 4, 2), sp.absolute_value())
+        w = sp.build_descent(fit, data, (2, 4, 2), sp.absolute_value(), stage="corollary")
         assert w.risk < fit.risk - 1e-12
 
     def test_trivial_branch_witnesses_coincide(self, two_out):
@@ -55,8 +55,8 @@ class TestMultiOutput:
         fitp, _ = permute_fit_rows(fit, data, perm)
         res = separate(fitp.v[0], fitp.y_tilde[0], data.X)
         assert res.trivial_branch
-        w2 = sp.build_deep_descent(fit, data, (2, 4, 3, 2), sp.relu())
-        wb = sp.build_balanced_descent(fit, data, (2, 4, 2), sp.absolute_value())
+        w2 = sp.build_descent(fit, data, (2, 4, 3, 2), sp.relu(), stage="2")
+        wb = sp.build_descent(fit, data, (2, 4, 2), sp.absolute_value(), stage="corollary")
         assert abs(w2.risk - wb.risk) <= 1e-12
 
 
@@ -80,7 +80,7 @@ class TestCrossEntropyPipeline:
 
     def test_minimum_reproduces_baseline(self, ce_problem):
         data, fit = ce_problem
-        m = sp.build_shallow_minimum(fit, data, (2, 4, 2), sp.relu())
+        m = sp.build_minimum(fit, data, (2, 4, 2), sp.relu(), stage="1")
         assert abs(m.risk - fit.risk) <= 1e-12
         cert = sp.perturbation_local_min_test(
             m.net, data, LossKind.CROSS_ENTROPY, 1e-4, 300, 5
@@ -89,7 +89,7 @@ class TestCrossEntropyPipeline:
 
     def test_witness_strictly_better(self, ce_problem):
         data, fit = ce_problem
-        w = sp.build_shallow_descent(fit, data, (2, 4, 2), sp.relu())
+        w = sp.build_descent(fit, data, (2, 4, 2), sp.relu(), stage="1")
         assert w.risk < fit.risk - 1e-6
 
 
@@ -100,8 +100,8 @@ class TestSmallDimensions:
         data = sp.Dataset(X, Y)
         fit = sp.fit_linear(data, SQ)
         assert fit.risk > 1e-3
-        m = sp.build_shallow_minimum(fit, data, (1, 2, 1), sp.relu())
-        w = sp.build_shallow_descent(fit, data, (1, 2, 1), sp.relu())
+        m = sp.build_minimum(fit, data, (1, 2, 1), sp.relu(), stage="1")
+        w = sp.build_descent(fit, data, (1, 2, 1), sp.relu(), stage="1")
         assert abs(m.risk - fit.risk) <= 1e-9
         assert w.risk < fit.risk - 1e-12
 
@@ -112,7 +112,7 @@ class TestSmallDimensions:
         Y = np.array([[0.0, 2.0]])
         data = sp.Dataset(X, Y)
         fit = sp.fit_linear(data, SQ)
-        m = sp.build_shallow_minimum(fit, data, (1, 2, 1), sp.relu())
+        m = sp.build_minimum(fit, data, (1, 2, 1), sp.relu(), stage="1")
         assert m.risk <= 1e-18
         assert not m.spurious
 
@@ -132,8 +132,8 @@ class TestGeneratedData:
     def test_blobs_general_route(self):
         data = sp.gen_dataset("blobs:4", seed=5, check_assumption_flags=True)
         fit = sp.fit_linear(data, SQ)
-        m = sp.build_general_minimum(fit, data, (2, 3, 3, 1), sp.three_piece())
-        w = sp.build_general_descent(fit, data, (2, 3, 3, 1), sp.three_piece())
+        m = sp.build_minimum(fit, data, (2, 3, 3, 1), sp.three_piece(), stage="3")
+        w = sp.build_descent(fit, data, (2, 3, 3, 1), sp.three_piece(), stage="3")
         assert abs(m.risk - fit.risk) <= 1e-9
         assert w.risk < fit.risk - 1e-12
         for z in sp.forward(m.net, data.X).hidden_pre:

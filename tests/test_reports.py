@@ -8,8 +8,7 @@ import pytest
 
 from spurmin import (
     LossKind,
-    build_general_minimum,
-    build_shallow_minimum,
+    build_minimum,
     check_assumptions,
     relu,
     three_piece,
@@ -40,10 +39,10 @@ def test_check_keys():
 @pytest.mark.parametrize("make", [
     lambda xor, fit: descent_gap_certificate(fit.risk, 0.1),
     lambda xor, fit: perturbation_local_min_test(
-        build_shallow_minimum(fit, xor, (2, 3, 1), relu()).net, xor, LossKind.SQUARED,
+        build_minimum(fit, xor, (2, 3, 1), relu(), stage="1").net, xor, LossKind.SQUARED,
         samples=20, seed=7,
     ),
-    lambda xor, fit: build_shallow_minimum(fit, xor, (2, 3, 1), relu()).interval,
+    lambda xor, fit: build_minimum(fit, xor, (2, 3, 1), relu(), stage="1").interval,
 ])
 def test_certificate_keys(xor, xor_fit, make):
     cert = make(xor, xor_fit)
@@ -87,7 +86,7 @@ def test_construction_params_keys_without_turning():
 
 
 def test_construction_params_keys_with_turning(xor, xor_fit):
-    params = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece()).params
+    params = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3").params
     d = as_json(params)
     assert set(d) == PARAMS_KEYS | {"turning"}
     tp = params.turning

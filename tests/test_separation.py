@@ -268,6 +268,45 @@ class TestAlphaScan:
             assert np.all(res.beta == 0.0)
             assert res.alpha_max == oracle_alpha(res, v, xs) == 1.0
 
+    def test_row_scan_matches_the_pairwise_loop(self):
+        # _alpha_max scans each row of I against all of J at once; the
+        # pairwise loop is the oracle.  beta is forced nonzero so the scan
+        # runs, and v, xs, the split and the groups are drawn freely, so
+        # cross-group quotients of either sign, ties and no bound all occur
+        rng = np.random.default_rng(19)
+        bounded = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 24))
+            d = int(rng.integers(1, 4))
+            v = rng.integers(-3, 4, size=n) * rng.choice([1.0, 0.25])
+            v = v + rng.choice([0.0, 1e-12]) * rng.standard_normal(n)
+            xs = rng.standard_normal((d, n))
+            if rng.random() < 0.3:
+                xs = np.round(xs)
+            beta = rng.standard_normal(d)
+            beta[rng.random(d) < 0.3] = 0.0
+            beta[int(rng.integers(d))] = rng.choice([1.0, -0.5, 2.0])
+            perm = rng.permutation(n)
+            l_prime = int(rng.integers(1, n))
+            cuts = sorted(set(rng.integers(1, n, size=int(rng.integers(0, 4))).tolist()))
+            bounds = cuts + [n]
+            got = separation._alpha_max(perm, l_prime, beta, v, xs, bounds)
+            want = oracle_alpha_max(perm, l_prime, beta, v, xs, bounds)
+            assert float(got).hex() == float(want).hex()
+            bounded += want < 1.0
+        assert bounded > 50
+
+    def test_row_scan_skips_a_nan_quotient_as_the_pairwise_loop_does(self):
+        # at the float64 edge dv = dx = inf for one pair, whose quotient is
+        # NaN; the running min skips it and the other pair bounds alpha
+        perm, beta, bounds = np.arange(3), np.array([1.0]), [1, 2, 3]
+        v, xs = np.array([-1e308, 1e308, 5.0]), np.array([[-1e308, 1e308, 1.0]])
+        with np.errstate(all="ignore"):
+            want = oracle_alpha_max(perm, 1, beta, v, xs, bounds)
+            got = separation._alpha_max(perm, 1, beta, v, xs, bounds)
+        assert want == 0.5
+        assert float(got).hex() == float(want).hex()
+
     def test_float_noise_ties(self):
         hit_tied = 0
         for seed in range(6):

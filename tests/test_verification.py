@@ -12,11 +12,8 @@ from spurmin import (
     Mlp,
     PiecewiseLinear,
     PreconditionViolated,
-    build_deep_minimum,
-    build_general_descent,
-    build_general_minimum,
-    build_shallow_descent,
-    build_shallow_minimum,
+    build_descent,
+    build_minimum,
     descent_gap,
     empirical_risk,
     fd_gradient_check,
@@ -53,7 +50,7 @@ def pl_activations(draw):
 
 class TestPerturbationTest:
     def test_stage1_minimum_passes(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         cert = perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=500, seed=7)
         assert cert.verdict
         assert cert.checks[0].value >= -1e-10
@@ -61,13 +58,13 @@ class TestPerturbationTest:
     def test_witness_typically_fails(self, xor, xor_fit, relu_act):
         # a descent witness is not a constructed minimum: random perturbations
         # find lower risk immediately
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         cert = perturbation_local_min_test(w.net, xor, SQ, radius=1e-4, samples=500, seed=7)
         assert not cert.verdict
         assert cert.checks[0].value < -1e-10
 
     def test_radius_zero_vacuous_with_warning(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with pytest.warns(UserWarning):
             cert = perturbation_local_min_test(point.net, xor, SQ, radius=0.0, samples=10, seed=7)
         assert cert.verdict
@@ -75,13 +72,13 @@ class TestPerturbationTest:
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_draws_rejected(self, xor, xor_fit, relu_act, samples):
         # zero draws would report a vacuous pass with an infinite worst delta
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with pytest.raises(PreconditionViolated):
             perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=samples, seed=7)
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1e-4])
     def test_bad_radius_rejected_before_any_draw(self, xor, xor_fit, relu_act, radius):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -90,12 +87,12 @@ class TestPerturbationTest:
 
     @pytest.mark.parametrize("samples", [3.0, True, np.True_, "5", None, np.float64(4.0)])
     def test_non_integer_samples_rejected(self, xor, xor_fit, relu_act, samples):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with pytest.raises(PreconditionViolated, match="samples must be an integer"):
             perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=samples, seed=7)
 
     def test_numpy_integer_samples_accepted(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         a = perturbation_local_min_test(point.net, xor, SQ, samples=np.int64(20), seed=7)
         b = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=7)
         assert a.as_dict() == b.as_dict()
@@ -104,7 +101,7 @@ class TestPerturbationTest:
     @pytest.mark.parametrize("radius", [1e-4, 0.0])
     @pytest.mark.parametrize("seed", [7.9, 7.0, True, np.False_, "7", None, np.float64(7.0)])
     def test_non_integer_seed_rejected_before_any_draw(self, xor, xor_fit, relu_act, seed, radius):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # before the radius-0 warning too
@@ -114,7 +111,7 @@ class TestPerturbationTest:
                     )
 
     def test_numpy_and_negative_integer_seeds_accepted(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         a = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=np.int64(-3))
         b = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=-3)
         c = perturbation_local_min_test(point.net, xor, SQ, samples=20, seed=2**64 - 3)
@@ -124,14 +121,14 @@ class TestPerturbationTest:
         assert b.checks[0].value == c.checks[0].value
 
     def test_determinism(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         a = perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=100, seed=3)
         b = perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=100, seed=3)
         assert a.checks[0].value == b.checks[0].value
 
     def test_monotone_radius(self, xor, xor_fit, relu_act):
         # passing at radius r implies passing at r/10 (weaker test)
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         big = perturbation_local_min_test(point.net, xor, SQ, radius=1e-4, samples=200, seed=5)
         small = perturbation_local_min_test(point.net, xor, SQ, radius=1e-5, samples=200, seed=5)
         assert big.verdict and small.verdict
@@ -139,8 +136,8 @@ class TestPerturbationTest:
 
 class TestDescentGap:
     def test_stage1_pair(self, xor, xor_fit, relu_act):
-        m = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        m = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         assert descent_gap(m.risk, w.risk) > 1e-12
         assert descent_gap_certificate(m.risk, w.risk).verdict
 
@@ -148,17 +145,17 @@ class TestDescentGap:
         assert not descent_gap_certificate(0.125, 0.125).verdict
 
     def test_general_route_gap_matches_local_chain(self, xor, xor_fit):
-        m3 = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece())
-        w3 = build_general_descent(xor_fit, xor, (2, 3, 3, 1), three_piece())
-        m1 = build_shallow_minimum(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0))
-        w1 = build_shallow_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0))
+        m3 = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
+        w3 = build_descent(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
+        m1 = build_minimum(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0), stage="1")
+        w1 = build_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0), stage="1")
         gap3 = descent_gap(m3.risk, w3.risk)
         gap1 = descent_gap(m1.risk, w1.risk)
         assert gap3 > 0 and abs(gap3 - gap1) <= 1e-10
 
     def test_pair_certificate_bundle(self, xor, xor_fit, relu_act):
-        m = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        m = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         cert = witness_pair_certificate(m, w, xor, SQ, samples=100, seed=2)
         assert cert.verdict
         assert {c.name for c in cert.checks} == {
@@ -193,13 +190,13 @@ class TestFdGradient:
 
 class TestTraceInterval:
     def test_deep_minimum_positive(self, xor, xor_fit, relu_act):
-        point = build_deep_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
         cert = trace_interval_check(forward(point.net, xor.X), 0.0, np.inf)
         assert cert.verdict
         assert cert.checks[0].value > 0
 
     def test_general_minimum_unit_interval(self, xor, xor_fit):
-        point = build_general_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece())
+        point = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
         cert = trace_interval_check(forward(point.net, xor.X), 0.0, 1.0)
         assert cert.verdict
 
@@ -214,7 +211,7 @@ class TestTraceInterval:
         assert not cert.verdict
 
     def test_certificate_serialization(self, xor, xor_fit, relu_act):
-        point = build_deep_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
         cert = trace_interval_check(forward(point.net, xor.X), 0.0, np.inf)
         d = cert.as_dict()
         assert d["verdict"] is True
@@ -316,7 +313,7 @@ class TestBatchedProbeParity:
         assert_probe_matches_serial(random_net(dims, act, seed=1), data, CE, radius=1e-2)
 
     def test_descent_witness_fails_as_before(self, xor, xor_fit, relu_act):
-        w = build_shallow_descent(xor_fit, xor, (2, 3, 1), relu_act)
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         assert_probe_matches_serial(w.net, xor, SQ, samples=200)
 
     @pytest.mark.parametrize("budget", [13, 14, 27, 100, 1000])
@@ -414,7 +411,7 @@ class TestStreamParity:
                           default_rng_block(7, 3, 5, 34177))
 
     def test_probe_builds_no_generator_per_draw(self, xor, xor_fit, relu_act):
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         expected = serial_draw_risks(point.net, xor, SQ, 1e-4, 60, 7)
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
             cert = perturbation_local_min_test(point.net, xor, SQ, samples=60, seed=7)
@@ -452,7 +449,7 @@ class TestNonFiniteRisk:
 
     def test_overflowing_draws_rejected(self, xor, xor_fit, relu_act):
         # a finite base risk but draws whose risk overflows to inf
-        point = build_shallow_minimum(xor_fit, xor, (2, 3, 1), relu_act)
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PreconditionViolated, match="not finite"):
                 perturbation_local_min_test(point.net, xor, SQ, radius=1e300, samples=20, seed=7)
