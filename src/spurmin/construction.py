@@ -47,13 +47,18 @@ the baseline risk; each witness is an explicit parameter point with strictly
 smaller risk, certifying that the minima are spurious.
 
 Every minimum is certified from the forward trace of its network
-(`_certify_minimum`), which `_certified` gives it: a family's members are
-built first and forwarded together in stacked chunks, bit-identical to one
-forward each.  The checks are output identity (`_reproduces`: to
-OUTPUT_TOL times the largest of 1, the largest baseline output and, on the
-general route, its output scale M / prod(alpha_i)), risk match
-(`verification._risk_match`: to RISK_MATCH_TOL times max(1, baseline
-risk)), and `verification.trace_interval_check` of its hidden
+(`_certify_minimum`).  Route 3 builds a family's members along one member
+axis (`_family`; its minimum is the family of one): the scaffold and
+W1 @ X once, each member's M from its own first-layer pre-activations, and
+the alphas and the squeeze as array arithmetic over all members at once.
+`_certified` then forwards the members in stacked chunks straight from
+those arrays, and certifies each from its views into its chunk's trace.
+Members and certificates are bit-identical to building, forwarding and
+certifying one member at a time.  The checks are output identity
+(`_reproduces`: to OUTPUT_TOL times the largest of 1, the largest baseline
+output and, on the general route, its output scale M / prod(alpha_i)),
+risk match (`verification._risk_match`: to RISK_MATCH_TOL times max(1,
+baseline risk)), and `verification.trace_interval_check` of its hidden
 pre-activations against the route's interval, mirrored to (-hi, -lo) for a
 reflected build.  The point keeps that certificate as `interval`.
 
@@ -72,8 +77,9 @@ infinite or NaN parameter is built or scored.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -93,7 +99,7 @@ from .errors import (
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
-from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _stacked_outputs,
+from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _layer_outputs,
                       _widths_ok, forward, risk_of_outputs)
 from .separation import (
     MAX_HALVINGS,
@@ -177,6 +183,8 @@ def params_distance(a: Mlp, b: Mlp) -> float:
 
 def min_pairwise_distance(points: list[CertifiedPoint]) -> float:
     """The smallest `params_distance` between two of at least two points."""
+    if len(points) < 2:
+        raise PreconditionViolated("need at least two points")
     return min(
         params_distance(a.net, b.net) for i, a in enumerate(points) for b in points[i + 1 :]
     )
@@ -239,15 +247,20 @@ def _frame(act: PiecewiseLinear, s_plus: float) -> tuple[PiecewiseLinear, bool]:
     return (act, False) if s_plus != 0.0 else (act.reflect(), True)
 
 
+def _unframed(weights: list[np.ndarray], biases: list[np.ndarray], reflected: bool) -> Layers:
+    """Parameters built in act's frame, for act.  A reflected frame flips the
+    sign of every layer but the last; composed with the reflected activation
+    that leaves the network function unchanged.  Any leading member axis is
+    kept."""
+    if reflected:
+        return [-W for W in weights[:-1]] + weights[-1:], [-b for b in biases[:-1]] + biases[-1:]
+    return weights, biases
+
+
 def _net(dims: tuple[int, ...], act: PiecewiseLinear, reflected: bool,
          weights: list[np.ndarray], biases: list[np.ndarray]) -> Mlp:
-    """The network for act from parameters built in its frame.  A reflected
-    frame flips the sign of every layer but the last; composed with the
-    reflected activation that leaves the network function unchanged."""
-    if reflected:
-        weights = [-W for W in weights[:-1]] + weights[-1:]
-        biases = [-b for b in biases[:-1]] + biases[-1:]
-    return Mlp(dims, tuple(weights), tuple(biases), act)
+    """The network for act from parameters built in its frame (`_unframed`)."""
+    return Mlp(dims, *map(tuple, _unframed(weights, biases, reflected)), act)
 
 
 def _require_invertible(name: str, s: float) -> None:
@@ -279,8 +292,8 @@ def _reproduces(output: np.ndarray, target: np.ndarray, output_scale: float = 1.
     network grows with the values it carries (the labels' scale) and, on a
     squeezed network, with the output scale M / prod(alpha_i) that multiplies
     its last hidden layer; a NaN fails."""
-    scale = max(1.0, output_scale, float(np.max(np.abs(target))))
-    return bool(np.max(np.abs(output - target)) <= OUTPUT_TOL * scale)
+    scale = max(1.0, output_scale, float(np.abs(target).max()))
+    return bool(np.abs(output - target).max() <= OUTPUT_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -330,47 +343,40 @@ def _certify_minimum(draft: _Draft, trace: ForwardTrace, fit: LinearFit, data: D
     )
 
 
-def _traces(nets: list[Mlp], X: np.ndarray) -> Iterator[ForwardTrace]:
+def _traces(nets: list[Mlp], layers: Layers, X: np.ndarray) -> Iterator[ForwardTrace]:
     """The forward trace of each network, of one shape and activation, on
-    the columns of X, in order.  The networks are forwarded in stacked
-    chunks of `verification._stack_size` networks, and each trace is the
-    network's views into its chunk's pre- and post-activations, bit-identical
-    to its own `forward`.  A chunk of one network, or one whose stacked pass
-    overflows, is forwarded one network at a time, so an overflow surfaces
-    at the network that causes it, after the traces before it."""
+    the columns of X, in order; layers holds the networks' weights and
+    biases stacked along a leading member axis.  Chunks of
+    `verification._stack_size` networks are forwarded straight from those
+    arrays, and each trace is the network's views into its chunk's pre- and
+    post-activations, bit-identical to its own `forward`.  A chunk of one
+    network, or one whose stacked pass overflows, is forwarded one network
+    at a time, so an overflow surfaces at the network that causes it, after
+    the traces before it."""
     size = _stack_size(nets[0].dims, X.shape[1]) if len(nets) > 1 else 1
     for start in range(0, len(nets), size):
-        chunk = nets[start:start + size]
-        if len(chunk) > 1:
+        chunk = slice(start, start + size)
+        if len(nets[chunk]) > 1:
             try:
-                pre, post = _stacked_outputs([(n.weights, n.biases) for n in chunk],
-                                             chunk[0].activation, X)
+                pre, post = _layer_outputs(*([p[chunk] for p in ps] for ps in layers),
+                                           nets[0].activation, X)
             except FloatingPointError:
                 pass
             else:
-                for i in range(len(chunk)):
+                for i in range(len(nets[chunk])):
                     yield ForwardTrace(tuple(z[i] for z in pre), tuple(a[i] for a in post))
                 continue
-        for net in chunk:
-            yield forward(net, X)
+        yield from (forward(net, X) for net in nets[chunk])
 
 
-def _certified(drafts: Iterable[_Draft], fit: LinearFit, data: Dataset) -> list[CertifiedPoint]:
-    """Every draft built and certified, in draw order: all drafts are built
-    first, then forwarded together through `_traces` and certified one by
-    one.  A failure is the first failing draft's, as if each were built and
-    certified before the next: when a build raises, the drafts built before
-    it are certified on the way out, and a certificate that fails there
-    replaces the build's exception."""
-    built = []
-    try:
-        for draft in drafts:
-            built.append(draft)
-    finally:
-        spurious = _leaves_residual(fit)
-        points = [_certify_minimum(draft, trace, fit, data, spurious)
-                  for draft, trace in zip(built, _traces([d.net for d in built], data.X))]
-    return points
+def _certified(drafts: list[_Draft], layers: Layers, fit: LinearFit,
+               data: Dataset) -> list[CertifiedPoint]:
+    """Every draft certified in order by `_certify_minimum`, from its views
+    into the stacked forward of layers, the drafts' parameters along one
+    member axis (`_traces`); the first failing certificate raises."""
+    spurious = _leaves_residual(fit)
+    return [_certify_minimum(draft, trace, fit, data, spurious)
+            for draft, trace in zip(drafts, _traces([d.net for d in drafts], layers, data.X))]
 
 
 def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
@@ -387,13 +393,13 @@ def default_eta(fit: LinearFit) -> float:
     as far from the breakpoint as the labels are large, so perturbations
     relative to the weights stay inside the cell at any label scale."""
     y = fit.y_tilde
-    return min(0.0, float(np.min(y))) - max(1.0, float(np.max(np.abs(y))))
+    return min(0.0, float(y.min())) - max(1.0, float(np.abs(y).max()))
 
 
 def _checked_eta(fit: LinearFit, eta: Optional[float]) -> float:
     if eta is None:
         eta = default_eta(fit)
-    if not np.all(fit.y_tilde - eta > 0):
+    if not (fit.y_tilde - eta > 0).all():
         raise PreconditionViolated("eta must keep the shifted baseline strictly positive")
     return eta
 
@@ -445,26 +451,23 @@ def _pass_through(d_out: int, d_in: int, d_y: int, s_plus: float, fill_col: bool
     return W
 
 
-def _minimum_layers(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta: float) -> Layers:
+def _minimum_layers(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta) -> Layers:
     """Layer 1 carries the baseline shifted by a negative eta so every unit
     stays on the positive piece, middle layers forward the payload (and
     replicate the positive pad unit), and the output layer undoes the slope
-    and the shift: the network computes exactly the baseline."""
+    and the shift: the network computes exactly the baseline.  The weights
+    do not depend on eta; a column of shifts, one per member, gives every
+    bias a leading member axis."""
     _require_invertible("right slope s_plus of the build frame", s_plus)
     d_x, d_y = dims[0], dims[-1]
-    weights = [np.vstack([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])]
-    biases = [np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)])]
+    weights = [np.concatenate([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])]
+    biases = [np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)], axis=-1)]
     for i in range(2, len(dims) - 1):
         weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=True))
-        biases.append(np.zeros(dims[i]))
-    weights.append(np.hstack([np.eye(d_y) / s_plus, np.zeros((d_y, dims[-2] - d_y))]))
+        biases.append(np.zeros((*np.shape(eta)[:-1], dims[i])))
+    weights.append(np.concatenate([np.eye(d_y) / s_plus, np.zeros((d_y, dims[-2] - d_y))], axis=1))
     biases.append(eta * np.ones(d_y))
     return weights, biases
-
-
-def _shallow_minimum_params(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta: float):
-    (W1, W2), (b1, b2) = _minimum_layers(fit, dims, s_plus, eta)
-    return W1, b1, W2, b2
 
 
 def _shallow_descent_params(
@@ -617,7 +620,7 @@ def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     build_act, reflected = _frame(act, s_plus)
     net = _net(dims, act, reflected, *_minimum_layers(fit, dims, build_act.s_plus, eta))
     draft = _Draft(net, _depth_stage(dims), ConstructionParams(eta=eta), (0.0, np.inf), reflected)
-    return _certified([draft], fit, data)[0]
+    return _certify_minimum(draft, forward(net, data.X), fit, data, _leaves_residual(fit))
 
 
 def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
@@ -633,98 +636,120 @@ def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act
     return _witness(net, _depth_stage(dims), risk, fit, params)
 
 
-def default_m_scale(first_layer_pre: np.ndarray, sigma: float) -> float:
-    """Twice the lower bound ||pre||_F / sigma, floored at 1."""
-    return max(1.0, 2.0 * float(np.linalg.norm(first_layer_pre)) / sigma)
-
-
 def _radius_scale(pre: np.ndarray, sigma: float, scale: Optional[float], name: str,
                   factor: float = 1.0) -> float:
-    """A squeeze scale (factor times the default when none is given) that
-    keeps ||pre|| / scale inside the linearity radius sigma."""
+    """A squeeze scale that keeps ||pre||_F / scale inside the linearity
+    radius sigma; without one, factor times the default, twice the lower
+    bound ||pre||_F / sigma floored at 1."""
+    norm = np.linalg.norm(pre)
     if scale is None:
-        scale = default_m_scale(pre, sigma) * factor
-    if np.linalg.norm(pre) / scale >= sigma:
+        scale = max(1.0, 2.0 * float(norm) / sigma) * factor
+    if norm / scale >= sigma:
         raise PreconditionViolated(f"{name} too small for the linearity radius sigma")
     return scale
 
 
 def _squeeze(weights: list[np.ndarray], biases: list[np.ndarray], t: float, h_t: float,
-             m_scale: float, out_scale: float) -> Layers:
+             m_scale, out_scale, out_h) -> Layers:
     """Move a build-frame scaffold into the linear piece right of the turning
     point t.  Layer 1 is divided by M and translated to t; each hidden layer,
     whose weights the caller has already scaled, is translated to t with the
     h(t) back-off and takes its scaffold bias divided by out_scale; the
     output layer scales back up by out_scale, the total scale-down of the
-    last hidden layer."""
-    sq_w = [weights[0] / m_scale]
-    sq_b = [biases[0] / m_scale + t * np.ones(len(biases[0]))]
+    last hidden layer, and backs off out_h = out_scale * h(t).  The scales
+    are floats, or arrays with one entry per member that broadcast over the
+    parameters' leading member axis; the caller forms them in floats, where
+    a product that overflows is infinite rather than an error."""
+    m, out, out_h = (np.asarray(x)[..., None] for x in (m_scale, out_scale, out_h))
+    sq_w, sq_b = [weights[0] / m[..., None]], [biases[0] / m + t]
     for W, b in zip(weights[1:-1], biases[1:-1]):
         sq_w.append(W)
-        sq_b.append(t * np.ones(len(b)) - h_t * (W @ np.ones(W.shape[1])) + b / out_scale)
+        sq_b.append(t - h_t * (W @ np.ones(W.shape[-1])) + b / out)
     W = weights[-1]
-    sq_w.append(out_scale * W)
-    sq_b.append(biases[-1] - out_scale * h_t * (W @ np.ones(W.shape[1])))
-    return sq_w, sq_b
+    return sq_w + [out[..., None] * W], sq_b + [biases[-1] - out_h * (W @ np.ones(W.shape[-1]))]
 
 
-def _general_minimum(
-    fit: LinearFit,
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    frame: tuple[PiecewiseLinear, bool, TurningPoint],
-    eta: Optional[float] = None,
-    m_scale: Optional[float] = None,
-    alpha_scales: Optional[tuple[float, ...]] = None,
-    m_factor: float = 1.0,
-) -> _Draft:
-    """One member of the general route's family, built but not certified."""
-    build_act, reflected, tp = frame
-    n_alpha = max(0, len(dims) - 3)
-    eta = _checked_eta(fit, eta)
-    if alpha_scales is None:
-        alpha_scales = tuple(0.5 for _ in range(n_alpha))
-    if len(alpha_scales) != n_alpha:
-        raise PreconditionViolated(f"need {n_alpha} alpha scales for {len(dims) - 1} layers")
-    if any(not (0 < a_i < 1) for a_i in alpha_scales):
-        raise PreconditionViolated("alpha scales must lie in (0, 1)")
-
-    weights, biases = _minimum_layers(fit, dims, tp.s_plus, eta)
-    pre1 = weights[0] @ data.X + biases[0][:, None]
-    m_scale = _radius_scale(pre1, tp.sigma, m_scale, "m_scale", m_factor)
-    prod = 1.0
-    for i, a_i in enumerate(alpha_scales, start=1):
-        prod *= a_i
-        weights[i] = a_i * weights[i]
-    out_scale = m_scale / prod
-    net = _net(dims, act, reflected, *_squeeze(
-        weights, biases, tp.t, float(build_act(tp.t)), m_scale, out_scale
-    ))
-    params = ConstructionParams(
-        eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
-    )
-    return _Draft(net, "3", params, (tp.t, tp.t + tp.sigma), reflected, out_scale)
+def _squeezed(layers: Layers, alphas: np.ndarray, scales: np.ndarray, t: float, h_t: float,
+              members: slice) -> list[np.ndarray]:
+    """A slice of a family's members squeezed along the member axis: layers
+    is every member's scaffold (`_minimum_layers` with a column of shifts),
+    alphas (members x middle layers) their alphas, and scales (members x 3)
+    their M, output scale and output scale times h(t).  Each middle layer is
+    scaled by its alpha, then `_squeeze` runs once for the slice.  Returns
+    the slice's weights and biases, each with the member axis first."""
+    weights, alphas = list(layers[0]), alphas[members]
+    for i in range(1, len(weights) - 1):
+        weights[i] = alphas[:, i - 1, None, None] * weights[i]
+    sq_w, sq_b = _squeeze(weights, [b[members] for b in layers[1]], t, h_t, *scales[members].T)
+    return sq_w + sq_b
 
 
 def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear, k: int,
             seed: int, **first) -> list[CertifiedPoint]:
-    """k certified members of the general route's family: member 0 with
-    the overrides in first (eta, m_scale, alpha_scales), the defaults
-    without them, and member idx >= 1 with eta, the alphas and the factor
-    on the default M drawn from its own stream default_rng([seed, idx])."""
-    frame = _turning_frame(act)
+    """k certified members of the general route's family, built along one
+    member axis.  Member 0 takes the overrides in first (eta, m_scale,
+    alpha_scales), the defaults without them; member idx >= 1 draws eta, the
+    alphas and the factor on the default M from its own stream
+    default_rng([seed, idx]).
 
-    def drafts() -> Iterator[_Draft]:
-        yield _general_minimum(fit, data, dims, act, frame, **first)
-        for idx in range(1, k):
-            rng = np.random.default_rng([seed, idx])
-            eta = default_eta(fit) - 2.0 * rng.random()
-            alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, len(dims) - 3)))
-            yield _general_minimum(fit, data, dims, act, frame, eta=eta, alpha_scales=alphas,
-                                   m_factor=1.0 + rng.random())
-
-    return _certified(drafts(), fit, data)
+    The scaffold's weights do not depend on eta, so `_minimum_layers` runs
+    once with a column of shifts and W1 @ X is formed once; each member's M
+    comes from its own first-layer pre-activations, in draw order
+    (`_radius_scale`), and the alphas, the squeeze and the reflection are
+    array arithmetic over the member axis (`_squeezed`).  Every member is
+    bit-identical to building it alone, and a failure is the first failing
+    member's, as if each were built and certified before the next: when a
+    member's M raises, the members before it are squeezed and certified on
+    the way out, a stacked squeeze that overflows is redone one member at a
+    time, and a certificate that fails replaces a later build's exception."""
+    build_act, reflected, tp = _turning_frame(act)
+    n_alpha = max(0, len(dims) - 3)
+    eta = _checked_eta(fit, first.get("eta"))
+    alphas = first.get("alpha_scales")
+    alphas = (0.5,) * n_alpha if alphas is None else alphas
+    if len(alphas) != n_alpha:
+        raise PreconditionViolated(f"need {n_alpha} alpha scales for {len(dims) - 1} layers")
+    if any(not (0 < a_i < 1) for a_i in alphas):
+        raise PreconditionViolated("alpha scales must lie in (0, 1)")
+    # drawn shifts lie below the default one and drawn alphas in [0.1, 0.9),
+    # so the drawn members pass both checks
+    draws = [(eta, tuple(alphas), first.get("m_scale"), 1.0)]
+    shift = default_eta(fit) if k > 1 else 0.0
+    for idx in range(1, k):
+        rng = np.random.default_rng([seed, idx])
+        draws.append((shift - 2.0 * rng.random(),
+                      tuple(0.1 + 0.8 * rng.random() for _ in range(n_alpha)),
+                      None, 1.0 + rng.random()))
+    etas, alpha_scales, overrides, factors = zip(*draws)
+    layers = _minimum_layers(fit, dims, tp.s_plus, np.array(etas, dtype=float)[:, None])
+    wx, h_t = layers[0][0] @ data.X, float(build_act(tp.t))
+    scales, built = [], []
+    try:
+        try:
+            for b1, m_scale, factor, alphas in zip(layers[1][0], overrides, factors, alpha_scales):
+                m_scale = _radius_scale(wx + b1[:, None], tp.sigma, m_scale, "m_scale", factor)
+                out_scale = m_scale / math.prod(alphas, start=1.0)
+                scales.append((m_scale, out_scale, out_scale * h_t))
+        finally:
+            del wx  # d_1 x n, not held through the forward
+            args = (layers, np.array(alpha_scales, dtype=float),
+                    np.array(scales, dtype=float).reshape(-1, 3), tp.t, h_t)
+            try:
+                built.append(_squeezed(*args, slice(0, len(scales))))
+            except FloatingPointError:
+                for j in range(len(scales)):
+                    built.append(_squeezed(*args, slice(j, j + 1)))
+    finally:
+        # the members built, none when member 0 failed
+        arrays = built[0] if len(built) == 1 else list(map(np.concatenate, zip(*built)))
+        weights, biases = _unframed(arrays[:len(dims) - 1], arrays[len(dims) - 1:], reflected)
+        drafts = [_Draft(Mlp(dims, ws, bs, act), "3", ConstructionParams(
+            eta=eta, m_scale=m_scale, alpha_scales=alphas, turning=tp),
+            (tp.t, tp.t + tp.sigma), reflected, out_scale)
+            for ws, bs, eta, alphas, (m_scale, out_scale, _)
+            in zip(zip(*weights), zip(*biases), etas, alpha_scales, scales)]
+        points = _certified(drafts, (weights, biases), fit, data)
+    return points
 
 
 def _general_family_head(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
@@ -753,9 +778,9 @@ def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
         weights[1] = weights[1] / m_tilde
     else:
         m_tilde = 1.0
-    net = _net(dims, act, reflected, *_squeeze(
-        weights, biases, tp.t, float(build_act(tp.t)), m_scale, m_scale * m_tilde
-    ))
+    h_t, out_scale = float(build_act(tp.t)), m_scale * m_tilde
+    net = _net(dims, act, reflected, *_squeeze(weights, biases, tp.t, h_t, m_scale, out_scale,
+                                               out_scale * h_t))
     risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
     if not risk < fit.risk - DESCENT_GAP_MIN:
         raise StrictDecreaseNotAchieved("squeezed witness lost its strict decrease")
@@ -863,12 +888,15 @@ def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     continuous ranges.  Per-member seeded streams make the family bitwise
     reproducible; the seed must be a nonnegative integer.
 
-    Every member is built first; the members are then forwarded in stacked
-    chunks of `verification._stack_size` networks, and each is certified by
-    `_certify_minimum` from its views into its chunk's trace (`_certified`).
-    The members and their certificates are bit-identical to building and
-    certifying one member at a time, and a failure is the first failing
-    member's."""
+    The members are built together along one member axis (`_family`):
+    their shared scaffold and W1 @ X once, each member's M from its own
+    first-layer pre-activations, and the alphas and the squeeze as array
+    arithmetic.  They are then forwarded in stacked chunks of
+    `verification._stack_size` networks straight from those arrays, and
+    each is certified by `_certify_minimum` from its views into its chunk's
+    trace (`_certified`).  The members and their certificates are
+    bit-identical to building and certifying one member at a time, and a
+    failure is the first failing member's."""
     if k < 1:
         raise PreconditionViolated("k must be >= 1")
     seed = check_integer("seed", seed, minimum=0)

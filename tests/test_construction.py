@@ -31,7 +31,7 @@ from spurmin import (
     xor_dataset,
 )
 from spurmin import construction, verification
-from spurmin.activations import find_turning_point
+from spurmin.activations import find_turning_point, parse_activation
 from spurmin.verification import _risk_match, trace_interval_check, witness_pair_certificate
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
@@ -332,7 +332,7 @@ class TestFamilyAndRouting:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
     def test_family_bad_seed_rejected_before_any_member(self, xor, xor_fit, relu_act, k, seed):
-        with mock.patch.object(construction, "_general_minimum", side_effect=AssertionError):
+        with mock.patch.object(construction, "_family", side_effect=AssertionError):
             with pytest.raises(PreconditionViolated, match="seed must be"):
                 enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=k, seed=seed)
 
@@ -347,6 +347,16 @@ class TestFamilyAndRouting:
         b = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=4, seed=11)
         for ma, mb in zip(a, b):
             assert params_distance(ma.net, mb.net) == 0.0
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_min_pairwise_distance_needs_two_points(self, xor, xor_fit, relu_act, k):
+        points = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=1)[:k]
+        with pytest.raises(PreconditionViolated, match="need at least two points"):
+            construction.min_pairwise_distance(points)
+
+    def test_min_pairwise_distance_of_two_points(self, xor, xor_fit, relu_act):
+        a, b = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=2, seed=4)
+        assert construction.min_pairwise_distance([a, b]) == params_distance(a.net, b.net) > 0.0
 
     def test_auto_routing(self, xor, xor_fit):
         assert build_minimum(xor_fit, xor, (2, 3, 1), relu()).stage == "1"
@@ -653,10 +663,10 @@ def test_stage3_output_check_still_catches_a_squeeze_without_hidden_backoff(xor,
     assert build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3").risk == pytest.approx(xor_fit.risk)
     squeeze = construction._squeeze
 
-    def without_hidden_backoff(weights, biases, t, h_t, m_scale, out_scale):
-        sq_w, sq_b = squeeze(weights, biases, t, h_t, m_scale, out_scale)
+    def without_hidden_backoff(weights, biases, t, h_t, *scales):
+        sq_w, sq_b = squeeze(weights, biases, t, h_t, *scales)
         for i in range(1, len(sq_w) - 1):
-            sq_b[i] = sq_b[i] + h_t * (sq_w[i] @ np.ones(sq_w[i].shape[1]))
+            sq_b[i] = sq_b[i] + h_t * (sq_w[i] @ np.ones(sq_w[i].shape[-1]))
         return sq_w, sq_b
 
     monkeypatch.setattr(construction, "_squeeze", without_hidden_backoff)
@@ -955,23 +965,67 @@ def test_one_row_assembler_matches_the_two_it_replaced_bit_for_bit(balanced):
 
 
 # ---------------------------------------------------------------------------
-# the stacked family against the one-member-at-a-time loop it replaced, kept
-# here as the oracle
+# the family built along one member axis against the one-member-at-a-time
+# loop it replaced, kept here as the oracle with its per-member builder
+
+
+def _squeeze_one(weights, biases, t, h_t, m_scale, out_scale):
+    """The squeeze of one member, as the per-member builder ran it."""
+    sq_w = [weights[0] / m_scale]
+    sq_b = [biases[0] / m_scale + t * np.ones(len(biases[0]))]
+    for W, b in zip(weights[1:-1], biases[1:-1]):
+        sq_w.append(W)
+        sq_b.append(t * np.ones(len(b)) - h_t * (W @ np.ones(W.shape[1])) + b / out_scale)
+    W = weights[-1]
+    sq_w.append(out_scale * W)
+    sq_b.append(biases[-1] - out_scale * h_t * (W @ np.ones(W.shape[1])))
+    return sq_w, sq_b
+
+
+def _general_minimum(fit, data, dims, act, frame, eta=None, m_scale=None, alpha_scales=None,
+                     m_factor=1.0):
+    """One member of the general route's family, built but not certified."""
+    build_act, reflected, tp = frame
+    n_alpha = max(0, len(dims) - 3)
+    eta = construction._checked_eta(fit, eta)
+    if alpha_scales is None:
+        alpha_scales = tuple(0.5 for _ in range(n_alpha))
+    if len(alpha_scales) != n_alpha:
+        raise PreconditionViolated(f"need {n_alpha} alpha scales for {len(dims) - 1} layers")
+    if any(not (0 < a_i < 1) for a_i in alpha_scales):
+        raise PreconditionViolated("alpha scales must lie in (0, 1)")
+
+    weights, biases = construction._minimum_layers(fit, dims, tp.s_plus, eta)
+    pre1 = weights[0] @ data.X + biases[0][:, None]
+    m_scale = construction._radius_scale(pre1, tp.sigma, m_scale, "m_scale", m_factor)
+    prod = 1.0
+    for i, a_i in enumerate(alpha_scales, start=1):
+        prod *= a_i
+        weights[i] = a_i * weights[i]
+    out_scale = m_scale / prod
+    net = construction._net(dims, act, reflected, *_squeeze_one(
+        weights, biases, tp.t, float(build_act(tp.t)), m_scale, out_scale
+    ))
+    params = construction.ConstructionParams(
+        eta=eta, m_scale=m_scale, alpha_scales=tuple(alpha_scales), turning=tp
+    )
+    return construction._Draft(net, "3", params, (tp.t, tp.t + tp.sigma), reflected, out_scale)
 
 
 @construction._float_checked
-def _family_one_at_a_time(fit, data, dims, act, k, seed):
+def _family_one_at_a_time(fit, data, dims, act, k, seed, **first):
     """enumerate_family as a loop: each member built, forwarded and
-    certified before the next is drawn."""
+    certified before the next is drawn; member 0 takes the overrides in
+    first, as route 3's build_minimum does."""
     frame = construction._turning_frame(act)
 
     def member(**draw):
-        draft = construction._general_minimum(fit, data, dims, act, frame, **draw)
+        draft = _general_minimum(fit, data, dims, act, frame, **draw)
         trace = construction.forward(draft.net, data.X)
         return construction._certify_minimum(draft, trace, fit, data,
                                              construction._leaves_residual(fit))
 
-    members = [member()]
+    members = [member(**first)]
     for idx in range(1, k):
         rng = np.random.default_rng([seed, idx])
         eta = construction.default_eta(fit) - 2.0 * rng.random()
@@ -1002,7 +1056,12 @@ def _tied_dataset(per_level=20, seed=1):
     return Dataset(np.vstack([x1, x2]), y[None, :])
 
 
-FAMILY_ACTS = {"relu": relu(), "reflected": two_piece(1.0, 0.0), "threepiece": three_piece()}
+FAMILY_ACTS = {
+    "relu": relu(), "reflected": two_piece(1.0, 0.0), "threepiece": three_piece(),
+    # a turning point off zero, t = 0.5, with h(t) = 0.7: every squeeze term
+    # is nonzero
+    "offzero": parse_activation({"breakpoints": [0.5, 2], "slopes": [1, 0.3, 2], "anchor": 0.7}),
+}
 
 
 class TestStackedFamilyMatchesTheLoop:
@@ -1022,17 +1081,27 @@ class TestStackedFamilyMatchesTheLoop:
             _assert_same_members([build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3")], want)
             _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), act, k=1), want)
 
+    @pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
+    def test_member_0_takes_explicit_overrides(self, xor, xor_fit, act):
+        dims, first = (2, 3, 3, 3, 1), dict(eta=-2.5, m_scale=100.0, alpha_scales=(0.3, 0.8))
+        want = _family_one_at_a_time(xor_fit, xor, dims, act, 1, 0, **first)
+        got = build_minimum(xor_fit, xor, dims, act, stage="3", **first)
+        _assert_same_members([got], want)
+        assert got.params.eta == -2.5 and got.params.m_scale == 100.0
+        assert got.params.alpha_scales == (0.3, 0.8)
+
     @pytest.mark.parametrize("budget", [1, 960, 1920, 2880, 1 << 17])
-    def test_chunk_boundaries_on_tied_data(self, monkeypatch, budget):
-        # (2, 16, 1) on 60 samples: 960 elements in a member's hidden layer,
-        # so 1, 1, 2 and 3 members per chunk, the last chunk short, and one
-        # chunk of all 7
+    @pytest.mark.parametrize("dims", [(2, 16, 1), (2, 16, 16, 1)], ids=["depth1", "depth2"])
+    def test_chunk_boundaries_on_tied_data(self, monkeypatch, budget, dims):
+        # on 60 samples: 960 elements in a member's widest layer, more than
+        # the 337 parameters at depth 2, so 1, 1, 2 and 3 members per chunk,
+        # the last chunk short, and one chunk of all 7
         data = _tied_dataset()
         fit = fit_linear(data, SQ)
-        want = _family_one_at_a_time(fit, data, (2, 16, 1), relu(), 7, 5)
+        want = _family_one_at_a_time(fit, data, dims, relu(), 7, 5)
         monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
-        assert verification._stack_size((2, 16, 1), data.n) == max(1, budget // 960)
-        _assert_same_members(enumerate_family(fit, data, (2, 16, 1), relu(), k=7, seed=5), want)
+        assert verification._stack_size(dims, data.n) == max(1, budget // 960)
+        _assert_same_members(enumerate_family(fit, data, dims, relu(), k=7, seed=5), want)
 
     def test_an_overflowing_stacked_pass_falls_back_to_one_forward_each(self, xor, xor_fit,
                                                                        monkeypatch):
@@ -1041,7 +1110,7 @@ class TestStackedFamilyMatchesTheLoop:
         def overflowing(*args):
             raise FloatingPointError("overflow encountered in matmul")
 
-        monkeypatch.setattr(construction, "_stacked_outputs", overflowing)
+        monkeypatch.setattr(construction, "_layer_outputs", overflowing)
         _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu(), k=5, seed=2),
                              want)
 
@@ -1077,13 +1146,16 @@ FAILURES = {
         "_radius_scale": (4, PreconditionViolated("m_scale too small")),
     },
     "forward of member 3": {
-        "_stacked_outputs": (0, FloatingPointError("overflow encountered in matmul")),
+        "_layer_outputs": (0, FloatingPointError("overflow encountered in matmul")),
         "forward": (3, FloatingPointError("overflow encountered in matmul")),
     },
     "certificate of member 1, forward of member 3": {
         "_reproduces": (1, None),
-        "_stacked_outputs": (0, FloatingPointError("overflow encountered in matmul")),
+        "_layer_outputs": (0, FloatingPointError("overflow encountered in matmul")),
         "forward": (3, FloatingPointError("overflow encountered in matmul")),
+    },
+    "float error in the build of member 3": {
+        "_radius_scale": (3, FloatingPointError("overflow encountered in divide")),
     },
 }
 
@@ -1097,8 +1169,70 @@ def test_family_raises_for_its_first_failing_member(xor, xor_fit, monkeypatch, f
     dims, act = (2, 3, 3, 1), relu()
     got, got_calls = _outcome(
         monkeypatch, lambda: enumerate_family(xor_fit, xor, dims, act, k=6, seed=9), failures)
-    oracle = {name: fail for name, fail in failures.items() if name != "_stacked_outputs"}
+    oracle = {name: fail for name, fail in failures.items() if name != "_layer_outputs"}
     want, want_calls = _outcome(
         monkeypatch, lambda: _family_one_at_a_time(xor_fit, xor, dims, act, 6, 9), oracle)
     assert got is not None and got == want
     assert got_calls["_reproduces"] == want_calls["_reproduces"]
+
+
+@pytest.mark.parametrize("member", [0, 3, 5])
+def test_an_overflowing_squeeze_is_redone_one_member_at_a_time(xor, xor_fit, monkeypatch, member):
+    # a squeeze whose slice holds the failing member overflows, as that
+    # member's own squeeze would: the stacked squeeze of all six falls back
+    # to one squeeze each, which raises at the member after certifying the
+    # members before it, as the oracle does when that member's build raises
+    error = FloatingPointError("overflow encountered in multiply")
+    squeezed, slices = construction._squeezed, []
+
+    def overflowing(*args):
+        members = args[-1]
+        slices.append((members.start, members.stop))
+        if members.start <= member < members.stop:
+            raise error
+        return squeezed(*args)
+
+    dims, act = (2, 3, 3, 1), two_piece(1.0, 0.0)
+    want, want_calls = _outcome(monkeypatch, lambda: _family_one_at_a_time(
+        xor_fit, xor, dims, act, 6, 9), {"_reproduces": (-1, None), "_radius_scale": (member, error)})
+    monkeypatch.setattr(construction, "_squeezed", overflowing)
+    got, got_calls = _outcome(monkeypatch, lambda: enumerate_family(
+        xor_fit, xor, dims, act, k=6, seed=9), {"_reproduces": (-1, None)})
+    assert got is not None and got == want
+    assert got_calls["_reproduces"] == want_calls["_reproduces"] == member
+    assert slices == [(0, 6)] + [(j, j + 1) for j in range(member + 1)]
+
+
+def test_a_stacked_squeeze_that_overflows_rebuilds_bit_identical_members(xor, xor_fit,
+                                                                          monkeypatch):
+    squeezed, calls = construction._squeezed, []
+
+    def overflowing_once(*args):
+        calls.append(args[-1])
+        if len(calls) == 1:
+            raise FloatingPointError("overflow encountered in multiply")
+        return squeezed(*args)
+
+    act = FAMILY_ACTS["offzero"]
+    want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 3, 1), act, 5, 2)
+    monkeypatch.setattr(construction, "_squeezed", overflowing_once)
+    _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 3, 1), act, k=5, seed=2), want)
+    assert [(m.start, m.stop) for m in calls] == [(0, 5)] + [(j, j + 1) for j in range(5)]
+
+
+@pytest.mark.parametrize("anchor", [1e5, 1e10])
+def test_an_output_scale_times_h_t_past_the_float_range_fails_as_one_member_does(xor, xor_fit,
+                                                                                 anchor):
+    # M / alpha = 1e302 is finite, but times h(t) = anchor it passes the
+    # float64 range: each member forms that product in floats, where it is
+    # infinite rather than an error, so the build fails where the
+    # one-member build does
+    act = PiecewiseLinear((0.0,), (0.5, 2.0), anchor)
+    first = dict(alpha_scales=(1e-300,), m_scale=100.0)
+    outcomes = []
+    for run in (lambda: build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3", **first),
+                lambda: _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0, **first)):
+        with pytest.raises(SpurminError) as info:
+            run()
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes[0] == outcomes[1]

@@ -205,8 +205,8 @@ class TestTraceInterval:
         import spurmin.construction as c
         from spurmin import Mlp
 
-        W1, b1, W2, b2 = c._shallow_minimum_params(xor_fit, (2, 3, 1), 1.0, eta=0.5)
-        net = Mlp((2, 3, 1), (W1, W2), (b1, b2), relu_act)
+        weights, biases = c._minimum_layers(xor_fit, (2, 3, 1), 1.0, 0.5)
+        net = Mlp((2, 3, 1), tuple(weights), tuple(biases), relu_act)
         cert = trace_interval_check(forward(net, xor.X), 0.0, np.inf)
         assert not cert.verdict
 
