@@ -67,7 +67,6 @@ from .linear_fit import (
     LinearFit,
     fit_linear,
     select_nonzero_residual_row,
-    stationarity_certificate,
 )
 from .network import (
     AssumptionReport,
@@ -86,12 +85,10 @@ from .separation import (
     SeparationResult,
     descent_constants_at,
     separate,
-    size_constants,
 )
 from .verification import (
     Certificate,
     Check,
-    descent_gap,
     fd_gradient_check,
     perturbation_local_min_test,
     trace_interval_check,

@@ -6,7 +6,8 @@ separate, demo.  Exit codes: 0 ok, 1 a check failed, 2 io/parse error,
 
 Every handler takes the parsed arguments and returns (payload, passed).
 `main` is the one place that writes a payload: it adds the run's `config`
-block and writes the JSON to `--out`, or to stdout without one, then maps
+block, the subcommand and its parsed options (input paths included), and
+writes the JSON to `--out`, or to stdout without one, then maps
 passed to exit code 0 or 1.  gen-data and demo write their own files and
 return (None, passed).
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -56,25 +56,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 EXIT_PRECONDITION = 3
-
-
-@dataclass
-class RunConfig:
-    """Invocation provenance serialized into every report."""
-
-    subcommand: str
-    data: str | None = None
-    dims: str | None = None
-    activation: str | None = None
-    loss: str = "squared"
-    seed: int = 0
-    tol: float = 1e-8
-    out: str | None = None
-    stage: str = "auto"
-    k: int = 1
-    radius: float = 1e-4
-    samples: int = 500
-    steps: int = 10
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -337,13 +318,6 @@ def run_demo(
     return report, ok, first_failure
 
 
-def _cfg(args) -> RunConfig:
-    """The run's provenance: every RunConfig field the subcommand's parser
-    set, the dataclass defaults for the rest."""
-    given = vars(args).keys() & {f.name for f in fields(RunConfig)}
-    return RunConfig(subcommand=args.command, **{name: getattr(args, name) for name in given})
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spurmin",
@@ -351,11 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, tol=False):
+        """--data, --loss and --out, plus --seed and --tol where the
+        subcommand reads them."""
         p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--loss", choices=["squared", "ce"], default="squared")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("gen-data", help="generate a dataset CSV")
@@ -367,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("fit", help="fit the affine baseline")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("construct", help="build certified minima (k > 1 samples the family)")
-    common(p)
+    common(p, seed=True, tol=True)
     p.add_argument("--stage", choices=["auto", "1", "2", "3", "corollary"], default="auto")
     p.add_argument("--dims", required=True, help="comma list, e.g. 2,3,3,1")
     p.add_argument("--activation", default="relu")
@@ -379,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("descend", help="build a minimum and its strictly better witness")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--stage", choices=["auto", "1", "2", "3", "corollary"], default="auto")
     p.add_argument("--dims", required=True)
     p.add_argument("--activation", default="relu")
     p.set_defaults(fn=cmd_descend)
 
     p = sub.add_parser("verify", help="sampled local-minimality certificate for a network")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--radius", type=float, default=1e-4)
     p.add_argument("--samples", type=int, default=500)
@@ -394,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("separate", help="debug: the separation backing the descent")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(fn=cmd_separate)
 
     p = sub.add_parser("cells", help="activation-pattern cell analysis")
@@ -430,7 +408,9 @@ def main(argv=None) -> int:
     try:
         payload, passed = args.fn(args)
         if payload is not None:
-            payload = {"config": asdict(_cfg(args)), **payload}
+            config = {"subcommand": args.command, **vars(args)}
+            del config["command"], config["fn"]
+            payload = {"config": config, **payload}
             if args.out:
                 dump_json(payload, args.out)
             else:

@@ -711,8 +711,10 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
         raise PreconditionViolated(f"need {n_alpha} alpha scales for {len(dims) - 1} layers")
     if any(not (0 < a_i < 1) for a_i in alphas):
         raise PreconditionViolated("alpha scales must lie in (0, 1)")
+    if math.prod(alphas, start=1.0) == 0.0:
+        raise PreconditionViolated("the alpha scales' product underflows to zero")
     # drawn shifts lie below the default one and drawn alphas in [0.1, 0.9),
-    # so the drawn members pass both checks
+    # so the drawn members pass these checks
     draws = [(eta, tuple(alphas), first.get("m_scale"), 1.0)]
     shift = default_eta(fit) if k > 1 else 0.0
     for idx in range(1, k):
@@ -897,6 +899,7 @@ def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     trace (`_certified`).  The members and their certificates are
     bit-identical to building and certifying one member at a time, and a
     failure is the first failing member's."""
+    k = check_integer("k", k)
     if k < 1:
         raise PreconditionViolated("k must be >= 1")
     seed = check_integer("seed", seed, minimum=0)

@@ -118,12 +118,6 @@ def fit_linear(
     raise NonConvergence(f"gradient norm did not reach {tol} in {max_iter} iterations")
 
 
-def stationarity_certificate(fit: LinearFit, data: Dataset) -> float:
-    """||V [X^T 1]||_F; at a fitted point this is ~0, and its row sums being
-    zero is the zero-sum precondition of the separation step."""
-    return float(np.linalg.norm(fit.v @ augment(data.X).T))
-
-
 def _leaves_residual(fit: LinearFit) -> bool:
     """Whether the baseline leaves a residual: some per-sample gradient in v
     exceeds ZERO_RESIDUAL_TOL * (1 + max |baseline|).  The one rule for it,

@@ -11,9 +11,9 @@ then size the constants (alpha, gamma, eta1) that drive the first hidden
 row of the descent network.
 
 `admissible_constants` is the only alpha search: it halves alpha at most
-MAX_HALVINGS times and yields every admissible set of constants, so sizing
-(`size_constants`, its first yield) and the construction's verified descent
-(the first yield whose network descends) share one halving budget.
+MAX_HALVINGS times and yields every admissible set of constants, largest
+alpha first; the construction's verified descent takes the first yield
+whose network descends, inside that one halving budget.
 """
 
 from __future__ import annotations
@@ -298,14 +298,3 @@ def admissible_constants(
     if not sized:
         raise SizingFailed(f"no admissible alpha after {MAX_HALVINGS} halvings")
 
-
-def size_constants(
-    res: SeparationResult,
-    u: np.ndarray,
-    v: np.ndarray,
-    xs: np.ndarray,
-    slope_ratio: float | None,
-) -> DescentConstants:
-    """The constants at the largest admissible alpha (the first yield of
-    `admissible_constants`); raises SizingFailed when there is none."""
-    return next(admissible_constants(res, u, v, xs, slope_ratio))

@@ -320,13 +320,10 @@ def perturbation_local_min_test(
     return Certificate(subject="perturbation_local_min", checks=(check,))
 
 
-def descent_gap(min_risk: float, witness_risk: float) -> float:
-    """risk(minimum) - risk(witness); a valid witness makes this > 1e-12."""
-    return float(min_risk) - float(witness_risk)
-
-
 def descent_gap_certificate(min_risk: float, witness_risk: float) -> Certificate:
-    gap = descent_gap(min_risk, witness_risk)
+    """risk(minimum) - risk(witness), which a valid witness makes exceed
+    DESCENT_GAP_MIN."""
+    gap = float(min_risk) - float(witness_risk)
     check = Check("descent_gap", bool(gap > DESCENT_GAP_MIN), gap, DESCENT_GAP_MIN)
     return Certificate(subject="descent_gap", checks=(check,))
 

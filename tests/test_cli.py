@@ -570,13 +570,7 @@ class TestDemo:
         assert json.dumps(json.loads(once), sort_keys=True) == once
 
 
-class TestRunConfig:
-    DEFAULTS = {
-        "data": None, "dims": None, "activation": None, "loss": "squared", "seed": 0,
-        "tol": 1e-8, "out": None, "stage": "auto", "k": 1, "radius": 1e-4,
-        "samples": 500, "steps": 10,
-    }
-
+class TestReportConfig:
     @pytest.fixture
     def net_json(self, tmp_path, xor, xor_fit, relu_act):
         from spurmin import build_minimum
@@ -586,25 +580,55 @@ class TestRunConfig:
         save_mlp(build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net, path)
         return str(path)
 
+    @pytest.fixture
+    def argvs(self, xor_csv, net_json, tmp_path):
+        """A passing invocation of every subcommand that writes a JSON report."""
+        return {
+            "fit": ["fit", "--data", xor_csv],
+            "construct": ["construct", "--data", xor_csv, "--dims", "2,3,1"],
+            "descend": ["descend", "--data", xor_csv, "--dims", "2,3,1"],
+            "verify": ["verify", "--data", xor_csv, "--net", net_json, "--samples", "20"],
+            "separate": ["separate", "--data", xor_csv],
+            "cells": ["cells", "analyze", "--data", xor_csv, "--net", net_json],
+            "path": ["path", "build", "--data", xor_csv, "--a", net_json, "--b", net_json,
+                     "--steps", "2", "--csv", str(tmp_path / "curve.csv")],
+        }
+
     def _config(self, argv, capsys):
-        main(argv)
+        assert main(argv) == 0
         return json.loads(capsys.readouterr().out)["config"]
 
-    def test_descend(self, xor_csv, capsys):
-        cfg = self._config(["descend", "--data", xor_csv, "--dims", "2,3,1", "--seed", "4"], capsys)
-        assert cfg == {**self.DEFAULTS, "subcommand": "descend", "data": xor_csv,
-                       "dims": "2,3,1", "activation": "relu", "seed": 4}
+    @staticmethod
+    def _dests(command):
+        import argparse
 
-    def test_verify(self, xor_csv, net_json, capsys):
-        cfg = self._config(["verify", "--data", xor_csv, "--net", net_json,
-                            "--samples", "20", "--radius", "1e-3"], capsys)
-        assert cfg == {**self.DEFAULTS, "subcommand": "verify", "data": xor_csv,
-                       "samples": 20, "radius": 1e-3}
+        from spurmin.cli import build_parser
 
-    def test_cells_analyze(self, xor_csv, net_json, capsys):
-        cfg = self._config(["cells", "analyze", "--data", xor_csv, "--net", net_json,
-                            "--loss", "squared", "--tol", "1e-6"], capsys)
-        assert cfg == {**self.DEFAULTS, "subcommand": "cells", "data": xor_csv, "tol": 1e-6}
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        return {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+
+    @pytest.mark.parametrize(
+        "command", ["fit", "construct", "descend", "verify", "separate", "cells", "path"]
+    )
+    def test_keys_are_the_subcommand_and_its_own_options(self, argvs, capsys, command):
+        cfg = self._config(argvs[command], capsys)
+        assert cfg["subcommand"] == command
+        assert cfg.keys() == {"subcommand"} | self._dests(command)
+
+    def test_reports_name_the_files_they_read(self, argvs, net_json, tmp_path, capsys):
+        assert self._config(argvs["verify"], capsys)["net"] == net_json
+        cfg = self._config(argvs["path"], capsys)
+        assert (cfg["a"], cfg["b"], cfg["csv"]) == (net_json, net_json, str(tmp_path / "curve.csv"))
+
+    @pytest.mark.parametrize("command, option", [
+        *[(c, "--seed") for c in ("fit", "descend", "separate", "cells", "path")],
+        *[(c, "--tol") for c in ("verify", "cells", "path")],
+    ])
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self, argvs, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argvs[command] + [option, "1"])
+        assert exc.value.code == 2
 
 
 class TestRoutesAgree:

@@ -835,6 +835,12 @@ def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
         enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=0)
 
 
+@pytest.mark.parametrize("k", [2.0, True, "2"])
+def test_family_size_must_be_an_integer(xor, xor_fit, relu_act, k):
+    with pytest.raises(PreconditionViolated, match="k must be an integer"):
+        enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=k)
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"alpha_scales": (0.5, 0.5)}, "need 1 alpha scales for 3 layers"),
     ({"alpha_scales": (1.5,)}, r"alpha scales must lie in \(0, 1\)"),
@@ -844,6 +850,12 @@ def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
 def test_general_minimum_rejects_bad_scales(xor, xor_fit, overrides, message):
     with pytest.raises(PreconditionViolated, match=message):
         build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", **overrides)
+
+
+def test_general_minimum_rejects_alphas_whose_product_underflows(xor, xor_fit, relu_act):
+    with pytest.raises(PreconditionViolated, match="product underflows to zero"):
+        build_minimum(xor_fit, xor, (2, 3, 3, 3, 1), relu_act, stage="3",
+                      alpha_scales=(1e-200, 1e-200))
 
 
 def test_route_1_minimum_rejects_an_eta_above_the_baseline(xor, xor_fit, relu_act):

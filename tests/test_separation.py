@@ -13,7 +13,6 @@ from spurmin import (
     descent_constants_at,
     fit_linear,
     separate,
-    size_constants,
 )
 from spurmin import separation
 from spurmin.errors import SizingFailed
@@ -124,7 +123,7 @@ class TestSizing:
     def test_xor_constants(self, xor, xor_fit):
         u, v = xor_fit.v[0], xor_fit.y_tilde[0]
         res = separate(u, v, xor.X)
-        c = size_constants(res, u, v, xor.X, slope_ratio=1.0)
+        c = next(admissible_constants(res, u, v, xor.X, 1.0))
         # interior split: |gamma| is half the midgap, and the margin is strict
         assert abs(abs(c.gamma) - 0.5 * abs(c.midgap)) <= 1e-15
         assert c.margin > 0
@@ -138,7 +137,7 @@ class TestSizing:
         v = np.array([0.0, 1.0])
         xs = np.array([[2.0, 1.0]])
         res = separate(u, v, xs)
-        c = size_constants(res, u, v, xs, slope_ratio=1.0)
+        c = next(admissible_constants(res, u, v, xs, 1.0))
         assert abs(c.gamma) == c.alpha
         assert c.margin > 0
 
@@ -161,7 +160,7 @@ class TestSizing:
         for _ in range(50):
             u, v, xs = random_instance(rng)
             res = separate(u, v, xs)
-            c = size_constants(res, u, v, xs, slope_ratio=1.0)
+            c = next(admissible_constants(res, u, v, xs, 1.0))
             keys = shifted_keys(res, v, xs, c.alpha)
             gap = float(np.min(keys[res.l_prime :]) - keys[res.l_prime - 1])
             group_end = res.group_bounds[res.t_group - 1]
@@ -504,7 +503,6 @@ class TestAdmissibleConstants:
             want = oracle_admissible(res, u, v, xs, slope_ratio)
             got = list(admissible_constants(res, u, v, xs, slope_ratio))
             assert got == [c for _, c in want]
-            assert got[0] == size_constants(res, u, v, xs, slope_ratio)
             assert all(c.margin > 0 and c.midgap > 0 for c in got)
             assert [c.alpha for c in got] == [min(1.0, res.alpha_max) * 0.5**k for k, _ in want]
             skipped_some |= want[0][0] > 0
@@ -516,7 +514,6 @@ class TestAdmissibleConstants:
         res = separate(u, v, xor.X)
         search = admissible_constants(res, u, v, xor.X, 1.0)
         first = next(search)
-        assert first == size_constants(res, u, v, xor.X, 1.0)
         assert first.alpha == min(1.0, res.alpha_max)
         assert next(search).alpha == 0.5 * first.alpha
 
@@ -527,7 +524,7 @@ class TestAdmissibleConstants:
         res = separate(u, v, xs)
         monkeypatch.setattr(separation, "_gap_formula_matches", lambda *args: False)
         with pytest.raises(SizingFailed, match=f"after {MAX_HALVINGS} halvings"):
-            size_constants(res, u, v, xs, 1.0)
+            next(admissible_constants(res, u, v, xs, 1.0))
         with pytest.raises(SizingFailed):
             list(admissible_constants(res, u, v, xs, 1.0))
 

@@ -14,7 +14,6 @@ from spurmin import (
     PreconditionViolated,
     build_descent,
     build_minimum,
-    descent_gap,
     empirical_risk,
     fd_gradient_check,
     forward,
@@ -138,7 +137,7 @@ class TestDescentGap:
     def test_stage1_pair(self, xor, xor_fit, relu_act):
         m = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        assert descent_gap(m.risk, w.risk) > 1e-12
+        assert descent_gap_certificate(m.risk, w.risk).checks[0].value > 1e-12
         assert descent_gap_certificate(m.risk, w.risk).verdict
 
     def test_identical_points_fail(self):
@@ -149,8 +148,8 @@ class TestDescentGap:
         w3 = build_descent(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
         m1 = build_minimum(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0), stage="1")
         w1 = build_descent(xor_fit, xor, (2, 3, 1), two_piece(0.2, 1.0), stage="1")
-        gap3 = descent_gap(m3.risk, w3.risk)
-        gap1 = descent_gap(m1.risk, w1.risk)
+        gap3 = descent_gap_certificate(m3.risk, w3.risk).checks[0].value
+        gap1 = descent_gap_certificate(m1.risk, w1.risk).checks[0].value
         assert gap3 > 0 and abs(gap3 - gap1) <= 1e-10
 
     def test_pair_certificate_bundle(self, xor, xor_fit, relu_act):
