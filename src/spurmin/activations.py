@@ -11,12 +11,14 @@ when a breakpoint lies above the least.  When both lie in one piece, as on
 every hidden layer of a constructed minimum, the input is evaluated with
 that piece's scalar slope, knot and reference breakpoint, and the steps
 that are exact identities (subtracting a reference of +0.0, multiplying by
-a slope of 1.0) are skipped.  Otherwise the breakpoints are compared with
-the input in turn, and only a breakpoint that splits it selects per entry.
-The values are bit-identical to a searchsorted(side="right") breakpoint
-lookup, signed zeros and NaN (which lands in the last piece) included.  A
-linear activation takes the same path: its one piece has the anchor as
-knot and reference 0.
+a slope of 1.0) are skipped; the forward passes a layer through uncopied
+when that piece is the identity and the layer holds no zero.  Otherwise
+the breakpoints are compared with the input in turn, and only a
+breakpoint that splits it selects per entry.  The values are
+bit-identical to a searchsorted(side="right") breakpoint lookup, signed
+zeros and NaN (which lands in the last piece) included.  A linear
+activation takes the same path: its one piece has the anchor as knot and
+reference 0.
 """
 
 from __future__ import annotations
@@ -98,10 +100,30 @@ class PiecewiseLinear:
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
         x = np.asarray(x, dtype=float)
-        slope, knot, ref = self._piece(x)
-        # x - (+0.0) and x * 1.0 are exact identities, signed zeros and NaN
-        # included, so they are skipped; + knot always runs (it maps -0.0
-        # to +0.0) and the first step that runs writes a fresh array
+        out = self._values(x, *self._piece(x))
+        return out if out.ndim else float(out)
+
+    def _layer(self, x: np.ndarray) -> np.ndarray:
+        """self(x) for a float array x, from one `_span` scan, or x itself
+        where the two are bit-identical: every entry lies on a piece that is
+        the identity (slope 1.0, reference breakpoint and knot ±0.0) and
+        the extremes show that no entry is ±0.0, the one value + knot
+        changes (-0.0 + 0.0 is +0.0).  Infinities pass unchanged, and NaN
+        goes to `_select`.  The forward passes a constructed minimum's
+        hidden layers through this way; `__call__` always copies."""
+        span = self._span(x)
+        piece = self._piece(x, span)
+        if (span is not None and not span[3] and (span[1] > 0.0 or span[2] < 0.0)
+                and piece == (1.0, 0.0, 0.0)):
+            return x
+        return self._values(x, *piece)
+
+    @staticmethod
+    def _values(x: np.ndarray, slope: ArrayLike, knot: ArrayLike, ref: ArrayLike) -> np.ndarray:
+        """slope * (x - ref) + knot as a fresh array.  x - (+0.0) and
+        x * 1.0 are exact identities, signed zeros and NaN included, so they
+        are skipped; + knot always runs (it maps -0.0 to +0.0) and the
+        first step that runs writes the fresh array."""
         if isinstance(ref, float) and ref == 0.0 and copysign(1.0, ref) == 1.0:
             out = x
         else:
@@ -115,22 +137,24 @@ class PiecewiseLinear:
             out = x + knot
         else:
             out += knot
-        return out if out.ndim else float(out)
+        return out
 
-    def _piece(self, x: np.ndarray) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    def _piece(self, x: np.ndarray, span=False) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
         """Slope, knot value and reference breakpoint of the piece holding
         each entry of x.
 
         An entry at a breakpoint belongs to the piece on its right, and NaN
         to the last piece, as with searchsorted(..., side="right").  When
-        x's least and greatest entries lie in one piece (see `_span`), the
-        three are that piece's Python floats; otherwise `_select` compares
-        x with the breakpoints.  Both pick the same table entries as the
-        searchsorted lookup, so values built from them are bit-identical
-        to it.  A linear activation (no breakpoints) has one piece: its
-        slope, the anchor, and reference 0.
+        x's least and greatest entries lie in one piece (see `_span`; span
+        is its result for x when the caller has it), the three are that
+        piece's Python floats; otherwise `_select` compares x with the
+        breakpoints.  Both pick the same table entries as the searchsorted
+        lookup, so values built from them are bit-identical to it.  A
+        linear activation (no breakpoints) has one piece: its slope, the
+        anchor, and reference 0.
         """
-        span = self._span(x)
+        if span is False:
+            span = self._span(x)
         if span is None:
             return self._select(x)
         p, _, _, split = span
@@ -219,10 +243,7 @@ class PiecewiseLinear:
         """
         x = np.asarray(x, dtype=float)
         span = self._span(x)
-        if span is None or span[3]:
-            slope = self._select(x, span[0] if span else None)[0]
-        else:
-            slope = self.slopes[span[0]]
+        slope = self._piece(x, span)[0]
         if isinstance(slope, float):
             slope = np.full(x.shape, slope)
         boundary = np.zeros(x.shape, dtype=bool)

@@ -152,7 +152,9 @@ class ForwardTrace:
     """Per-layer pre-activation and post-activation outputs.
 
     post[j] = activation(pre[j]) for hidden layers; the last layer is affine,
-    so post[-1] = pre[-1] = output.
+    so post[-1] = pre[-1] = output.  post[j] may be the same array as
+    pre[j] (see `_layer_outputs`), so the arrays are read-only by contract:
+    readers copy before they write.
     """
 
     pre: tuple[np.ndarray, ...]
@@ -168,7 +170,10 @@ class ForwardTrace:
 
 
 def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
-    """Evaluate the network on all columns of X, recording layer outputs."""
+    """Evaluate the network on all columns of X, recording layer outputs.
+
+    A hidden layer that the activation maps to itself bit for bit is
+    recorded once, as both pre[j] and post[j]; the trace is read-only."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != net.dims[0]:
         raise ShapeViolation(f"input must be {net.dims[0]} x n, got {X.shape}")
@@ -184,6 +189,11 @@ def _layer_outputs(
     Every weight and bias may carry one leading batch axis, (B, d_j, d_{j-1})
     and (B, d_j), to evaluate B networks of one shape in stacked matmuls;
     each network's outputs are bit-identical to its own unstacked pass.
+
+    A hidden layer on the activation's identity piece with no zero entry,
+    as on every hidden layer of a ReLU minimum (`PiecewiseLinear._layer`),
+    is passed through without a copy: post[j] is pre[j].  Every output is
+    read-only by contract.
     """
     pre, post = [], []
     cur = X
@@ -192,7 +202,7 @@ def _layer_outputs(
         z = W @ cur
         z += b[..., None]
         pre.append(z)
-        cur = activation(z) if j < L - 1 else z
+        cur = activation._layer(z) if j < L - 1 else z
         post.append(cur)
     return pre, post
 

@@ -10,6 +10,7 @@ reports are written from these certificates."""
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -254,10 +255,12 @@ def _draw_risks(
     u uniform on [-1, 1] from its own stream default_rng(seed64 ^ i): one
     `uniform` call per draw, split over the weights layer by layer and then
     the biases.  A chunk holds `_stack_size` draws, as many as keep each
-    stacked array within _CHUNK_ELEMENTS.  The streams are made a block of whole chunks at a time,
-    as many draws as that budget holds, since each call has a fixed cost:
-    _uniform_draws hashes the block's seeds together and, for a net of at
-    most _ARRAY_STREAM_MAX parameters, computes its streams as arrays too.
+    stacked array within _CHUNK_ELEMENTS.  The streams are made a block of
+    whole chunks at a time, as many draws as that budget holds, since each
+    call has a fixed cost: _uniform_draws hashes the block's seeds together
+    and, for a net of at most _ARRAY_STREAM_MAX parameters, computes its
+    streams as arrays too.  Each parameter's perturbed stack is formed once
+    per block, and each chunk's networks are slices of it.
     """
     params = (*net.weights, *net.biases)
     bounds = np.cumsum([0] + [p.size for p in params]).tolist()
@@ -268,15 +271,16 @@ def _draw_risks(
     L = net.n_layers
     risks = np.empty(samples)
     for first in range(0, samples, block):
-        draws = _uniform_draws(seed64, first, min(first + block, samples), total)
-        for start in range(0, len(draws), chunk):
-            u = draws[start:start + chunk]
-            stacked = [
-                p + s * u[:, a:b].reshape(-1, *p.shape)
-                for p, s, a, b in zip(params, scales, bounds, bounds[1:])
-            ]
-            _, post = _layer_outputs(stacked[:L], stacked[L:], net.activation, data.X)
-            risks[first + start:first + start + len(u)] = risk_of_outputs(post[-1], data.Y, loss)
+        u = _uniform_draws(seed64, first, min(first + block, samples), total)
+        stacked = [
+            p + s * u[:, a:b].reshape(-1, *p.shape)
+            for p, s, a, b in zip(params, scales, bounds, bounds[1:])
+        ]
+        for start in range(0, len(u), chunk):
+            part = [q[start:start + chunk] for q in stacked]
+            _, post = _layer_outputs(part[:L], part[L:], net.activation, data.X)
+            stop = first + start + len(part[0])
+            risks[first + start:stop] = risk_of_outputs(post[-1], data.Y, loss)
     return risks
 
 
@@ -293,10 +297,14 @@ def perturbation_local_min_test(
 
     Per-sample streams are seeded by seed XOR index, with the seed taken
     modulo 2**64 (a negative seed is masked), so any partition of the sample
-    range reproduces the serial run.  A seed or sample count that is not an
-    integer (a bool or a float included), and a non-finite risk at the
-    network or at any draw, raise PreconditionViolated.
+    range reproduces the serial run.  A radius that is a bool or not a real
+    number, a seed or sample count that is not an integer (a bool or a
+    float included), and a non-finite risk at the network or at any draw,
+    raise PreconditionViolated.
     """
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+        raise PreconditionViolated(f"radius must be a real number, not {radius!r}")
+    radius = float(radius)
     if not (np.isfinite(radius) and radius >= 0):
         raise PreconditionViolated("radius must be finite and nonnegative")
     samples = check_integer("samples", samples, minimum=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spurmin import (
     Dataset,
@@ -15,9 +17,11 @@ from spurmin import (
     loss_gradient,
     per_sample_loss,
     relu,
+    three_piece,
 )
-from spurmin.network import risk_of_outputs
+from spurmin.network import _stacked_outputs, risk_of_outputs
 from spurmin.verification import fd_gradient_check
+from test_verification import pl_activations
 
 identity_act = PiecewiseLinear((), (1.0,), 0.0)
 
@@ -74,6 +78,128 @@ class TestForward:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeViolation):
             forward(make_identity_net(3), rng.standard_normal((2, 4)))
+
+
+def assert_same_bits(a, b):
+    """Equal shapes, dtypes and bytes, so signed zeros and NaNs match too."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+# entries for X and the parameters: the zeros, infinities and NaN the pass-
+# through must see, and finite values on either side of every breakpoint
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
+FINITE = (0.25, 0.5, 0.75, 1.0, 1.5, 3.0, -0.25, -1.0, -2.5)
+# a slope-1 piece that is the identity (relu, threepiece, a reference and
+# knot of -0.0) and one that is not (reference 0.5, knot 0.3)
+SLOPE_ONE_ACTS = (relu(), three_piece(), PiecewiseLinear((-0.0,), (1.0, 3.0), -0.0),
+                  PiecewiseLinear((0.5,), (2.0, 1.0), 0.3))
+
+
+def chain_net(dims, act, entries):
+    """An Mlp of shape dims whose weights and biases are read in turn from
+    entries, cycled."""
+    it = iter(np.resize(np.asarray(entries, dtype=float), sum(
+        a * b + b for a, b in zip(dims, dims[1:]))))
+    weights = tuple(np.array([[next(it) for _ in range(a)] for _ in range(b)])
+                    for a, b in zip(dims, dims[1:]))
+    biases = tuple(np.array([next(it) for _ in range(b)]) for b in dims[1:])
+    return Mlp(dims, weights, biases, act)
+
+
+class TestPassThrough:
+    """A hidden layer on the activation's identity piece with no zero entry
+    is recorded once, as pre[j] and post[j]; every other layer is a fresh
+    array.  Either way post[j] is act(pre[j]) byte for byte.  numpy's
+    matmul gave +0.0 for every zero sum here, so a -0.0 entry is checked on
+    `PiecewiseLinear._layer`, which the forward calls per layer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        act=st.one_of(st.sampled_from(SLOPE_ONE_ACTS), pl_activations()),
+        width=st.integers(min_value=1, max_value=3),
+        depth=st.integers(min_value=1, max_value=3),
+        x=st.lists(st.sampled_from(SPECIAL + FINITE), min_size=1, max_size=8),
+        params=st.lists(st.sampled_from(SPECIAL[:2] + FINITE), min_size=1, max_size=12),
+        stacked=st.booleans(),
+    )
+    def test_post_is_the_activation_of_pre(self, act, width, depth, x, params, stacked):
+        dims = (1, *[width] * depth, 1)
+        net = chain_net(dims, act, params)
+        X = np.array([x])
+        with np.errstate(all="ignore"):
+            if stacked:
+                twin = chain_net(dims, act, params[::-1])
+                pre, post = _stacked_outputs([(n.weights, n.biases) for n in (net, twin)], act, X)
+            else:
+                trace = forward(net, X)
+                pre, post = trace.pre, trace.post
+            for z, a in zip(pre[:-1], post[:-1]):
+                assert_same_bits(a, act(z))
+                if a is not z:
+                    assert not np.shares_memory(a, z)
+            assert post[-1] is pre[-1]
+
+    @pytest.mark.parametrize("act", SLOPE_ONE_ACTS + (PiecewiseLinear((), (1.0,), 0.0),))
+    @pytest.mark.parametrize("x", [
+        [-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 2.0, -2.0],
+        [-0.0, 1.5], [0.0, 1.5], [-0.0, -1.5], [np.inf, 0.75], [-np.inf, -0.75],
+        [np.nan, 0.25], [0.25, 0.75], [2.0, np.inf], [-3.0, -np.inf], [-0.0], [0.0],
+    ])
+    def test_layer_matches_the_call(self, act, x):
+        for z in (np.array(x), np.array([x, x[::-1]]), np.array([x, x[::-1], x])[:, None, :]):
+            before = z.tobytes()
+            with np.errstate(all="ignore"):
+                got, want = act._layer(z), act(z)
+            assert_same_bits(got, want)
+            assert z.tobytes() == before
+            assert want is not z and not np.shares_memory(want, z)
+
+    def test_relu_active_layer_is_passed_through(self, rng):
+        X = rng.uniform(0.5, 1.0, (2, 7))
+        net = chain_net((2, 3, 3, 1), relu(), [0.5, 1.0, 0.25])
+        trace = forward(net, X)
+        for j in range(2):
+            assert trace.pre[j].min() > 0
+            assert trace.post[j] is trace.pre[j]
+        # the public call still copies
+        assert not np.shares_memory(relu()(trace.pre[0]), trace.pre[0])
+
+    def test_relu_layer_holding_a_zero_is_copied(self):
+        net = chain_net((1, 1, 1), relu(), [1.0, 1.0, 0.0, 0.0])
+        trace = forward(net, np.array([[0.0, 2.0]]))
+        assert trace.pre[0].min() == 0.0
+        assert not np.shares_memory(trace.post[0], trace.pre[0])
+        assert_same_bits(trace.post[0], np.array([[0.0, 2.0]]))
+        for z in (np.array([-0.0, 2.0]), np.array([0.0, 2.0])):
+            got = relu()._layer(z)
+            assert got is not z and not np.shares_memory(got, z)
+            assert_same_bits(got, np.array([0.0, 2.0]))  # -0.0 -> +0.0
+
+    def test_three_piece_middle_layer_is_passed_through(self):
+        net = chain_net((1, 2, 1), three_piece(), [0.5, 0.25, 0.125, 0.25])
+        trace = forward(net, np.array([[0.1, 0.6, 0.9]]))
+        assert 0.0 < trace.pre[0].min() and trace.pre[0].max() < 1.0
+        assert trace.post[0] is trace.pre[0]
+
+    def test_slope_one_piece_off_the_origin_is_not_passed_through(self):
+        # slope 1 on (0.5, inf), but reference 0.5 and knot 0.3: h(x) = x - 0.2
+        act = PiecewiseLinear((0.5,), (2.0, 1.0), 0.3)
+        net = chain_net((1, 2, 1), act, [1.0, 2.0, 0.5, 0.5])
+        trace = forward(net, np.array([[1.0, 2.0]]))
+        assert trace.pre[0].min() > 0.5
+        assert not np.shares_memory(trace.post[0], trace.pre[0])
+        assert_same_bits(trace.post[0], act(trace.pre[0]))
+
+    def test_stacked_chunk_is_passed_through(self, rng):
+        nets = [chain_net((2, 4, 3, 1), relu(), rng.uniform(0.1, 1.0, 30)) for _ in range(3)]
+        X = rng.uniform(0.5, 1.0, (2, 5))
+        pre, post = _stacked_outputs([(n.weights, n.biases) for n in nets], relu(), X)
+        assert post[0] is pre[0] and post[1] is pre[1]
+        for i, net in enumerate(nets):
+            trace = forward(net, X)
+            for j in range(3):
+                assert_same_bits(post[j][i], trace.post[j])
 
 
 class TestRisk:

@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from spurmin import (
     build_minimum,
     empirical_risk,
     fd_gradient_check,
+    fit_linear,
     forward,
     leaky_relu,
     perturbation_local_min_test,
@@ -25,7 +28,7 @@ from spurmin import (
     two_piece,
 )
 from spurmin import verification
-from spurmin.network import ForwardTrace
+from spurmin.network import ForwardTrace, risk_of_outputs
 from spurmin.verification import descent_gap_certificate, witness_pair_certificate
 
 SQ = LossKind.SQUARED
@@ -83,6 +86,26 @@ class TestPerturbationTest:
                 warnings.simplefilter("error")
                 with pytest.raises(PreconditionViolated, match="finite and nonnegative"):
                     perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
+
+    @pytest.mark.parametrize("radius", [True, np.True_, "1e-4", None, np.array([1e-4]),
+                                        1j, Decimal("1e-4")])
+    def test_non_real_radius_rejected_before_any_draw(self, xor, xor_fit, relu_act, radius):
+        # True would otherwise probe at radius 1.0, where the XOR minimum passes
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        witness = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+            with pytest.raises(PreconditionViolated, match="radius must be a real number"):
+                perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
+            with pytest.raises(PreconditionViolated, match="radius must be a real number"):
+                witness_pair_certificate(point, witness, xor, SQ, radius=radius, seed=7)
+
+    @pytest.mark.parametrize("radius", [np.float64(1e-4), np.float32(1e-4), Fraction(1, 10**4)])
+    def test_real_radius_types_accepted(self, xor, xor_fit, relu_act, radius):
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        got = perturbation_local_min_test(point.net, xor, SQ, radius=radius, samples=20, seed=7)
+        want = perturbation_local_min_test(point.net, xor, SQ, radius=float(radius),
+                                           samples=20, seed=7)
+        assert got.as_dict() == want.as_dict()
 
     @pytest.mark.parametrize("samples", [3.0, True, np.True_, "5", None, np.float64(4.0)])
     def test_non_integer_samples_rejected(self, xor, xor_fit, relu_act, samples):
@@ -435,6 +458,62 @@ class TestStreamParity:
         assert risks.tolist() == expected
         assert check.value == worst
         assert check.passed and worst >= verification.LOCAL_MIN_SLACK
+
+
+def tied_dataset(per_level=1000, seed=0):
+    """n = 3 * per_level samples, x1 in {0, 1, 2} and x2 = +-m inside each
+    level, so the affine fit ties within a level; labels are the level's
+    offset plus 0.1 * x2**2."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 3.0, (3, per_level // 2))
+    x1 = np.repeat([0.0, 1.0, 2.0], per_level)
+    x2 = np.concatenate([np.concatenate([row, -row]) for row in m])
+    y = np.array([0.0, 1.0, 3.0])[x1.astype(int)] + 0.1 * x2 * x2
+    return Dataset(np.vstack([x1, x2]), y[None, :])
+
+
+def direct_draw_risks(net, data, radius, samples, seed):
+    """Oracle for a one-hidden-layer net: each draw's parameters from its
+    own default_rng(seed ^ i), then z = W1 @ X + b1 and W2 @ act(z) + b2,
+    with no `forward` and the public activation call."""
+    risks = []
+    for i in range(samples):
+        rng = np.random.default_rng(seed ^ i)
+        (W1, W2), (b1, b2) = (
+            [p + radius * (1.0 + np.abs(p)) * rng.uniform(-1.0, 1.0, p.shape) for p in ps]
+            for ps in (net.weights, net.biases)
+        )
+        z = W1 @ data.X
+        z += b1[:, None]
+        risks.append(risk_of_outputs(W2 @ net.activation(z) + b2[:, None], data.Y, SQ))
+    return risks
+
+
+class TestProbeParityAtTheBenchmarkShape:
+    """A route-1 ReLU minimum on (2, 16, 1) with 3000 samples: every hidden
+    layer lies on ReLU's identity piece, so the forward passes it through,
+    and two draws fit one chunk.  41 draws are 20 full chunks and a short
+    one in one block at the default budget; a budget of 6 draws per block
+    puts block boundaries between chunks of 1 or of 2 draws."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        data = tied_dataset()
+        point = build_minimum(fit_linear(data, SQ), data, (2, 16, 1), relu(), stage="1")
+        return point.net, data
+
+    @pytest.mark.parametrize("budget, chunk", [(None, None), (390, None), (390, 2)])
+    def test_every_draw_matches_the_direct_oracle(self, pair, monkeypatch, budget, chunk):
+        net, data = pair
+        trace = forward(net, data.X)
+        assert trace.post[0] is trace.pre[0] and trace.pre[0].min() > 1e-3
+        assert verification._stack_size(net.dims, data.n) == 2
+        if budget is not None:
+            monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
+        if chunk is not None:
+            monkeypatch.setattr(verification, "_stack_size", lambda dims, n: chunk)
+        got = verification._draw_risks(net, data, SQ, 1e-4, 41, 7)
+        assert got.tolist() == direct_draw_risks(net, data, 1e-4, 41, 7)
 
 
 class TestNonFiniteRisk:
