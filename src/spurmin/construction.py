@@ -52,15 +52,16 @@ axis (`_family`; its minimum is the family of one): the scaffold and
 W1 @ X once, each member's M from its own first-layer pre-activations, and
 the alphas and the squeeze as array arithmetic over all members at once.
 `_certified` then forwards the members in stacked chunks straight from
-those arrays, and certifies each from its views into its chunk's trace.
-Members and certificates are bit-identical to building, forwarding and
-certifying one member at a time.  The checks are output identity
-(`_reproduces`: to OUTPUT_TOL times the largest of 1, the largest baseline
-output and, on the general route, its output scale M / prod(alpha_i)),
-risk match (`verification._risk_match`: to RISK_MATCH_TOL times max(1,
-baseline risk)), and `verification.trace_interval_check` of its hidden
-pre-activations against the route's interval, mirrored to (-hi, -lo) for a
-reflected build.  The point keeps that certificate as `interval`.
+those arrays, and certifies each chunk with one reduction per check over
+its member axis.  Members and certificates are bit-identical to building,
+forwarding and certifying one member at a time.  One decision (`_decided`)
+takes the checks in order: output identity (`_reproduces`: to OUTPUT_TOL
+times the largest of 1, the largest baseline output and, on the general
+route, its output scale M / prod(alpha_i)), risk match
+(`verification._risk_match`: to RISK_MATCH_TOL times max(1, baseline
+risk)), and the margin of its hidden pre-activations to the route's interval
+(`verification._interval_margin`), mirrored to (-hi, -lo) for a reflected
+build.  The point keeps that interval certificate as `interval`.
 
 Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
@@ -79,7 +80,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -108,8 +109,8 @@ from .separation import (
     admissible_constants,
     separate,
 )
-from .verification import (DESCENT_GAP_MIN, Certificate, _risk_match, _stack_size,
-                           trace_interval_check)
+from .verification import (DESCENT_GAP_MIN, Certificate, _interval_certificate, _interval_margin,
+                           _risk_match, _stack_size)
 
 OUTPUT_TOL = 1e-12
 
@@ -170,24 +171,28 @@ class CertifiedPoint:
 
 
 def params_distance(a: Mlp, b: Mlp) -> float:
-    """Max-norm distance between two parameter vectors of equal architecture."""
+    """Max-norm distance between two parameter vectors of equal architecture;
+    a NaN parameter makes it NaN."""
     if a.dims != b.dims:
         raise PreconditionViolated("architectures differ")
-    dist = 0.0
-    for Wa, Wb in zip(a.weights, b.weights):
-        dist = max(dist, float(np.max(np.abs(Wa - Wb))))
-    for ba, bb in zip(a.biases, b.biases):
-        dist = max(dist, float(np.max(np.abs(ba - bb))))
-    return dist
+    return float(np.max([np.abs(p - q).max() for p, q in zip(a.weights + a.biases,
+                                                              b.weights + b.biases)]))
 
 
 def min_pairwise_distance(points: list[CertifiedPoint]) -> float:
-    """The smallest `params_distance` between two of at least two points."""
+    """The smallest `params_distance` between two of at least two points, of
+    one architecture; a NaN parameter makes it NaN.  The parameters are
+    stacked into one row per point, and each row is compared with the rows
+    after it in one array operation, so memory grows with the number of
+    points, not its square."""
     if len(points) < 2:
         raise PreconditionViolated("need at least two points")
-    return min(
-        params_distance(a.net, b.net) for i, a in enumerate(points) for b in points[i + 1 :]
-    )
+    if len({p.net.dims for p in points}) > 1:
+        raise PreconditionViolated("architectures differ")
+    rows = np.concatenate([np.stack(ps).reshape(len(points), -1) for ps in zip(
+        *(p.net.weights + p.net.biases for p in points))], axis=1)
+    return float(np.min([np.abs(row - rows[i + 1:]).max(axis=1).min()
+                         for i, row in enumerate(rows[:-1])]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +291,14 @@ def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, Turning
     return build_act, reflected, find_turning_point(build_act) if reflected else tp
 
 
-def _reproduces(output: np.ndarray, target: np.ndarray, output_scale: float = 1.0) -> bool:
-    """Whether output matches target to OUTPUT_TOL * max(1, output_scale,
-    max |target|), the one output identity.  The rounding of a constructed
-    network grows with the values it carries (the labels' scale) and, on a
-    squeezed network, with the output scale M / prod(alpha_i) that multiplies
-    its last hidden layer; a NaN fails."""
-    scale = max(1.0, output_scale, float(np.abs(target).max()))
-    return bool(np.abs(output - target).max() <= OUTPUT_TOL * scale)
+def _reproduces(deviation: float, target_max: float, output_scale: float = 1.0) -> bool:
+    """Whether an output whose largest deviation |output - target| from its
+    target is deviation matches it to OUTPUT_TOL * max(1, output_scale,
+    target_max), with target_max = max |target|: the one output identity.
+    The rounding of a constructed network grows with the values it carries
+    (the labels' scale) and, on a squeezed network, with the output scale
+    M / prod(alpha_i) that multiplies its last hidden layer; a NaN fails."""
+    return bool(deviation <= OUTPUT_TOL * max(1.0, output_scale, target_max))
 
 
 @dataclass(frozen=True)
@@ -310,25 +315,19 @@ class _Draft:
     output_scale: float = 1.0
 
 
-def _certify_minimum(draft: _Draft, trace: ForwardTrace, fit: LinearFit, data: Dataset,
-                     spurious: bool) -> CertifiedPoint:
-    """Postconditions shared by every minimum, checked on the forward trace
-    of its network on data.X that the caller gives: output identity, risk
-    match, and hidden pre-activations strictly inside the route's interval.
-    The interval is given in the build frame; a reflected network's
-    pre-activations are negated, so it is checked mirrored to (-hi, -lo).
-    A NaN anywhere fails every check.
-
-    The output identity is `_reproduces` with the route's output scale,
-    and the risk match is `verification._risk_match`.  spurious is
-    `_leaves_residual(fit)`, the same for every minimum of one fit."""
-    if not _reproduces(trace.output, fit.y_tilde, draft.output_scale):
+def _decided(draft: _Draft, fit: LinearFit, spurious: bool, deviation: float,
+             target_max: float, risk, margin) -> CertifiedPoint:
+    """The one certificate decision of a minimum, in this order: output
+    identity (`_reproduces` of its largest output deviation), risk match
+    (`verification._risk_match`), and an interval margin > 0; the first check
+    that fails raises ConstructionError.  risk and margin are callables, read
+    only once the checks before them pass."""
+    if not _reproduces(deviation, target_max, draft.output_scale):
         raise ConstructionError("minimum output does not reproduce the baseline")
-    risk = risk_of_outputs(trace.output, data.Y, fit.loss)
+    risk = risk()
     if not _risk_match(risk, fit.risk).passed:
         raise ConstructionError("minimum risk deviates from the baseline risk")
-    lo, hi = (-draft.interval[1], -draft.interval[0]) if draft.reflected else draft.interval
-    cert = trace_interval_check(trace, lo, hi)
+    cert = _interval_certificate(margin())
     if not cert.verdict:
         raise ConstructionError("hidden pre-activation left its interval")
     return CertifiedPoint(
@@ -343,40 +342,70 @@ def _certify_minimum(draft: _Draft, trace: ForwardTrace, fit: LinearFit, data: D
     )
 
 
-def _traces(nets: list[Mlp], layers: Layers, X: np.ndarray) -> Iterator[ForwardTrace]:
-    """The forward trace of each network, of one shape and activation, on
-    the columns of X, in order; layers holds the networks' weights and
-    biases stacked along a leading member axis.  Chunks of
-    `verification._stack_size` networks are forwarded straight from those
-    arrays, and each trace is the network's views into its chunk's pre- and
-    post-activations, bit-identical to its own `forward`.  A chunk of one
-    network, or one whose stacked pass overflows, is forwarded one network
-    at a time, so an overflow surfaces at the network that causes it, after
-    the traces before it."""
-    size = _stack_size(nets[0].dims, X.shape[1]) if len(nets) > 1 else 1
-    for start in range(0, len(nets), size):
-        chunk = slice(start, start + size)
-        if len(nets[chunk]) > 1:
-            try:
-                pre, post = _layer_outputs(*([p[chunk] for p in ps] for ps in layers),
-                                           nets[0].activation, X)
-            except FloatingPointError:
-                pass
-            else:
-                for i in range(len(nets[chunk])):
-                    yield ForwardTrace(tuple(z[i] for z in pre), tuple(a[i] for a in post))
-                continue
-        yield from (forward(net, X) for net in nets[chunk])
+def _bounds(draft: _Draft) -> tuple[float, float]:
+    """The route's interval in the network's own frame: given in the build
+    frame, it is mirrored to (-hi, -lo) for a reflected build, whose
+    pre-activations are negated."""
+    lo, hi = draft.interval
+    return (-hi, -lo) if draft.reflected else (lo, hi)
+
+
+def _certify_minimum(draft: _Draft, trace: ForwardTrace, fit: LinearFit, data: Dataset,
+                     spurious: bool) -> CertifiedPoint:
+    """Postconditions shared by every minimum, checked on the forward trace
+    of its network on data.X that the caller gives: output identity, risk
+    match, and hidden pre-activations strictly inside the route's interval
+    (`_bounds`), decided by `_decided`.  A NaN anywhere fails every check.
+    spurious is `_leaves_residual(fit)`, the same for every minimum of one
+    fit."""
+    return _decided(draft, fit, spurious, np.abs(trace.output - fit.y_tilde).max(),
+                    float(np.abs(fit.y_tilde).max()),
+                    lambda: risk_of_outputs(trace.output, data.Y, fit.loss),
+                    lambda: _interval_margin(trace.hidden_pre, *_bounds(draft)))
 
 
 def _certified(drafts: list[_Draft], layers: Layers, fit: LinearFit,
                data: Dataset) -> list[CertifiedPoint]:
-    """Every draft certified in order by `_certify_minimum`, from its views
-    into the stacked forward of layers, the drafts' parameters along one
-    member axis (`_traces`); the first failing certificate raises."""
-    spurious = _leaves_residual(fit)
-    return [_certify_minimum(draft, trace, fit, data, spurious)
-            for draft, trace in zip(drafts, _traces([d.net for d in drafts], layers, data.X))]
+    """Every draft of one family (one shape, activation and interval)
+    certified in order; layers holds their weights and biases along one
+    member axis, and the first failing certificate raises.
+
+    Chunks of `verification._stack_size` members are forwarded straight
+    from those arrays, and each chunk takes one reduction per check over its
+    member axis: the largest output deviation, the risks (one
+    `risk_of_outputs` of the stacked output) and the interval margins
+    (`verification._interval_margin`).  `_decided` then walks the chunk's
+    members in order on those values.  A chunk of one member, or one whose
+    stacked pass or reductions raise FloatingPointError, is forwarded and
+    certified one member at a time (`_certify_minimum`), so a float error
+    surfaces at the member that causes it, and only when no member before it
+    fails.  Every certificate is bit-identical to its member's own
+    `_certify_minimum`."""
+    if not drafts:
+        return []
+    spurious, X, Y = _leaves_residual(fit), data.X, fit.y_tilde
+    target_max, (lo, hi) = float(np.abs(Y).max()), _bounds(drafts[0])
+    size = _stack_size(drafts[0].net.dims, X.shape[1]) if len(drafts) > 1 else 1
+    points = []
+    for start in range(0, len(drafts), size):
+        chunk, values = drafts[start:start + size], None
+        if len(chunk) > 1:
+            try:
+                pre, post = _layer_outputs(*([p[start:start + size] for p in ps] for ps in layers),
+                                           chunk[0].net.activation, X)
+                values = zip(np.abs(post[-1] - Y).max(axis=(-2, -1)).tolist(),
+                             risk_of_outputs(post[-1], data.Y, fit.loss).tolist(),
+                             _interval_margin(pre[:-1], lo, hi).tolist())
+            except FloatingPointError:
+                pass
+        if values is None:
+            points += [_certify_minimum(draft, forward(draft.net, X), fit, data, spurious)
+                       for draft in chunk]
+        else:
+            points += [_decided(draft, fit, spurious, deviation, target_max,
+                                lambda: risk, lambda: margin)
+                       for draft, (deviation, risk, margin) in zip(chunk, values)]
+    return points
 
 
 def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
@@ -589,7 +618,7 @@ def _witness_layers(
     lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus, lambda_shift)
     net = _net(dims, act, reflected, *lifted)
     trace = forward(net, data.X)
-    if not _reproduces(trace.output, s_out):
+    if not _reproduces(np.abs(trace.output - s_out).max(), float(np.abs(s_out).max())):
         raise ConstructionError("deep witness output deviates from the shallow witness")
     params = ConstructionParams(
         eta=default_eta(fitp) if balanced else None, eta_rest=tuple(eta_rest),
@@ -895,10 +924,11 @@ def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     first-layer pre-activations, and the alphas and the squeeze as array
     arithmetic.  They are then forwarded in stacked chunks of
     `verification._stack_size` networks straight from those arrays, and
-    each is certified by `_certify_minimum` from its views into its chunk's
-    trace (`_certified`).  The members and their certificates are
-    bit-identical to building and certifying one member at a time, and a
-    failure is the first failing member's."""
+    each chunk is certified with one reduction per check over its member
+    axis, the output deviations, the risks and the interval margins, which
+    one decision then reads member by member (`_certified`).  The members
+    and their certificates are bit-identical to building and certifying one
+    member at a time, and a failure is the first failing member's."""
     k = check_integer("k", k)
     if k < 1:
         raise PreconditionViolated("k must be >= 1")

@@ -2,11 +2,13 @@
 finite-difference gradient checks and trace-interval checks, each emitted as
 a machine-readable certificate with pinned seeds.
 
-These are the only copies of the checks.  `trace_interval_check` is the one
-interval predicate: construction runs it on every minimum it builds and keeps
-the certificate on the point.  `witness_pair_certificate` bundles a pair's
-risk match, descent gap (from `descent_gap_certificate`) and probe, and the
-reports are written from these certificates."""
+These are the only copies of the checks.  `_interval_margin` is the one
+interval margin: `trace_interval_check` reads it from one forward trace, and
+construction from every minimum it builds (a family's members a stacked
+chunk at a time) and keeps the certificate on the point.
+`witness_pair_certificate` bundles a pair's risk match, descent gap (from
+`descent_gap_certificate`) and probe, and the reports are written from these
+certificates."""
 
 from __future__ import annotations
 
@@ -298,13 +300,17 @@ def perturbation_local_min_test(
     Per-sample streams are seeded by seed XOR index, with the seed taken
     modulo 2**64 (a negative seed is masked), so any partition of the sample
     range reproduces the serial run.  A radius that is a bool or not a real
-    number, a seed or sample count that is not an integer (a bool or a
-    float included), and a non-finite risk at the network or at any draw,
-    raise PreconditionViolated.
+    number, or that is not finite and nonnegative (an integer beyond the
+    float range included), a seed or sample count that is not an integer (a
+    bool or a float included), and a non-finite risk at the network or at
+    any draw, raise PreconditionViolated.
     """
     if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
         raise PreconditionViolated(f"radius must be a real number, not {radius!r}")
-    radius = float(radius)
+    try:
+        radius = float(radius)
+    except OverflowError:  # an integer or fraction beyond the float range
+        radius = np.inf
     if not (np.isfinite(radius) and radius >= 0):
         raise PreconditionViolated("radius must be finite and nonnegative")
     samples = check_integer("samples", samples, minimum=1)
@@ -354,18 +360,30 @@ def fd_gradient_check(
     return float(np.max(np.abs(g - fd) / scale))
 
 
-def trace_interval_check(trace: ForwardTrace, lo: float, hi: float) -> Certificate:
-    """Assert every hidden pre-activation lies strictly inside (lo, hi),
-    reporting the worst-case margin to either end.
+def _interval_margin(hidden_pre, lo: float, hi: float) -> np.floating | np.ndarray:
+    """The worst-case margin of hidden pre-activations to either end of
+    (lo, hi), over the last two axes of each layer: one number for one
+    network's layers, one per network for layers stacked along a leading
+    axis.  It is folded with np.minimum, so a NaN entry, or an infinite entry
+    against an infinite end (inf - inf), makes it NaN."""
+    margin, axes = np.inf, (-2, -1)
+    for z in hidden_pre:
+        margin = np.minimum(margin, np.minimum(z.min(axis=axes) - lo, hi - z.max(axis=axes)))
+    return margin
 
-    The margin is folded with np.minimum, so a NaN entry, or an infinite
-    entry against an infinite end (inf - inf), makes it NaN and fails the
-    check."""
-    margin = np.inf
-    for z in trace.hidden_pre:
-        margin = np.minimum(margin, np.minimum(z.min() - lo, hi - z.max()))
+
+def _interval_certificate(margin: float) -> Certificate:
+    """The interval certificate of a margin (`_interval_margin`): it passes
+    iff the margin is positive, which NaN never is."""
     check = Check("interval_margin", bool(margin > 0), float(margin), 0.0)
     return Certificate(subject="trace_interval", checks=(check,))
+
+
+def trace_interval_check(trace: ForwardTrace, lo: float, hi: float) -> Certificate:
+    """Assert every hidden pre-activation lies strictly inside (lo, hi),
+    reporting the worst-case margin to either end (`_interval_margin`); a
+    NaN margin fails the check."""
+    return _interval_certificate(_interval_margin(trace.hidden_pre, lo, hi))
 
 
 def _risk_match(risk: float, baseline_risk: float) -> Check:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from spurmin import (
     Dataset,
     LossKind,
+    Mlp,
     NoAdmissibleTurningPoint,
     PiecewiseLinear,
     PreconditionViolated,
@@ -32,6 +34,7 @@ from spurmin import (
 )
 from spurmin import construction, verification
 from spurmin.activations import find_turning_point, parse_activation
+from spurmin.network import risk_of_outputs
 from spurmin.verification import _risk_match, trace_interval_check, witness_pair_certificate
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
@@ -357,6 +360,48 @@ class TestFamilyAndRouting:
     def test_min_pairwise_distance_of_two_points(self, xor, xor_fit, relu_act):
         a, b = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=2, seed=4)
         assert construction.min_pairwise_distance([a, b]) == params_distance(a.net, b.net) > 0.0
+
+    @pytest.mark.parametrize("dims, k", [((2, 3, 1), 9), ((2, 3, 3, 1), 12), ((2, 4, 3, 3, 1), 5)])
+    def test_min_pairwise_distance_is_the_pairwise_loop(self, xor, xor_fit, dims, k):
+        # the smallest of every pair's layer-by-layer max-norm distance, to
+        # the bit; a repeated point reads 0.0
+        for family in (enumerate_family(xor_fit, xor, dims, relu(), k=k, seed=2),
+                       enumerate_family(xor_fit, xor, dims, three_piece(), k=k, seed=5)):
+            for points in (family, family[:3] + family[1:2]):
+                want = min(_layer_by_layer_distance(a.net, b.net)
+                           for i, a in enumerate(points) for b in points[i + 1:])
+                got = construction.min_pairwise_distance(points)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert (got == 0.0) == (points is not family)
+                for a, b in itertools.combinations(points, 2):
+                    want = _layer_by_layer_distance(a.net, b.net)
+                    assert np.float64(params_distance(a.net, b.net)).tobytes() == \
+                        np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_a_nan_parameter_makes_the_distances_nan(self, xor, xor_fit, layer, bias):
+        # one NaN weight (or bias) in one layer: max-norm folds must not drop
+        # it, though every other layer agrees exactly
+        a, b, c = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu(), k=3, seed=4)
+        params = [list(b.net.weights), list(b.net.biases)]
+        p = params[bias][layer].copy()
+        p.flat[0] = np.nan
+        params[bias][layer] = p
+        nan_b = dataclasses.replace(b, net=Mlp(b.net.dims, *map(tuple, params), b.net.activation))
+        assert np.isnan(params_distance(b.net, nan_b.net))
+        assert np.isnan(params_distance(nan_b.net, a.net))
+        for points in ([a, nan_b, c], [nan_b, a], [a, c, nan_b]):
+            assert np.isnan(construction.min_pairwise_distance(points))
+
+    def test_distances_between_architectures_are_refused(self, xor, xor_fit):
+        shallow = build_minimum(xor_fit, xor, (2, 3, 1), relu(), stage="3")
+        family = enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu(), k=3, seed=4)
+        with pytest.raises(PreconditionViolated, match="^architectures differ$"):
+            params_distance(shallow.net, family[0].net)
+        for points in ([shallow, *family], [*family, shallow], [family[0], shallow]):
+            with pytest.raises(PreconditionViolated, match="^architectures differ$"):
+                construction.min_pairwise_distance(points)
 
     def test_auto_routing(self, xor, xor_fit):
         assert build_minimum(xor_fit, xor, (2, 3, 1), relu()).stage == "1"
@@ -1057,6 +1102,15 @@ def _assert_same_members(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _layer_by_layer_distance(a, b):
+    """params_distance as a fold of finite per-layer maxima with Python's
+    max, starting from 0.0."""
+    dist = 0.0
+    for p, q in zip(a.weights + a.biases, b.weights + b.biases):
+        dist = max(dist, float(np.max(np.abs(p - q))))
+    return dist
+
+
 def _tied_dataset(per_level=20, seed=1):
     """A small copy of the benchmark's tied_split data: x1 in {0, 1, 2},
     x2 = +-m inside each level, so the affine fit ties within a level."""
@@ -1114,6 +1168,26 @@ class TestStackedFamilyMatchesTheLoop:
         monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
         assert verification._stack_size(dims, data.n) == max(1, budget // 960)
         _assert_same_members(enumerate_family(fit, data, dims, relu(), k=7, seed=5), want)
+
+    @pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
+    @pytest.mark.parametrize("hidden", [(3,), (3, 3)], ids=["depth1", "depth2"])
+    def test_members_bit_identical_under_cross_entropy(self, xor, act, hidden):
+        # a two-class one-hot XOR: the stacked risks run the softmax loss
+        data = Dataset(xor.X, np.vstack([xor.Y, 1.0 - xor.Y]))
+        fit = fit_linear(data, LossKind.CROSS_ENTROPY)
+        dims = (2, *hidden, 2)
+        want = _family_one_at_a_time(fit, data, dims, act, 7, 4)
+        _assert_same_members(enumerate_family(fit, data, dims, act, k=7, seed=4), want)
+
+    @pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
+    @pytest.mark.parametrize("budget, size", [(50, 2), (75, 3), (100, 4), (175, 7)])
+    def test_chunks_split_mid_family(self, xor, xor_fit, monkeypatch, act, budget, size):
+        # (2, 3, 3, 1) has 25 parameters, more than its 3 x 4 widest layer:
+        # ten members in chunks of 2, 3 (the last a chunk of one), 4 and 7
+        want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 10, 6)
+        monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
+        assert verification._stack_size((2, 3, 3, 1), xor.n) == size
+        _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), act, k=10, seed=6), want)
 
     def test_an_overflowing_stacked_pass_falls_back_to_one_forward_each(self, xor, xor_fit,
                                                                        monkeypatch):
@@ -1213,6 +1287,72 @@ def test_an_overflowing_squeeze_is_redone_one_member_at_a_time(xor, xor_fit, mon
     assert got is not None and got == want
     assert got_calls["_reproduces"] == want_calls["_reproduces"] == member
     assert slices == [(0, 6)] + [(j, j + 1) for j in range(member + 1)]
+
+
+def _raising_when_stacked(stacked):
+    """risk_of_outputs, raising FloatingPointError on a stacked output after
+    noting its number of members in stacked."""
+    def risk(Yhat, Y, kind):
+        if Yhat.ndim == 3:
+            stacked.append(Yhat.shape[0])
+            raise FloatingPointError("overflow encountered in exp")
+        return risk_of_outputs(Yhat, Y, kind)
+    return risk
+
+
+def test_a_chunk_whose_stacked_risks_raise_is_certified_one_member_at_a_time(xor, xor_fit,
+                                                                              monkeypatch):
+    want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), relu(), 6, 9)
+    stacked = []
+    monkeypatch.setattr(construction, "risk_of_outputs", _raising_when_stacked(stacked))
+    _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu(), k=6, seed=9), want)
+    assert stacked == [6]
+
+
+def test_a_stacked_risk_that_raises_yields_to_member_0s_output_identity(xor, xor_fit,
+                                                                        monkeypatch):
+    # member 0 fails its output identity, and the chunk's stacked risks
+    # raise: the oracle never reads member 0's risk, so its ConstructionError
+    # wins over the float error
+    dims, act, failures = (2, 3, 3, 1), relu(), {"_reproduces": (0, None)}
+    want, want_calls = _outcome(
+        monkeypatch, lambda: _family_one_at_a_time(xor_fit, xor, dims, act, 6, 9), failures)
+    stacked = []
+    monkeypatch.setattr(construction, "risk_of_outputs", _raising_when_stacked(stacked))
+    got, got_calls = _outcome(
+        monkeypatch, lambda: enumerate_family(xor_fit, xor, dims, act, k=6, seed=9), failures)
+    assert stacked == [6]
+    assert got == want == (ConstructionError, "minimum output does not reproduce the baseline")
+    assert got_calls["_reproduces"] == want_calls["_reproduces"] == 1
+
+
+def test_member_3_of_a_chunk_leaving_its_interval_fails_as_the_oracle_does(xor, xor_fit,
+                                                                          monkeypatch):
+    # member 3 of one 6-member chunk reads a negative margin, in the chunk's
+    # stacked margins and in its own trace's: both raise the interval's
+    # ConstructionError after certifying members 0-2
+    margin, calls = verification._interval_margin, []
+
+    def member_3_outside(hidden_pre, lo, hi):
+        got = margin(hidden_pre, lo, hi)
+        calls.append(len(got) if np.ndim(got) else None)
+        if np.ndim(got):
+            got[3] = -1.0
+        elif calls.count(None) == 4:
+            got = -1.0
+        return got
+
+    dims, act, counted = (2, 3, 3, 1), relu(), {"_reproduces": (-1, None)}
+    monkeypatch.setattr(construction, "_interval_margin", member_3_outside)
+    want, want_calls = _outcome(
+        monkeypatch, lambda: _family_one_at_a_time(xor_fit, xor, dims, act, 6, 9), counted)
+    assert calls == [None] * 4
+    calls.clear()
+    got, got_calls = _outcome(
+        monkeypatch, lambda: enumerate_family(xor_fit, xor, dims, act, k=6, seed=9), counted)
+    assert calls == [6]
+    assert got == want == (ConstructionError, "hidden pre-activation left its interval")
+    assert got_calls["_reproduces"] == want_calls["_reproduces"] == 4
 
 
 def test_a_stacked_squeeze_that_overflows_rebuilds_bit_identical_members(xor, xor_fit,

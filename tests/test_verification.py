@@ -87,6 +87,16 @@ class TestPerturbationTest:
                 with pytest.raises(PreconditionViolated, match="finite and nonnegative"):
                     perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
 
+    @pytest.mark.parametrize("radius", [10**400, -10**400, Fraction(10**400, 3)],
+                             ids=["int", "negative-int", "fraction"])
+    def test_radius_beyond_the_float_range_rejected_before_any_draw(self, xor, xor_fit, relu_act,
+                                                                    radius):
+        # float(radius) overflows; the refusal is the typed one, not OverflowError
+        point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+            with pytest.raises(PreconditionViolated, match="^radius must be finite and nonnegative$"):
+                perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
+
     @pytest.mark.parametrize("radius", [True, np.True_, "1e-4", None, np.array([1e-4]),
                                         1j, Decimal("1e-4")])
     def test_non_real_radius_rejected_before_any_draw(self, xor, xor_fit, relu_act, radius):
@@ -260,6 +270,25 @@ class TestTraceInterval:
             check = check_of(np.full((2, 3), inside), np.array([[inside, bad, inside]]))
             assert not check.passed, bad
             assert not check.value > 0, bad
+
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (0.25, 0.75)])
+    def test_stacked_margins_are_each_networks_margin(self, rng, lo, hi):
+        # one margin per network of a stack, each the bits of that network's
+        # own check, a NaN member's included
+        layers = [rng.uniform(-1.0, 1.0, (5, 3, 4)) for _ in range(2)]
+        layers[0][1] = np.abs(layers[0][1]) + 0.5
+        layers[1][1] = np.abs(layers[1][1]) + 0.5
+        layers[1][3, 2, 1] = np.nan
+        out = np.zeros((5, 1, 4))
+        margins = verification._interval_margin(layers, lo, hi)
+        assert margins.shape == (5,)
+        for i, margin in enumerate(margins):
+            pre = (*(z[i] for z in layers), out[i])
+            want = trace_interval_check(ForwardTrace(pre, pre), lo, hi).checks[0]
+            assert np.float64(margin).tobytes() == np.float64(want.value).tobytes()
+            assert repr(verification._interval_certificate(margin).checks[0]) == repr(want)
+        assert np.isnan(margins[3])
 
 
 def serial_draw_risks(net, data, loss, radius, samples, seed):
