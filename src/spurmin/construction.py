@@ -72,7 +72,10 @@ first admissible alpha instead, unverified.
 Every entry point runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
 scale leaves the float64 range fails as PreconditionViolated before any
-infinite or NaN parameter is built or scored.
+infinite or NaN parameter is built or scored.  Route 3 forms its output
+bias's back-off out_scale * h(t) in Python floats, where an overflow is
+infinite rather than an error, so a non-finite back-off or output bias
+raises the same PreconditionViolated (`_OUTPUT_BIAS_OVERFLOWS`).
 """
 
 from __future__ import annotations
@@ -199,6 +202,10 @@ def min_pairwise_distance(points: list[CertifiedPoint]) -> float:
 # shared plumbing
 
 
+_FLOAT_RANGE = "a construction scale leaves the float64 range"
+_OUTPUT_BIAS_OVERFLOWS = f"{_FLOAT_RANGE} (the output bias overflows)"
+
+
 def _float_checked(build):
     """build, with numpy overflow and invalid operations raised and turned
     into PreconditionViolated."""
@@ -210,7 +217,7 @@ def _float_checked(build):
                 return build(*args, **kwargs)
         except FloatingPointError as exc:
             raise PreconditionViolated(
-                f"a construction scale leaves the float64 range ({exc})"
+                f"{_FLOAT_RANGE} ({exc})"
             ) from None
 
     return checked
@@ -264,7 +271,11 @@ def _unframed(weights: list[np.ndarray], biases: list[np.ndarray], reflected: bo
 
 def _net(dims: tuple[int, ...], act: PiecewiseLinear, reflected: bool,
          weights: list[np.ndarray], biases: list[np.ndarray]) -> Mlp:
-    """The network for act from parameters built in its frame (`_unframed`)."""
+    """The network for act from parameters built in its frame (`_unframed`).
+    Its output bias must be finite: route 3 backs it off by out_scale * h(t),
+    formed in Python floats, where an overflow is infinite, not an error."""
+    if not np.isfinite(biases[-1]).all():
+        raise PreconditionViolated(_OUTPUT_BIAS_OVERFLOWS)
     return Mlp(dims, *map(tuple, _unframed(weights, biases, reflected)), act)
 
 
@@ -688,7 +699,8 @@ def _squeeze(weights: list[np.ndarray], biases: list[np.ndarray], t: float, h_t:
     last hidden layer, and backs off out_h = out_scale * h(t).  The scales
     are floats, or arrays with one entry per member that broadcast over the
     parameters' leading member axis; the caller forms them in floats, where
-    a product that overflows is infinite rather than an error."""
+    a product that overflows is infinite rather than an error, so a
+    non-finite out_h is refused (`_OUTPUT_BIAS_OVERFLOWS`)."""
     m, out, out_h = (np.asarray(x)[..., None] for x in (m_scale, out_scale, out_h))
     sq_w, sq_b = [weights[0] / m[..., None]], [biases[0] / m + t]
     for W, b in zip(weights[1:-1], biases[1:-1]):
@@ -728,9 +740,10 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
     array arithmetic over the member axis (`_squeezed`).  Every member is
     bit-identical to building it alone, and a failure is the first failing
     member's, as if each were built and certified before the next: when a
-    member's M raises, the members before it are squeezed and certified on
-    the way out, a stacked squeeze that overflows is redone one member at a
-    time, and a certificate that fails replaces a later build's exception."""
+    member's M or output back-off raises, the members before it are
+    squeezed and certified on the way out, a stacked squeeze that overflows
+    is redone one member at a time, and a certificate that fails replaces a
+    later build's exception."""
     build_act, reflected, tp = _turning_frame(act)
     n_alpha = max(0, len(dims) - 3)
     eta = _checked_eta(fit, first.get("eta"))
@@ -760,6 +773,8 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
             for b1, m_scale, factor, alphas in zip(layers[1][0], overrides, factors, alpha_scales):
                 m_scale = _radius_scale(wx + b1[:, None], tp.sigma, m_scale, "m_scale", factor)
                 out_scale = m_scale / math.prod(alphas, start=1.0)
+                if not math.isfinite(out_scale * h_t):
+                    raise PreconditionViolated(_OUTPUT_BIAS_OVERFLOWS)
                 scales.append((m_scale, out_scale, out_scale * h_t))
         finally:
             del wx  # d_1 x n, not held through the forward

@@ -1,14 +1,18 @@
 """Flat-file formats: dataset CSV, network JSON, reports, and generators.
 
 Dataset CSV has a mandatory header whose column names start with "x" for
-features and "y" for labels; one row per sample.  All JSON is emitted with
-sorted keys and shortest-round-trip floats so equal runs are byte-identical.
+features and "y" for labels; one row per sample.  All JSON is written by
+json's C encoder as one line with sorted keys and shortest-round-trip
+floats, so equal runs are byte-identical; `python -m json.tool` indents a
+file for reading.  A file parses to the object that the indented writer of
+earlier releases wrote, so its sorted-key hash is unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Union
@@ -78,7 +82,7 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -88,14 +92,42 @@ def to_jsonable(obj):
     return obj
 
 
+def _plain(obj):
+    """json's `default`: numpy arrays and scalars as Python lists and
+    scalars (np.float64 is a float, which json writes itself)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _first_non_finite_leaf(obj, path: str = "$") -> str | None:
+    """`path = value` of the first NaN or infinite float in obj, a
+    `to_jsonable` result, in the order json writes it (sorted keys), or None
+    when every float is finite."""
+    if isinstance(obj, dict):
+        items = ((key, obj[key]) for key in sorted(obj))
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        return f"{path} = {obj!r}"
+    else:
+        return None
+    for key, value in items:
+        found = _first_non_finite_leaf(value, f"{path}.{key}")
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(obj) -> str:
-    """Sorted-key, indented JSON text; NaN and infinities raise
-    NonFiniteOutput rather than being written as non-JSON tokens.  Private,
-    so that tracing counts its time as the caller's own."""
+    """Sorted-key JSON text on one line, from json's C encoder; NaN and
+    infinities raise NonFiniteOutput naming the first such value's path
+    rather than being written as non-JSON tokens.  Private, so that tracing
+    counts its time as the caller's own."""
     try:
-        return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, allow_nan=False, default=_plain)
     except ValueError as exc:
-        raise NonFiniteOutput(str(exc)) from None
+        raise NonFiniteOutput(_first_non_finite_leaf(to_jsonable(obj)) or str(exc)) from None
 
 
 def dump_json(obj, path: Union[str, Path]) -> None:
@@ -202,16 +234,15 @@ def load_mlp(path: Union[str, Path]) -> Mlp:
 
 
 def rle_encode(matrix: np.ndarray) -> list[list]:
-    """Row-major run-length encoding [[value, count], ...] for pattern matrices."""
-    flat = np.asarray(matrix).reshape(-1)
-    runs = []
-    for v in flat:
-        v = float(v)
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
+    """Row-major run-length encoding [[value, count], ...] for pattern
+    matrices, values as floats.  NaN never joins a run, and +0.0 and -0.0
+    join one that keeps its first entry's sign."""
+    flat = np.asarray(matrix, dtype=float).reshape(-1)
+    if not flat.size:
+        return []
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    counts = np.diff(starts, append=flat.size)
+    return [list(run) for run in zip(flat[starts].tolist(), counts.tolist())]
 
 
 # ---------------------------------------------------------------------------

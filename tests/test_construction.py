@@ -1388,3 +1388,24 @@ def test_an_output_scale_times_h_t_past_the_float_range_fails_as_one_member_does
             run()
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_an_output_bias_past_the_float_range_is_the_float_range_error(xor, xor_fit):
+    # M / alpha = 1e302 times h(t) = 2e6, and M * M-tilde = 2e298 times
+    # h(t) = 1e10, pass the float64 range while the forward would not
+    # overflow: an output bias of -inf, which failed as a ConstructionError
+    # or a lost strict decrease, is the float-range PreconditionViolated (a
+    # route-3 minimum is member 0 of a family of one)
+    wide = PiecewiseLinear((0.0,), (0.5, 2.0), 2e6)
+    first = dict(alpha_scales=(1e-300,), m_scale=100.0)
+    runs = {
+        "minimum": lambda: build_minimum(xor_fit, xor, (2, 3, 3, 1), wide, stage="3", **first),
+        "descent": lambda: build_descent(xor_fit, xor, (2, 3, 3, 1),
+                                         PiecewiseLinear((0.0,), (0.5, 2.0), 1e10), stage="3",
+                                         m_scale=2e298),
+    }
+    for name, run in runs.items():
+        with pytest.raises(PreconditionViolated) as info:
+            run()
+        assert str(info.value) == ("a construction scale leaves the float64 range "
+                                   "(the output bias overflows)"), name
