@@ -460,19 +460,23 @@ def _default_eta_rest(fit: LinearFit) -> np.ndarray:
 
 def _verified_descent(assemble, res: SeparationResult, u: np.ndarray, v: np.ndarray,
                       slope_ratio: Optional[float], fit: LinearFit, data: Dataset,
-                      gamma: Optional[float] = None) -> tuple[DescentConstants, np.ndarray]:
+                      gamma: Optional[float] = None
+                      ) -> tuple[DescentConstants, Mlp, ForwardTrace, float]:
     """The first admissible constants (largest alpha first) whose network
-    strictly undercuts the baseline risk, and that network's output;
-    "sufficiently small" is operationalized as this verified search, which
-    shares the one alpha search and its halving budget with the sizing.  An
-    explicit gamma takes the first constants with that gamma whether or not
-    they descend (e.g. the gamma = 0 boundary control)."""
+    strictly undercuts the baseline risk, with that network, its forward
+    trace and its risk; "sufficiently small" is operationalized as this
+    verified search, which shares the one alpha search and its halving
+    budget with the sizing.  An explicit gamma takes the first constants
+    with that gamma whether or not they descend (e.g. the gamma = 0 boundary
+    control)."""
     for consts in admissible_constants(res, u, v, data.X, slope_ratio):
         if gamma is not None:
             consts = replace(consts, gamma=gamma, margin=abs(consts.midgap) - abs(gamma))
-        out = forward(assemble(consts), data.X).output
-        if gamma is not None or risk_of_outputs(out, data.Y, fit.loss) < fit.risk - DESCENT_GAP_MIN:
-            return consts, out
+        net = assemble(consts)
+        trace = forward(net, data.X)
+        risk = risk_of_outputs(trace.output, data.Y, fit.loss)
+        if gamma is not None or risk < fit.risk - DESCENT_GAP_MIN:
+            return consts, net, trace, risk
     raise StrictDecreaseNotAchieved(f"no strict risk decrease after {MAX_HALVINGS} halvings")
 
 
@@ -558,14 +562,12 @@ def default_lambda(stage1_output: np.ndarray) -> float:
 
 
 def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...], s_plus: float,
-                lambda_shift: Optional[float]) -> tuple[Layers, Optional[float]]:
-    """A one-hidden-layer witness at the depth of dims: layer 2 adds a
-    positive shift lambda so everything downstream rides the positive piece,
-    pass-through layers forward the payload, and the output layer subtracts
-    lambda.  Returns the layers and lambda (None with one hidden layer,
-    where the layers are returned as they are)."""
-    if len(dims) == 3:
-        return layers, None
+                lambda_shift: Optional[float]) -> tuple[Layers, float]:
+    """A one-hidden-layer witness at the depth of dims, which has two or more
+    hidden layers: layer 2 adds a positive shift lambda so everything
+    downstream rides the positive piece, pass-through layers forward the
+    payload, and the output layer subtracts lambda.  Returns the layers and
+    lambda."""
     lam = default_lambda(shallow_out) if lambda_shift is None else lambda_shift
     if not np.all(shallow_out + lam > 0):
         raise PreconditionViolated("lambda must make the witness output strictly positive")
@@ -622,20 +624,24 @@ def _witness_layers(
     # gamma's sign is governed by the activation frame the formulas run in;
     # balanced slopes have no slope ratio
     slope_ratio = None if balanced else (s_plus - s_minus) / (s_plus + s_minus)
-    consts, s_out = _verified_descent(
+    consts, net, trace, risk = _verified_descent(
         lambda c: _net(shallow, act, reflected, *layers(c)),
         res, fitp.v[0], fitp.y_tilde[0], slope_ratio, fit, data, gamma,
     )
-    lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus, lambda_shift)
-    net = _net(dims, act, reflected, *lifted)
-    trace = forward(net, data.X)
-    if not _reproduces(np.abs(trace.output - s_out).max(), float(np.abs(s_out).max())):
-        raise ConstructionError("deep witness output deviates from the shallow witness")
+    lam = None
+    if len(dims) > 3:
+        s_out = trace.output
+        lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus, lambda_shift)
+        net = _net(dims, act, reflected, *lifted)
+        trace = forward(net, data.X)
+        if not _reproduces(np.abs(trace.output - s_out).max(), float(np.abs(s_out).max())):
+            raise ConstructionError("deep witness output deviates from the shallow witness")
+        risk = risk_of_outputs(trace.output, data.Y, fit.loss)
     params = ConstructionParams(
         eta=default_eta(fitp) if balanced else None, eta_rest=tuple(eta_rest),
         alpha=consts.alpha, gamma=consts.gamma, eta1=consts.eta1, lambda_shift=lam,
     )
-    return net, params, trace, risk_of_outputs(trace.output, data.Y, fit.loss)
+    return net, params, trace, risk
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .activations import PiecewiseLinear
 from .errors import GenerationFailed, NonFiniteOutput, ParseError, PreconditionViolated, check_integer
-from .network import Dataset, Mlp
+from .network import Dataset, Mlp, _index_dims
 
 _TYPES = {
     "object": dict,
@@ -210,7 +210,12 @@ def mlp_to_dict(net: Mlp) -> dict:
 def mlp_from_dict(d: dict) -> Mlp:
     """The network a dict from `mlp_to_dict` describes.  JSON text may carry
     NaN or Infinity literals, so non-finite parameters raise ParseError, and
-    so does a missing field or a field of the wrong kind."""
+    so does a missing field or a field of the wrong kind (a dims entry that
+    is not an integer included)."""
+    try:
+        dims = _index_dims(d["dims"])
+    except (KeyError, TypeError, PreconditionViolated) as exc:  # _index_dims: ShapeViolation
+        raise ParseError(f"malformed network: {exc!r}") from None
     try:
         weights = tuple(np.asarray(W, dtype=float) for W in d["weights"])
         biases = tuple(np.asarray(b, dtype=float) for b in d["biases"])
@@ -220,7 +225,7 @@ def mlp_from_dict(d: dict) -> Mlp:
                 if bad is not None:
                     raise ParseError(f"network {kind}[{layer}] has non-finite entry "
                                      f"{float(A[bad])} at {list(bad)}")
-        return Mlp(tuple(d["dims"]), weights, biases, PiecewiseLinear.from_dict(d["activation"]))
+        return Mlp(dims, weights, biases, PiecewiseLinear.from_dict(d["activation"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed network: {exc!r}") from None
 

@@ -8,6 +8,7 @@ losses with 1/n, and the output layer is affine (no final activation).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -112,6 +113,21 @@ def risk_of_outputs(Yhat: np.ndarray, Y: np.ndarray, kind: LossKind) -> float | 
     return risk if risk.ndim else float(risk)
 
 
+def _index_dims(dims) -> tuple[int, ...]:
+    """dims as ints.  An entry that is a bool or has no __index__ (a float,
+    a str) raises ShapeViolation naming it, where int() would truncate 3.9
+    or parse "3"."""
+    if bool not in map(type, dims):
+        try:
+            return tuple(map(operator.index, dims))
+        except TypeError:
+            pass
+    for d in dims:
+        if isinstance(d, bool) or not hasattr(d, "__index__"):
+            break
+    raise ShapeViolation(f"dims entry {d!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Mlp:
     """Fully connected network; hidden layers share one activation, the last
@@ -123,7 +139,7 @@ class Mlp:
     activation: PiecewiseLinear
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = _index_dims(self.dims)
         Ws = tuple(np.asarray(W, dtype=float) for W in self.weights)
         bs = tuple(np.asarray(b, dtype=float).reshape(-1) for b in self.biases)
         object.__setattr__(self, "dims", dims)

@@ -8,7 +8,16 @@ construction from every minimum it builds (a family's members a stacked
 chunk at a time) and keeps the certificate on the point.
 `witness_pair_certificate` bundles a pair's risk match, descent gap (from
 `descent_gap_certificate`) and probe, and the reports are written from these
-certificates."""
+certificates.
+
+The probe has one path, `_shared_draw_risks`, which takes a list of
+networks; the public checks are its one-network and one-pair cases.  Draw i
+of every network reads one stream, default_rng(seed ^ i), so the demo's
+stage probes, run with one seed, share one set of streams: each block is
+drawn once at the widest network's parameter count, and a narrower network
+reads its leading columns.  A prefix of a stream is that stream, since
+PCG64's k-th output depends only on its seeded state and k, not on how many
+outputs follow."""
 
 from __future__ import annotations
 
@@ -251,38 +260,55 @@ def _uniform_draws(seed64: int, start: int, stop: int, total: int) -> np.ndarray
 def _draw_risks(
     net: Mlp, data: Dataset, loss: LossKind, radius: float, samples: int, seed64: int
 ) -> np.ndarray:
-    """Risk of each perturbed draw, evaluated in chunks of stacked networks.
+    """Risk of each perturbed draw of one network (`_shared_draw_risks`)."""
+    return _shared_draw_risks([net], data, loss, radius, samples, seed64)[0]
+
+
+def _shared_draw_risks(
+    nets: list[Mlp], data: Dataset, loss: LossKind, radius: float, samples: int, seed64: int
+) -> list[np.ndarray]:
+    """Risk of each perturbed draw of every network, evaluated in chunks of
+    stacked networks.
 
     Draw i moves every weight and bias entry p by radius * (1 + |p|) * u, with
     u uniform on [-1, 1] from its own stream default_rng(seed64 ^ i): one
     `uniform` call per draw, split over the weights layer by layer and then
-    the biases.  A chunk holds `_stack_size` draws, as many as keep each
-    stacked array within _CHUNK_ELEMENTS.  The streams are made a block of
-    whole chunks at a time, as many draws as that budget holds, since each
-    call has a fixed cost: _uniform_draws hashes the block's seeds together
-    and, for a net of at most _ARRAY_STREAM_MAX parameters, computes its
-    streams as arrays too.  Each parameter's perturbed stack is formed once
-    per block, and each chunk's networks are slices of it.
+    the biases.  A chunk holds `_stack_size` draws of one network, as many as
+    keep each stacked array within _CHUNK_ELEMENTS.  The streams are made a
+    block of whole chunks at a time, as many draws as that budget holds, since
+    each call has a fixed cost: _uniform_draws hashes the block's seeds
+    together and, for at most _ARRAY_STREAM_MAX parameters, computes its
+    streams as arrays too.  Each block is drawn once, for the widest network
+    and by its block rule, and a network with fewer parameters reads the
+    block's leading columns: the first T values of a stream do not depend on
+    how many follow.  Each parameter's perturbed stack is formed once per
+    block, and each chunk's networks are slices of it.
     """
-    params = (*net.weights, *net.biases)
-    bounds = np.cumsum([0] + [p.size for p in params]).tolist()
-    scales = [radius * (1.0 + np.abs(p)) for p in params]
+    if not nets:
+        return []
+    plans = []
+    for net in nets:
+        params = (*net.weights, *net.biases)
+        bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+        plans.append((net, params, bounds, [radius * (1.0 + np.abs(p)) for p in params],
+                      _stack_size(net.dims, data.n)))
+    _, _, bounds, _, chunk = max(plans, key=lambda plan: plan[2][-1])
     total = bounds[-1]
-    chunk = _stack_size(net.dims, data.n)
     block = chunk * max(1, _CHUNK_ELEMENTS // (total * chunk))
-    L = net.n_layers
-    risks = np.empty(samples)
+    risks = [np.empty(samples) for _ in nets]
     for first in range(0, samples, block):
         u = _uniform_draws(seed64, first, min(first + block, samples), total)
-        stacked = [
-            p + s * u[:, a:b].reshape(-1, *p.shape)
-            for p, s, a, b in zip(params, scales, bounds, bounds[1:])
-        ]
-        for start in range(0, len(u), chunk):
-            part = [q[start:start + chunk] for q in stacked]
-            _, post = _layer_outputs(part[:L], part[L:], net.activation, data.X)
-            stop = first + start + len(part[0])
-            risks[first + start:stop] = risk_of_outputs(post[-1], data.Y, loss)
+        for (net, params, bounds, scales, chunk), out in zip(plans, risks):
+            L = net.n_layers
+            stacked = [
+                p + s * u[:, a:b].reshape(-1, *p.shape)
+                for p, s, a, b in zip(params, scales, bounds, bounds[1:])
+            ]
+            for start in range(0, len(u), chunk):
+                part = [q[start:start + chunk] for q in stacked]
+                _, post = _layer_outputs(part[:L], part[L:], net.activation, data.X)
+                stop = first + start + len(part[0])
+                out[first + start:stop] = risk_of_outputs(post[-1], data.Y, loss)
     return risks
 
 
@@ -305,6 +331,16 @@ def perturbation_local_min_test(
     bool or a float included), and a non-finite risk at the network or at
     any draw, raise PreconditionViolated.
     """
+    return _probe_certificates([net], data, loss, radius, samples, seed)[0]
+
+
+def _probe_certificates(
+    nets: list[Mlp], data: Dataset, loss: LossKind, radius: float, samples: int, seed: int
+) -> list[Certificate]:
+    """`perturbation_local_min_test` of every network, on one set of streams
+    (`_shared_draw_risks`); each certificate is bit-identical to its
+    network's own.  The first network, in order, whose risk is not finite
+    raises."""
     if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
         raise PreconditionViolated(f"radius must be a real number, not {radius!r}")
     try:
@@ -318,20 +354,23 @@ def perturbation_local_min_test(
     if radius == 0:
         warnings.warn("radius 0 makes the local-minimality test vacuous")
         check = Check("min_risk_delta", True, 0.0, LOCAL_MIN_SLACK, samples=0, seed=seed)
-        return Certificate(subject="perturbation_local_min", checks=(check,))
-    base = empirical_risk(net, data, loss)
-    risks = _draw_risks(net, data, loss, radius, samples, seed & 0xFFFFFFFFFFFFFFFF)
-    if not (np.isfinite(base) and np.isfinite(risks).all()):
-        raise PreconditionViolated(
-            f"risk is not finite at the network ({base}) or at some perturbed draw"
+        return [Certificate(subject="perturbation_local_min", checks=(check,)) for _ in nets]
+    all_risks = _shared_draw_risks(nets, data, loss, radius, samples, seed & 0xFFFFFFFFFFFFFFFF)
+    certs = []
+    for net, risks in zip(nets, all_risks):
+        base = empirical_risk(net, data, loss)
+        if not (np.isfinite(base) and np.isfinite(risks).all()):
+            raise PreconditionViolated(
+                f"risk is not finite at the network ({base}) or at some perturbed draw"
+            )
+        deltas = risks - base
+        worst = deltas[np.argmin(deltas)]  # of equal deltas (0.0, -0.0), the first
+        check = Check(
+            "min_risk_delta", bool(worst >= LOCAL_MIN_SLACK), float(worst),
+            LOCAL_MIN_SLACK, samples=samples, seed=seed,
         )
-    deltas = risks - base
-    worst = deltas[np.argmin(deltas)]  # of equal deltas (0.0, -0.0), the first
-    check = Check(
-        "min_risk_delta", bool(worst >= LOCAL_MIN_SLACK), float(worst),
-        LOCAL_MIN_SLACK, samples=samples, seed=seed,
-    )
-    return Certificate(subject="perturbation_local_min", checks=(check,))
+        certs.append(Certificate(subject="perturbation_local_min", checks=(check,)))
+    return certs
 
 
 def descent_gap_certificate(min_risk: float, witness_risk: float) -> Certificate:
@@ -408,10 +447,21 @@ def witness_pair_certificate(
     to the baseline, strictly positive descent gap, and the sampled
     local-minimality probe.  The minimum's interval check stays on the
     minimum (`CertifiedPoint.interval`), where its construction ran it."""
-    pert = perturbation_local_min_test(minimum.net, data, loss, radius, samples, seed)
-    checks = (
-        _risk_match(minimum.risk, minimum.baseline_risk),
-        *descent_gap_certificate(minimum.risk, witness.risk).checks,
-        *pert.checks,
-    )
-    return Certificate(subject=f"stage_{minimum.stage}_pair", checks=checks)
+    return _pair_certificates([(minimum, witness)], data, loss, radius, samples, seed)[0]
+
+
+def _pair_certificates(
+    pairs: list, data: Dataset, loss: LossKind, radius: float = 1e-4, samples: int = 500,
+    seed: int = 0,
+) -> list[Certificate]:
+    """`witness_pair_certificate` of every (minimum, witness) pair, their
+    minima probed on one set of streams (`_probe_certificates`)."""
+    probes = _probe_certificates([m.net for m, _ in pairs], data, loss, radius, samples, seed)
+    return [
+        Certificate(subject=f"stage_{minimum.stage}_pair", checks=(
+            _risk_match(minimum.risk, minimum.baseline_risk),
+            *descent_gap_certificate(minimum.risk, witness.risk).checks,
+            *pert.checks,
+        ))
+        for (minimum, witness), pert in zip(pairs, probes)
+    ]

@@ -412,6 +412,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "parse error: malformed network" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", [3.5, 3.9, True, "3"])
+    def test_net_file_dims_entry_that_is_not_an_integer_is_parse_error(self, tmp_path, xor_csv,
+                                                                      capsys, entry):
+        from spurmin import build_minimum, fit_linear, relu
+
+        xor = load_dataset_csv(xor_csv)
+        net = mlp_to_dict(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net)
+        net["dims"][1] = entry
+        with pytest.raises(ParseError, match="is not an integer"):
+            mlp_from_dict(net)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        assert main(["verify", "--data", xor_csv, "--net", str(net_path)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error: malformed network" in err and "Traceback" not in err
+        net["dims"][1] = 3
+        assert mlp_from_dict(json.loads(json.dumps(net))).dims == (2, 3, 1)
+
     @pytest.mark.parametrize("argv", [
         ["demo", "--seed", "-1"],
         ["construct", "--stage", "3", "--dims", "2,3,3,1", "--k", "3", "--seed", "-1"],

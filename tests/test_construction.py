@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import re
 import warnings
 from unittest import mock
@@ -652,6 +654,31 @@ def test_witness_is_the_first_admissible_constants_that_descend(xor, xor_fit, mo
     assert witness.risk < xor_fit.risk - 1e-12
     assert (witness.params.alpha, witness.params.gamma) == (seen[-1].alpha, seen[-1].gamma)
     assert [c.alpha for c in seen] == [seen[0].alpha * 0.5**k for k in range(len(seen))]
+
+
+@pytest.mark.parametrize("stage, dims, act, lifted, pin", [
+    ("1", (2, 3, 1), relu(), False, "08774a70f34b0f0c"),
+    ("corollary", (2, 4, 1), absolute_value(), False, "2051a068b131b3d5"),
+    ("2", (2, 3, 3, 1), relu(), True, "da6c835889dced22"),
+])
+def test_witness_forwards_once_per_candidate(xor, xor_fit, monkeypatch, stage, dims, act,
+                                             lifted, pin):
+    # a one-hidden-layer witness keeps its candidate's trace and risk; only
+    # a depth lift forwards once more, to check the lifted output
+    seen = _recording_search(monkeypatch)
+    calls = []
+    real = construction.forward
+
+    def spy(net, X):
+        calls.append(net.dims)
+        return real(net, X)
+
+    monkeypatch.setattr(construction, "forward", spy)
+    witness = build_descent(xor_fit, xor, dims, act, stage=stage)
+    assert len(calls) == len(seen) + lifted
+    assert witness.risk == risk_of_outputs(real(witness.net, xor.X).output, xor.Y, SQ)
+    text = json.dumps(witness.as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
 
 
 def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,22 @@ def make_identity_net(d: int) -> Mlp:
         (np.zeros(d), np.zeros(d)),
         identity_act,
     )
+
+
+class TestDims:
+    WEIGHTS = (np.zeros((3, 2)), np.zeros((1, 3)))
+    BIASES = (np.zeros(3), np.zeros(1))
+
+    @pytest.mark.parametrize("entry", [3.9, True, "3", np.True_, np.float64(3.0)])
+    def test_entry_that_is_not_an_integer_is_refused(self, entry):
+        # int() would build (2, 3, 1) from 3.9 and "3", and (2, 1, 1) from True
+        with pytest.raises(ShapeViolation, match=re.escape(f"dims entry {entry!r} is not")):
+            Mlp((2, entry, 1), self.WEIGHTS, self.BIASES, relu())
+
+    def test_numpy_integer_entry_builds(self):
+        net = Mlp((2, np.int64(3), 1), self.WEIGHTS, self.BIASES, relu())
+        assert net.dims == (2, 3, 1)
+        assert all(type(d) is int for d in net.dims)
 
 
 class TestForward:

@@ -545,6 +545,71 @@ class TestProbeParityAtTheBenchmarkShape:
         assert got.tolist() == direct_draw_risks(net, data, 1e-4, 41, 7)
 
 
+# 13, 25 and 57 parameters take the array streams, 65 and 81 numpy's
+# generator (`_ARRAY_STREAM_MAX` is 64), at one, two and three hidden layers
+SHARED_DIMS = [(2, 3, 1), (2, 3, 3, 1), (2, 4, 4, 4, 1), (2, 16, 1), (2, 8, 6, 1)]
+
+
+class TestSharedStreams:
+    """`_probe_certificates` draws each block of streams once for a list of
+    networks, at the widest one's parameter count; every network's check is
+    its own `perturbation_local_min_test`, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.sampled_from(SHARED_DIMS), pl_activations(),
+                                 st.integers(min_value=0, max_value=999)),
+                       min_size=1, max_size=4),
+        order=st.randoms(use_true_random=False),
+        n=st.integers(min_value=1, max_value=12),
+        samples=st.integers(min_value=1, max_value=25),
+        budget=st.sampled_from([7, 200, 1000, 1 << 17]),
+        seed=st.one_of(st.integers(min_value=-2**63, max_value=-1),
+                       st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    def test_each_check_is_its_own_probe(self, picks, order, n, samples, budget, seed):
+        r = np.random.default_rng(n)
+        data = Dataset(r.standard_normal((2, n)), r.standard_normal((1, n)))
+        nets = [random_net(dims, act, net_seed) for dims, act, net_seed in picks]
+        order.shuffle(nets)
+        seed64 = seed & 0xFFFFFFFFFFFFFFFF
+        with mock.patch.object(verification, "_CHUNK_ELEMENTS", budget):
+            shared = verification._probe_certificates(nets, data, SQ, 1e-2, samples, seed)
+            risks = verification._shared_draw_risks(nets, data, SQ, 1e-2, samples, seed64)
+            for net, cert, got in zip(nets, shared, risks):
+                own = perturbation_local_min_test(net, data, SQ, 1e-2, samples, seed)
+                assert cert.as_dict() == own.as_dict()
+                assert (np.float64(cert.checks[0].value).tobytes()
+                        == np.float64(own.checks[0].value).tobytes())
+                assert_same_bytes(got, verification._draw_risks(net, data, SQ, 1e-2, samples,
+                                                                 seed64))
+                assert got.tolist() == serial_draw_risks(net, data, SQ, 1e-2, samples, seed)
+
+    def test_demo_stage_pairs_draw_one_set_of_streams(self, xor, xor_fit, relu_act):
+        # routes 1, 2 and 3 have 13, 25 and 25 parameters: one 500 x 25 block
+        stages = [("1", (2, 3, 1), relu_act), ("2", (2, 3, 3, 1), relu_act),
+                  ("3", (2, 3, 3, 1), three_piece())]
+        pairs = [(build_minimum(xor_fit, xor, dims, act, stage=stage),
+                  build_descent(xor_fit, xor, dims, act, stage=stage))
+                 for stage, dims, act in stages]
+        calls = []
+        real = verification._uniform_draws
+
+        def spy(seed64, start, stop, total):
+            calls.append((start, stop, total))
+            return real(seed64, start, stop, total)
+
+        with mock.patch.object(verification, "_uniform_draws", spy):
+            shared = verification._pair_certificates(pairs, xor, SQ, seed=7)
+        assert calls == [(0, 500, 25)]
+        for (minimum, witness), cert in zip(pairs, shared):
+            assert cert.as_dict() == witness_pair_certificate(minimum, witness, xor, SQ,
+                                                              seed=7).as_dict()
+
+    def test_no_networks(self, xor):
+        assert verification._probe_certificates([], xor, SQ, 1e-4, 10, 7) == []
+
+
 class TestNonFiniteRisk:
     def test_overflowing_network_rejected(self, xor, relu_act):
         # the base risk overflows to inf and every draw's delta is NaN
