@@ -45,6 +45,8 @@ from .linear_fit import fit_linear
 from .network import LossKind, Mlp, check_assumptions, loss_gradient, per_sample_loss
 from .verification import (
     Certificate,
+    _PROBE_RADIUS,
+    _PROBE_SAMPLES,
     _pair_certificates,
     _risk_match,
     descent_gap_certificate,
@@ -232,7 +234,9 @@ def run_demo(
         for stage, dims, stage_act in stages
     ]
     minima, stage_reports = {stage: minimum for stage, minimum, _ in built}, {}
-    certs = _pair_certificates([(m, w) for _, m, w in built], data, loss, seed=seed)
+    certs = _pair_certificates(
+        [(m, w) for _, m, w in built], data, loss, _PROBE_RADIUS, _PROBE_SAMPLES, seed
+    )
     for (stage, minimum, witness), cert in zip(built, certs):
         pair = {c.name: c for c in cert.checks}
         probe = Certificate("perturbation_local_min", (pair["min_risk_delta"],))
@@ -373,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sampled local-minimality certificate for a network")
     common(p, seed=True)
     p.add_argument("--net", required=True, help="network JSON path")
-    p.add_argument("--radius", type=float, default=1e-4)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--radius", type=float, default=_PROBE_RADIUS)
+    p.add_argument("--samples", type=int, default=_PROBE_SAMPLES)
     p.add_argument("--cert-out", dest="out", help="alias of --out")
     p.set_defaults(fn=cmd_verify)
 

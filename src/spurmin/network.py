@@ -114,18 +114,18 @@ def risk_of_outputs(Yhat: np.ndarray, Y: np.ndarray, kind: LossKind) -> float | 
 
 
 def _index_dims(dims) -> tuple[int, ...]:
-    """dims as ints.  An entry that is a bool or has no __index__ (a float,
-    a str) raises ShapeViolation naming it, where int() would truncate 3.9
-    or parse "3"."""
-    if bool not in map(type, dims):
-        try:
-            return tuple(map(operator.index, dims))
-        except TypeError:
-            pass
+    """dims as ints.  An entry that is a bool or that operator.index refuses
+    (a float, a str, a 0-d float array) raises ShapeViolation naming it,
+    where int() would truncate 3.9 or parse "3"."""
+    ints = []
     for d in dims:
-        if isinstance(d, bool) or not hasattr(d, "__index__"):
-            break
-    raise ShapeViolation(f"dims entry {d!r} is not an integer")
+        try:
+            if type(d) is bool:
+                raise TypeError
+            ints.append(operator.index(d))
+        except TypeError:
+            raise ShapeViolation(f"dims entry {d!r} is not an integer") from None
+    return tuple(ints)
 
 
 @dataclass(frozen=True)

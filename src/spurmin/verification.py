@@ -38,6 +38,7 @@ LOCAL_MIN_SLACK = -1e-10  # absorbs summation rounding in the risk
 DESCENT_GAP_MIN = 1e-12
 RISK_MATCH_TOL = 1e-9  # |risk(minimum) - baseline risk| / max(1, baseline risk)
 FD_STEP = 1e-6  # central-difference step of fd_gradient_check
+_PROBE_RADIUS, _PROBE_SAMPLES = 1e-4, 500  # the probe's defaults, the demo's settings
 # float64 elements per stacked array in one chunk of networks (1 MiB), and
 # per array of a block of probe streams, draws x parameters.  A four times
 # larger budget raised peak memory by ~15 MB on a 3000-sample, 16-unit probe,
@@ -316,8 +317,8 @@ def perturbation_local_min_test(
     net: Mlp,
     data: Dataset,
     loss: LossKind,
-    radius: float = 1e-4,
-    samples: int = 500,
+    radius: float = _PROBE_RADIUS,
+    samples: int = _PROBE_SAMPLES,
     seed: int = 0,
 ) -> Certificate:
     """Sample the perturbation ball around net and pass iff no draw drops the
@@ -355,10 +356,10 @@ def _probe_certificates(
         warnings.warn("radius 0 makes the local-minimality test vacuous")
         check = Check("min_risk_delta", True, 0.0, LOCAL_MIN_SLACK, samples=0, seed=seed)
         return [Certificate(subject="perturbation_local_min", checks=(check,)) for _ in nets]
+    bases = [empirical_risk(net, data, loss) for net in nets]  # checks shapes first
     all_risks = _shared_draw_risks(nets, data, loss, radius, samples, seed & 0xFFFFFFFFFFFFFFFF)
     certs = []
-    for net, risks in zip(nets, all_risks):
-        base = empirical_risk(net, data, loss)
+    for base, risks in zip(bases, all_risks):
         if not (np.isfinite(base) and np.isfinite(risks).all()):
             raise PreconditionViolated(
                 f"risk is not finite at the network ({base}) or at some perturbed draw"
@@ -439,8 +440,8 @@ def witness_pair_certificate(
     witness,
     data: Dataset,
     loss: LossKind,
-    radius: float = 1e-4,
-    samples: int = 500,
+    radius: float = _PROBE_RADIUS,
+    samples: int = _PROBE_SAMPLES,
     seed: int = 0,
 ) -> Certificate:
     """Bundle of the standard checks for a (minimum, witness) pair: risk match
@@ -451,8 +452,7 @@ def witness_pair_certificate(
 
 
 def _pair_certificates(
-    pairs: list, data: Dataset, loss: LossKind, radius: float = 1e-4, samples: int = 500,
-    seed: int = 0,
+    pairs: list, data: Dataset, loss: LossKind, radius: float, samples: int, seed: int
 ) -> list[Certificate]:
     """`witness_pair_certificate` of every (minimum, witness) pair, their
     minima probed on one set of streams (`_probe_certificates`)."""

@@ -41,7 +41,8 @@ class TestDims:
     WEIGHTS = (np.zeros((3, 2)), np.zeros((1, 3)))
     BIASES = (np.zeros(3), np.zeros(1))
 
-    @pytest.mark.parametrize("entry", [3.9, True, "3", np.True_, np.float64(3.0)])
+    @pytest.mark.parametrize("entry", [3.9, True, "3", np.True_, np.float64(3.0),
+                                       np.array(3.0)])
     def test_entry_that_is_not_an_integer_is_refused(self, entry):
         # int() would build (2, 3, 1) from 3.9 and "3", and (2, 1, 1) from True
         with pytest.raises(ShapeViolation, match=re.escape(f"dims entry {entry!r} is not")):

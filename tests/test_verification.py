@@ -14,6 +14,7 @@ from spurmin import (
     Mlp,
     PiecewiseLinear,
     PreconditionViolated,
+    ShapeViolation,
     build_descent,
     build_minimum,
     empirical_risk,
@@ -600,7 +601,8 @@ class TestSharedStreams:
             return real(seed64, start, stop, total)
 
         with mock.patch.object(verification, "_uniform_draws", spy):
-            shared = verification._pair_certificates(pairs, xor, SQ, seed=7)
+            shared = verification._pair_certificates(pairs, xor, SQ, verification._PROBE_RADIUS,
+                                                     verification._PROBE_SAMPLES, 7)
         assert calls == [(0, 500, 25)]
         for (minimum, witness), cert in zip(pairs, shared):
             assert cert.as_dict() == witness_pair_certificate(minimum, witness, xor, SQ,
@@ -608,6 +610,34 @@ class TestSharedStreams:
 
     def test_no_networks(self, xor):
         assert verification._probe_certificates([], xor, SQ, 1e-4, 10, 7) == []
+
+
+class TestShapeMismatch:
+    """A network whose input or output width does not fit the data is refused
+    by its base risk's shape checks, before any stream is drawn."""
+
+    @pytest.mark.parametrize("n_in, n_out, match", [(3, 1, "input must be"),
+                                                    (2, 2, "output width")])
+    def test_refused_before_drawing(self, xor, n_in, n_out, match):
+        fits = random_net((2, 3, 3, 1), relu(), 0)
+        misfit = random_net((n_in, 3, n_out), relu(), 1)
+        with mock.patch.object(verification, "_uniform_draws") as draws:
+            with pytest.raises(ShapeViolation, match=match):
+                perturbation_local_min_test(misfit, xor, SQ, samples=20, seed=7)
+            with pytest.raises(ShapeViolation, match=match):
+                verification._probe_certificates([fits, misfit], xor, SQ, 1e-4, 20, 7)
+        draws.assert_not_called()
+
+    def test_cli_exit_code(self, tmp_path, xor, capsys):
+        from spurmin.cli import main
+        from spurmin.io import save_dataset_csv, save_mlp
+
+        save_mlp(random_net((3, 3, 1), relu(), 0), tmp_path / "net.json")
+        save_dataset_csv(xor, tmp_path / "d.csv")
+        assert main(["verify", "--data", str(tmp_path / "d.csv"),
+                     "--net", str(tmp_path / "net.json")]) == 3
+        err = capsys.readouterr().err
+        assert "precondition violated: input must be" in err and "Traceback" not in err
 
 
 class TestNonFiniteRisk:
