@@ -10,8 +10,8 @@ rule, on the layers of a network of any depth and output width, decides
 equivalence and gives the valley its moves.
 
 `analyze` is the one cell analysis of a network on a dataset, and
-`walk_valley` the one walk along a valley path; `spurmin cells analyze`,
-`spurmin path build` and the demo report from them.  `analyze` scores a
+`walk_valley` the one walk along a valley path; `spurmin cells`,
+`spurmin path` and the demo report from them.  `analyze` scores a
 network from a single forward, which gives its risk and its cell signature;
 `walk_valley` forwards its path's points in stacked chunks, bit-identical to
 one forward each.
@@ -254,9 +254,8 @@ def _valley_points(a: tuple, b: tuple, steps: int) -> list[tuple[list, list]]:
     the column on b's column where it feeds the output layer, else on
     col * c, whose rows a later move lands; so the last point is b bit for
     bit.  Returns 1 + (hidden units) * steps points, a single one when a
-    equals b."""
-    if steps < 1:
-        raise PreconditionViolated("steps_per_move must be >= 1")
+    equals b; steps must be an integer of at least 1 (`check_integer`)."""
+    steps = check_integer("steps_per_move", steps, minimum=1)
     factors = _unit_factors(a, b)
     points = [([np.array(W, dtype=float) for W in a[0]], [np.array(v, dtype=float) for v in a[1]])]
     if all(np.array_equal(x, y) for x, y in zip([*a[0], *a[1]], [*b[0], *b[1]])):

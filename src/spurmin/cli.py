@@ -1,8 +1,10 @@
 """Command-line pipelines binding the modules together.
 
 Subcommands: gen-data, fit, construct, descend, verify, cells, path,
-separate, demo.  Exit codes: 0 ok, 1 a check failed, 2 io/parse error,
-3 precondition violated.
+separate, demo; each does one thing and takes options only.  Exit codes:
+0 ok, 1 a check failed, 2 io/parse error, 3 precondition violated (an
+input the checks refuse, such as `verify --radius 0`, whose probe would
+compare the network with itself).
 
 Every handler takes the parsed arguments and returns (payload, passed).
 `main` is the one place that writes a payload: it adds the run's `config`
@@ -44,10 +46,9 @@ from .io import (
 from .linear_fit import fit_linear
 from .network import LossKind, Mlp, check_assumptions, loss_gradient, per_sample_loss
 from .verification import (
-    Certificate,
     _PROBE_RADIUS,
     _PROBE_SAMPLES,
-    _pair_certificates,
+    _probe_certificates,
     _risk_match,
     descent_gap_certificate,
     fd_gradient_check,
@@ -193,10 +194,12 @@ def run_demo(
     plus the overall verdict and the first failing check's name.
 
     Every stage's minimum and witness are built first, in stage order, and
-    the stage pairs are then certified in one call, whose probes share one
+    the stage minima are then probed in one call, whose probes share one
     set of streams (a narrower network's stream is a prefix of the widest
-    one's; see `verification`).  The checks are recorded stage by stage, so
-    the report is the one per-stage certificates give, byte for byte."""
+    one's; see `verification`).  Each stage then records its risk match,
+    descent gap, probe and interval checks, read from the one copy of each
+    in `verification`, so the report is the one per-stage certificates
+    give, byte for byte."""
     data = xor_dataset()
     loss = LossKind.SQUARED
     act = _activation_arg(activation_spec)
@@ -234,21 +237,21 @@ def run_demo(
         for stage, dims, stage_act in stages
     ]
     minima, stage_reports = {stage: minimum for stage, minimum, _ in built}, {}
-    certs = _pair_certificates(
-        [(m, w) for _, m, w in built], data, loss, _PROBE_RADIUS, _PROBE_SAMPLES, seed
+    probes = _probe_certificates(
+        [m.net for _, m, _ in built], data, loss, _PROBE_RADIUS, _PROBE_SAMPLES, seed
     )
-    for (stage, minimum, witness), cert in zip(built, certs):
-        pair = {c.name: c for c in cert.checks}
-        probe = Certificate("perturbation_local_min", (pair["min_risk_delta"],))
+    for (stage, minimum, witness), probe in zip(built, probes):
+        gap = descent_gap_certificate(minimum.risk, witness.risk)
         stage_reports[stage] = {
             "minimum": minimum.as_dict(),
             "witness": witness.as_dict(),
-            "gap": pair["descent_gap"].value,
+            "gap": gap.checks[0].value,
             "perturbation": probe.as_dict(),
             "interval": minimum.interval.as_dict(),
         }
-        record(f"stage{stage}_risk_matches_baseline", pair["minimum_matches_baseline"].passed)
-        record(f"stage{stage}_gap_positive", pair["descent_gap"].passed)
+        record(f"stage{stage}_risk_matches_baseline",
+               _risk_match(minimum.risk, minimum.baseline_risk).passed)
+        record(f"stage{stage}_gap_positive", gap.verdict)
         record(f"stage{stage}_local_min_sampled", probe.verdict)
         record(f"stage{stage}_trace_interval", minimum.interval.verdict)
     report["stages"] = stage_reports
@@ -387,13 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_separate)
 
     p = sub.add_parser("cells", help="activation-pattern cell analysis")
-    p.add_argument("action", choices=["analyze"])
     common(p)
     p.add_argument("--net", required=True)
     p.set_defaults(fn=cmd_cells)
 
     p = sub.add_parser("path", help="risk-invariant valley path between two networks")
-    p.add_argument("action", choices=["build"])
     common(p)
     p.add_argument("--a", required=True, help="endpoint network JSON")
     p.add_argument("--b", required=True, help="endpoint network JSON")

@@ -14,10 +14,11 @@ one point of their kind on the route a stage name selects, and
 `enumerate_family` samples route 3's infinite family of minima.  The two
 routers share one preamble (`_routed`): the stage rule (`_stage`, which
 resolves "auto"), the overrides the route takes, the dimensions, one hidden
-layer on route "1", the ranges of m_scale and gamma, and the width rule
-(`network._balanced_widths_ok` on "corollary", `network._widths_ok`
-elsewhere).  Then each runs its route's builder from one table per point
-kind, with the overrides that route takes:
+layer on route "1", every override as a finite real number
+(`errors.check_real`, each alpha scale too; m_scale positive), and the
+width rule (`network._balanced_widths_ok` on "corollary",
+`network._widths_ok` elsewhere).  Then each runs its route's builder from
+one table per point kind, with the overrides that route takes:
 
   stage        `_MINIMA`                  `_WITNESSES`
   "1"          _two_piece_minimum: eta    _two_piece_descent: none
@@ -67,7 +68,8 @@ Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
 constants whose network strictly undercuts the baseline, within one budget
 of MAX_HALVINGS halvings.  An explicit gamma on the balanced route takes the
-first admissible alpha instead, unverified.
+first admissible alpha instead, unverified.  "Strictly undercuts" is the
+gap certificate's one rule, `verification._descends`, on every route.
 
 Every entry point runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
@@ -100,6 +102,7 @@ from .errors import (
     StrictDecreaseNotAchieved,
     WidthViolation,
     check_integer,
+    check_real,
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
@@ -112,7 +115,7 @@ from .separation import (
     admissible_constants,
     separate,
 )
-from .verification import (DESCENT_GAP_MIN, Certificate, _interval_certificate, _interval_margin,
+from .verification import (Certificate, _descends, _interval_certificate, _interval_margin,
                            _risk_match, _stack_size)
 
 OUTPUT_TOL = 1e-12
@@ -287,11 +290,19 @@ def _require_invertible(name: str, s: float) -> None:
         raise PreconditionViolated(f"{name} = {s!r} has no finite reciprocal")
 
 
-def _require_within(name: str, value: Optional[float], lo: float = -np.inf) -> None:
-    """An explicit override must lie in (lo, inf), which NaN never does; None
-    keeps the default."""
-    if value is not None and not lo < value < np.inf:
+def _real_override(name: str, value):
+    """An explicit override as a float, or alpha_scales as a tuple of floats
+    (their range (0, 1) is the family's to check), by the one real-number
+    rule (`errors.check_real`).  A scalar override must lie in (lo, inf),
+    lo = 0 for m_scale and -inf otherwise, which NaN never does."""
+    if name == "alpha_scales":
+        if not isinstance(value, (tuple, list, np.ndarray)):
+            raise PreconditionViolated(f"alpha_scales must be a sequence, not {value!r}")
+        return tuple(check_real(f"alpha_scales[{i}]", a) for i, a in enumerate(value))
+    value, lo = check_real(name, value), 0.0 if name == "m_scale" else -np.inf
+    if not lo < value < np.inf:
         raise PreconditionViolated(f"{name} must lie in ({lo}, inf), got {value!r}")
+    return value
 
 
 def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, TurningPoint]:
@@ -475,7 +486,7 @@ def _verified_descent(assemble, res: SeparationResult, u: np.ndarray, v: np.ndar
         net = assemble(consts)
         trace = forward(net, data.X)
         risk = risk_of_outputs(trace.output, data.Y, fit.loss)
-        if gamma is not None or risk < fit.risk - DESCENT_GAP_MIN:
+        if gamma is not None or _descends(fit.risk, risk):
             return consts, net, trace, risk
     raise StrictDecreaseNotAchieved(f"no strict risk decrease after {MAX_HALVINGS} halvings")
 
@@ -834,7 +845,7 @@ def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     net = _net(dims, act, reflected, *_squeeze(weights, biases, tp.t, h_t, m_scale, out_scale,
                                                out_scale * h_t))
     risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
-    if not risk < fit.risk - DESCENT_GAP_MIN:
+    if not _descends(fit.risk, risk):
         raise StrictDecreaseNotAchieved("squeezed witness lost its strict decrease")
     return _witness(net, "3", risk, fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
@@ -851,7 +862,7 @@ def _balanced_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act:
     if s_minus + s_plus != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
     net, params, _, risk = _witness_layers(fit, data, dims, act, gamma=gamma)
-    return _witness(net, "corollary", risk, fit, params, bool(risk < fit.risk - DESCENT_GAP_MIN))
+    return _witness(net, "corollary", risk, fit, params, _descends(fit.risk, risk))
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +902,9 @@ def _routed(witness: bool, fit: LinearFit, data: Dataset, dims: tuple[int, ...],
             act: PiecewiseLinear, stage: str, overrides: dict) -> CertifiedPoint:
     """The preamble both routers share, in this order: the stage rule, the
     overrides the route takes, the dimensions, one hidden layer on route
-    "1", the ranges of m_scale and gamma, and the width rule (the balanced
-    one on "corollary"); then the route's builder from its kind's table."""
+    "1", every override as a finite real number (`_real_override`), and the
+    width rule (the balanced one on "corollary"); then the route's builder
+    from its kind's table."""
     kind, routes = ("witness", _WITNESSES) if witness else ("minimum", _MINIMA)
     stage = _stage(stage, act, dims, witness)
     if stage not in routes:
@@ -905,8 +917,8 @@ def _routed(witness: bool, fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     _check_dims(fit, data, dims)
     if stage == "1" and len(dims) != 3:
         raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    _require_within("m_scale", overrides.get("m_scale"), lo=0.0)
-    _require_within("gamma", overrides.get("gamma"))
+    # an override of None keeps the builder's default
+    overrides = {k: _real_override(k, v) for k, v in overrides.items() if v is not None}
     if stage != "corollary":
         _require_hidden_wider(dims, data.d_y)
     elif not _balanced_widths_ok(dims, data.d_y):

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all spurmin modules, and the integer
-argument check that raises it."""
+"""Exception hierarchy shared by all spurmin modules, and the integer and
+real-number argument checks that raise it."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -80,13 +81,32 @@ class ParseError(SpurminError):
 def check_integer(name: str, value, minimum: int | None = None) -> int:
     """value as an int, for a count or a seed.
 
-    A bool, a float, a string or anything else without __index__ raises
-    PreconditionViolated rather than being truncated or coerced, and so does
-    an integer below minimum.
+    A bool, a float, a string, a 0-d float array or anything else that
+    operator.index refuses raises PreconditionViolated rather than being
+    truncated or coerced, and so does an integer below minimum.
     """
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise PreconditionViolated(f"{name} must be an integer, not {value!r}")
-    value = operator.index(value)
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionViolated(f"{name} must be an integer, not {value!r}") from None
     if minimum is not None and value < minimum:
         raise PreconditionViolated(f"{name} must be at least {minimum}, not {value}")
     return value
+
+
+def check_real(name: str, value) -> float:
+    """value as a float, for a radius or a construction override.
+
+    A bool, or anything that is not a numbers.Real (a string, None, an
+    array, a complex or a Decimal), raises PreconditionViolated.  An integer
+    or fraction beyond the float range reads as an infinity of its sign, for
+    the caller's range check to refuse.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionViolated(f"{name} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf

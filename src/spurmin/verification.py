@@ -2,34 +2,35 @@
 finite-difference gradient checks and trace-interval checks, each emitted as
 a machine-readable certificate with pinned seeds.
 
-These are the only copies of the checks.  `_interval_margin` is the one
-interval margin: `trace_interval_check` reads it from one forward trace, and
-construction from every minimum it builds (a family's members a stacked
-chunk at a time) and keeps the certificate on the point.
-`witness_pair_certificate` bundles a pair's risk match, descent gap (from
-`descent_gap_certificate`) and probe, and the reports are written from these
-certificates.
+These are the only copies of the checks, each with one rule.
+`_interval_margin` is the one interval margin: `trace_interval_check` reads
+it from one forward trace, and construction from every minimum it builds (a
+family's members a stacked chunk at a time) and keeps the certificate on the
+point.  `_descends` is the one descent rule: `descent_gap_certificate` and
+construction's witness search both read it.  `witness_pair_certificate`
+bundles a pair's risk match (`_risk_match`), descent gap and probe, and the
+reports are written from these certificates.
 
 The probe has one path, `_shared_draw_risks`, which takes a list of
-networks; the public checks are its one-network and one-pair cases.  Draw i
-of every network reads one stream, default_rng(seed ^ i), so the demo's
-stage probes, run with one seed, share one set of streams: each block is
-drawn once at the widest network's parameter count, and a narrower network
-reads its leading columns.  A prefix of a stream is that stream, since
-PCG64's k-th output depends only on its seeded state and k, not on how many
-outputs follow."""
+networks; the public checks are its one-network case, and the demo probes
+its three stage minima in one call (`_probe_certificates`).  A radius of 0
+would draw only the network itself, which any network passes: it is
+refused.  Draw i of every network reads one stream, default_rng(seed ^ i),
+so the demo's stage probes, run with one seed, share one set of streams:
+each block is drawn once at the widest network's parameter count, and a
+narrower network reads its leading columns.  A prefix of a stream is that
+stream, since PCG64's k-th output depends only on its seeded state and k,
+not on how many outputs follow."""
 
 from __future__ import annotations
 
-import numbers
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import PreconditionViolated, check_integer
+from .errors import PreconditionViolated, check_integer, check_real
 from .network import (
     Dataset, ForwardTrace, LossKind, Mlp, _layer_outputs, empirical_risk, forward, risk_of_outputs,
 )
@@ -327,10 +328,11 @@ def perturbation_local_min_test(
     Per-sample streams are seeded by seed XOR index, with the seed taken
     modulo 2**64 (a negative seed is masked), so any partition of the sample
     range reproduces the serial run.  A radius that is a bool or not a real
-    number, or that is not finite and nonnegative (an integer beyond the
-    float range included), a seed or sample count that is not an integer (a
-    bool or a float included), and a non-finite risk at the network or at
-    any draw, raise PreconditionViolated.
+    number, or that is not finite and positive (an integer beyond the float
+    range included; 0 would draw the network itself), a seed or sample count
+    that is not an integer (a bool or a float included), and a non-finite
+    risk at the network or at any draw, raise PreconditionViolated; all but
+    the last are refused before any draw.
     """
     return _probe_certificates([net], data, loss, radius, samples, seed)[0]
 
@@ -341,23 +343,18 @@ def _probe_certificates(
     """`perturbation_local_min_test` of every network, on one set of streams
     (`_shared_draw_risks`); each certificate is bit-identical to its
     network's own.  The first network, in order, whose risk is not finite
-    raises."""
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
-        raise PreconditionViolated(f"radius must be a real number, not {radius!r}")
-    try:
-        radius = float(radius)
-    except OverflowError:  # an integer or fraction beyond the float range
-        radius = np.inf
+    raises; numpy's overflow and invalid-operation warnings on the way there
+    are silenced, since the probe decides non-finite risks itself."""
+    radius = check_real("radius", radius)
     if not (np.isfinite(radius) and radius >= 0):
         raise PreconditionViolated("radius must be finite and nonnegative")
     samples = check_integer("samples", samples, minimum=1)
     seed = check_integer("seed", seed)
     if radius == 0:
-        warnings.warn("radius 0 makes the local-minimality test vacuous")
-        check = Check("min_risk_delta", True, 0.0, LOCAL_MIN_SLACK, samples=0, seed=seed)
-        return [Certificate(subject="perturbation_local_min", checks=(check,)) for _ in nets]
-    bases = [empirical_risk(net, data, loss) for net in nets]  # checks shapes first
-    all_risks = _shared_draw_risks(nets, data, loss, radius, samples, seed & 0xFFFFFFFFFFFFFFFF)
+        raise PreconditionViolated("radius 0 makes the local-minimality test vacuous")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bases = [empirical_risk(net, data, loss) for net in nets]  # checks shapes first
+        all_risks = _shared_draw_risks(nets, data, loss, radius, samples, seed & 0xFFFFFFFFFFFFFFFF)
     certs = []
     for base, risks in zip(bases, all_risks):
         if not (np.isfinite(base) and np.isfinite(risks).all()):
@@ -374,11 +371,18 @@ def _probe_certificates(
     return certs
 
 
+def _descends(min_risk: float, witness_risk: float) -> bool:
+    """The one descent rule: the gap risk(minimum) - risk(witness) exceeds
+    DESCENT_GAP_MIN, which NaN never does.  Construction's witness search
+    reads it per candidate, without building a certificate."""
+    return bool(float(min_risk) - float(witness_risk) > DESCENT_GAP_MIN)
+
+
 def descent_gap_certificate(min_risk: float, witness_risk: float) -> Certificate:
     """risk(minimum) - risk(witness), which a valid witness makes exceed
-    DESCENT_GAP_MIN."""
+    DESCENT_GAP_MIN (`_descends`)."""
     gap = float(min_risk) - float(witness_risk)
-    check = Check("descent_gap", bool(gap > DESCENT_GAP_MIN), gap, DESCENT_GAP_MIN)
+    check = Check("descent_gap", _descends(min_risk, witness_risk), gap, DESCENT_GAP_MIN)
     return Certificate(subject="descent_gap", checks=(check,))
 
 
@@ -448,20 +452,8 @@ def witness_pair_certificate(
     to the baseline, strictly positive descent gap, and the sampled
     local-minimality probe.  The minimum's interval check stays on the
     minimum (`CertifiedPoint.interval`), where its construction ran it."""
-    return _pair_certificates([(minimum, witness)], data, loss, radius, samples, seed)[0]
-
-
-def _pair_certificates(
-    pairs: list, data: Dataset, loss: LossKind, radius: float, samples: int, seed: int
-) -> list[Certificate]:
-    """`witness_pair_certificate` of every (minimum, witness) pair, their
-    minima probed on one set of streams (`_probe_certificates`)."""
-    probes = _probe_certificates([m.net for m, _ in pairs], data, loss, radius, samples, seed)
-    return [
-        Certificate(subject=f"stage_{minimum.stage}_pair", checks=(
-            _risk_match(minimum.risk, minimum.baseline_risk),
-            *descent_gap_certificate(minimum.risk, witness.risk).checks,
-            *pert.checks,
-        ))
-        for (minimum, witness), pert in zip(pairs, probes)
-    ]
+    return Certificate(subject=f"stage_{minimum.stage}_pair", checks=(
+        _risk_match(minimum.risk, minimum.baseline_risk),
+        *descent_gap_certificate(minimum.risk, witness.risk).checks,
+        *perturbation_local_min_test(minimum.net, data, loss, radius, samples, seed).checks,
+    ))

@@ -373,6 +373,20 @@ class TestWalkValley:
         assert valley["pattern_constant"] is all(signatures_equal(sigs[0], s) for s in sigs)
         assert valley["pattern_constant"] and valley["risk_max_dev"] <= 1e-10
 
+    @pytest.mark.parametrize("steps", [2.5, True, "3", np.array(3.0), 0, -2])
+    def test_steps_per_move_must_be_a_positive_integer(self, xor, xor_fit, relu_act, steps):
+        # 2.5 and "3" would fail in range(), and True would walk one step
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
+        far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
+        with pytest.raises(PreconditionViolated, match="^steps_per_move must be"):
+            walk_valley(net, far, xor, SQ, steps_per_move=steps)
+
+    def test_numpy_integer_steps_per_move_accepted(self, xor, xor_fit, relu_act):
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
+        far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
+        assert (walk_valley(net, far, xor, SQ, steps_per_move=np.int64(3))
+                == walk_valley(net, far, xor, SQ, steps_per_move=3))
+
     def test_differing_output_biases_raise(self, xor, xor_fit, relu_act):
         net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         shifted = Mlp(net.dims, net.weights, (net.biases[0], net.biases[1] + 1.0), net.activation)
@@ -447,7 +461,7 @@ class TestLinearCollapse:
     def test_relu_varies(self, xor):
         assert not linear_collapse_check(relu(), xor.X, 4, trials=50, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 0.5, False, "0"])
+    @pytest.mark.parametrize("seed", [-1, 0.5, False, "0", np.array(3.0)])
     def test_bad_seed_is_precondition(self, xor, seed):
         with pytest.raises(PreconditionViolated, match="seed must be"):
             linear_collapse_check(relu(), xor.X, 4, trials=50, seed=seed)

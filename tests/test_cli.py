@@ -214,7 +214,7 @@ class TestSubcommands:
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(json.loads(min_out.read_text())["points"][0]["net"]))
         out = tmp_path / "cells.json"
-        assert main(["cells", "analyze", "--data", xor_csv, "--net", str(net_path),
+        assert main(["cells", "--data", xor_csv, "--net", str(net_path),
                      "--out", str(out)]) == 0
         res = json.loads(out.read_text())
         assert res["interior"] is True
@@ -237,7 +237,7 @@ class TestSubcommands:
         b_path.write_text(json.dumps(rescaled))
         out = tmp_path / "path.json"
         csv_out = tmp_path / "curve.csv"
-        assert main(["path", "build", "--data", xor_csv, "--a", str(a_path),
+        assert main(["path", "--data", xor_csv, "--a", str(a_path),
                      "--b", str(b_path), "--steps", "10",
                      "--csv", str(csv_out), "--out", str(out)]) == 0
         res = json.loads(out.read_text())
@@ -408,7 +408,7 @@ class TestExitCodes:
     def test_malformed_net_file_is_parse_error(self, tmp_path, xor_csv, capsys, net):
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(net))
-        assert main(["cells", "analyze", "--data", xor_csv, "--net", str(net_path)]) == 2
+        assert main(["cells", "--data", xor_csv, "--net", str(net_path)]) == 2
         err = capsys.readouterr().err
         assert "parse error: malformed network" in err and "Traceback" not in err
 
@@ -477,9 +477,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["construct", "--dims", "2,3,1", "--activation", "BAD"],
         ["verify", "--net", "BAD"],
-        ["cells", "analyze", "--net", "BAD"],
-        ["path", "build", "--a", "BAD", "--b", "GOOD"],
-        ["path", "build", "--a", "GOOD", "--b", "BAD"],
+        ["cells", "--net", "BAD"],
+        ["path", "--a", "BAD", "--b", "GOOD"],
+        ["path", "--a", "GOOD", "--b", "BAD"],
     ])
     def test_malformed_json_file_error_names_the_file(
         self, tmp_path, xor_csv, xor, xor_fit, relu_act, capsys, argv
@@ -607,8 +607,8 @@ class TestReportConfig:
             "descend": ["descend", "--data", xor_csv, "--dims", "2,3,1"],
             "verify": ["verify", "--data", xor_csv, "--net", net_json, "--samples", "20"],
             "separate": ["separate", "--data", xor_csv],
-            "cells": ["cells", "analyze", "--data", xor_csv, "--net", net_json],
-            "path": ["path", "build", "--data", xor_csv, "--a", net_json, "--b", net_json,
+            "cells": ["cells", "--data", xor_csv, "--net", net_json],
+            "path": ["path", "--data", xor_csv, "--a", net_json, "--b", net_json,
                      "--steps", "2", "--csv", str(tmp_path / "curve.csv")],
         }
 
@@ -698,7 +698,7 @@ class TestScaleChecks:
         a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "path.json"
         save_mlp(net, a_path)
         save_mlp(far, b_path)
-        assert main(["path", "build", "--data", str(data_csv), "--a", str(a_path),
+        assert main(["path", "--data", str(data_csv), "--a", str(a_path),
                      "--b", str(b_path), "--steps", "10", "--out", str(out)]) == 0
         # risk_max_dev is rounding of a risk near 2.4e6 (4.7e-10 on x86-64),
         # flat relative to the risk
@@ -720,7 +720,7 @@ class TestPathAtDepth:
         a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "path.json"
         dump_json(mlp_to_dict(net), a_path)
         dump_json(mlp_to_dict(type(net)(net.dims, W, b, net.activation)), b_path)
-        assert main(["path", "build", "--data", xor_csv, "--a", str(a_path),
+        assert main(["path", "--data", xor_csv, "--a", str(a_path),
                      "--b", str(b_path), "--steps", "5", "--out", str(out)]) == 0
         res = json.loads(out.read_text())
         assert res["n_points"] == 31

@@ -4,6 +4,8 @@ import itertools
 import json
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -37,7 +39,8 @@ from spurmin import (
 from spurmin import construction, verification
 from spurmin.activations import find_turning_point, parse_activation
 from spurmin.network import risk_of_outputs
-from spurmin.verification import _risk_match, trace_interval_check, witness_pair_certificate
+from spurmin.verification import (_risk_match, descent_gap_certificate, trace_interval_check,
+                                  witness_pair_certificate)
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
 from spurmin import ConstructionError, StrictDecreaseNotAchieved, check_assumptions
@@ -685,7 +688,7 @@ def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkey
     # with no network counted as descending, the search runs out after the
     # sizing's own halvings: MAX_HALVINGS in all, not a second budget
     seen = _recording_search(monkeypatch)
-    monkeypatch.setattr(construction, "DESCENT_GAP_MIN", np.inf)
+    monkeypatch.setattr(verification, "DESCENT_GAP_MIN", np.inf)
     with pytest.raises(StrictDecreaseNotAchieved, match=f"after {MAX_HALVINGS} halvings"):
         build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
     fitp, _, res = construction._split(xor_fit, xor)
@@ -693,6 +696,38 @@ def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkey
     assert seen == list(admissible_constants(res, u, v, xor.X, 1.0))
     assert len(seen) <= MAX_HALVINGS
     assert seen[-1].alpha >= min(1.0, res.alpha_max) * 0.5 ** (MAX_HALVINGS - 1)
+
+
+@pytest.mark.parametrize("stage, dims, act", [
+    ("1", (2, 3, 1), relu()),
+    ("2", (2, 3, 3, 1), relu()),
+    ("3", (2, 3, 3, 1), three_piece()),
+    ("corollary", (2, 4, 1), absolute_value()),
+])
+def test_witness_search_and_gap_certificate_share_one_threshold(xor, xor_fit, monkeypatch, stage,
+                                                                dims, act):
+    # patched in verification only, the threshold moves the search, the
+    # balanced route's spurious flag and the certificate together, to the
+    # last rounding of the witness's gap: every witness built passes
+    witness = build_descent(xor_fit, xor, dims, act, stage=stage)
+    gap = descent_gap_certificate(xor_fit.risk, witness.risk).checks[0].value
+    for threshold in (float(np.nextafter(gap, -np.inf)), gap):
+        monkeypatch.setattr(verification, "DESCENT_GAP_MIN", threshold)
+        assert descent_gap_certificate(xor_fit.risk, witness.risk).verdict is (threshold < gap)
+        try:
+            found = build_descent(xor_fit, xor, dims, act, stage=stage)
+        except StrictDecreaseNotAchieved:
+            found = None
+        if found is not None:
+            assert found.spurious and descent_gap_certificate(xor_fit.risk, found.risk).verdict
+        if threshold == gap:
+            assert found is None or found.as_dict() != witness.as_dict()
+        elif stage in ("1", "corollary"):  # the witness is the search's own candidate
+            assert found.as_dict() == witness.as_dict()
+    if stage == "corollary":
+        # an explicit gamma skips the search; its flag is the certificate's verdict
+        fixed = build_descent(xor_fit, xor, dims, act, stage=stage, gamma=witness.params.gamma)
+        assert fixed.risk == witness.risk and not fixed.spurious
 
 
 NEAR_CANCELLING = PiecewiseLinear((0.0,), (-1.0, 1.000000000001), 0.0)
@@ -837,6 +872,9 @@ def test_one_width_rule_for_reports_and_builders(two_outputs):
     (build_descent, "3", "m_scale", -2.0),
     (build_descent, "3", "m_scale", float("nan")),
     (build_descent, "3", "m_scale", float("inf")),
+    (build_minimum, "2", "eta", -float("inf")),
+    (build_descent, "2", "lambda_shift", float("nan")),
+    (build_descent, "2", "lambda_shift", float("inf")),
 ])
 def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, stage, override,
                                                        value):
@@ -848,6 +886,49 @@ def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, stag
         warnings.simplefilter("error")
         with pytest.raises(PreconditionViolated, match=f"{override} must lie in"):
             build(xor_fit, xor, (2, 4, 3, 1), act, stage=stage, **{override: value})
+
+
+NOT_REAL_OVERRIDES = [
+    (build_minimum, "3", "m_scale", "3", "m_scale must be a real number"),
+    (build_descent, "3", "m_scale", 1j, "m_scale must be a real number"),
+    (build_descent, "corollary", "gamma", "0", "gamma must be a real number"),
+    (build_descent, "corollary", "gamma", True, "gamma must be a real number"),
+    (build_minimum, "3", "alpha_scales", 0.5, "alpha_scales must be a sequence"),
+    (build_minimum, "3", "alpha_scales", (None,), r"alpha_scales\[0\] must be a real number"),
+    (build_minimum, "3", "eta", "-2", "eta must be a real number"),
+    (build_minimum, "2", "eta", Decimal("-2"), "eta must be a real number"),
+    (build_descent, "2", "lambda_shift", "1", "lambda_shift must be a real number"),
+    (build_descent, "2", "lambda_shift", True, "lambda_shift must be a real number"),
+]
+
+
+@pytest.mark.parametrize("build, stage, override, value, message", NOT_REAL_OVERRIDES)
+def test_an_override_that_is_not_a_real_number_is_precondition(xor, xor_fit, build, stage,
+                                                               override, value, message):
+    # one real-number rule (errors.check_real), before the range checks and
+    # before any build; a bool is not read as 0 or 1
+    dims, act = {"2": ((2, 3, 3, 1), relu()), "3": ((2, 3, 3, 1), three_piece()),
+                 "corollary": ((2, 4, 1), absolute_value())}[stage]
+    with mock.patch.object(construction, "_split", side_effect=AssertionError), \
+            mock.patch.object(construction, "_minimum_layers", side_effect=AssertionError):
+        with pytest.raises(PreconditionViolated, match=message):
+            build(xor_fit, xor, dims, act, stage=stage, **{override: value})
+
+
+@pytest.mark.parametrize("build, stage, dims, act, override, value, same", [
+    (build_descent, "corollary", (2, 4, 1), absolute_value(), "gamma", 0, 0.0),
+    (build_descent, "2", (2, 3, 3, 1), relu(), "lambda_shift", Fraction(5, 2), 2.5),
+    (build_minimum, "3", (2, 3, 3, 1), three_piece(), "m_scale", np.int64(300), 300.0),
+    (build_minimum, "3", (2, 3, 3, 1), three_piece(), "alpha_scales", [np.float32(0.25)],
+     (0.25,)),
+    (build_minimum, "3", (2, 3, 3, 1), three_piece(), "alpha_scales", np.array([0.25]), (0.25,)),
+    (build_minimum, "1", (2, 3, 1), relu(), "eta", -3, -3.0),
+])
+def test_a_real_override_builds_as_its_float(xor, xor_fit, build, stage, dims, act, override,
+                                             value, same):
+    got = build(xor_fit, xor, dims, act, stage=stage, **{override: value})
+    want = build(xor_fit, xor, dims, act, stage=stage, **{override: same})
+    assert json.dumps(got.as_dict(), sort_keys=True) == json.dumps(want.as_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("build, stage, dims, act, overrides, takes", [

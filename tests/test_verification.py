@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +40,15 @@ SQ = LossKind.SQUARED
 CE = LossKind.CROSS_ENTROPY
 
 
+def run_cli(args):
+    """python with args, the source tree on its path; stdout and stderr
+    captured as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @st.composite
 def pl_activations(draw):
     """Random continuous piecewise-linear activations, 0-3 breakpoints."""
@@ -66,11 +79,22 @@ class TestPerturbationTest:
         assert not cert.verdict
         assert cert.checks[0].value < -1e-10
 
-    def test_radius_zero_vacuous_with_warning(self, xor, xor_fit, relu_act):
+    @pytest.mark.parametrize("radius", [0.0, -0.0, 0, Fraction(0)])
+    def test_radius_zero_refused_before_any_draw(self, xor, xor_fit, relu_act, radius):
+        # every draw would be the network itself, so the probe would pass
+        # any network: one that does not fit the data, or whose risk
+        # overflows, included
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        with pytest.warns(UserWarning):
-            cert = perturbation_local_min_test(point.net, xor, SQ, radius=0.0, samples=10, seed=7)
-        assert cert.verdict
+        witness = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        nets = [point.net, random_net((3, 2, 1), relu_act, 0), overflowing_net(relu_act)]
+        vacuous = "^radius 0 makes the local-minimality test vacuous$"
+        with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError), \
+                mock.patch.object(verification, "empirical_risk", side_effect=AssertionError):
+            for net in nets:
+                with pytest.raises(PreconditionViolated, match=vacuous):
+                    perturbation_local_min_test(net, xor, SQ, radius=radius, samples=10, seed=7)
+            with pytest.raises(PreconditionViolated, match=vacuous):
+                witness_pair_certificate(point, witness, xor, SQ, radius=radius, seed=7)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_draws_rejected(self, xor, xor_fit, relu_act, samples):
@@ -82,7 +106,7 @@ class TestPerturbationTest:
     @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1e-4])
     def test_bad_radius_rejected_before_any_draw(self, xor, xor_fit, relu_act, radius):
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+        with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(PreconditionViolated, match="finite and nonnegative"):
@@ -94,7 +118,7 @@ class TestPerturbationTest:
                                                                     radius):
         # float(radius) overflows; the refusal is the typed one, not OverflowError
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+        with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError):
             with pytest.raises(PreconditionViolated, match="^radius must be finite and nonnegative$"):
                 perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
 
@@ -104,7 +128,7 @@ class TestPerturbationTest:
         # True would otherwise probe at radius 1.0, where the XOR minimum passes
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         witness = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+        with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError):
             with pytest.raises(PreconditionViolated, match="radius must be a real number"):
                 perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
             with pytest.raises(PreconditionViolated, match="radius must be a real number"):
@@ -118,7 +142,8 @@ class TestPerturbationTest:
                                            samples=20, seed=7)
         assert got.as_dict() == want.as_dict()
 
-    @pytest.mark.parametrize("samples", [3.0, True, np.True_, "5", None, np.float64(4.0)])
+    @pytest.mark.parametrize("samples", [3.0, True, np.True_, "5", None, np.float64(4.0),
+                                         np.array(4.0)])
     def test_non_integer_samples_rejected(self, xor, xor_fit, relu_act, samples):
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with pytest.raises(PreconditionViolated, match="samples must be an integer"):
@@ -132,12 +157,13 @@ class TestPerturbationTest:
         assert type(a.checks[0].samples) is int
 
     @pytest.mark.parametrize("radius", [1e-4, 0.0])
-    @pytest.mark.parametrize("seed", [7.9, 7.0, True, np.False_, "7", None, np.float64(7.0)])
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, np.False_, "7", None, np.float64(7.0),
+                                      np.array(7.0)])
     def test_non_integer_seed_rejected_before_any_draw(self, xor, xor_fit, relu_act, seed, radius):
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        with mock.patch.object(verification, "_draw_risks", side_effect=AssertionError):
+        with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError):
             with warnings.catch_warnings():
-                warnings.simplefilter("error")  # before the radius-0 warning too
+                warnings.simplefilter("error")  # before the radius-0 refusal too
                 with pytest.raises(PreconditionViolated, match="seed must be an integer"):
                     perturbation_local_min_test(
                         point.net, xor, SQ, radius=radius, samples=20, seed=seed
@@ -324,6 +350,12 @@ def assert_probe_matches_serial(net, data, loss, radius=1e-4, samples=40, seed=7
     assert check.value == worst
     assert np.signbit(check.value) == np.signbit(worst)
     assert check.passed == (worst >= verification.LOCAL_MIN_SLACK)
+
+
+def overflowing_net(act):
+    """A (2, 3, 1) network whose risk on the XOR data overflows to inf."""
+    return Mlp((2, 3, 1), (np.full((3, 2), 1e200), np.full((1, 3), 1e200)),
+               (np.zeros(3), np.zeros(1)), act)
 
 
 def random_net(dims, act, seed):
@@ -588,11 +620,8 @@ class TestSharedStreams:
 
     def test_demo_stage_pairs_draw_one_set_of_streams(self, xor, xor_fit, relu_act):
         # routes 1, 2 and 3 have 13, 25 and 25 parameters: one 500 x 25 block
-        stages = [("1", (2, 3, 1), relu_act), ("2", (2, 3, 3, 1), relu_act),
-                  ("3", (2, 3, 3, 1), three_piece())]
-        pairs = [(build_minimum(xor_fit, xor, dims, act, stage=stage),
-                  build_descent(xor_fit, xor, dims, act, stage=stage))
-                 for stage, dims, act in stages]
+        from spurmin.cli import run_demo
+
         calls = []
         real = verification._uniform_draws
 
@@ -601,12 +630,23 @@ class TestSharedStreams:
             return real(seed64, start, stop, total)
 
         with mock.patch.object(verification, "_uniform_draws", spy):
-            shared = verification._pair_certificates(pairs, xor, SQ, verification._PROBE_RADIUS,
-                                                     verification._PROBE_SAMPLES, 7)
-        assert calls == [(0, 500, 25)]
-        for (minimum, witness), cert in zip(pairs, shared):
-            assert cert.as_dict() == witness_pair_certificate(minimum, witness, xor, SQ,
-                                                              seed=7).as_dict()
+            report, ok, _ = run_demo(seed=7)
+        assert ok and calls == [(0, 500, 25)]
+        # each stage reports the checks of its own pair certificate
+        stages = [("1", (2, 3, 1), relu_act), ("2", (2, 3, 3, 1), relu_act),
+                  ("3", (2, 3, 3, 1), three_piece())]
+        passed = {c["name"]: c["passed"] for c in report["checks"]}
+        for stage, dims, act in stages:
+            cert = witness_pair_certificate(build_minimum(xor_fit, xor, dims, act, stage=stage),
+                                            build_descent(xor_fit, xor, dims, act, stage=stage),
+                                            xor, SQ, seed=7)
+            match, gap, probe = cert.checks
+            got = report["stages"][stage]
+            assert got["gap"] == gap.value
+            assert got["perturbation"]["checks"] == (probe.as_dict(),)
+            assert [passed[f"stage{stage}_{name}"] for name in
+                    ("risk_matches_baseline", "gap_positive", "local_min_sampled")] == [
+                match.passed, gap.passed, probe.passed]
 
     def test_no_networks(self, xor):
         assert verification._probe_certificates([], xor, SQ, 1e-4, 10, 7) == []
@@ -641,33 +681,57 @@ class TestShapeMismatch:
 
 
 class TestNonFiniteRisk:
+    """The probe decides a non-finite risk itself, with a typed refusal and
+    without numpy's overflow warnings."""
+
     def test_overflowing_network_rejected(self, xor, relu_act):
         # the base risk overflows to inf and every draw's delta is NaN
-        net = Mlp((2, 3, 1), (np.full((3, 2), 1e200), np.full((1, 3), 1e200)),
-                  (np.zeros(3), np.zeros(1)), relu_act)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(PreconditionViolated, match="not finite"):
-                perturbation_local_min_test(net, xor, SQ, radius=1e-4, samples=20, seed=7)
+                perturbation_local_min_test(overflowing_net(relu_act), xor, SQ, radius=1e-4,
+                                            samples=20, seed=7)
 
     def test_overflowing_draws_rejected(self, xor, xor_fit, relu_act):
         # a finite base risk but draws whose risk overflows to inf
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(PreconditionViolated, match="not finite"):
                 perturbation_local_min_test(point.net, xor, SQ, radius=1e300, samples=20, seed=7)
 
     def test_cli_exit_code(self, tmp_path, xor, relu_act):
+        # run as a process with numpy's warnings as errors, which would
+        # otherwise end it with a traceback and exit code 1
+        from spurmin.io import save_dataset_csv, save_mlp
+
+        save_mlp(overflowing_net(relu_act), tmp_path / "net.json")
+        save_dataset_csv(xor, tmp_path / "d.csv")
+        cert_out = tmp_path / "cert.json"
+        proc = run_cli(["-W", "error::RuntimeWarning", "-m", "spurmin.cli", "verify",
+                        "--data", str(tmp_path / "d.csv"), "--net", str(tmp_path / "net.json"),
+                        "--samples", "20", "--cert-out", str(cert_out)])
+        assert proc.returncode == 3
+        assert "precondition violated: risk is not finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not cert_out.exists()
+
+
+class TestRadiusZeroCli:
+    @pytest.mark.parametrize("net", ["minimum", "misfit", "overflowing"])
+    def test_exit_code(self, tmp_path, xor, xor_fit, relu_act, capsys, net):
         from spurmin.cli import main
         from spurmin.io import save_dataset_csv, save_mlp
 
-        net = Mlp((2, 3, 1), (np.full((3, 2), 1e200), np.full((1, 3), 1e200)),
-                  (np.zeros(3), np.zeros(1)), relu_act)
-        save_mlp(net, tmp_path / "net.json")
+        save_mlp({"minimum": build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net,
+                  "misfit": random_net((3, 2, 1), relu_act, 0),
+                  "overflowing": overflowing_net(relu_act)}[net], tmp_path / "net.json")
         save_dataset_csv(xor, tmp_path / "d.csv")
         cert_out = tmp_path / "cert.json"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(verification, "empirical_risk", side_effect=AssertionError):
             code = main(["verify", "--data", str(tmp_path / "d.csv"),
-                         "--net", str(tmp_path / "net.json"), "--samples", "20",
+                         "--net", str(tmp_path / "net.json"), "--radius", "0",
                          "--cert-out", str(cert_out)])
         assert code == 3
+        assert "radius 0 makes the local-minimality test vacuous" in capsys.readouterr().err
         assert not cert_out.exists()

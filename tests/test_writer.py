@@ -104,8 +104,8 @@ CASES = {
     "descend-corollary": ["descend", "--data", "DATA", "--stage", "corollary", "--dims", "2,4,1",
                           "--activation", "abs"],
     "verify": ["verify", "--data", "DATA", "--net", "NET", "--samples", "20", "--seed", "7"],
-    "cells": ["cells", "analyze", "--data", "DATA", "--net", "NET"],
-    "path": ["path", "build", "--data", "DATA", "--a", "A", "--b", "B", "--steps", "3"],
+    "cells": ["cells", "--data", "DATA", "--net", "NET"],
+    "path": ["path", "--data", "DATA", "--a", "A", "--b", "B", "--steps", "3"],
     "demo-7": ["demo", "--seed", "7"],
     "demo-3": ["demo", "--seed", "3"],
     "demo-abs-corollary": ["demo", "--activation", "abs", "--corollary", "--seed", "7"],
