@@ -384,12 +384,12 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     """
     if not np.array_equal(net_a.biases[-1], net_b.biases[-1]):
         raise PreconditionViolated("endpoints must share the output bias")
-    points = _valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
-                            steps_per_move)
     if net_a.dims[-1] != data.d_y:
         raise ShapeViolation(f"output width {net_a.dims[-1]} != label dim {data.d_y}")
     if data.d_x != net_a.dims[0]:
         raise ShapeViolation(f"input must be {net_a.dims[0]} x n, got {data.X.shape}")
+    points = _valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
+                            steps_per_move)
     act = net_a.activation
     size = _stack_size(net_a.dims, data.n)
     risks, pattern_constant, ref = [], True, None

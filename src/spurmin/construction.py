@@ -33,9 +33,14 @@ depth precondition and in lambda_shift: a two-piece point is labelled "1"
 with one hidden layer and "2" otherwise, whichever of the two was asked for.
 
 All four share one skeleton.  One two-piece scaffold gives the minimum
-(`_minimum_layers`) and the witness (`_witness_layers`) at any depth: the
-one-hidden-layer construction extended by pass-through layers, for the
-witness through one depth lift (`_lift_depth`).  One row assembler
+(`_minimum_layers`) and the witness (`_witness_layers`) at any depth, and
+one depth chain (`_positive_chain`) carries both past their first layer: a
+payload layer shifted onto the positive piece, pass-through layers that
+copy the payload and replicate the first pad unit, so no pad unit sits on
+the breakpoint, and an output layer [I/s+ | 0] that takes the shift back.
+The minimum is the baseline through the chain with the shift -eta; the
+witness is its one-hidden-layer output through it with the shift lambda,
+after its first layer (`_lift_depth`).  One row assembler
 (`_shallow_descent_params`) gives every witness its first layer; balanced
 slopes add one untilted row to its head.  The general route runs that
 scaffold through one squeeze (`_squeeze`) into the linear pieces beside a
@@ -66,10 +71,14 @@ build.  The point keeps that interval certificate as `interval`.
 
 Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
-constants whose network strictly undercuts the baseline, within one budget
-of MAX_HALVINGS halvings.  An explicit gamma on the balanced route takes the
-first admissible alpha instead, unverified.  "Strictly undercuts" is the
-gap certificate's one rule, `verification._descends`, on every route.
+constants whose one-hidden-layer network strictly undercuts the baseline,
+within one budget of MAX_HALVINGS halvings.  An explicit gamma on the
+balanced route takes the first admissible alpha instead, unverified.  One
+decision (`_witness`) then reads the network each route returns, lifted or
+squeezed: a searched witness that does not strictly undercut the baseline
+raises StrictDecreaseNotAchieved, and one at an explicit gamma records the
+decision as spurious.  "Strictly undercuts" is the gap certificate's one
+rule, `verification._descends`, in the search and in that decision.
 
 Every entry point runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
@@ -431,7 +440,14 @@ def _certified(drafts: list[_Draft], layers: Layers, fit: LinearFit,
 
 
 def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
-             params: ConstructionParams, spurious: bool = True) -> CertifiedPoint:
+             params: ConstructionParams, searched: bool = True) -> CertifiedPoint:
+    """The one descent decision of a witness, on the risk of the network its
+    route returns (`verification._descends`): a searched witness that does
+    not strictly undercut the baseline raises StrictDecreaseNotAchieved, and
+    one built at an explicit gamma records the decision as spurious."""
+    spurious = _descends(fit.risk, risk)
+    if searched and not spurious:
+        raise StrictDecreaseNotAchieved("the witness does not strictly undercut the baseline risk")
     return CertifiedPoint(
         net=net, kind="descent_witness", stage=stage, risk=risk,
         baseline_risk=fit.risk, params=params, spurious=spurious,
@@ -495,34 +511,45 @@ def _verified_descent(assemble, res: SeparationResult, u: np.ndarray, v: np.ndar
 # the two-piece scaffold: minimum and witness at any depth, in the build frame
 
 
-def _pass_through(d_out: int, d_in: int, d_y: int, s_plus: float, fill_col: bool) -> np.ndarray:
-    """(1/s+) * (sum_j E_jj [+ sum_{j>d_Y} E_{j,d_Y+1}]): copies the payload
-    rows; with fill_col the padding rows replicate column d_Y+1 so every unit
-    stays strictly positive."""
+def _pass_through(d_out: int, d_in: int, d_y: int, s_plus: float) -> np.ndarray:
+    """(1/s+) * (sum_j E_jj + sum_{j>d_Y} E_{j,d_Y+1}): copies the payload
+    rows, and the padding rows replicate column d_Y+1, the first pad unit,
+    so every unit stays strictly positive."""
     W = np.zeros((d_out, d_in))
     W[range(d_y), range(d_y)] = 1.0 / s_plus
-    if fill_col:
-        W[d_y:, d_y] = 1.0 / s_plus
+    W[d_y:, d_y] = 1.0 / s_plus
     return W
 
 
-def _minimum_layers(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta) -> Layers:
-    """Layer 1 carries the baseline shifted by a negative eta so every unit
-    stays on the positive piece, middle layers forward the payload (and
-    replicate the positive pad unit), and the output layer undoes the slope
-    and the shift: the network computes exactly the baseline.  The weights
-    do not depend on eta; a column of shifts, one per member, gives every
-    bias a leading member axis."""
+def _positive_chain(W: np.ndarray, b: np.ndarray, shift, widths: tuple[int, ...],
+                    s_plus: float) -> Layers:
+    """The one depth chain of minima and witnesses: a payload W @ x + b of
+    d_Y rows carried on the positive piece through hidden layers of the
+    given widths.  The first layer is (W, b + shift), padded with zero rows
+    whose units sit at the shift, which keeps every unit strictly positive;
+    pass-through layers copy the payload and replicate the first pad unit
+    (`_pass_through`); the output layer [I/s+ | 0] undoes the slope, and
+    its bias -shift the shift.  A column of shifts, one per member, gives
+    every bias a leading member axis."""
     _require_invertible("right slope s_plus of the build frame", s_plus)
-    d_x, d_y = dims[0], dims[-1]
-    weights = [np.concatenate([fit.w_tilde[:, :d_x], np.zeros((dims[1] - d_y, d_x))])]
-    biases = [np.concatenate([fit.w_tilde[:, d_x] - eta, -eta * np.ones(dims[1] - d_y)], axis=-1)]
-    for i in range(2, len(dims) - 1):
-        weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=True))
-        biases.append(np.zeros((*np.shape(eta)[:-1], dims[i])))
-    weights.append(np.concatenate([np.eye(d_y) / s_plus, np.zeros((d_y, dims[-2] - d_y))], axis=1))
-    biases.append(eta * np.ones(d_y))
+    d_y, pad = W.shape[0], widths[0] - W.shape[0]
+    weights = [np.vstack([W, np.zeros((pad, W.shape[1]))])]
+    biases = [np.concatenate([b, np.zeros(pad)]) + shift]
+    for d_out, d_in in zip(widths[1:], widths):
+        weights.append(_pass_through(d_out, d_in, d_y, s_plus))
+        biases.append(np.zeros((*np.shape(shift)[:-1], d_out)))
+    weights.append(np.concatenate([np.eye(d_y) / s_plus, np.zeros((d_y, widths[-1] - d_y))], axis=1))
+    biases.append(-shift * np.ones(d_y))
     return weights, biases
+
+
+def _minimum_layers(fit: LinearFit, dims: tuple[int, ...], s_plus: float, eta) -> Layers:
+    """The baseline through the positive chain (`_positive_chain`) with the
+    shift -eta, eta negative: the network computes exactly the baseline.
+    The weights do not depend on eta; a column of shifts, one per member,
+    gives every bias a leading member axis."""
+    d_x = dims[0]
+    return _positive_chain(fit.w_tilde[:, :d_x], fit.w_tilde[:, d_x], -eta, dims[1:-1], s_plus)
 
 
 def _shallow_descent_params(
@@ -575,22 +602,16 @@ def default_lambda(stage1_output: np.ndarray) -> float:
 def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...], s_plus: float,
                 lambda_shift: Optional[float]) -> tuple[Layers, float]:
     """A one-hidden-layer witness at the depth of dims, which has two or more
-    hidden layers: layer 2 adds a positive shift lambda so everything
-    downstream rides the positive piece, pass-through layers forward the
-    payload, and the output layer subtracts lambda.  Returns the layers and
+    hidden layers: its first layer, then its output as the payload of the
+    positive chain (`_positive_chain`) with a positive shift lambda, so
+    every later unit rides the positive piece.  Returns the layers and
     lambda."""
     lam = default_lambda(shallow_out) if lambda_shift is None else lambda_shift
     if not np.all(shallow_out + lam > 0):
         raise PreconditionViolated("lambda must make the witness output strictly positive")
     (W1, W2), (b1, b2) = layers
-    d_y = dims[-1]
-    weights = [W1, np.vstack([W2, np.zeros((dims[2] - d_y, dims[1]))])]
-    biases = [b1, lam * np.ones(dims[2]) + np.concatenate([b2, np.zeros(dims[2] - d_y)])]
-    for i in range(3, len(dims)):
-        weights.append(_pass_through(dims[i], dims[i - 1], d_y, s_plus, fill_col=False))
-        biases.append(np.zeros(dims[i]))
-    biases[-1] = -lam * np.ones(d_y)
-    return (weights, biases), lam
+    weights, biases = _positive_chain(W2, b2, lam, dims[2:-1], s_plus)
+    return ([W1, *weights], [b1, *biases]), lam
 
 
 def _witness_layers(
@@ -845,8 +866,6 @@ def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     net = _net(dims, act, reflected, *_squeeze(weights, biases, tp.t, h_t, m_scale, out_scale,
                                                out_scale * h_t))
     risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
-    if not _descends(fit.risk, risk):
-        raise StrictDecreaseNotAchieved("squeezed witness lost its strict decrease")
     return _witness(net, "3", risk, fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
 
@@ -862,7 +881,7 @@ def _balanced_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act:
     if s_minus + s_plus != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
     net, params, _, risk = _witness_layers(fit, data, dims, act, gamma=gamma)
-    return _witness(net, "corollary", risk, fit, params, _descends(fit.risk, risk))
+    return _witness(net, "corollary", risk, fit, params, searched=gamma is None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +394,17 @@ class TestWalkValley:
         shifted = Mlp(net.dims, net.weights, (net.biases[0], net.biases[1] + 1.0), net.activation)
         with pytest.raises(PreconditionViolated, match="output bias"):
             walk_valley(net, shifted, xor, SQ, steps_per_move=10)
+
+    def test_shapes_checked_before_the_path_is_built(self, xor, xor_fit, relu_act,
+                                                     monkeypatch):
+        net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
+        far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
+        monkeypatch.setattr(cells, "_valley_points", mock.Mock(side_effect=AssertionError))
+        two_labels = Dataset(xor.X, np.vstack([xor.Y, xor.Y]))
+        three_features = Dataset(np.vstack([xor.X, xor.X[:1]]), xor.Y)
+        for data, match in ((two_labels, "output width"), (three_features, "input must be")):
+            with pytest.raises(ShapeViolation, match=match):
+                walk_valley(net, far, data, SQ, steps_per_move=3)
 
     def test_one_stacked_pass_per_chunk(self, xor, xor_fit, relu_act, forward_calls,
                                         monkeypatch):

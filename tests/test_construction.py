@@ -496,7 +496,7 @@ def route_activations(draw):
 @settings(max_examples=40, deadline=None)
 @given(
     act=route_activations(),
-    depth=st.integers(1, 3),
+    depth=st.integers(1, 4),
     extra_width=st.integers(1, 2),
     two_outputs=st.booleans(),
 )
@@ -728,6 +728,50 @@ def test_witness_search_and_gap_certificate_share_one_threshold(xor, xor_fit, mo
         # an explicit gamma skips the search; its flag is the certificate's verdict
         fixed = build_descent(xor_fit, xor, dims, act, stage=stage, gamma=witness.params.gamma)
         assert fixed.risk == witness.risk and not fixed.spurious
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_a_lifted_witness_is_decided_on_its_own_risk(xor, xor_fit, monkeypatch, depth):
+    # two_piece(0.5, -1) rounds the lifted witness's gap below its shallow
+    # candidate's; with the threshold at the lifted gap the search accepts
+    # the candidate, and the decision on the returned network must refuse
+    act, dims = two_piece(0.5, -1.0), (2, *[3] * depth, 1)
+    shallow = build_descent(xor_fit, xor, (2, 3, 1), act, stage="1")
+    lifted = build_descent(xor_fit, xor, dims, act, stage="2")
+    gap = xor_fit.risk - lifted.risk
+    assert xor_fit.risk - shallow.risk > gap
+    monkeypatch.setattr(verification, "DESCENT_GAP_MIN", gap)
+    assert build_descent(xor_fit, xor, (2, 3, 1), act, stage="1").as_dict() == shallow.as_dict()
+    with pytest.raises(StrictDecreaseNotAchieved, match="does not strictly undercut"):
+        build_descent(xor_fit, xor, dims, act, stage="2")
+
+
+def _two_outputs():
+    return random_two_output_dataset(n=12)
+
+
+@pytest.mark.parametrize("stage, act", [
+    ("2", relu()), ("2", two_piece(1.0, 0.0)), ("2", two_piece(0.5, -1.0)),
+    ("3", three_piece()), ("3", PiecewiseLinear((0.5, 2.0), (1.0, 0.3, 2.0), 0.7)),
+    ("3", two_piece(1.0, 0.0)), ("corollary", absolute_value()),
+], ids=["relu", "reflected", "negative-right-slope", "threepiece", "off-zero", "reflected-3",
+        "abs"])
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("data", [xor_dataset, _two_outputs], ids=["xor", "two-outputs"])
+def test_deep_witness_units_past_layer_one_sit_inside_the_open_piece(stage, act, depth, data):
+    # the chain's pad units replicate a positive unit, so no unit past the
+    # first layer sits on the piece's end, at any depth
+    data = data()
+    dims = (data.d_x, *[data.d_y + 2] * depth, data.d_y)
+    witness = build_descent(fit_linear(data, SQ), data, dims, act, stage=stage)
+    if stage == "3":
+        _, reflected, tp = construction._turning_frame(act)
+        lo, hi = tp.t, tp.t + tp.sigma
+    else:
+        reflected, (lo, hi) = act.s_plus == 0.0, (0.0, np.inf)
+    lo, hi = (-hi, -lo) if reflected else (lo, hi)
+    for z in forward(witness.net, data.X).hidden_pre[1:]:
+        assert np.all((lo < z) & (z < hi))
 
 
 NEAR_CANCELLING = PiecewiseLinear((0.0,), (-1.0, 1.000000000001), 0.0)
