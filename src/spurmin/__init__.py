@@ -64,17 +64,17 @@ from .errors import (
 )
 from .io import gen_dataset, load_dataset_csv, save_dataset_csv, xor_dataset
 from .linear_fit import (
+    AssumptionReport,
     LinearFit,
+    check_assumptions,
     fit_linear,
     select_nonzero_residual_row,
 )
 from .network import (
-    AssumptionReport,
     Dataset,
     ForwardTrace,
     LossKind,
     Mlp,
-    check_assumptions,
     empirical_risk,
     forward,
     loss_gradient,

@@ -7,19 +7,24 @@ evaluated against lifted data whose columns are slope-column (Kronecker)
 feature vectors.  Positive per-unit rescalings leave w_hat fixed, which
 yields equivalence classes and risk-invariant valley paths; one rescaling
 rule, on the layers of a network of any depth and output width, decides
-equivalence and gives the valley its moves.
+equivalence and gives the valley its moves, and one rule (`_pair_layers`)
+gives a (W1, W2) pair its shape.
 
 `analyze` is the one cell analysis of a network on a dataset, and
 `walk_valley` the one walk along a valley path; `spurmin cells`,
-`spurmin path` and the demo report from them.  `analyze` scores a
+`spurmin path` and the demo report from them.  Both refuse a network that
+does not fit the data by `network._check_fits`.  `analyze` scores a
 network from a single forward, which gives its risk and its cell signature;
-`walk_valley` forwards its path's points in stacked chunks, bit-identical to
-one forward each.
+`walk_valley` builds and forwards its path's points one stacked chunk at a
+time, bit-identical to one forward each, so it holds one chunk of the path
+rather than the whole path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .io import rle_encode
 from .network import (
-    Dataset, ForwardTrace, LossKind, Mlp, _stacked_outputs, forward, loss_gradient,
+    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _stacked_outputs, forward, loss_gradient,
     per_sample_loss, risk_of_outputs,
 )
 from .verification import _stack_size
@@ -89,8 +94,7 @@ def _risk_and_signature(
     """The empirical risk of net on data, its cell signature and the forward
     trace they come from, from one forward; the risk is bit-identical to
     `network.empirical_risk`."""
-    if net.dims[-1] != data.d_y:
-        raise ShapeViolation(f"output width {net.dims[-1]} != label dim {data.d_y}")
+    _check_fits(net.dims, data)
     trace = forward(net, data.X)
     return risk_of_outputs(trace.output, data.Y, loss), _signature(net.activation, trace), trace
 
@@ -118,25 +122,14 @@ class LiftedData:
     x_hat: np.ndarray
 
 
-def _as_row(W2: np.ndarray) -> np.ndarray:
-    W2 = np.asarray(W2, dtype=float)
-    if W2.ndim == 2 and W2.shape[0] == 1:
-        W2 = W2[0]
-    if W2.ndim != 1:
-        raise ShapeViolation("W2 must be a row vector (single output)")
-    return W2
-
-
 def quotient_map(W1: np.ndarray, W2: np.ndarray) -> QuotientPoint:
     """(W1, W2) -> concatenation of W2[i] * W1[i, :] over hidden units.
 
-    Only the one-hidden-layer, single-output setting is supported.
+    Only the one-hidden-layer, single-output setting is supported: the
+    pair's shape is the `_pair_layers` rule.
     """
-    W1 = np.asarray(W1, dtype=float)
-    W2 = _as_row(W2)
-    if W1.ndim != 2 or W1.shape[0] != W2.shape[0]:
-        raise ShapeViolation(f"W1 {W1.shape} and W2 {W2.shape} do not compose")
-    return QuotientPoint((W2[:, None] * W1).reshape(-1))
+    (W1, W2), _ = _pair_layers((W1, W2))
+    return QuotientPoint((W2.T * W1).reshape(-1))
 
 
 def lift_data(sig: CellSignature, X: np.ndarray) -> LiftedData:
@@ -203,8 +196,13 @@ def solve_cell_optimum(
 
 
 def _pair_layers(p: tuple[np.ndarray, np.ndarray]) -> tuple[list, list]:
-    """A (W1, W2) pair as the layers of a bias-free, single-output network."""
-    W1, W2 = np.asarray(p[0], dtype=float), _as_row(p[1])
+    """A (W1, W2) pair as the layers of a bias-free, single-output network:
+    the one rule for a pair's shape.  W2 is a row vector, 1-d or 1 x d_1,
+    with one entry per row of the 2-d W1."""
+    W1, W2 = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
+    W2 = W2[0] if W2.ndim == 2 and W2.shape[0] == 1 else W2
+    if W2.ndim != 1:
+        raise ShapeViolation("W2 must be a row vector (single output)")
     if W1.ndim != 2 or W1.shape[0] != W2.shape[0]:
         raise ShapeViolation(f"W1 {W1.shape} and W2 {W2.shape} do not compose")
     return [W1, W2[None, :]], [np.zeros(W1.shape[0]), np.zeros(1)]
@@ -242,9 +240,10 @@ def _unit_factors(a: tuple, b: tuple, tol: float = 1e-12) -> list[np.ndarray]:
     return factors
 
 
-def _valley_points(a: tuple, b: tuple, steps: int) -> list[tuple[list, list]]:
+def _valley_points(a: tuple, b: tuple, steps: int) -> Iterator[tuple[list, list]]:
     """The layers (weights, biases) along the valley from a to b, made of
     per-unit rescaling moves, one hidden unit at a time in layer order.
+    A generator: each point is built when it is read, as fresh arrays.
 
     The move of unit j in hidden layer l interpolates its factor c
     geometrically from 1 (so no weight crosses zero), dividing row j of
@@ -253,16 +252,18 @@ def _valley_points(a: tuple, b: tuple, steps: int) -> list[tuple[list, list]]:
     invariant along the way.  Its last step lands the row on b's row, and
     the column on b's column where it feeds the output layer, else on
     col * c, whose rows a later move lands; so the last point is b bit for
-    bit.  Returns 1 + (hidden units) * steps points, a single one when a
-    equals b; steps must be an integer of at least 1 (`check_integer`)."""
+    bit.  Yields 1 + (hidden units) * steps points, a single one when a
+    equals b; steps must be an integer of at least 1 (`check_integer`),
+    checked with the factors before the first point."""
     steps = check_integer("steps_per_move", steps, minimum=1)
     factors = _unit_factors(a, b)
-    points = [([np.array(W, dtype=float) for W in a[0]], [np.array(v, dtype=float) for v in a[1]])]
+    point = ([np.array(W, dtype=float) for W in a[0]], [np.array(v, dtype=float) for v in a[1]])
+    yield point
     if all(np.array_equal(x, y) for x, y in zip([*a[0], *a[1]], [*b[0], *b[1]])):
-        return points
+        return
     for l, cs in enumerate(factors):
         for j, c in enumerate(cs):
-            Ws, bs = points[-1]
+            Ws, bs = point
             row, bias, col = Ws[l][j], bs[l][j], Ws[l + 1][:, j]
             for s in range(1, steps + 1):
                 W, bi = [x.copy() for x in Ws], [x.copy() for x in bs]
@@ -272,8 +273,8 @@ def _valley_points(a: tuple, b: tuple, steps: int) -> list[tuple[list, list]]:
                 else:
                     frac = c ** (s / steps)
                     W[l][j], bi[l][j], W[l + 1][:, j] = row / frac, bias / frac, col * frac
-                points.append((W, bi))
-    return points
+                point = (W, bi)
+                yield point
 
 
 def equivalence_check(
@@ -312,8 +313,9 @@ def linear_collapse_check(
 ) -> bool:
     """True iff the activation pattern is identical across random weight
     draws, i.e. the whole surface is one cell (linear activations).  The
-    seed must be a nonnegative integer, and hidden_width and trials
-    positive integers.  An X without samples is refused: every empty
+    seed must be a nonnegative integer, hidden_width a positive integer,
+    and trials an integer of at least 2, since one draw has nothing to
+    compare with.  An X without samples is refused: every empty
     pattern equals every other, so a True there would check nothing.
 
     An activation with one slope on every piece (not is_nonlinear) gives
@@ -324,7 +326,7 @@ def linear_collapse_check(
     differs from the first network's."""
     seed = check_integer("seed", seed, minimum=0)
     hidden_width = check_integer("hidden_width", hidden_width, minimum=1)
-    trials = check_integer("trials", trials, minimum=1)
+    trials = check_integer("trials", trials, minimum=2)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2:
         raise ShapeViolation(f"X must be d_x x n, got {X.shape}")
@@ -369,11 +371,12 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
                 steps_per_move: int) -> dict:
     """Score the valley path between two networks, of any depth and output
     width, that are per-unit rescalings of each other and share the output
-    bias.  The points of `_valley_points` are forwarded in stacked chunks
-    of `verification._stack_size` networks; each chunk gives its points'
-    risks from one `risk_of_outputs` and their slopes from one
-    `piece_slopes` per hidden layer.  Risks and slopes are bit-identical to
-    building and forwarding each point's network.
+    bias.  The points of `_valley_points` are built and forwarded in
+    stacked chunks of `verification._stack_size` networks, so one chunk of
+    the path is held at a time; each chunk gives its points' risks from one
+    `risk_of_outputs` and their slopes from one `piece_slopes` per hidden
+    layer.  Risks and slopes are bit-identical to building and forwarding
+    each point's network.
 
     Returns n_points, the risk at each point (Python floats), the largest
     deviation of a risk from the first one (risk_max_dev), whether that
@@ -384,17 +387,14 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     """
     if not np.array_equal(net_a.biases[-1], net_b.biases[-1]):
         raise PreconditionViolated("endpoints must share the output bias")
-    if net_a.dims[-1] != data.d_y:
-        raise ShapeViolation(f"output width {net_a.dims[-1]} != label dim {data.d_y}")
-    if data.d_x != net_a.dims[0]:
-        raise ShapeViolation(f"input must be {net_a.dims[0]} x n, got {data.X.shape}")
+    _check_fits(net_a.dims, data)
     points = _valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
                             steps_per_move)
     act = net_a.activation
     size = _stack_size(net_a.dims, data.n)
     risks, pattern_constant, ref = [], True, None
-    for start in range(0, len(points), size):
-        pre, post = _stacked_outputs(points[start:start + size], act, data.X)
+    while chunk := list(islice(points, size)):
+        pre, post = _stacked_outputs(chunk, act, data.X)
         risks += risk_of_outputs(post[-1], data.Y, loss).tolist()
         slopes = [act.piece_slopes(z)[0] for z in pre[:-1]]
         ref = [s[0] for s in slopes] if ref is None else ref
@@ -403,7 +403,7 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
         )
     dev = float(np.max(np.abs(np.asarray(risks) - risks[0])))
     return {
-        "n_points": len(points),
+        "n_points": len(risks),
         "risks": risks,
         "risk_max_dev": dev,
         "risk_flat": dev <= VALLEY_RISK_TOL * max(1.0, abs(risks[0])),

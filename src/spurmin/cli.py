@@ -43,8 +43,8 @@ from .io import (
     save_dataset_csv,
     xor_dataset,
 )
-from .linear_fit import fit_linear
-from .network import LossKind, Mlp, check_assumptions, loss_gradient, per_sample_loss
+from .linear_fit import check_assumptions, fit_linear
+from .network import LossKind, Mlp, loss_gradient, per_sample_loss
 from .verification import (
     _PROBE_RADIUS,
     _PROBE_SAMPLES,

@@ -5,7 +5,10 @@ features and "y" for labels; one row per sample.  All JSON is written by
 json's C encoder as one line with sorted keys and shortest-round-trip
 floats, so equal runs are byte-identical; `python -m json.tool` indents a
 file for reading.  A file parses to the object that the indented writer of
-earlier releases wrote, so its sorted-key hash is unchanged.
+earlier releases wrote, so its sorted-key hash is unchanged.  `_plain` is
+the one rule that turns numpy values into JSON ones: the writer passes it to
+json as `default`, and `to_jsonable` is the plain object that the same
+encoder's text parses to.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from .activations import PiecewiseLinear
 from .errors import GenerationFailed, NonFiniteOutput, ParseError, PreconditionViolated, check_integer
-from .network import Dataset, Mlp, _index_dims
+from .linear_fit import _leaves_residual, fit_linear
+from .network import Dataset, LossKind, Mlp, _index_dims
 
 _TYPES = {
     "object": dict,
@@ -73,31 +77,23 @@ def validate_report(report: dict) -> list[str]:
     return validate_against_schema(to_jsonable(report), report_schema())
 
 
-def to_jsonable(obj):
-    """Recursively convert numpy containers/scalars, and tuples, to plain
-    Python values.  The report types' `as_dict` is their
-    `dataclasses.asdict`, arrays and tuples included; this makes it JSON."""
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _plain(obj):
-    """json's `default`: numpy arrays and scalars as Python lists and
-    scalars (np.float64 is a float, which json writes itself)."""
+    """json's `default`, the one numpy-to-JSON rule: numpy arrays and
+    scalars as Python lists and scalars (np.float64 is a float, which json
+    writes itself)."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def to_jsonable(obj):
+    """obj as the plain Python values its JSON text parses to: numpy
+    containers and scalars through `_plain`, tuples as lists, dict keys as
+    strings.  The report types' `as_dict` is their `dataclasses.asdict`,
+    arrays and tuples included; this makes it JSON.  A value json cannot
+    write raises TypeError, as the writer does; NaN and infinities pass
+    through."""
+    return json.loads(json.dumps(obj, default=_plain))
 
 
 def _first_non_finite_leaf(obj, path: str = "$") -> str | None:
@@ -295,9 +291,6 @@ def gen_dataset(spec: str, seed: int = 0, check_assumption_flags: bool = False) 
     inseparable with distinct samples; random specs are retried with shifted
     seeds, exact generators fail outright.
     """
-    from .linear_fit import _leaves_residual, fit_linear
-    from .network import LossKind
-
     def build(s: int) -> Dataset:
         name = spec.strip().lower()
         if name == "xor":

@@ -1,18 +1,24 @@
-"""Affine baseline fit f(W) = (1/n) sum_i l(Y_i, W [x_i; 1]).
+"""Affine baseline fit f(W) = (1/n) sum_i l(Y_i, W [x_i; 1]), and the
+assumption report that runs it.
 
 The fitted W_tilde seeds every construction: its stationarity makes the
 per-sample gradient matrix V orthogonal to [X^T 1], which is exactly the
-zero-sum precondition of the separation step.
+zero-sum precondition of the separation step.  `check_assumptions` reports
+the construction routes' feasibility conditions: whether this fit leaves a
+residual, and the sample, width and turning-point conditions beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AllRowsZero, NonConvergence, PreconditionViolated
-from .network import Dataset, LossKind, loss_gradient, risk_of_outputs
+from .activations import PiecewiseLinear, find_turning_point
+from .errors import (AllRowsZero, NoAdmissibleTurningPoint, NonConvergence, PreconditionViolated,
+                     SpurminError)
+from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, loss_gradient,
+                      risk_of_outputs)
 
 # Residual size, relative to 1 + max |baseline|, below which a row counts as fitted.
 ZERO_RESIDUAL_TOL = 1e-12
@@ -160,3 +166,57 @@ def permute_fit_rows(fit: LinearFit, data: Dataset, perm: np.ndarray) -> tuple[L
         unbounded_suspected=fit.unbounded_suspected,
     )
     return fit_p, data_p
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Feasibility report for the construction routes.
+
+    linear_inseparable ... the linear baseline leaves a nonzero residual
+    distinct_samples ..... feature columns are pairwise distinct
+    widths_ok ............ every hidden layer is wider than the output
+    turning_point_ok ..... some breakpoint has unbalanced adjacent slopes
+    balanced_widths_ok ... d_1 >= d_Y + 2 and d_i >= d_Y + 1 (balanced route,
+                           any depth)
+    """
+
+    linear_inseparable: bool
+    distinct_samples: bool
+    widths_ok: bool
+    turning_point_ok: bool
+    balanced_widths_ok: bool
+    baseline_residual: float
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def check_assumptions(
+    data: Dataset,
+    dims: tuple[int, ...],
+    act: PiecewiseLinear,
+    loss: LossKind = LossKind.SQUARED,
+) -> AssumptionReport:
+    """Evaluate the five feasibility conditions.
+
+    A fit that fails with a SpurminError is reported as a NaN baseline
+    residual; any other exception is a bug and propagates."""
+    try:
+        fit = fit_linear(data, loss)
+        residual = float(np.linalg.norm(fit.y_tilde - data.Y))
+        inseparable = _leaves_residual(fit)
+    except SpurminError:
+        residual, inseparable = float("nan"), False
+    try:
+        find_turning_point(act)
+        turning_ok = True
+    except NoAdmissibleTurningPoint:
+        turning_ok = False
+    return AssumptionReport(
+        linear_inseparable=inseparable,
+        distinct_samples=data.distinct_columns(),
+        widths_ok=_widths_ok(dims, data.d_y),
+        turning_point_ok=turning_ok,
+        balanced_widths_ok=_balanced_widths_ok(dims, data.d_y),
+        baseline_residual=residual,
+    )

@@ -1,6 +1,9 @@
-"""MLP data model, forward traces, losses, empirical risk, assumption checks.
+"""MLP data model, forward traces, losses, empirical risk and shape rules.
 
-Conventions fixed package-wide: the squared loss carries a 1/2 factor,
+`_check_fits` is the one rule for whether a network fits a dataset (its
+output width is the label dimension, its input width the feature
+dimension); `_widths_ok` and `_balanced_widths_ok` are the hidden-width
+rules of the construction routes.  Conventions fixed package-wide: the squared loss carries a 1/2 factor,
 l(y, yhat) = 0.5*||y - yhat||^2, the empirical risk averages per-sample
 losses with 1/n, and the output layer is affine (no final activation).
 """
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,10 +235,18 @@ def _stacked_outputs(layers: list, activation: PiecewiseLinear, X: np.ndarray) -
     return _layer_outputs(weights, biases, activation, X)
 
 
+def _check_fits(dims: tuple[int, ...], data: Dataset) -> None:
+    """Raise ShapeViolation unless a network of these dims writes data's
+    labels and reads its features, the output width checked first."""
+    if dims[-1] != data.d_y:
+        raise ShapeViolation(f"output width {dims[-1]} != label dim {data.d_y}")
+    if dims[0] != data.d_x:
+        raise ShapeViolation(f"input must be {dims[0]} x n, got {data.X.shape}")
+
+
 def empirical_risk(net: Mlp, data: Dataset, loss: LossKind) -> float:
     """(1/n) sum of per-sample losses at the network outputs."""
-    if net.dims[-1] != data.d_y:
-        raise ShapeViolation(f"output width {net.dims[-1]} != label dim {data.d_y}")
+    _check_fits(net.dims, data)
     return risk_of_outputs(forward(net, data.X).output, data.Y, loss)
 
 
@@ -250,61 +261,3 @@ def _balanced_widths_ok(dims: tuple[int, ...], d_y: int) -> bool:
     d_1 >= d_Y + 2, and every later hidden layer wider than the output."""
     hidden = dims[1:-1]
     return bool(hidden) and hidden[0] >= d_y + 2 and all(d > d_y for d in hidden[1:])
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Feasibility report for the construction routes.
-
-    linear_inseparable ... the linear baseline leaves a nonzero residual
-    distinct_samples ..... feature columns are pairwise distinct
-    widths_ok ............ every hidden layer is wider than the output
-    turning_point_ok ..... some breakpoint has unbalanced adjacent slopes
-    balanced_widths_ok ... d_1 >= d_Y + 2 and d_i >= d_Y + 1 (balanced route,
-                           any depth)
-    """
-
-    linear_inseparable: bool
-    distinct_samples: bool
-    widths_ok: bool
-    turning_point_ok: bool
-    balanced_widths_ok: bool
-    baseline_residual: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_assumptions(
-    data: Dataset,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    loss: LossKind = LossKind.SQUARED,
-) -> AssumptionReport:
-    """Evaluate the five feasibility conditions.
-
-    A fit that fails with a SpurminError is reported as a NaN baseline
-    residual; any other exception is a bug and propagates."""
-    from .activations import find_turning_point
-    from .errors import NoAdmissibleTurningPoint, SpurminError
-    from .linear_fit import _leaves_residual, fit_linear
-
-    try:
-        fit = fit_linear(data, loss)
-        residual = float(np.linalg.norm(fit.y_tilde - data.Y))
-        inseparable = _leaves_residual(fit)
-    except SpurminError:
-        residual, inseparable = float("nan"), False
-    try:
-        find_turning_point(act)
-        turning_ok = True
-    except NoAdmissibleTurningPoint:
-        turning_ok = False
-    return AssumptionReport(
-        linear_inseparable=inseparable,
-        distinct_samples=data.distinct_columns(),
-        widths_ok=_widths_ok(dims, data.d_y),
-        turning_point_ok=turning_ok,
-        balanced_widths_ok=_balanced_widths_ok(dims, data.d_y),
-        baseline_residual=residual,
-    )

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -406,6 +407,20 @@ class TestWalkValley:
             with pytest.raises(ShapeViolation, match=match):
                 walk_valley(net, far, data, SQ, steps_per_move=3)
 
+    def test_holds_one_chunk_of_the_path(self, xor, xor_fit, relu_act):
+        # 1281 points of (2, 64, 64, 1) on 4 samples: the whole path as
+        # copies of every layer takes about 48 MB, one chunk of it under 3
+        net = build_minimum(xor_fit, xor, (2, 64, 64, 1), relu_act, stage="2").net
+        far = _layer_rescaled(net, seed=5)
+        tracemalloc.start()
+        try:
+            valley = walk_valley(net, far, xor, SQ, steps_per_move=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert valley["n_points"] == 1281 and valley["risk_flat"] and valley["pattern_constant"]
+        assert peak < 8e6
+
     def test_one_stacked_pass_per_chunk(self, xor, xor_fit, relu_act, forward_calls,
                                         monkeypatch):
         # 31 points of (2, 3, 1) on 4 samples fit one chunk: one stacked
@@ -478,6 +493,14 @@ class TestLinearCollapse:
     def test_bad_seed_is_precondition(self, xor, seed):
         with pytest.raises(PreconditionViolated, match="seed must be"):
             linear_collapse_check(relu(), xor.X, 4, trials=50, seed=seed)
+
+    @pytest.mark.parametrize("act", [identity_act, relu(), three_piece()],
+                             ids=["identity", "relu", "threepiece"])
+    def test_one_trial_is_refused(self, xor, act):
+        # one draw has nothing to compare with, so relu and threepiece would
+        # read as one cell; the one-slope shortcut does not skip the check
+        with pytest.raises(PreconditionViolated, match="^trials must be at least 2, not 1$"):
+            linear_collapse_check(act, xor.X, 4, trials=1, seed=0)
 
 
 class TestOneRescalingRule:
@@ -563,8 +586,8 @@ class TestValleyAtAnyDepth:
         valley = walk_valley(net, far, data, SQ, steps_per_move=4)
         assert valley["risk_flat"] and valley["pattern_constant"]
         assert valley["n_points"] == 1 + sum(dims[1:-1]) * 4
-        weights, biases = cells._valley_points((net.weights, net.biases),
-                                               (far.weights, far.biases), 4)[-1]
+        weights, biases = list(cells._valley_points((net.weights, net.biases),
+                                                    (far.weights, far.biases), 4))[-1]
         for got, want in zip([*weights, *biases], [*far.weights, *far.biases]):
             assert np.array_equal(got, want)
 
@@ -583,8 +606,8 @@ class TestValleyAtAnyDepth:
 
 def _walk_valley_one_at_a_time(net_a, net_b, data, loss, steps_per_move):
     """walk_valley as a loop that builds and forwards every point's network."""
-    points = cells._valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
-                                  steps_per_move)
+    points = list(cells._valley_points((net_a.weights, net_a.biases),
+                                       (net_b.weights, net_b.biases), steps_per_move))
     risks, pattern_constant, ref = [], True, None
     for point in points:
         risk, sig, _ = cells._risk_and_signature(Mlp(net_a.dims, *point, net_a.activation), data,
@@ -737,7 +760,7 @@ class TestExactCollapse:
                              ids=["relu", "leaky", "threepiece"])
     def test_nonlinear_activations_still_sample(self, xor, act, seed):
         for width in (1, 2, 4):
-            for trials in (1, 2, 50):
+            for trials in (2, 50):
                 want = _sampled_collapse(act, xor.X, width, trials, seed)
                 assert linear_collapse_check(act, xor.X, width, trials=trials, seed=seed) is want
 

@@ -197,6 +197,14 @@ def test_any_payload_is_written_as_the_old_writer_wrote_it(obj):
     assert repr(to_jsonable(obj)) == repr(old_to_jsonable(obj))
 
 
+@pytest.mark.parametrize("obj", [{1, 2}, {"a": [np.float64(1.0), {"b": {3}}]}],
+                         ids=["set", "nested set"])
+def test_to_jsonable_refuses_what_the_writer_refuses(obj, tmp_path):
+    for convert in (to_jsonable, _json_text, lambda o: dump_json(o, tmp_path / "x.json")):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            convert(obj)
+
+
 # ---------------------------------------------------------------------------
 # a value JSON cannot hold names its path
 
