@@ -26,6 +26,7 @@ from . import cells as cellmod
 from .activations import parse_activation
 from .construction import (
     _split,
+    _Witnesses,
     build_descent,
     build_minimum,
     enumerate_family,
@@ -43,7 +44,7 @@ from .io import (
     save_dataset_csv,
     xor_dataset,
 )
-from .linear_fit import check_assumptions, fit_linear
+from .linear_fit import _assumptions, fit_linear
 from .network import LossKind, Mlp, loss_gradient, per_sample_loss
 from .verification import (
     _PROBE_RADIUS,
@@ -199,7 +200,16 @@ def run_demo(
     one's; see `verification`).  Each stage then records its risk match,
     descent gap, probe and interval checks, read from the one copy of each
     in `verification`, so the report is the one per-stage certificates
-    give, byte for byte."""
+    give, byte for byte.
+
+    The four witnesses (stages 1-3 and the corollary) are built through one
+    `construction._Witnesses`, which lives only for this call: the sample
+    split is made once, and one shallow alpha search runs per activation,
+    one-hidden-layer dims and gamma, so stage 2's witness is stage 1's
+    shallow witness lifted to depth.  Each witness equals its standalone
+    `build_descent`, the one-witness case of the same path, and the build
+    order, hence the first failure, is unchanged.  The assumption report
+    reads this call's fit (`linear_fit._assumptions`)."""
     data = xor_dataset()
     loss = LossKind.SQUARED
     act = _activation_arg(activation_spec)
@@ -217,7 +227,7 @@ def run_demo(
         checks.append((name, bool(passed)))
 
     fit = fit_linear(data, loss)
-    report["assumptions"] = check_assumptions(data, (2, 3, 1), act, loss).as_dict()
+    report["assumptions"] = _assumptions(data, (2, 3, 1), act, fit).as_dict()
     report["fit"] = fit.as_dict()
     record("fit_risk_positive", fit.risk > 0)
 
@@ -231,9 +241,10 @@ def run_demo(
             ("3", (2, 3, 3, 1), three_piece_act),
         ]
 
+    witnesses = _Witnesses(fit, data)
     built = [
         (stage, build_minimum(fit, data, dims, stage_act, stage=stage),
-         build_descent(fit, data, dims, stage_act, stage=stage))
+         witnesses.descent(dims, stage_act, stage=stage))
         for stage, dims, stage_act in stages
     ]
     minima, stage_reports = {stage: minimum for stage, minimum, _ in built}, {}
@@ -257,7 +268,7 @@ def run_demo(
     report["stages"] = stage_reports
 
     balanced_act = parse_activation("abs")
-    balanced = build_descent(fit, data, (2, 4, 1), balanced_act, stage="corollary")
+    balanced = witnesses.descent((2, 4, 1), balanced_act, stage="corollary")
     gap = descent_gap_certificate(fit.risk, balanced.risk)
     report["corollary"] = {"witness": balanced.as_dict(), "gap": gap.checks[0].value}
     record("corollary_gap_positive", gap.verdict)

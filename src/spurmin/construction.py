@@ -80,6 +80,14 @@ raises StrictDecreaseNotAchieved, and one at an explicit gamma records the
 decision as spurious.  "Strictly undercuts" is the gap certificate's one
 rule, `verification._descends`, in the search and in that decision.
 
+Every witness is built through one `_Witnesses`, which makes the sample
+split (`_split`) once and runs one shallow search per activation,
+one-hidden-layer dims and gamma, and lives only for the call that made it.
+`build_descent` is its one-witness case, on a fresh one; `cli.run_demo`
+builds its four witnesses on one, so its split is made once and its stage-2
+witness lifts its stage-1 search.  Each witness is bit-identical to its
+standalone `build_descent`.
+
 Every entry point runs with numpy's overflow and invalid-operation errors
 raised (`_float_checked`): a slope or piece width so small, or large, that a
 scale leaves the float64 range fails as PreconditionViolated before any
@@ -479,6 +487,40 @@ def _split(fit: LinearFit, data: Dataset) -> tuple[LinearFit, np.ndarray, Separa
     return fitp, np.argsort(perm), separate(fitp.v[0], fitp.y_tilde[0], data.X)
 
 
+class _Witnesses:
+    """The sample split and the shallow alpha searches behind the witnesses
+    of one call, each made on first use and held only by this object, which
+    lives as long as the call that made it: `build_descent` makes one for
+    its one witness, and `cli.run_demo` one for its four.
+
+    The split (`_split`) depends only on the fit and the data.  A shallow
+    search (`_verified_descent` of a one-hidden-layer witness) depends on
+    them and on its activation, its one-hidden-layer dims and its gamma,
+    which key it; so a witness at any depth lifts the one search of its
+    first layer (`_lift_depth`), and two routes with the same shallow
+    witness run one search between them."""
+
+    def __init__(self, fit: LinearFit, data: Dataset):
+        self.fit, self.data = fit, data
+        self._searches: dict = {}
+
+    @functools.cached_property
+    def split(self) -> tuple[LinearFit, np.ndarray, SeparationResult]:
+        return _split(self.fit, self.data)
+
+    def search(self, key: tuple, run):
+        """The shallow search that key names, run on first use."""
+        if key not in self._searches:
+            self._searches[key] = run()
+        return self._searches[key]
+
+    @_float_checked
+    def descent(self, dims: tuple[int, ...], act: PiecewiseLinear, stage: str = "auto",
+                **overrides) -> CertifiedPoint:
+        """`build_descent` on this call's split and searches."""
+        return _routed(self, self.fit, self.data, dims, act, stage, overrides)
+
+
 def _default_eta_rest(fit: LinearFit) -> np.ndarray:
     """Per-row shifts keeping rows 2..d_Y of the baseline strictly positive
     after subtraction."""
@@ -615,8 +657,7 @@ def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...], 
 
 
 def _witness_layers(
-    fit: LinearFit,
-    data: Dataset,
+    w: _Witnesses,
     dims: tuple[int, ...],
     act: PiecewiseLinear,
     lambda_shift: Optional[float] = None,
@@ -630,8 +671,9 @@ def _witness_layers(
     One assembler, `_shallow_descent_params`, gives the rows; balanced
     slopes (s- + s+ == 0, exactly) add an untilted row to its head.  The
     alpha search, or an explicit gamma at the sizing's first alpha, picks
-    the constants, and `_lift_depth` takes the one-hidden-layer witness to
-    the depth of dims.  Returns the network for act, its params, its
+    the constants, on the call's split and once per shallow witness (w),
+    and `_lift_depth` takes the one-hidden-layer witness to the depth of
+    dims.  Returns the network for act, its params, its
     forward trace and its risk; the network's layers are in the build frame
     when act needs no reflection.
     """
@@ -644,7 +686,8 @@ def _witness_layers(
         _require_invertible(f"2 * s_plus (right slope s_plus = {s_plus!r})", 2.0 * s_plus)
     else:
         _require_invertible("slope sum s_minus + s_plus", s_minus + s_plus)
-    fitp, inv, res = _split(fit, data)
+    fit, data = w.fit, w.data
+    fitp, inv, res = w.split
     eta_rest = _default_eta_rest(fitp)
     shallow = (dims[0], dims[1], dims[-1])
 
@@ -656,10 +699,10 @@ def _witness_layers(
     # gamma's sign is governed by the activation frame the formulas run in;
     # balanced slopes have no slope ratio
     slope_ratio = None if balanced else (s_plus - s_minus) / (s_plus + s_minus)
-    consts, net, trace, risk = _verified_descent(
+    consts, net, trace, risk = w.search((act, shallow, gamma), lambda: _verified_descent(
         lambda c: _net(shallow, act, reflected, *layers(c)),
         res, fitp.v[0], fitp.y_tilde[0], slope_ratio, fit, data, gamma,
-    )
+    ))
     lam = None
     if len(dims) > 3:
         s_out = trace.output
@@ -701,7 +744,7 @@ def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     return _certify_minimum(draft, forward(net, data.X), fit, data, _leaves_residual(fit))
 
 
-def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+def _two_piece_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
                        lambda_shift: Optional[float] = None) -> CertifiedPoint:
     """Routes 1 and 2: the two-piece witness (`_witness_layers`), lifted to
     the depth of dims by lambda; with one hidden layer it is labelled "1"."""
@@ -710,8 +753,8 @@ def _two_piece_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act
         raise NoAdmissibleTurningPoint(
             "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
         )
-    net, params, _, risk = _witness_layers(fit, data, dims, act, lambda_shift)
-    return _witness(net, _depth_stage(dims), risk, fit, params)
+    net, params, _, risk = _witness_layers(w, dims, act, lambda_shift)
+    return _witness(net, _depth_stage(dims), risk, w.fit, params)
 
 
 def _radius_scale(pre: np.ndarray, sigma: float, scale: Optional[float], name: str,
@@ -846,7 +889,7 @@ def _general_family_head(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     return _family(fit, data, dims, act, 1, 0, **first)[0]
 
 
-def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+def _general_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
                      m_scale: Optional[float] = None) -> CertifiedPoint:
     """Route 3: the two-piece witness of the turning point's slopes,
     squeezed into their linear pieces with scales M (layer 1, both sides of
@@ -854,7 +897,7 @@ def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     output.  The output equals that witness's output exactly."""
     build_act, reflected, tp = _turning_frame(act)
     # the local activation has s_plus != 0, so the witness net is in the build frame
-    deep, params, deep_trace, _ = _witness_layers(fit, data, dims, two_piece(tp.s_minus, tp.s_plus))
+    deep, params, deep_trace, _ = _witness_layers(w, dims, two_piece(tp.s_minus, tp.s_plus))
     weights, biases = list(deep.weights), list(deep.biases)
     m_scale = _radius_scale(deep_trace.pre[0], tp.sigma, m_scale, "m_scale")
     if len(dims) > 3:
@@ -865,11 +908,11 @@ def _general_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     h_t, out_scale = float(build_act(tp.t)), m_scale * m_tilde
     net = _net(dims, act, reflected, *_squeeze(weights, biases, tp.t, h_t, m_scale, out_scale,
                                                out_scale * h_t))
-    risk = risk_of_outputs(forward(net, data.X).output, data.Y, fit.loss)
-    return _witness(net, "3", risk, fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
+    risk = risk_of_outputs(forward(net, w.data.X).output, w.data.Y, w.fit.loss)
+    return _witness(net, "3", risk, w.fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
 
-def _balanced_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+def _balanced_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
                       gamma: Optional[float] = None) -> CertifiedPoint:
     """Route "corollary", two-piece slopes with s- = -s+ at any depth: an
     extra first-layer row carrying the untilted baseline makes the tilt terms
@@ -880,8 +923,8 @@ def _balanced_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act:
     s_minus, s_plus = _two_piece_or_raise(act)
     if s_minus + s_plus != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
-    net, params, _, risk = _witness_layers(fit, data, dims, act, gamma=gamma)
-    return _witness(net, "corollary", risk, fit, params, searched=gamma is None)
+    net, params, _, risk = _witness_layers(w, dims, act, gamma=gamma)
+    return _witness(net, "corollary", risk, w.fit, params, searched=gamma is None)
 
 
 # ---------------------------------------------------------------------------
@@ -917,13 +960,16 @@ def _stage(stage: str, act: PiecewiseLinear, dims: tuple[int, ...], witness: boo
     return stage
 
 
-def _routed(witness: bool, fit: LinearFit, data: Dataset, dims: tuple[int, ...],
-            act: PiecewiseLinear, stage: str, overrides: dict) -> CertifiedPoint:
+def _routed(witnesses: Optional[_Witnesses], fit: LinearFit, data: Dataset,
+            dims: tuple[int, ...], act: PiecewiseLinear, stage: str,
+            overrides: dict) -> CertifiedPoint:
     """The preamble both routers share, in this order: the stage rule, the
     overrides the route takes, the dimensions, one hidden layer on route
     "1", every override as a finite real number (`_real_override`), and the
     width rule (the balanced one on "corollary"); then the route's builder
-    from its kind's table."""
+    from its kind's table.  A minimum's builder takes the fit and the data,
+    a witness's the call's `_Witnesses` (witnesses; None for a minimum)."""
+    witness = witnesses is not None
     kind, routes = ("witness", _WITNESSES) if witness else ("minimum", _MINIMA)
     stage = _stage(stage, act, dims, witness)
     if stage not in routes:
@@ -943,6 +989,8 @@ def _routed(witness: bool, fit: LinearFit, data: Dataset, dims: tuple[int, ...],
     elif not _balanced_widths_ok(dims, data.d_y):
         raise WidthViolation(f"balanced route needs d_1 >= {data.d_y + 2} and every later "
                              f"hidden width >= {data.d_y + 1}, got {dims}")
+    if witness:
+        return build(witnesses, dims, act, **overrides)
     return build(fit, data, dims, act, **overrides)
 
 
@@ -952,15 +1000,15 @@ def build_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Pie
     """A certified minimum on the route a stage name ("1", "2", "3", or
     "corollary"/"auto") resolves to by `_stage`, with the overrides that
     route takes (`_MINIMA`)."""
-    return _routed(False, fit, data, dims, act, stage, overrides)
+    return _routed(None, fit, data, dims, act, stage, overrides)
 
 
-@_float_checked
 def build_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
                   stage: str = "auto", **overrides) -> CertifiedPoint:
     """A descent witness on the route a stage name resolves to by `_stage`,
-    with the overrides that route takes (`_WITNESSES`)."""
-    return _routed(True, fit, data, dims, act, stage, overrides)
+    with the overrides that route takes (`_WITNESSES`): the one-witness case
+    of `_Witnesses.descent`, on a split and a search of its own."""
+    return _Witnesses(fit, data).descent(dims, act, stage, **overrides)
 
 
 @_float_checked

@@ -5,12 +5,14 @@ The fitted W_tilde seeds every construction: its stationarity makes the
 per-sample gradient matrix V orthogonal to [X^T 1], which is exactly the
 zero-sum precondition of the separation step.  `check_assumptions` reports
 the construction routes' feasibility conditions: whether this fit leaves a
-residual, and the sample, width and turning-point conditions beside it.
+residual, and the sample, width and turning-point conditions beside it;
+`_assumptions` reports them on a fit already made.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -197,16 +199,27 @@ def check_assumptions(
     act: PiecewiseLinear,
     loss: LossKind = LossKind.SQUARED,
 ) -> AssumptionReport:
-    """Evaluate the five feasibility conditions.
+    """Evaluate the five feasibility conditions on the baseline fit of data
+    (`_assumptions`).
 
     A fit that fails with a SpurminError is reported as a NaN baseline
     residual; any other exception is a bug and propagates."""
     try:
         fit = fit_linear(data, loss)
+    except SpurminError:
+        fit = None
+    return _assumptions(data, dims, act, fit)
+
+
+def _assumptions(data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+                 fit: Optional[LinearFit]) -> AssumptionReport:
+    """The assumption report on a given baseline fit of data, None for a fit
+    that failed; a caller that has fitted already reads its own fit."""
+    if fit is None:
+        residual, inseparable = float("nan"), False
+    else:
         residual = float(np.linalg.norm(fit.y_tilde - data.Y))
         inseparable = _leaves_residual(fit)
-    except SpurminError:
-        residual, inseparable = float("nan"), False
     try:
         find_turning_point(act)
         turning_ok = True

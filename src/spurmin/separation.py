@@ -13,7 +13,13 @@ row of the descent network.
 `admissible_constants` is the only alpha search: it halves alpha at most
 MAX_HALVINGS times and yields every admissible set of constants, largest
 alpha first; the construction's verified descent takes the first yield
-whose network descends, inside that one halving budget.
+whose network descends, inside that one halving budget.  It forms beta.x
+and the sum of u over I once per search and the shifted keys once per
+halving; `shifted_keys`, `descent_constants_at` and `check_separation` read
+the same private formulas (`_keys`, `_constants`, `_I_sum`).  The
+construction makes one split per call and runs one search per shallow
+witness (`construction._Witnesses`): the demo's four witnesses share one
+split, and its stages 1 and 2 one search.
 """
 
 from __future__ import annotations
@@ -201,19 +207,54 @@ def _alpha_max(
     return min(ALPHA_CAP, 0.5 * bound)
 
 
+def _keys(res: SeparationResult, v: np.ndarray, bx: np.ndarray, alpha: float) -> np.ndarray:
+    """v_i - alpha * bx_i in processing order, from bx = beta @ xs."""
+    return (v - alpha * bx)[res.perm]
+
+
+def _projections(res: SeparationResult, v: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v as a flat float row and beta.x_i, the two rows every key is formed from."""
+    return np.asarray(v, dtype=float).reshape(-1), res.beta @ np.atleast_2d(xs)
+
+
+def _I_sum(res: SeparationResult, u: np.ndarray) -> float:
+    """The sum of u over I, the drive of (1.2)."""
+    return float(np.sum(np.asarray(u, dtype=float).reshape(-1)[res.I_indices]))
+
+
 def shifted_keys(res: SeparationResult, v: np.ndarray, xs: np.ndarray, alpha: float) -> np.ndarray:
     """v_i - alpha * beta.x_i in processing order."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    bx = res.beta @ np.atleast_2d(xs)
-    return (v - alpha * bx)[res.perm]
+    return _keys(res, *_projections(res, v, xs), alpha)
 
 
 def check_separation(res: SeparationResult, u: np.ndarray, v: np.ndarray, xs: np.ndarray, alpha: float) -> bool:
     """Direct check of (1.1) at a given alpha and (1.2)."""
     keys = shifted_keys(res, v, xs, alpha)
     cond_11 = float(np.max(keys[: res.l_prime])) < float(np.min(keys[res.l_prime :]))
-    cond_12 = abs(float(np.sum(np.asarray(u).reshape(-1)[res.I_indices]))) > 0.0
-    return bool(cond_11 and cond_12)
+    return bool(cond_11 and abs(_I_sum(res, u)) > 0.0)
+
+
+def _constants(res: SeparationResult, keys: np.ndarray, u_sum: float, slope_ratio: float | None,
+               alpha: float) -> DescentConstants:
+    """The one constants formula (see `descent_constants_at`), from the
+    shifted keys at alpha and the sum of u over I."""
+    key_l = float(keys[res.l_prime - 1])
+    min_j = float(np.min(keys[res.l_prime :]))
+    midgap = 0.5 * (min_j - key_l)
+    eta1 = key_l + midgap
+
+    interior = res.l_prime < res.group_bounds[res.t_group - 1]
+    gamma_abs = 0.5 * abs(midgap) if interior else alpha
+    drive = u_sum if slope_ratio is None else slope_ratio * u_sum
+    # a zero drive keeps +|gamma|
+    gamma = -gamma_abs if drive < 0 else gamma_abs
+    return DescentConstants(
+        alpha=alpha,
+        gamma=gamma,
+        eta1=eta1,
+        midgap=midgap,
+        margin=abs(midgap) - abs(gamma),
+    )
 
 
 def descent_constants_at(
@@ -237,36 +278,17 @@ def descent_constants_at(
     (s+ - s-)/(s+ + s-); passing slope_ratio=None selects the balanced-slope
     rule (first-order change -2*gamma*sum_I(u), so sgn(gamma) = sgn(sum_I u)).
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    keys = shifted_keys(res, v, xs, alpha)
-    key_l = float(keys[res.l_prime - 1])
-    min_j = float(np.min(keys[res.l_prime :]))
-    midgap = 0.5 * (min_j - key_l)
-    eta1 = key_l + midgap
-
-    interior = res.l_prime < res.group_bounds[res.t_group - 1]
-    gamma_abs = 0.5 * abs(midgap) if interior else alpha
-    u_sum = float(np.sum(u[res.I_indices]))
-    drive = u_sum if slope_ratio is None else slope_ratio * u_sum
-    # a zero drive keeps +|gamma|
-    gamma = -gamma_abs if drive < 0 else gamma_abs
-    return DescentConstants(
-        alpha=alpha,
-        gamma=gamma,
-        eta1=eta1,
-        midgap=midgap,
-        margin=abs(midgap) - abs(gamma),
-    )
+    return _constants(res, shifted_keys(res, v, xs, alpha), _I_sum(res, u), slope_ratio, alpha)
 
 
-def _gap_formula_matches(res: SeparationResult, v: np.ndarray, xs: np.ndarray, alpha: float) -> bool:
+def _gap_formula_matches(res: SeparationResult, keys: np.ndarray) -> bool:
     """At small alpha the J-minimum is attained inside the split group; the
     sizing used for gamma assumes exactly that, so alpha is shrunk until the
-    group-restricted gap equals the full gap."""
+    group-restricted gap equals the full gap, read from the shifted keys at
+    alpha."""
     group_end = res.group_bounds[res.t_group - 1]
     if res.l_prime >= group_end:
         return True
-    keys = shifted_keys(res, v, xs, alpha)
     key_l = float(keys[res.l_prime - 1])
     full_gap = float(np.min(keys[res.l_prime :])) - key_l
     group_gap = float(np.min(keys[res.l_prime : group_end])) - key_l
@@ -284,17 +306,24 @@ def admissible_constants(
     MAX_HALVINGS times, and yield the constants at every alpha where the gap
     case-formula and a strict sign margin hold (margin > 0, midgap > 0).
 
+    beta.x and the sum of u over I are formed once per search, and the
+    shifted keys once per halving, which the gap test and the constants
+    (`_constants`, the formula `descent_constants_at` reads) share; every
+    yield equals `descent_constants_at` at its alpha.
+
     Raises SizingFailed when the search ends without a yield.
     """
+    (v, bx), u_sum = _projections(res, v, xs), _I_sum(res, u)
     alpha = min(ALPHA_CAP, res.alpha_max)
     sized = False
     for _ in range(MAX_HALVINGS):
-        if alpha <= res.alpha_max and _gap_formula_matches(res, v, xs, alpha):
-            consts = descent_constants_at(res, u, v, xs, slope_ratio, alpha)
-            if consts.margin > 0 and consts.midgap > 0:
-                sized = True
-                yield consts
+        if alpha <= res.alpha_max:
+            keys = _keys(res, v, bx, alpha)
+            if _gap_formula_matches(res, keys):
+                consts = _constants(res, keys, u_sum, slope_ratio, alpha)
+                if consts.margin > 0 and consts.midgap > 0:
+                    sized = True
+                    yield consts
         alpha *= 0.5
     if not sized:
         raise SizingFailed(f"no admissible alpha after {MAX_HALVINGS} halvings")
-

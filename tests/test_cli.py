@@ -568,6 +568,23 @@ class TestDemo:
         assert ok
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "843062e2e86e57ae"
 
+    @pytest.mark.parametrize("spec, pin", [
+        # the unmirrored frame of a two-piece activation other than relu
+        ("leaky:0.2", "ed6537d827e18d35"),
+        # the mirrored frame: a zero right slope builds every route reflected
+        ('{"breakpoints":[0],"slopes":[1,0],"anchor":0}', "4af6767be600ff4c"),
+    ])
+    def test_other_frame_report_hashes_pinned(self, spec, pin):
+        import hashlib
+
+        from spurmin.cli import run_demo
+        from spurmin.io import to_jsonable
+
+        report, ok, _ = run_demo(seed=7, activation_spec=spec)
+        text = json.dumps(to_jsonable(report), sort_keys=True)
+        assert ok
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
+
     @pytest.mark.parametrize("slopes", ["[1,0]", "[-1,0]", "[0.5,0]"])
     def test_demo_with_reflected_activation(self, slopes):
         # a zero right slope builds every route in the mirrored frame, so the
@@ -725,3 +742,85 @@ class TestPathAtDepth:
         res = json.loads(out.read_text())
         assert res["n_points"] == 31
         assert res["risk_flat"] and res["pattern_constant"]
+
+
+SHARED_SPECS = ["relu", "leaky:0.2", '{"breakpoints":[0],"slopes":[1,0],"anchor":0}']
+
+
+class TestDemoSharesItsWitnessInputs:
+    """`run_demo` builds its four witnesses on one sample split and one
+    shallow alpha search per activation, and reads its own fit for the
+    assumption report; each witness is still its standalone build."""
+
+    def test_split_search_and_fit_counts(self, monkeypatch):
+        import spurmin.cli
+        import spurmin.construction
+        import spurmin.linear_fit
+
+        calls = {"_split": 0, "admissible_constants": 0, "fit_linear": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(spurmin.construction, "_split")
+        spy(spurmin.construction, "admissible_constants")
+        # every name the package calls the fit by
+        for module in (spurmin.cli, spurmin.linear_fit):
+            spy(module, "fit_linear")
+        _, ok, _ = spurmin.cli.run_demo(seed=7)
+        assert ok
+        # one split; the searches of stage 1 (stage 2 lifts it), stage 3 and
+        # the corollary; one fit
+        assert calls == {"_split": 1, "admissible_constants": 3, "fit_linear": 1}
+
+    @pytest.mark.parametrize("spec", SHARED_SPECS)
+    def test_each_witness_equals_its_standalone_build(self, spec):
+        from spurmin import build_descent, fit_linear, LossKind
+        from spurmin.activations import parse_activation
+        from spurmin.cli import _activation_arg, run_demo
+        from spurmin.io import to_jsonable
+
+        report, ok, _ = run_demo(seed=7, activation_spec=spec)
+        assert ok
+        data = xor_dataset()
+        fit, act = fit_linear(data, LossKind.SQUARED), _activation_arg(spec)
+        builds = {
+            "1": ((2, 3, 1), act, "1"),
+            "2": ((2, 3, 3, 1), act, "2"),
+            "3": ((2, 3, 3, 1), parse_activation("threepiece"), "3"),
+            "corollary": ((2, 4, 1), parse_activation("abs"), "corollary"),
+        }
+        for name, (dims, stage_act, stage) in builds.items():
+            shown = (report["corollary"] if name == "corollary" else report["stages"][name])["witness"]
+            alone = build_descent(fit, data, dims, stage_act, stage=stage).as_dict()
+            assert (json.dumps(to_jsonable(shown), sort_keys=True)
+                    == json.dumps(to_jsonable(alone), sort_keys=True)), name
+
+    def test_first_failure_is_still_the_stage_1_witness(self, monkeypatch):
+        # balanced slopes on route 1: the stage-1 minimum builds, then its
+        # witness refuses them, before any split or later stage is built
+        import traceback
+
+        import spurmin.cli
+        import spurmin.construction
+        from spurmin import NoAdmissibleTurningPoint
+
+        built, splits = [], []
+        real_minimum, real_split = spurmin.cli.build_minimum, spurmin.construction._split
+        monkeypatch.setattr(spurmin.cli, "build_minimum",
+                            lambda *a, **k: built.append(k["stage"]) or real_minimum(*a, **k))
+        monkeypatch.setattr(spurmin.construction, "_split",
+                            lambda *a: splits.append(1) or real_split(*a))
+        spec = '{"breakpoints":[0],"slopes":[-1,1],"anchor":0}'
+        with pytest.raises(NoAdmissibleTurningPoint) as raised:
+            spurmin.cli.run_demo(seed=7, activation_spec=spec)
+        frames = [frame.name for frame in traceback.extract_tb(raised.value.__traceback__)]
+        assert "_two_piece_descent" in frames
+        assert built == ["1"] and splits == []
+        assert main(["demo", "--activation", spec]) == 3

@@ -1561,3 +1561,27 @@ def test_an_output_bias_past_the_float_range_is_the_float_range_error(xor, xor_f
             run()
         assert str(info.value) == ("a construction scale leaves the float64 range "
                                    "(the output bias overflows)"), name
+
+
+# ---------------------------------------------------------------------------
+# the invariant the demo's shared shallow search rests on
+
+
+@pytest.mark.parametrize("spec", ["relu", "leaky:0.2",
+                                  {"breakpoints": [0], "slopes": [1, 0], "anchor": 0}])
+@pytest.mark.parametrize("data_spec", ["xor", "blobs:3"])
+def test_route_2_witness_lifts_the_route_1_witness(spec, data_spec):
+    # route 2's first layer and constants are route 1's, bit for bit: both
+    # come from the one shallow search of the same fit, activation and
+    # shallow dims, which the demo runs once for the two routes
+    from spurmin.io import gen_dataset
+
+    data = gen_dataset(data_spec, seed=0)
+    fit, act = fit_linear(data, SQ), parse_activation(spec)
+    shallow = build_descent(fit, data, (2, 3, 1), act, stage="1")
+    deep = build_descent(fit, data, (2, 3, 3, 1), act, stage="2")
+    for a, b in ((shallow.net.weights[0], deep.net.weights[0]),
+                 (shallow.net.biases[0], deep.net.biases[0])):
+        assert a.tobytes() == b.tobytes()
+    for name in ("alpha", "gamma", "eta1"):
+        assert repr(getattr(shallow.params, name)) == repr(getattr(deep.params, name)), name

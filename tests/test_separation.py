@@ -540,3 +540,88 @@ class TestNearAffineFits:
             data = Dataset(X, (X[0] - X[1] + 1.0 + eps * rng.standard_normal(6))[None, :])
             fit = fit_linear(data, LossKind.SQUARED)
             separate(fit.v[0], fit.y_tilde[0], X)
+
+
+# The alpha search as it formed each halving's keys twice (once for the gap
+# test, once for the constants) and summed u over I once per yield, kept as
+# an oracle for the search that forms beta.x and that sum once per search
+# and the keys once per halving.
+
+
+def oracle_search(res, u, v, xs, slope_ratio):
+    def keys_at(alpha):
+        bx = res.beta @ np.atleast_2d(xs)
+        return (np.asarray(v, dtype=float).reshape(-1) - alpha * bx)[res.perm]
+
+    def gap_matches(alpha):
+        group_end = res.group_bounds[res.t_group - 1]
+        if res.l_prime >= group_end:
+            return True
+        keys = keys_at(alpha)
+        key_l = float(keys[res.l_prime - 1])
+        full_gap = float(np.min(keys[res.l_prime :])) - key_l
+        group_gap = float(np.min(keys[res.l_prime : group_end])) - key_l
+        return abs(full_gap - group_gap) <= 1e-12 * (1.0 + abs(full_gap))
+
+    def constants_at(alpha):
+        keys = keys_at(alpha)
+        key_l = float(keys[res.l_prime - 1])
+        midgap = 0.5 * (float(np.min(keys[res.l_prime :])) - key_l)
+        interior = res.l_prime < res.group_bounds[res.t_group - 1]
+        gamma_abs = 0.5 * abs(midgap) if interior else alpha
+        u_sum = float(np.sum(np.asarray(u, dtype=float).reshape(-1)[res.I_indices]))
+        drive = u_sum if slope_ratio is None else slope_ratio * u_sum
+        gamma = -gamma_abs if drive < 0 else gamma_abs
+        return separation.DescentConstants(alpha=alpha, gamma=gamma, eta1=key_l + midgap,
+                                           midgap=midgap, margin=abs(midgap) - abs(gamma))
+
+    out, alpha = [], min(separation.ALPHA_CAP, res.alpha_max)
+    for _ in range(MAX_HALVINGS):
+        if alpha <= res.alpha_max and gap_matches(alpha):
+            consts = constants_at(alpha)
+            if consts.margin > 0 and consts.midgap > 0:
+                out.append(consts)
+        alpha *= 0.5
+    return out
+
+
+def drawn_separation(seed, split):
+    """A separation of the given kind: "trivial" (beta = 0, a group-boundary
+    split), or "interior", from the tiered instances (beta != 0, the split
+    inside its group) or small-integer draws that take that branch."""
+    rng = np.random.default_rng(seed)
+    while True:
+        if split == "interior" and seed % 2:
+            u, v, xs = tiered_instance(rng, int(rng.integers(16, 40)), noise=1e-12)
+        else:
+            u, v, xs = random_instance(rng)
+        res = separate(u, v, xs)
+        interior = res.l_prime < res.group_bounds[res.t_group - 1]
+        if (res.trivial_branch, interior) == ((True, False) if split == "trivial" else (False, True)):
+            return res, u, v, xs
+
+
+class TestSearchFormsEachHalvingOnce:
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           split=st.sampled_from(["trivial", "interior"]),
+           slope_ratio=st.one_of(st.none(), st.floats(0.01, 100.0), st.floats(-100.0, -0.01)))
+    @settings(max_examples=150, deadline=None)
+    def test_yields_equal_the_per_halving_search(self, seed, split, slope_ratio):
+        res, u, v, xs = drawn_separation(seed, split)
+        want = oracle_search(res, u, v, xs, slope_ratio)
+        try:
+            got = list(admissible_constants(res, u, v, xs, slope_ratio))
+        except SizingFailed:
+            got = []
+        assert got == want
+        for c in got:
+            assert c == descent_constants_at(res, u, v, xs, slope_ratio, c.alpha)
+
+    def test_draws_cover_both_splits_and_interior_groups(self):
+        # the trivial draws split at a group end; the interior draws split
+        # inside their group, where gamma is half the midgap
+        for seed in range(20):
+            res, *_ = drawn_separation(seed, "trivial")
+            assert not np.any(res.beta) and res.l_prime == res.group_bounds[res.t_group - 1]
+            res, *_ = drawn_separation(seed, "interior")
+            assert np.any(res.beta) and res.l_prime < res.group_bounds[res.t_group - 1]
