@@ -304,52 +304,27 @@ def build_valley_path(
     return [(W[0], W[1][0]) for W, _ in points]
 
 
-def linear_collapse_check(
-    act: PiecewiseLinear,
-    X: np.ndarray,
-    hidden_width: int,
-    trials: int = 50,
-    seed: int = 0,
-) -> bool:
-    """True iff the activation pattern is identical across random weight
-    draws, i.e. the whole surface is one cell (linear activations).  The
-    seed must be a nonnegative integer, hidden_width a positive integer,
-    and trials an integer of at least 2, since one draw has nothing to
-    compare with.  An X without samples is refused: every empty
-    pattern equals every other, so a True there would check nothing.
+def linear_collapse_check(act: PiecewiseLinear, X: np.ndarray) -> bool:
+    """True iff the loss surface of networks with this activation on the
+    samples X is one cell: iff the activation is linear (not
+    is_nonlinear, the rule by which construction refuses it).
 
-    An activation with one slope on every piece (not is_nonlinear) gives
-    every hidden unit that slope at every sample, NaN and inf included,
-    under every weight draw, so the answer is True without drawing.  Any
-    other activation is sampled: trials one-hidden-layer networks from
-    default_rng([seed, trial]), stopping at the first whose pattern
-    differs from the first network's."""
-    seed = check_integer("seed", seed, minimum=0)
-    hidden_width = check_integer("hidden_width", hidden_width, minimum=1)
-    trials = check_integer("trials", trials, minimum=2)
+    The rule is exact.  One slope on every piece gives every hidden unit
+    that slope at every sample under every weight draw.  A nonlinear
+    activation has a breakpoint whose adjacent slopes differ, and a hidden
+    unit with zero weights and a bias just left or just right of it takes
+    each of the two slopes at every finite sample, so there are at least
+    two cells.  X is d_x x n (1-d reads as one feature row) and must hold
+    at least one sample, every entry finite, as `Dataset` asks: a True on
+    no samples would check nothing, and 0 * inf is not a pre-activation."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2:
         raise ShapeViolation(f"X must be d_x x n, got {X.shape}")
     if X.shape[1] == 0:
         raise PreconditionViolated("need at least one sample")
-    if not act.is_nonlinear:
-        return True
-    d_x = X.shape[0]
-    ref = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        net = Mlp(
-            (d_x, hidden_width, 1),
-            (rng.standard_normal((hidden_width, d_x)), rng.standard_normal((1, hidden_width))),
-            (rng.standard_normal(hidden_width), rng.standard_normal(1)),
-            act,
-        )
-        sig = activation_pattern(net, X)
-        if ref is None:
-            ref = sig
-        elif not signatures_equal(ref, sig):
-            return False
-    return True
+    if not np.isfinite(X).all():
+        raise PreconditionViolated("X must be finite (no NaN or infinity)")
+    return not act.is_nonlinear
 
 
 def net_cell_inputs(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -371,11 +346,11 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
                 steps_per_move: int) -> dict:
     """Score the valley path between two networks, of any depth and output
     width, that are per-unit rescalings of each other and share the output
-    bias.  The points of `_valley_points` are built and forwarded in
-    stacked chunks of `verification._stack_size` networks, so one chunk of
-    the path is held at a time; each chunk gives its points' risks from one
-    `risk_of_outputs` and their slopes from one `piece_slopes` per hidden
-    layer.  Risks and slopes are bit-identical to building and forwarding
+    bias and the activation.  The points of `_valley_points` are built and
+    forwarded in stacked chunks of `verification._stack_size` networks, so
+    one chunk of the path is held at a time; each chunk gives its points'
+    risks from one `risk_of_outputs` and their slopes from one
+    `piece_slopes` per hidden layer.  Risks and slopes are bit-identical to building and forwarding
     each point's network.
 
     Returns n_points, the risk at each point (Python floats), the largest
@@ -387,6 +362,8 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     """
     if not np.array_equal(net_a.biases[-1], net_b.biases[-1]):
         raise PreconditionViolated("endpoints must share the output bias")
+    if net_a.activation != net_b.activation:
+        raise PreconditionViolated("endpoints must share the activation")
     _check_fits(net_a.dims, data)
     points = _valley_points((net_a.weights, net_a.biases), (net_b.weights, net_b.biases),
                             steps_per_move)

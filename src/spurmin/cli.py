@@ -313,8 +313,8 @@ def run_demo(
         record("valley_path_pattern_constant", valley["pattern_constant"])
 
         identity_act = parse_activation("identity")
-        collapse = cellmod.linear_collapse_check(identity_act, data.X, 4, trials=50, seed=seed)
-        relu_varies = not cellmod.linear_collapse_check(act, data.X, 4, trials=50, seed=seed)
+        collapse = cellmod.linear_collapse_check(identity_act, data.X)
+        relu_varies = not cellmod.linear_collapse_check(act, data.X)
         report["linear_collapse"] = {"identity_single_cell": collapse, "relu_varies": relu_varies}
         record("linear_collapse_identity", collapse)
         record("linear_collapse_relu_control", relu_varies)

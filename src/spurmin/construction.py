@@ -13,12 +13,12 @@ There are three entry points.  `build_minimum` and `build_descent` build
 one point of their kind on the route a stage name selects, and
 `enumerate_family` samples route 3's infinite family of minima.  The two
 routers share one preamble (`_routed`): the stage rule (`_stage`, which
-resolves "auto"), the overrides the route takes, the dimensions, one hidden
-layer on route "1", every override as a finite real number
-(`errors.check_real`, each alpha scale too; m_scale positive), and the
-width rule (`network._balanced_widths_ok` on "corollary",
-`network._widths_ok` elsewhere).  Then each runs its route's builder from
-one table per point kind, with the overrides that route takes:
+resolves "auto"), the overrides the route takes, the dimensions against the
+data (`network._check_fits`), one hidden layer on route "1", every override
+as a finite real number (`errors.check_real`, each alpha scale too;
+m_scale positive), and the width rule (`network._balanced_widths_ok` on
+"corollary", `network._widths_ok` elsewhere).  Then each runs its route's
+builder from one table per point kind, with the overrides that route takes:
 
   stage        `_MINIMA`                  `_WITNESSES`
   "1"          _two_piece_minimum: eta    _two_piece_descent: none
@@ -123,8 +123,8 @@ from .errors import (
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
-from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _layer_outputs,
-                      _widths_ok, forward, risk_of_outputs)
+from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _check_fits,
+                      _layer_outputs, _widths_ok, forward, risk_of_outputs)
 from .separation import (
     MAX_HALVINGS,
     DescentConstants,
@@ -244,10 +244,7 @@ def _float_checked(build):
 
 
 def _check_dims(fit: LinearFit, data: Dataset, dims: tuple[int, ...]) -> None:
-    if dims[0] != data.d_x or dims[-1] != data.d_y:
-        raise PreconditionViolated(
-            f"dims {dims} do not match data ({data.d_x} -> {data.d_y})"
-        )
+    _check_fits(dims, data)
     if fit.w_tilde.shape != (data.d_y, data.d_x + 1):
         raise PreconditionViolated("fit and data disagree on dimensions")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .activations import PiecewiseLinear, find_turning_point
 from .errors import (AllRowsZero, NoAdmissibleTurningPoint, NonConvergence, PreconditionViolated,
-                     SpurminError)
+                     SpurminError, check_integer, check_real)
 from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, loss_gradient,
                       risk_of_outputs)
 
@@ -91,8 +91,16 @@ def fit_linear(
     gradient descent with backtracking halving until the risk gradient norm
     reaches tol; ||W||_F beyond param_cap flags a suspected unbounded
     minimizer (separable data), and exhausting max_iter without reaching
-    either raises NonConvergence.
+    either raises NonConvergence.  Before any fit, tol must be a finite
+    real >= 0, param_cap a finite real > 0 (`check_real`) and max_iter an
+    integer of at least 1, else PreconditionViolated.
     """
+    tol, param_cap = check_real("tol", tol), check_real("param_cap", param_cap)
+    if not 0.0 <= tol < np.inf:
+        raise PreconditionViolated(f"tol must be finite and nonnegative, not {tol}")
+    if not 0.0 < param_cap < np.inf:
+        raise PreconditionViolated(f"param_cap must be finite and positive, not {param_cap}")
+    max_iter = check_integer("max_iter", max_iter, minimum=1)
     Xt = augment(data.X)
     if loss is LossKind.SQUARED:
         W = data.Y @ np.linalg.pinv(Xt, rcond=1e-12)

@@ -246,8 +246,8 @@ def test_criterion_7_cell_geometry(xor, fit):
 
 def test_criterion_8_linear_collapse(xor):
     identity = sp.PiecewiseLinear((), (1.0,), 0.0)
-    single = cells.linear_collapse_check(identity, xor.X, 4, trials=50, seed=0)
-    relu_varies = not cells.linear_collapse_check(sp.relu(), xor.X, 4, trials=50, seed=0)
+    single = cells.linear_collapse_check(identity, xor.X)
+    relu_varies = not cells.linear_collapse_check(sp.relu(), xor.X)
     report(8, single and relu_varies,
            f"identity single cell: {single}, relu control varies: {relu_varies}")
 

@@ -286,6 +286,32 @@ class TestExitCodes:
         assert main(["descend", "--data", xor_csv, "--stage", "corollary",
                      "--dims", "2,2,1", "--activation", "abs"]) == 3
 
+    def test_path_between_differing_activations_is_precondition(self, tmp_path, xor_csv,
+                                                                  capsys):
+        from spurmin import build_minimum, fit_linear, relu
+        from spurmin.io import save_mlp
+
+        xor = load_dataset_csv(xor_csv)
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        save_mlp(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net, a_path)
+        leaky = json.loads(a_path.read_text())
+        leaky["activation"]["slopes"] = [0.5, 1.0]
+        b_path.write_text(json.dumps(leaky))
+        out = tmp_path / "path.json"
+        assert main(["path", "--data", xor_csv, "--a", str(a_path), "--b", str(b_path),
+                     "--out", str(out)]) == 3
+        assert "endpoints must share the activation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loss", ["squared", "ce"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_fit_bad_tol_is_precondition(self, tmp_path, loss, tol, capsys):
+        data = tmp_path / "xor.csv"
+        save_dataset_csv(Dataset(xor_dataset().X, np.array([[1.0, 0.0, 0.0, 1.0],
+                                                            [0.0, 1.0, 1.0, 0.0]])), data)
+        assert main(["fit", "--data", str(data), "--loss", loss, f"--tol={tol}"]) == 3
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("to_file", [True, False])
     def test_verify_without_draws_is_precondition(self, tmp_path, xor_csv, capsys, to_file):
         from spurmin import build_minimum, fit_linear, relu

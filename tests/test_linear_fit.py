@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from spurmin import (
     AllRowsZero,
     Dataset,
     LossKind,
+    PreconditionViolated,
     fit_linear,
     select_nonzero_residual_row,
 )
+from spurmin import linear_fit
 from spurmin.linear_fit import _finish, augment, permute_fit_rows
 
 from conftest import random_two_output_dataset
@@ -132,3 +136,33 @@ class TestCrossEntropyFit:
         data = Dataset(X, Y)
         fit = fit_linear(data, LossKind.CROSS_ENTROPY, tol=1e-300, param_cap=5.0, max_iter=20_000)
         assert fit.unbounded_suspected
+
+
+ONE_HOT_XOR = Dataset(np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]]),
+                      np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]))
+
+
+class TestFitArguments:
+    @pytest.mark.parametrize("loss", [LossKind.SQUARED, LossKind.CROSS_ENTROPY])
+    @pytest.mark.parametrize("name, value", [
+        ("tol", np.nan), ("tol", np.inf), ("tol", -1.0), ("tol", -1e-300), ("tol", True),
+        ("tol", "1e-8"), ("tol", None), ("param_cap", 0.0), ("param_cap", -5.0),
+        ("param_cap", np.nan), ("param_cap", np.inf), ("param_cap", 10**400),
+        ("param_cap", False), ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5),
+        ("max_iter", 100.0), ("max_iter", True), ("max_iter", "10"),
+    ])
+    def test_bad_argument_refused_before_the_first_gradient(self, monkeypatch, loss, name,
+                                                            value):
+        monkeypatch.setattr(linear_fit, "loss_gradient", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(linear_fit, "augment", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(PreconditionViolated, match=f"^{name} must be"):
+            fit_linear(ONE_HOT_XOR, loss, **{name: value})
+
+    def test_boundary_values_accepted(self):
+        want = fit_linear(ONE_HOT_XOR, LossKind.SQUARED)
+        got = fit_linear(ONE_HOT_XOR, LossKind.SQUARED, tol=0, max_iter=np.int64(1),
+                         param_cap=1)
+        assert np.array_equal(got.w_tilde, want.w_tilde)
+        fit = fit_linear(ONE_HOT_XOR, LossKind.CROSS_ENTROPY, tol=np.float64(1e-8),
+                         param_cap=10**6)
+        assert fit.grad_norm <= 1e-8
