@@ -32,8 +32,8 @@ from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .io import rle_encode
 from .network import (
-    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _stacked_outputs, forward, loss_gradient,
-    per_sample_loss, risk_of_outputs,
+    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _stacked_outputs, augment, forward,
+    loss_gradient, per_sample_loss, risk_of_outputs,
 )
 from .verification import _stack_size
 
@@ -338,8 +338,7 @@ def net_cell_inputs(net: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
         raise ShapeViolation("cell machinery needs one hidden layer and one output")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W1_aug = np.hstack([net.weights[0], net.biases[0][:, None]])
-    X_aug = np.vstack([X, np.ones((1, X.shape[1]))])
-    return W1_aug, net.weights[1][0], float(net.biases[1][0]), X_aug
+    return W1_aug, net.weights[1][0], float(net.biases[1][0]), augment(X)
 
 
 def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,

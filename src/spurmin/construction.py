@@ -55,7 +55,7 @@ smaller risk, certifying that the minima are spurious.
 Every minimum is certified from the forward trace of its network
 (`_certify_minimum`).  Route 3 builds a family's members along one member
 axis (`_family`; its minimum is the family of one): the scaffold and
-W1 @ X once, each member's M from its own first-layer pre-activations, and
+[X; 1] once, each member's M from its own first-layer pre-activations, and
 the alphas and the squeeze as array arithmetic over all members at once.
 `_certified` then forwards the members in stacked chunks straight from
 those arrays, and certifies each chunk with one reduction per check over
@@ -123,8 +123,8 @@ from .errors import (
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
-from .network import (Dataset, ForwardTrace, Mlp, _balanced_widths_ok, _check_fits,
-                      _layer_outputs, _widths_ok, forward, risk_of_outputs)
+from .network import (Dataset, ForwardTrace, Mlp, _affine, _balanced_widths_ok, _check_fits,
+                      _layer_outputs, _widths_ok, augment, forward, risk_of_outputs)
 from .separation import (
     MAX_HALVINGS,
     DescentConstants,
@@ -422,13 +422,14 @@ def _certified(drafts: list[_Draft], layers: Layers, fit: LinearFit,
     spurious, X, Y = _leaves_residual(fit), data.X, fit.y_tilde
     target_max, (lo, hi) = float(np.abs(Y).max()), _bounds(drafts[0])
     size = _stack_size(drafts[0].net.dims, X.shape[1]) if len(drafts) > 1 else 1
+    X1 = augment(X) if size > 1 else None  # read by the stacked passes only
     points = []
     for start in range(0, len(drafts), size):
         chunk, values = drafts[start:start + size], None
         if len(chunk) > 1:
             try:
                 pre, post = _layer_outputs(*([p[start:start + size] for p in ps] for ps in layers),
-                                           chunk[0].net.activation, X)
+                                           chunk[0].net.activation, X1)
                 values = zip(np.abs(post[-1] - Y).max(axis=(-2, -1)).tolist(),
                              risk_of_outputs(post[-1], data.Y, fit.loss).tolist(),
                              _interval_margin(pre[:-1], lo, hi).tolist())
@@ -812,10 +813,11 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
     default_rng([seed, idx]).
 
     The scaffold's weights do not depend on eta, so `_minimum_layers` runs
-    once with a column of shifts and W1 @ X is formed once; each member's M
-    comes from its own first-layer pre-activations, in draw order
-    (`_radius_scale`), and the alphas, the squeeze and the reflection are
-    array arithmetic over the member axis (`_squeezed`).  Every member is
+    once with a column of shifts, and the data's [X; 1] is formed once.
+    Each member's M comes from its own first-layer pre-activations, the
+    forward's one matmul [W1 | b1] @ [X; 1] (`network._affine`), in draw
+    order (`_radius_scale`), and the alphas, the squeeze and the reflection
+    are array arithmetic over the member axis (`_squeezed`).  Every member is
     bit-identical to building it alone, and a failure is the first failing
     member's, as if each were built and certified before the next: when a
     member's M or output back-off raises, the members before it are
@@ -844,18 +846,17 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
                       None, 1.0 + rng.random()))
     etas, alpha_scales, overrides, factors = zip(*draws)
     layers = _minimum_layers(fit, dims, tp.s_plus, np.array(etas, dtype=float)[:, None])
-    wx, h_t = layers[0][0] @ data.X, float(build_act(tp.t))
+    W1, X1, h_t = layers[0][0], augment(data.X), float(build_act(tp.t))
     scales, built = [], []
     try:
         try:
             for b1, m_scale, factor, alphas in zip(layers[1][0], overrides, factors, alpha_scales):
-                m_scale = _radius_scale(wx + b1[:, None], tp.sigma, m_scale, "m_scale", factor)
+                m_scale = _radius_scale(_affine(W1, b1, X1), tp.sigma, m_scale, "m_scale", factor)
                 out_scale = m_scale / math.prod(alphas, start=1.0)
                 if not math.isfinite(out_scale * h_t):
                     raise PreconditionViolated(_OUTPUT_BIAS_OVERFLOWS)
                 scales.append((m_scale, out_scale, out_scale * h_t))
         finally:
-            del wx  # d_1 x n, not held through the forward
             args = (layers, np.array(alpha_scales, dtype=float),
                     np.array(scales, dtype=float).reshape(-1, 3), tp.t, h_t)
             try:
@@ -1017,7 +1018,7 @@ def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     reproducible; the seed must be a nonnegative integer.
 
     The members are built together along one member axis (`_family`):
-    their shared scaffold and W1 @ X once, each member's M from its own
+    their shared scaffold and [X; 1] once, each member's M from its own
     first-layer pre-activations, and the alphas and the squeeze as array
     arithmetic.  They are then forwarded in stacked chunks of
     `verification._stack_size` networks straight from those arrays, and

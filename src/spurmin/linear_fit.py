@@ -19,17 +19,11 @@ import numpy as np
 from .activations import PiecewiseLinear, find_turning_point
 from .errors import (AllRowsZero, NoAdmissibleTurningPoint, NonConvergence, PreconditionViolated,
                      SpurminError, check_integer, check_real)
-from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, loss_gradient,
+from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, augment, loss_gradient,
                       risk_of_outputs)
 
 # Residual size, relative to 1 + max |baseline|, below which a row counts as fitted.
 ZERO_RESIDUAL_TOL = 1e-12
-
-
-def augment(X: np.ndarray) -> np.ndarray:
-    """Stack a row of ones under X so affine maps read W @ augment(X)."""
-    X = np.asarray(X, dtype=float)
-    return np.vstack([X, np.ones((1, X.shape[1]))])
 
 
 @dataclass(frozen=True)

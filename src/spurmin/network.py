@@ -6,6 +6,11 @@ dimension); `_widths_ok` and `_balanced_widths_ok` are the hidden-width
 rules of the construction routes.  Conventions fixed package-wide: the squared loss carries a 1/2 factor,
 l(y, yhat) = 0.5*||y - yhat||^2, the empirical risk averages per-sample
 losses with 1/n, and the output layer is affine (no final activation).
+
+Every forward reads the data with a row of ones under it (`augment`), and
+forms the first layer as one matmul, [W_1 | b_1] @ [X; 1] (`_affine`):
+on tall data a broadcast bias add costs more than the matmul itself.
+Later layers add their bias after the matmul.
 """
 
 from __future__ import annotations
@@ -188,6 +193,21 @@ class ForwardTrace:
         return self.pre[:-1]
 
 
+def augment(X: np.ndarray) -> np.ndarray:
+    """Stack a row of ones under X so affine maps read W @ augment(X)."""
+    X = np.asarray(X, dtype=float)
+    X1 = np.empty((X.shape[0] + 1, X.shape[1]))
+    X1[:-1] = X
+    X1[-1] = 1.0
+    return X1
+
+
+def _affine(W: np.ndarray, b: np.ndarray, X1: np.ndarray) -> np.ndarray:
+    """W @ X + b as one matmul, [W | b] @ X1 with X1 = augment(X).  W and b
+    may carry one leading batch axis, (B, d, d_x) and (B, d)."""
+    return np.concatenate((W, b[..., None]), axis=-1) @ X1
+
+
 def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     """Evaluate the network on all columns of X, recording layer outputs.
 
@@ -196,14 +216,27 @@ def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != net.dims[0]:
         raise ShapeViolation(f"input must be {net.dims[0]} x n, got {X.shape}")
-    pre, post = _layer_outputs(net.weights, net.biases, net.activation, X)
+    pre, post = _layer_outputs(net.weights, net.biases, net.activation, augment(X))
     return ForwardTrace(tuple(pre), tuple(post))
 
 
 def _layer_outputs(
-    weights, biases, activation: PiecewiseLinear, X: np.ndarray
+    weights, biases, activation: PiecewiseLinear, X1: np.ndarray
 ) -> tuple[list, list]:
-    """Pre- and post-activation outputs of every layer on the columns of X.
+    """Pre- and post-activation outputs of every layer on the columns of X,
+    given as X1 = augment(X), so a caller that forwards many networks on one
+    dataset stacks the ones row once.
+
+    The first layer is one matmul, [W_1 | b_1] @ X1 (`_affine`); each later
+    layer is W_j @ post[j-1] with b_j added in place.  The fold changes the
+    matmul's inner dimension from d_x to d_x + 1.  BLAS picks its kernel,
+    and with it the order in which it sums the inner dimension, by the
+    matmul's size, so the first layer may round differently in the last
+    bits from W_1 @ X + b_1.  With OpenBLAS 0.3.31 on an x86-64 Xeon the two
+    agree bit for bit at every even d_x, unless the fold moves the product
+    past the bound of OpenBLAS's small-matrix kernel,
+    d_1 * n * d_x <= 1e6 < d_1 * n * (d_x + 1); at odd d_x some entries
+    differ in the last bits at any size.
 
     Every weight and bias may carry one leading batch axis, (B, d_j, d_{j-1})
     and (B, d_j), to evaluate B networks of one shape in stacked matmuls;
@@ -214,25 +247,25 @@ def _layer_outputs(
     is passed through without a copy: post[j] is pre[j].  Every output is
     read-only by contract.
     """
-    pre, post = [], []
-    cur = X
-    L = len(weights)
-    for j, (W, b) in enumerate(zip(weights, biases)):
-        z = W @ cur
+    z = _affine(weights[0], biases[0], X1)
+    pre, post = [z], []
+    for W, b in zip(weights[1:], biases[1:]):
+        post.append(activation._layer(z))
+        z = W @ post[-1]
         z += b[..., None]
         pre.append(z)
-        cur = activation._layer(z) if j < L - 1 else z
-        post.append(cur)
+    post.append(z)
     return pre, post
 
 
 def _stacked_outputs(layers: list, activation: PiecewiseLinear, X: np.ndarray) -> tuple[list, list]:
     """`_layer_outputs` of networks of one shape, each given as its
-    (weights, biases), in one stacked pass: every output carries a leading
-    axis with one entry per network, bit-identical to its own pass."""
+    (weights, biases), in one stacked pass on the columns of X: every output
+    carries a leading axis with one entry per network, bit-identical to its
+    own pass."""
     weights = [np.stack(Ws) for Ws in zip(*(w for w, _ in layers))]
     biases = [np.stack(bs) for bs in zip(*(b for _, b in layers))]
-    return _layer_outputs(weights, biases, activation, X)
+    return _layer_outputs(weights, biases, activation, augment(X))
 
 
 def _check_fits(dims: tuple[int, ...], data: Dataset) -> None:

@@ -32,7 +32,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PreconditionViolated, check_integer, check_real
 from .network import (
-    Dataset, ForwardTrace, LossKind, Mlp, _layer_outputs, empirical_risk, forward, risk_of_outputs,
+    Dataset, ForwardTrace, LossKind, Mlp, _layer_outputs, augment, empirical_risk, forward,
+    risk_of_outputs,
 )
 
 LOCAL_MIN_SLACK = -1e-10  # absorbs summation rounding in the risk
@@ -297,7 +298,7 @@ def _shared_draw_risks(
     _, _, bounds, _, chunk = max(plans, key=lambda plan: plan[2][-1])
     total = bounds[-1]
     block = chunk * max(1, _CHUNK_ELEMENTS // (total * chunk))
-    risks = [np.empty(samples) for _ in nets]
+    risks, X1 = [np.empty(samples) for _ in nets], augment(data.X)
     for first in range(0, samples, block):
         u = _uniform_draws(seed64, first, min(first + block, samples), total)
         for (net, params, bounds, scales, chunk), out in zip(plans, risks):
@@ -308,7 +309,7 @@ def _shared_draw_risks(
             ]
             for start in range(0, len(u), chunk):
                 part = [q[start:start + chunk] for q in stacked]
-                _, post = _layer_outputs(part[:L], part[L:], net.activation, data.X)
+                _, post = _layer_outputs(part[:L], part[L:], net.activation, X1)
                 stop = first + start + len(part[0])
                 out[first + start:stop] = risk_of_outputs(post[-1], data.Y, loss)
     return risks

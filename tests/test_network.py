@@ -16,12 +16,13 @@ from spurmin import (
     check_assumptions,
     empirical_risk,
     forward,
+    leaky_relu,
     loss_gradient,
     per_sample_loss,
     relu,
     three_piece,
 )
-from spurmin.network import _stacked_outputs, risk_of_outputs
+from spurmin.network import _layer_outputs, _stacked_outputs, augment, risk_of_outputs
 from spurmin.verification import fd_gradient_check
 from test_verification import pl_activations
 
@@ -219,6 +220,77 @@ class TestPassThrough:
             trace = forward(net, X)
             for j in range(3):
                 assert_same_bits(post[j][i], trace.post[j])
+
+
+def random_net(dims, act, rng):
+    """An Mlp of shape dims with standard normal weights and biases."""
+    return Mlp(dims, tuple(rng.standard_normal((b, a)) for a, b in zip(dims, dims[1:])),
+               tuple(rng.standard_normal(b) for b in dims[1:]), act)
+
+
+class TestFoldedFirstLayer:
+    """The first layer is one matmul over the data with a row of ones under
+    it, [W_1 | b_1] @ augment(X); later layers add their bias after it."""
+
+    @pytest.mark.parametrize("n", [1, 4, 300])
+    @pytest.mark.parametrize("d_x", [1, 2, 3, 8])
+    def test_first_pre_activation_is_the_folded_product(self, rng, d_x, n):
+        net = random_net((d_x, 16, 3, 1), relu(), rng)
+        X = rng.standard_normal((d_x, n))
+        want = np.hstack([net.weights[0], net.biases[0][:, None]]) @ augment(X)
+        assert_same_bits(forward(net, X).pre[0], want)
+
+    def test_augment_stacks_a_row_of_ones(self, rng):
+        X = rng.standard_normal((3, 5))
+        X1 = augment(X)
+        assert X1.shape == (4, 5) and X1.flags.c_contiguous
+        assert_same_bits(X1[:3], X)
+        assert X1[3].tolist() == [1.0] * 5
+
+    # n = 1 takes BLAS's matrix-vector path and odd d_x the inner-dimension
+    # tails of its kernels
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 3000])
+    @pytest.mark.parametrize("d_x", range(1, 10))
+    def test_stacked_pass_matches_each_own_pass(self, d_x, n, batch):
+        rng = np.random.default_rng([d_x, n, batch])
+        nets = [random_net((d_x, 16, 5, 1), three_piece(), rng) for _ in range(batch)]
+        X = rng.standard_normal((d_x, n))
+        pre, post = _stacked_outputs([(net.weights, net.biases) for net in nets], three_piece(), X)
+        for i, net in enumerate(nets):
+            trace = forward(net, X)
+            for j in range(3):
+                assert_same_bits(pre[j][i], trace.pre[j])
+                assert_same_bits(post[j][i], trace.post[j])
+
+    # With OpenBLAS 0.3.31 the fold rounds as the broadcast add does at
+    # d_x = 2, the input width of every pinned report, while both products
+    # stay within its small-matrix kernel (width * n * 3 <= 1e6 here); at
+    # odd d_x the inner dimension's summation order may differ in the last
+    # bits.
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 3000])
+    @pytest.mark.parametrize("width", [1, 3, 16, 64])
+    def test_at_two_inputs_the_fold_matches_the_broadcast_add(self, width, n, batch):
+        rng = np.random.default_rng([width, n, batch or 0])
+        lead = () if batch is None else (batch,)
+        W, b = rng.standard_normal((*lead, width, 2)), rng.standard_normal((*lead, width))
+        X = rng.standard_normal((2, n))
+        old = W @ X
+        old += b[..., None]
+        pre, _ = _layer_outputs([W], [b], relu(), augment(X))
+        assert_same_bits(pre[0], old)
+
+    @pytest.mark.parametrize("act", [relu(), leaky_relu(0.2), three_piece()])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_forward_matches_an_einsum_reference(self, act, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(rng.integers(1, 40, size=rng.integers(3, 6)).tolist())
+        net, X = random_net(dims, act, rng), rng.standard_normal((dims[0], rng.integers(1, 200)))
+        trace = forward(net, X)
+        for W, b, cur, got in zip(net.weights, net.biases, (X, *trace.post), trace.pre):
+            want = np.einsum("ij,jn->in", W, cur) + b[:, None]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRisk:
