@@ -206,8 +206,10 @@ def mlp_to_dict(net: Mlp) -> dict:
 def mlp_from_dict(d: dict) -> Mlp:
     """The network a dict from `mlp_to_dict` describes.  JSON text may carry
     NaN or Infinity literals, so non-finite parameters raise ParseError, and
-    so does a missing field or a field of the wrong kind (a dims entry that
-    is not an integer included)."""
+    so does a missing field, a field of the wrong kind (a dims entry that
+    is not an integer included) or fields that contradict each other (a
+    bias shape that its dims refuse, an activation that `PiecewiseLinear`
+    refuses)."""
     try:
         dims = _index_dims(d["dims"])
     except (KeyError, TypeError, PreconditionViolated) as exc:  # _index_dims: ShapeViolation
@@ -222,7 +224,7 @@ def mlp_from_dict(d: dict) -> Mlp:
                     raise ParseError(f"network {kind}[{layer}] has non-finite entry "
                                      f"{float(A[bad])} at {list(bad)}")
         return Mlp(dims, weights, biases, PiecewiseLinear.from_dict(d["activation"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, PreconditionViolated) as exc:
         raise ParseError(f"malformed network: {exc!r}") from None
 
 

@@ -260,13 +260,6 @@ def _uniform_draws(seed64: int, start: int, stop: int, total: int) -> np.ndarray
     return u
 
 
-def _draw_risks(
-    net: Mlp, data: Dataset, loss: LossKind, radius: float, samples: int, seed64: int
-) -> np.ndarray:
-    """Risk of each perturbed draw of one network (`_shared_draw_risks`)."""
-    return _shared_draw_risks([net], data, loss, radius, samples, seed64)[0]
-
-
 def _shared_draw_risks(
     nets: list[Mlp], data: Dataset, loss: LossKind, radius: float, samples: int, seed64: int
 ) -> list[np.ndarray]:

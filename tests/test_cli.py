@@ -22,6 +22,15 @@ from spurmin.io import (
 )
 
 
+# a valid (2,3,1) relu network file
+NET_FILE = {
+    "dims": [2, 3, 1],
+    "weights": [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1.0, -1.0, 0.5]]],
+    "biases": [[0.0, 0.5, -1.0], [0.0]],
+    "activation": {"breakpoints": [0.0], "slopes": [0.0, 1.0], "anchor": 0.0},
+}
+
+
 @pytest.fixture
 def xor_csv(tmp_path):
     path = tmp_path / "xor.csv"
@@ -420,6 +429,7 @@ class TestExitCodes:
         ["construct", "--activation", "leaky:abc"],
         ["construct", "--activation", '{"breakpoints": [0.0]}'],
         ["construct", "--activation", '{"breakpoints": [0.0], "slopes": ["a", 1.0]}'],
+        ["construct", "--activation", '{"breakpoints": [0.0], "slopes": [1.0]}'],
     ])
     def test_malformed_spec_is_precondition(self, tmp_path, xor_csv, capsys, argv):
         if argv[0] == "construct":
@@ -430,8 +440,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "precondition violated" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("net", [{"dims": [2, 1, 1]}, [1, 2]])
+    @pytest.mark.parametrize("net", [
+        {"dims": [2, 1, 1]},
+        [1, 2],
+        # fields that contradict each other, which the same activation
+        # inline would end in exit 3
+        {**NET_FILE, "activation": {"breakpoints": [0.0], "slopes": [1.0], "anchor": 0.0}},
+        {**NET_FILE, "activation": {"breakpoints": [0.0], "slopes": [0, float("nan")],
+                                    "anchor": 0.0}},
+        {**NET_FILE, "activation": {"breakpoints": [1.0, 0.0], "slopes": [0, 1, 2],
+                                    "anchor": 0.0}},
+        {**NET_FILE, "biases": [[0.5], [0.0]]},
+    ])
     def test_malformed_net_file_is_parse_error(self, tmp_path, xor_csv, capsys, net):
+        mlp_from_dict(NET_FILE)  # the file before its edits loads
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(net))
         assert main(["cells", "--data", xor_csv, "--net", str(net_path)]) == 2
@@ -568,48 +590,6 @@ class TestDemo:
 
         errs = validate_report({"config": {"subcommand": "demo", "seed": 1}})
         assert any("missing required" in e for e in errs)
-
-    def test_report_hash_pinned(self):
-        # the sorted-key JSON sha256 prefix of the seed-7 report; any change
-        # to a number in the pipeline's output moves it
-        import hashlib
-
-        from spurmin.cli import run_demo
-        from spurmin.io import to_jsonable
-
-        report, ok, _ = run_demo(seed=7)
-        text = json.dumps(to_jsonable(report), sort_keys=True)
-        assert ok
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "72bd84dce0aa9b61"
-
-    def test_corollary_report_hash_pinned(self):
-        # the same sorted-key JSON sha256 prefix for the balanced-slope demo
-        import hashlib
-
-        from spurmin.cli import run_demo
-        from spurmin.io import to_jsonable
-
-        report, ok, _ = run_demo(seed=7, activation_spec="abs", corollary_only=True)
-        text = json.dumps(to_jsonable(report), sort_keys=True)
-        assert ok
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "843062e2e86e57ae"
-
-    @pytest.mark.parametrize("spec, pin", [
-        # the unmirrored frame of a two-piece activation other than relu
-        ("leaky:0.2", "ed6537d827e18d35"),
-        # the mirrored frame: a zero right slope builds every route reflected
-        ('{"breakpoints":[0],"slopes":[1,0],"anchor":0}', "4af6767be600ff4c"),
-    ])
-    def test_other_frame_report_hashes_pinned(self, spec, pin):
-        import hashlib
-
-        from spurmin.cli import run_demo
-        from spurmin.io import to_jsonable
-
-        report, ok, _ = run_demo(seed=7, activation_spec=spec)
-        text = json.dumps(to_jsonable(report), sort_keys=True)
-        assert ok
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
 
     @pytest.mark.parametrize("slopes", ["[1,0]", "[-1,0]", "[0.5,0]"])
     def test_demo_with_reflected_activation(self, slopes):

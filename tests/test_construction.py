@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import json
 import re
@@ -47,8 +46,10 @@ from spurmin import ConstructionError, StrictDecreaseNotAchieved, check_assumpti
 from spurmin.separation import MAX_HALVINGS, admissible_constants
 
 from conftest import random_two_output_dataset
+from pins import load_pins, sorted_key_hash
 
 SQ = LossKind.SQUARED
+PINS = load_pins()
 
 
 class TestShallowMinimum:
@@ -660,9 +661,9 @@ def test_witness_is_the_first_admissible_constants_that_descend(xor, xor_fit, mo
 
 
 @pytest.mark.parametrize("stage, dims, act, lifted, pin", [
-    ("1", (2, 3, 1), relu(), False, "08774a70f34b0f0c"),
-    ("corollary", (2, 4, 1), absolute_value(), False, "2051a068b131b3d5"),
-    ("2", (2, 3, 3, 1), relu(), True, "da6c835889dced22"),
+    ("1", (2, 3, 1), relu(), False, PINS["witness_stage1"]["sha"]),
+    ("corollary", (2, 4, 1), absolute_value(), False, PINS["witness_corollary"]["sha"]),
+    ("2", (2, 3, 3, 1), relu(), True, PINS["witness_stage2_lifted"]["sha"]),
 ])
 def test_witness_forwards_once_per_candidate(xor, xor_fit, monkeypatch, stage, dims, act,
                                              lifted, pin):
@@ -680,8 +681,7 @@ def test_witness_forwards_once_per_candidate(xor, xor_fit, monkeypatch, stage, d
     witness = build_descent(xor_fit, xor, dims, act, stage=stage)
     assert len(calls) == len(seen) + lifted
     assert witness.risk == risk_of_outputs(real(witness.net, xor.X).output, xor.Y, SQ)
-    text = json.dumps(witness.as_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
+    assert sorted_key_hash(witness.as_dict()) == pin
 
 
 def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkeypatch):

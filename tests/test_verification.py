@@ -340,7 +340,7 @@ def assert_probe_matches_serial(net, data, loss, radius=1e-4, samples=40, seed=7
     """Per-draw risks, worst delta and verdict equal the serial loop's exactly."""
     expected = serial_draw_risks(net, data, loss, radius, samples, seed)
     seed64 = int(seed) & 0xFFFFFFFFFFFFFFFF
-    got = verification._draw_risks(net, data, loss, radius, samples, seed64)
+    got = verification._shared_draw_risks([net], data, loss, radius, samples, seed64)[0]
     assert got.tolist() == expected
     base = empirical_risk(net, data, loss)
     worst = np.inf
@@ -499,7 +499,7 @@ class TestStreamParity:
         expected = serial_draw_risks(point.net, xor, SQ, 1e-4, 60, 7)
         with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
             cert = perturbation_local_min_test(point.net, xor, SQ, samples=60, seed=7)
-            risks = verification._draw_risks(point.net, xor, SQ, 1e-4, 60, 7)
+            risks = verification._shared_draw_risks([point.net], xor, SQ, 1e-4, 60, 7)[0]
         assert cert.verdict
         assert risks.tolist() == expected
 
@@ -515,7 +515,7 @@ class TestStreamParity:
         worst = min(expected) - empirical_risk(net, xor, SQ)
         with mock.patch.object(np.random, "Generator", side_effect=AssertionError), \
                 mock.patch.object(np.random, "PCG64", side_effect=AssertionError):
-            risks = verification._draw_risks(net, xor, SQ, 1e-4, 60, 7)
+            risks = verification._shared_draw_risks([net], xor, SQ, 1e-4, 60, 7)[0]
             check = perturbation_local_min_test(net, xor, SQ, samples=60, seed=7).checks[0]
         assert risks.tolist() == expected
         assert check.value == worst
@@ -574,7 +574,7 @@ class TestProbeParityAtTheBenchmarkShape:
             monkeypatch.setattr(verification, "_CHUNK_ELEMENTS", budget)
         if chunk is not None:
             monkeypatch.setattr(verification, "_stack_size", lambda dims, n: chunk)
-        got = verification._draw_risks(net, data, SQ, 1e-4, 41, 7)
+        got = verification._shared_draw_risks([net], data, SQ, 1e-4, 41, 7)[0]
         assert got.tolist() == direct_draw_risks(net, data, 1e-4, 41, 7)
 
 
@@ -614,8 +614,8 @@ class TestSharedStreams:
                 assert cert.as_dict() == own.as_dict()
                 assert (np.float64(cert.checks[0].value).tobytes()
                         == np.float64(own.checks[0].value).tobytes())
-                assert_same_bytes(got, verification._draw_risks(net, data, SQ, 1e-2, samples,
-                                                                 seed64))
+                assert_same_bytes(got, verification._shared_draw_risks([net], data, SQ, 1e-2,
+                                                                        samples, seed64)[0])
                 assert got.tolist() == serial_draw_risks(net, data, SQ, 1e-2, samples, seed)
 
     def test_demo_stage_pairs_draw_one_set_of_streams(self, xor, xor_fit, relu_act):

@@ -3,7 +3,6 @@ replaced: the indented pure-Python writer over a recursive `to_jsonable`,
 and the loop over every pattern entry.  Each written file must parse to the
 old writer's object with the same sorted-key hash."""
 
-import hashlib
 import json
 
 import numpy as np
@@ -21,6 +20,10 @@ from spurmin.io import (
     save_mlp,
     to_jsonable,
 )
+
+from pins import load_pins, sorted_key_hash
+
+PINS = load_pins()
 
 
 def old_to_jsonable(obj):
@@ -52,10 +55,6 @@ def old_rle(matrix):
         else:
             runs.append([v, 1])
     return runs
-
-
-def sorted_key_hash(parsed) -> str:
-    return hashlib.sha256(json.dumps(parsed, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def assert_same_as_oracle(text: str, obj) -> None:
@@ -135,7 +134,7 @@ def test_demo_report_keeps_its_pinned_hash_at_half_the_size(tmp_path):
     out = tmp_path / "r.json"
     report, ok, _ = cli.run_demo(seed=7, out=str(out))
     assert ok
-    assert sorted_key_hash(json.loads(out.read_text())) == "72bd84dce0aa9b61"
+    assert sorted_key_hash(json.loads(out.read_text())) == PINS["demo_seed7"]["sha"]
     assert 2 * out.stat().st_size < len(old_text(report)) + 1
 
 
