@@ -204,9 +204,9 @@ def run_demo(
 
     The four witnesses (stages 1-3 and the corollary) are built through one
     `construction._Witnesses`, which lives only for this call: the sample
-    split is made once, and one shallow alpha search runs per activation,
-    one-hidden-layer dims and gamma, so stage 2's witness is stage 1's
-    shallow witness lifted to depth.  Each witness equals its standalone
+    split is made once, and one shallow alpha search runs per activation
+    and one-hidden-layer dims, so stage 2's witness is stage 1's shallow
+    witness lifted to depth.  Each witness equals its standalone
     `build_descent`, the one-witness case of the same path, and the build
     order, hence the first failure, is unchanged.  The assumption report
     reads this call's fit (`linear_fit._assumptions`)."""

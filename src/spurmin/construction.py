@@ -10,27 +10,25 @@ Four routes, all seeded by the affine baseline fit, named by their stage:
                 extra unit in the first hidden layer
 
 There are three entry points.  `build_minimum` and `build_descent` build
-one point of their kind on the route a stage name selects, and
-`enumerate_family` samples route 3's infinite family of minima.  The two
-routers share one preamble (`_routed`): the stage rule (`_stage`, which
-resolves "auto"), the overrides the route takes, the dimensions against the
-data (`network._check_fits`), one hidden layer on route "1", every override
-as a finite real number (`errors.check_real`, each alpha scale too;
-m_scale positive), and the width rule (`network._balanced_widths_ok` on
-"corollary", `network._widths_ok` elsewhere).  Then each runs its route's
-builder from one table per point kind, with the overrides that route takes:
+the one default point of their kind on the route a stage name selects, and
+`enumerate_family` samples route 3's infinite family of minima over the
+shift eta, the squeeze scale M and the per-layer alphas.  The two routers
+share one preamble (`_routed`): the stage rule (`_stage`, which resolves
+"auto"), the dimensions against the data (`network._check_fits`), one
+hidden layer on route "1", and the width rule
+(`network._balanced_widths_ok` on "corollary", `network._widths_ok`
+elsewhere).  Then each runs its route's builder from one table per point
+kind:
 
-  stage        `_MINIMA`                  `_WITNESSES`
-  "1"          _two_piece_minimum: eta    _two_piece_descent: none
-  "2"          _two_piece_minimum: eta    _two_piece_descent: lambda_shift
-  "3"          _general_family_head:      _general_descent: m_scale
-               eta, m_scale, alpha_scales
-  "corollary"  (resolves to "1" or "2")   _balanced_descent: gamma
+  stage        `_MINIMA`                `_WITNESSES`
+  "1"          _two_piece_minimum       _two_piece_descent
+  "2"          _two_piece_minimum       _two_piece_descent
+  "3"          _general_family_head     _general_descent
+  "corollary"  (resolves to "1" or "2") _balanced_descent
 
-An override the route does not take is a PreconditionViolated naming the
-route and the overrides it takes.  Routes "1" and "2" differ only in the
-depth precondition and in lambda_shift: a two-piece point is labelled "1"
-with one hidden layer and "2" otherwise, whichever of the two was asked for.
+Routes "1" and "2" differ only in the depth precondition: a two-piece point
+is labelled "1" with one hidden layer and "2" otherwise, whichever of the
+two was asked for.
 
 All four share one skeleton.  One two-piece scaffold gives the minimum
 (`_minimum_layers`) and the witness (`_witness_layers`) at any depth, and
@@ -54,7 +52,8 @@ smaller risk, certifying that the minima are spurious.
 
 Every minimum is certified from the forward trace of its network
 (`_certify_minimum`).  Route 3 builds a family's members along one member
-axis (`_family`; its minimum is the family of one): the scaffold and
+axis from a list of (eta, alphas, M factor) draws (`_draws`, `_family`;
+its minimum is the family of one, at the defaults): the scaffold and
 [X; 1] once, each member's M from its own first-layer pre-activations, and
 the alphas and the squeeze as array arithmetic over all members at once.
 `_certified` then forwards the members in stacked chunks straight from
@@ -72,17 +71,15 @@ build.  The point keeps that interval certificate as `interval`.
 Every witness takes its alpha from the one alpha search,
 `separation.admissible_constants` (`_verified_descent`): the first admissible
 constants whose one-hidden-layer network strictly undercuts the baseline,
-within one budget of MAX_HALVINGS halvings.  An explicit gamma on the
-balanced route takes the first admissible alpha instead, unverified.  One
-decision (`_witness`) then reads the network each route returns, lifted or
-squeezed: a searched witness that does not strictly undercut the baseline
-raises StrictDecreaseNotAchieved, and one at an explicit gamma records the
-decision as spurious.  "Strictly undercuts" is the gap certificate's one
-rule, `verification._descends`, in the search and in that decision.
+within one budget of MAX_HALVINGS halvings.  One decision (`_witness`)
+then reads the network each route returns, lifted or squeezed: a witness
+that does not strictly undercut the baseline raises
+StrictDecreaseNotAchieved.  "Strictly undercuts" is the gap certificate's
+one rule, `verification._descends`, in the search and in that decision.
 
 Every witness is built through one `_Witnesses`, which makes the sample
-split (`_split`) once and runs one shallow search per activation,
-one-hidden-layer dims and gamma, and lives only for the call that made it.
+split (`_split`) once and runs one shallow search per activation and
+one-hidden-layer dims, and lives only for the call that made it.
 `build_descent` is its one-witness case, on a fresh one; `cli.run_demo`
 builds its four witnesses on one, so its split is made once and its stage-2
 witness lifts its stage-1 search.  Each witness is bit-identical to its
@@ -119,7 +116,6 @@ from .errors import (
     StrictDecreaseNotAchieved,
     WidthViolation,
     check_integer,
-    check_real,
 )
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
@@ -304,21 +300,6 @@ def _require_invertible(name: str, s: float) -> None:
         raise PreconditionViolated(f"{name} = {s!r} has no finite reciprocal")
 
 
-def _real_override(name: str, value):
-    """An explicit override as a float, or alpha_scales as a tuple of floats
-    (their range (0, 1) is the family's to check), by the one real-number
-    rule (`errors.check_real`).  A scalar override must lie in (lo, inf),
-    lo = 0 for m_scale and -inf otherwise, which NaN never does."""
-    if name == "alpha_scales":
-        if not isinstance(value, (tuple, list, np.ndarray)):
-            raise PreconditionViolated(f"alpha_scales must be a sequence, not {value!r}")
-        return tuple(check_real(f"alpha_scales[{i}]", a) for i, a in enumerate(value))
-    value, lo = check_real(name, value), 0.0 if name == "m_scale" else -np.inf
-    if not lo < value < np.inf:
-        raise PreconditionViolated(f"{name} must lie in ({lo}, inf), got {value!r}")
-    return value
-
-
 def _turning_frame(act: PiecewiseLinear) -> tuple[PiecewiseLinear, bool, TurningPoint]:
     """The general route's frame and the turning point it squeezes into."""
     _require_nonlinear(act)
@@ -446,17 +427,16 @@ def _certified(drafts: list[_Draft], layers: Layers, fit: LinearFit,
 
 
 def _witness(net: Mlp, stage: str, risk: float, fit: LinearFit,
-             params: ConstructionParams, searched: bool = True) -> CertifiedPoint:
+             params: ConstructionParams) -> CertifiedPoint:
     """The one descent decision of a witness, on the risk of the network its
-    route returns (`verification._descends`): a searched witness that does
-    not strictly undercut the baseline raises StrictDecreaseNotAchieved, and
-    one built at an explicit gamma records the decision as spurious."""
-    spurious = _descends(fit.risk, risk)
-    if searched and not spurious:
+    route returns (`verification._descends`): a witness that does not
+    strictly undercut the baseline raises StrictDecreaseNotAchieved, so
+    every witness returned is spurious."""
+    if not _descends(fit.risk, risk):
         raise StrictDecreaseNotAchieved("the witness does not strictly undercut the baseline risk")
     return CertifiedPoint(
         net=net, kind="descent_witness", stage=stage, risk=risk,
-        baseline_risk=fit.risk, params=params, spurious=spurious,
+        baseline_risk=fit.risk, params=params, spurious=True,
     )
 
 
@@ -467,14 +447,6 @@ def default_eta(fit: LinearFit) -> float:
     relative to the weights stay inside the cell at any label scale."""
     y = fit.y_tilde
     return min(0.0, float(y.min())) - max(1.0, float(np.abs(y).max()))
-
-
-def _checked_eta(fit: LinearFit, eta: Optional[float]) -> float:
-    if eta is None:
-        eta = default_eta(fit)
-    if not (fit.y_tilde - eta > 0).all():
-        raise PreconditionViolated("eta must keep the shifted baseline strictly positive")
-    return eta
 
 
 def _split(fit: LinearFit, data: Dataset) -> tuple[LinearFit, np.ndarray, SeparationResult]:
@@ -493,8 +465,8 @@ class _Witnesses:
 
     The split (`_split`) depends only on the fit and the data.  A shallow
     search (`_verified_descent` of a one-hidden-layer witness) depends on
-    them and on its activation, its one-hidden-layer dims and its gamma,
-    which key it; so a witness at any depth lifts the one search of its
+    them and on its activation and its one-hidden-layer dims, which key
+    it; so a witness at any depth lifts the one search of its
     first layer (`_lift_depth`), and two routes with the same shallow
     witness run one search between them."""
 
@@ -513,10 +485,10 @@ class _Witnesses:
         return self._searches[key]
 
     @_float_checked
-    def descent(self, dims: tuple[int, ...], act: PiecewiseLinear, stage: str = "auto",
-                **overrides) -> CertifiedPoint:
+    def descent(self, dims: tuple[int, ...], act: PiecewiseLinear,
+                stage: str = "auto") -> CertifiedPoint:
         """`build_descent` on this call's split and searches."""
-        return _routed(self, self.fit, self.data, dims, act, stage, overrides)
+        return _routed(self, self.fit, self.data, dims, act, stage)
 
 
 def _default_eta_rest(fit: LinearFit) -> np.ndarray:
@@ -526,23 +498,18 @@ def _default_eta_rest(fit: LinearFit) -> np.ndarray:
 
 
 def _verified_descent(assemble, res: SeparationResult, u: np.ndarray, v: np.ndarray,
-                      slope_ratio: Optional[float], fit: LinearFit, data: Dataset,
-                      gamma: Optional[float] = None
+                      slope_ratio: Optional[float], fit: LinearFit, data: Dataset
                       ) -> tuple[DescentConstants, Mlp, ForwardTrace, float]:
     """The first admissible constants (largest alpha first) whose network
     strictly undercuts the baseline risk, with that network, its forward
     trace and its risk; "sufficiently small" is operationalized as this
     verified search, which shares the one alpha search and its halving
-    budget with the sizing.  An explicit gamma takes the first constants
-    with that gamma whether or not they descend (e.g. the gamma = 0 boundary
-    control)."""
+    budget with the sizing."""
     for consts in admissible_constants(res, u, v, data.X, slope_ratio):
-        if gamma is not None:
-            consts = replace(consts, gamma=gamma, margin=abs(consts.midgap) - abs(gamma))
         net = assemble(consts)
         trace = forward(net, data.X)
         risk = risk_of_outputs(trace.output, data.Y, fit.loss)
-        if gamma is not None or _descends(fit.risk, risk):
+        if _descends(fit.risk, risk):
             return consts, net, trace, risk
     raise StrictDecreaseNotAchieved(f"no strict risk decrease after {MAX_HALVINGS} halvings")
 
@@ -639,14 +606,14 @@ def default_lambda(stage1_output: np.ndarray) -> float:
     return max(0.0, -float(np.min(stage1_output))) + 1.0
 
 
-def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...], s_plus: float,
-                lambda_shift: Optional[float]) -> tuple[Layers, float]:
+def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...],
+                s_plus: float) -> tuple[Layers, float]:
     """A one-hidden-layer witness at the depth of dims, which has two or more
     hidden layers: its first layer, then its output as the payload of the
-    positive chain (`_positive_chain`) with a positive shift lambda, so
-    every later unit rides the positive piece.  Returns the layers and
-    lambda."""
-    lam = default_lambda(shallow_out) if lambda_shift is None else lambda_shift
+    positive chain (`_positive_chain`) with the positive shift
+    `default_lambda`, so every later unit rides the positive piece.  Returns
+    the layers and lambda."""
+    lam = default_lambda(shallow_out)
     if not np.all(shallow_out + lam > 0):
         raise PreconditionViolated("lambda must make the witness output strictly positive")
     (W1, W2), (b1, b2) = layers
@@ -654,13 +621,8 @@ def _lift_depth(layers: Layers, shallow_out: np.ndarray, dims: tuple[int, ...], 
     return ([W1, *weights], [b1, *biases]), lam
 
 
-def _witness_layers(
-    w: _Witnesses,
-    dims: tuple[int, ...],
-    act: PiecewiseLinear,
-    lambda_shift: Optional[float] = None,
-    gamma: Optional[float] = None,
-) -> tuple[Mlp, ConstructionParams, ForwardTrace, float]:
+def _witness_layers(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear
+                    ) -> tuple[Mlp, ConstructionParams, ForwardTrace, float]:
     """The two-piece witness at any depth, for every two-piece route.
 
     Layer 1 tilts the nonzero-gradient baseline row along the separating
@@ -668,10 +630,9 @@ def _witness_layers(
     risk change strictly negative while rows 2.. reproduce the baseline.
     One assembler, `_shallow_descent_params`, gives the rows; balanced
     slopes (s- + s+ == 0, exactly) add an untilted row to its head.  The
-    alpha search, or an explicit gamma at the sizing's first alpha, picks
-    the constants, on the call's split and once per shallow witness (w),
-    and `_lift_depth` takes the one-hidden-layer witness to the depth of
-    dims.  Returns the network for act, its params, its
+    alpha search picks the constants, on the call's split and once per
+    shallow witness (w), and `_lift_depth` takes the one-hidden-layer
+    witness to the depth of dims.  Returns the network for act, its params, its
     forward trace and its risk; the network's layers are in the build frame
     when act needs no reflection.
     """
@@ -697,14 +658,14 @@ def _witness_layers(
     # gamma's sign is governed by the activation frame the formulas run in;
     # balanced slopes have no slope ratio
     slope_ratio = None if balanced else (s_plus - s_minus) / (s_plus + s_minus)
-    consts, net, trace, risk = w.search((act, shallow, gamma), lambda: _verified_descent(
+    consts, net, trace, risk = w.search((act, shallow), lambda: _verified_descent(
         lambda c: _net(shallow, act, reflected, *layers(c)),
-        res, fitp.v[0], fitp.y_tilde[0], slope_ratio, fit, data, gamma,
+        res, fitp.v[0], fitp.y_tilde[0], slope_ratio, fit, data,
     ))
     lam = None
     if len(dims) > 3:
         s_out = trace.output
-        lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus, lambda_shift)
+        lifted, lam = _lift_depth(layers(consts), s_out, dims, s_plus)
         net = _net(dims, act, reflected, *lifted)
         trace = forward(net, data.X)
         if not _reproduces(np.abs(trace.output - s_out).max(), float(np.abs(s_out).max())):
@@ -719,7 +680,7 @@ def _witness_layers(
 
 # ---------------------------------------------------------------------------
 # the route builders, each run after the routers' preamble (`_routed`) has
-# checked the dimensions, the depth, the override ranges and the widths
+# checked the dimensions, the depth and the widths
 
 
 def _depth_stage(dims: tuple[int, ...]) -> str:
@@ -728,22 +689,22 @@ def _depth_stage(dims: tuple[int, ...]) -> str:
 
 
 def _two_piece_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
-                       act: PiecewiseLinear, eta: Optional[float] = None) -> CertifiedPoint:
-    """Routes 1 and 2: the first layer carries the baseline shifted by a
-    negative eta so every unit stays on the positive piece, middle layers
-    forward the payload (and replicate the positive pad unit), and the
-    output layer undoes the shift; the network computes exactly the
+                       act: PiecewiseLinear) -> CertifiedPoint:
+    """Routes 1 and 2: the first layer carries the baseline shifted by the
+    negative `default_eta` so every unit stays on the positive piece, middle
+    layers forward the payload (and replicate the positive pad unit), and
+    the output layer undoes the shift; the network computes exactly the
     baseline."""
     _, s_plus = _two_piece_or_raise(act)
-    eta = _checked_eta(fit, eta)
+    eta = default_eta(fit)
     build_act, reflected = _frame(act, s_plus)
     net = _net(dims, act, reflected, *_minimum_layers(fit, dims, build_act.s_plus, eta))
     draft = _Draft(net, _depth_stage(dims), ConstructionParams(eta=eta), (0.0, np.inf), reflected)
     return _certify_minimum(draft, forward(net, data.X), fit, data, _leaves_residual(fit))
 
 
-def _two_piece_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
-                       lambda_shift: Optional[float] = None) -> CertifiedPoint:
+def _two_piece_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear
+                       ) -> CertifiedPoint:
     """Routes 1 and 2: the two-piece witness (`_witness_layers`), lifted to
     the depth of dims by lambda; with one hidden layer it is labelled "1"."""
     s_minus, s_plus = _two_piece_or_raise(act)
@@ -751,21 +712,15 @@ def _two_piece_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinea
         raise NoAdmissibleTurningPoint(
             "slopes cancel (s_minus + s_plus = 0); use the balanced-slope route"
         )
-    net, params, _, risk = _witness_layers(w, dims, act, lambda_shift)
+    net, params, _, risk = _witness_layers(w, dims, act)
     return _witness(net, _depth_stage(dims), risk, w.fit, params)
 
 
-def _radius_scale(pre: np.ndarray, sigma: float, scale: Optional[float], name: str,
-                  factor: float = 1.0) -> float:
+def _radius_scale(pre: np.ndarray, sigma: float, factor: float = 1.0) -> float:
     """A squeeze scale that keeps ||pre||_F / scale inside the linearity
-    radius sigma; without one, factor times the default, twice the lower
-    bound ||pre||_F / sigma floored at 1."""
-    norm = np.linalg.norm(pre)
-    if scale is None:
-        scale = max(1.0, 2.0 * float(norm) / sigma) * factor
-    if norm / scale >= sigma:
-        raise PreconditionViolated(f"{name} too small for the linearity radius sigma")
-    return scale
+    radius sigma: factor (at least 1) times twice the lower bound
+    ||pre||_F / sigma, floored at 1, so ||pre||_F / scale <= sigma / 2."""
+    return max(1.0, 2.0 * float(np.linalg.norm(pre)) / sigma) * factor
 
 
 def _squeeze(weights: list[np.ndarray], biases: list[np.ndarray], t: float, h_t: float,
@@ -804,13 +759,29 @@ def _squeezed(layers: Layers, alphas: np.ndarray, scales: np.ndarray, t: float, 
     return sq_w + sq_b
 
 
-def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear, k: int,
-            seed: int, **first) -> list[CertifiedPoint]:
-    """k certified members of the general route's family, built along one
-    member axis.  Member 0 takes the overrides in first (eta, m_scale,
-    alpha_scales), the defaults without them; member idx >= 1 draws eta, the
-    alphas and the factor on the default M from its own stream
-    default_rng([seed, idx]).
+def _draws(fit: LinearFit, dims: tuple[int, ...], k: int,
+           seed: int) -> list[tuple[float, tuple[float, ...], float]]:
+    """k (eta, alphas, M factor) draws of the general route's family.
+    Member 0 takes the defaults: `default_eta`, every alpha 0.5 and the
+    default M.  Member idx >= 1 draws from its own stream
+    default_rng([seed, idx]) a shift up to 2 below the default one, alphas
+    in [0.1, 0.9) and a factor in [1, 2) on the default M."""
+    n_alpha, eta = max(0, len(dims) - 3), default_eta(fit)
+    draws = [(eta, (0.5,) * n_alpha, 1.0)]
+    for idx in range(1, k):
+        rng = np.random.default_rng([seed, idx])
+        draws.append((eta - 2.0 * rng.random(),
+                      tuple(0.1 + 0.8 * rng.random() for _ in range(n_alpha)),
+                      1.0 + rng.random()))
+    return draws
+
+
+def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
+            draws: list[tuple[float, tuple[float, ...], float]]) -> list[CertifiedPoint]:
+    """One certified member of the general route's family per (eta, alphas,
+    M factor) draw (`_draws`), built along one member axis.  A member whose
+    alphas' product underflows to zero is refused, since its output scale
+    M / prod(alpha_i) would divide by it.
 
     The scaffold's weights do not depend on eta, so `_minimum_layers` runs
     once with a column of shifts, and the data's [X; 1] is formed once.
@@ -820,39 +791,23 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
     are array arithmetic over the member axis (`_squeezed`).  Every member is
     bit-identical to building it alone, and a failure is the first failing
     member's, as if each were built and certified before the next: when a
-    member's M or output back-off raises, the members before it are
-    squeezed and certified on the way out, a stacked squeeze that overflows
-    is redone one member at a time, and a certificate that fails replaces a
-    later build's exception."""
+    member's alpha product, M or output back-off raises, the members before
+    it are squeezed and certified on the way out, a stacked squeeze that
+    overflows is redone one member at a time, and a certificate that fails
+    replaces a later build's exception."""
     build_act, reflected, tp = _turning_frame(act)
-    n_alpha = max(0, len(dims) - 3)
-    eta = _checked_eta(fit, first.get("eta"))
-    alphas = first.get("alpha_scales")
-    alphas = (0.5,) * n_alpha if alphas is None else alphas
-    if len(alphas) != n_alpha:
-        raise PreconditionViolated(f"need {n_alpha} alpha scales for {len(dims) - 1} layers")
-    if any(not (0 < a_i < 1) for a_i in alphas):
-        raise PreconditionViolated("alpha scales must lie in (0, 1)")
-    if math.prod(alphas, start=1.0) == 0.0:
-        raise PreconditionViolated("the alpha scales' product underflows to zero")
-    # drawn shifts lie below the default one and drawn alphas in [0.1, 0.9),
-    # so the drawn members pass these checks
-    draws = [(eta, tuple(alphas), first.get("m_scale"), 1.0)]
-    shift = default_eta(fit) if k > 1 else 0.0
-    for idx in range(1, k):
-        rng = np.random.default_rng([seed, idx])
-        draws.append((shift - 2.0 * rng.random(),
-                      tuple(0.1 + 0.8 * rng.random() for _ in range(n_alpha)),
-                      None, 1.0 + rng.random()))
-    etas, alpha_scales, overrides, factors = zip(*draws)
+    etas, alpha_scales, factors = zip(*draws)
     layers = _minimum_layers(fit, dims, tp.s_plus, np.array(etas, dtype=float)[:, None])
     W1, X1, h_t = layers[0][0], augment(data.X), float(build_act(tp.t))
     scales, built = [], []
     try:
         try:
-            for b1, m_scale, factor, alphas in zip(layers[1][0], overrides, factors, alpha_scales):
-                m_scale = _radius_scale(_affine(W1, b1, X1), tp.sigma, m_scale, "m_scale", factor)
-                out_scale = m_scale / math.prod(alphas, start=1.0)
+            for b1, factor, alphas in zip(layers[1][0], factors, alpha_scales):
+                prod = math.prod(alphas, start=1.0)
+                if prod == 0.0:
+                    raise PreconditionViolated("the alpha scales' product underflows to zero")
+                m_scale = _radius_scale(_affine(W1, b1, X1), tp.sigma, factor)
+                out_scale = m_scale / prod
                 if not math.isfinite(out_scale * h_t):
                     raise PreconditionViolated(_OUTPUT_BIAS_OVERFLOWS)
                 scales.append((m_scale, out_scale, out_scale * h_t))
@@ -878,17 +833,17 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
 
 
 def _general_family_head(fit: LinearFit, data: Dataset, dims: tuple[int, ...],
-                         act: PiecewiseLinear, **first) -> CertifiedPoint:
+                         act: PiecewiseLinear) -> CertifiedPoint:
     """Route 3: squeeze every pre-activation into the linear piece right of
     the turning point t by scaling down with M (and per-layer alphas),
     translate by t, and undo both at the output.  M and the alphas range
     over continuous intervals, so the family is infinite; this is its
-    member 0, a family of one."""
-    return _family(fit, data, dims, act, 1, 0, **first)[0]
+    member 0, a family of one at the defaults."""
+    return _family(fit, data, dims, act, _draws(fit, dims, 1, 0))[0]
 
 
-def _general_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
-                     m_scale: Optional[float] = None) -> CertifiedPoint:
+def _general_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear
+                     ) -> CertifiedPoint:
     """Route 3: the two-piece witness of the turning point's slopes,
     squeezed into their linear pieces with scales M (layer 1, both sides of
     t) and M-tilde (layer 2 onward, right of t), then unsqueezed at the
@@ -897,9 +852,9 @@ def _general_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
     # the local activation has s_plus != 0, so the witness net is in the build frame
     deep, params, deep_trace, _ = _witness_layers(w, dims, two_piece(tp.s_minus, tp.s_plus))
     weights, biases = list(deep.weights), list(deep.biases)
-    m_scale = _radius_scale(deep_trace.pre[0], tp.sigma, m_scale, "m_scale")
+    m_scale = _radius_scale(deep_trace.pre[0], tp.sigma)
     if len(dims) > 3:
-        m_tilde = _radius_scale(deep_trace.pre[1] / m_scale, tp.sigma, None, "m_tilde")
+        m_tilde = _radius_scale(deep_trace.pre[1] / m_scale, tp.sigma)
         weights[1] = weights[1] / m_tilde
     else:
         m_tilde = 1.0
@@ -910,36 +865,26 @@ def _general_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
     return _witness(net, "3", risk, w.fit, replace(params, m_scale=m_scale, m_tilde=m_tilde, turning=tp))
 
 
-def _balanced_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear,
-                      gamma: Optional[float] = None) -> CertifiedPoint:
+def _balanced_descent(w: _Witnesses, dims: tuple[int, ...], act: PiecewiseLinear
+                      ) -> CertifiedPoint:
     """Route "corollary", two-piece slopes with s- = -s+ at any depth: an
     extra first-layer row carrying the untilted baseline makes the tilt terms
     cancel in the output, leaving predictions shifted by exactly -gamma on I
-    and +gamma on J.  An explicit gamma (e.g. the gamma = 0 boundary
-    control) skips the descent search; spurious records whether the witness
-    still undercuts the baseline."""
+    and +gamma on J."""
     s_minus, s_plus = _two_piece_or_raise(act)
     if s_minus + s_plus != 0.0:
         raise PreconditionViolated("balanced route requires s_minus + s_plus = 0")
-    net, params, _, risk = _witness_layers(w, dims, act, gamma=gamma)
-    return _witness(net, "corollary", risk, w.fit, params, searched=gamma is None)
+    net, params, _, risk = _witness_layers(w, dims, act)
+    return _witness(net, "corollary", risk, w.fit, params)
 
 
 # ---------------------------------------------------------------------------
 # routing and family enumeration
 
-# stage -> (builder, the overrides it takes), one table per point kind
-_MINIMA = {
-    "1": (_two_piece_minimum, ("eta",)),
-    "2": (_two_piece_minimum, ("eta",)),
-    "3": (_general_family_head, ("eta", "m_scale", "alpha_scales")),
-}
-_WITNESSES = {
-    "1": (_two_piece_descent, ()),
-    "2": (_two_piece_descent, ("lambda_shift",)),
-    "3": (_general_descent, ("m_scale",)),
-    "corollary": (_balanced_descent, ("gamma",)),
-}
+# stage -> builder, one table per point kind
+_MINIMA = {"1": _two_piece_minimum, "2": _two_piece_minimum, "3": _general_family_head}
+_WITNESSES = {"1": _two_piece_descent, "2": _two_piece_descent, "3": _general_descent,
+              "corollary": _balanced_descent}
 
 
 def _stage(stage: str, act: PiecewiseLinear, dims: tuple[int, ...], witness: bool) -> str:
@@ -959,54 +904,44 @@ def _stage(stage: str, act: PiecewiseLinear, dims: tuple[int, ...], witness: boo
 
 
 def _routed(witnesses: Optional[_Witnesses], fit: LinearFit, data: Dataset,
-            dims: tuple[int, ...], act: PiecewiseLinear, stage: str,
-            overrides: dict) -> CertifiedPoint:
+            dims: tuple[int, ...], act: PiecewiseLinear, stage: str) -> CertifiedPoint:
     """The preamble both routers share, in this order: the stage rule, the
-    overrides the route takes, the dimensions, one hidden layer on route
-    "1", every override as a finite real number (`_real_override`), and the
-    width rule (the balanced one on "corollary"); then the route's builder
-    from its kind's table.  A minimum's builder takes the fit and the data,
-    a witness's the call's `_Witnesses` (witnesses; None for a minimum)."""
+    dimensions, one hidden layer on route "1", and the width rule (the
+    balanced one on "corollary"); then the route's builder from its kind's
+    table.  A minimum's builder takes the fit and the data, a witness's the
+    call's `_Witnesses` (witnesses; None for a minimum)."""
     witness = witnesses is not None
-    kind, routes = ("witness", _WITNESSES) if witness else ("minimum", _MINIMA)
+    routes = _WITNESSES if witness else _MINIMA
     stage = _stage(stage, act, dims, witness)
     if stage not in routes:
         raise PreconditionViolated(f"unknown stage {stage!r}")
-    build, takes = routes[stage]
-    refused = sorted(set(overrides) - set(takes))
-    if refused:
-        raise PreconditionViolated(f"route {stage}'s {kind} takes "
-                                   f"{', '.join(takes) or 'no override'}; got {', '.join(refused)}")
     _check_dims(fit, data, dims)
     if stage == "1" and len(dims) != 3:
         raise PreconditionViolated("shallow route needs exactly one hidden layer")
-    # an override of None keeps the builder's default
-    overrides = {k: _real_override(k, v) for k, v in overrides.items() if v is not None}
     if stage != "corollary":
         _require_hidden_wider(dims, data.d_y)
     elif not _balanced_widths_ok(dims, data.d_y):
         raise WidthViolation(f"balanced route needs d_1 >= {data.d_y + 2} and every later "
                              f"hidden width >= {data.d_y + 1}, got {dims}")
     if witness:
-        return build(witnesses, dims, act, **overrides)
-    return build(fit, data, dims, act, **overrides)
+        return routes[stage](witnesses, dims, act)
+    return routes[stage](fit, data, dims, act)
 
 
 @_float_checked
 def build_minimum(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
-                  stage: str = "auto", **overrides) -> CertifiedPoint:
-    """A certified minimum on the route a stage name ("1", "2", "3", or
-    "corollary"/"auto") resolves to by `_stage`, with the overrides that
-    route takes (`_MINIMA`)."""
-    return _routed(None, fit, data, dims, act, stage, overrides)
+                  stage: str = "auto") -> CertifiedPoint:
+    """The certified default minimum on the route a stage name ("1", "2",
+    "3", or "corollary"/"auto") resolves to by `_stage` (`_MINIMA`)."""
+    return _routed(None, fit, data, dims, act, stage)
 
 
 def build_descent(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: PiecewiseLinear,
-                  stage: str = "auto", **overrides) -> CertifiedPoint:
-    """A descent witness on the route a stage name resolves to by `_stage`,
-    with the overrides that route takes (`_WITNESSES`): the one-witness case
-    of `_Witnesses.descent`, on a split and a search of its own."""
-    return _Witnesses(fit, data).descent(dims, act, stage, **overrides)
+                  stage: str = "auto") -> CertifiedPoint:
+    """The descent witness on the route a stage name resolves to by `_stage`
+    (`_WITNESSES`): the one-witness case of `_Witnesses.descent`, on a split
+    and a search of its own."""
+    return _Witnesses(fit, data).descent(dims, act, stage)
 
 
 @_float_checked
@@ -1014,8 +949,8 @@ def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
                      k: int, seed: int = 0) -> list[CertifiedPoint]:
     """Sample k members of the infinite minimum family by drawing eta, the
     squeeze scale M, and the per-layer alphas from their admissible
-    continuous ranges.  Per-member seeded streams make the family bitwise
-    reproducible; the seed must be a nonnegative integer.
+    continuous ranges (`_draws`).  Per-member seeded streams make the family
+    bitwise reproducible; the seed must be a nonnegative integer.
 
     The members are built together along one member axis (`_family`):
     their shared scaffold and [X; 1] once, each member's M from its own
@@ -1033,4 +968,4 @@ def enumerate_family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: 
     seed = check_integer("seed", seed, minimum=0)
     _check_dims(fit, data, dims)
     _require_hidden_wider(dims, data.d_y)
-    return _family(fit, data, dims, act, k, seed)
+    return _family(fit, data, dims, act, _draws(fit, dims, k, seed))

@@ -97,7 +97,8 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
 
 
 def check_real(name: str, value) -> float:
-    """value as a float, for a radius or a construction override.
+    """value as a float, for the probe's radius or a fit's tolerance or
+    parameter cap.
 
     A bool, or anything that is not a numbers.Real (a string, None, an
     array, a complex or a Decimal), raises PreconditionViolated.  An integer

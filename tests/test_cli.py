@@ -501,6 +501,18 @@ class TestExitCodes:
         assert "k must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_family_member_whose_alphas_underflow_is_precondition(self, tmp_path, xor_csv,
+                                                                   capsys):
+        # at depth 900 member 1's drawn alphas multiply to zero: refused as a
+        # precondition, not a division by zero
+        out = tmp_path / "points.json"
+        dims = ",".join(["2", *["3"] * 900, "1"])
+        assert main(["construct", "--data", xor_csv, "--dims", dims, "--k", "3",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "the alpha scales' product underflows to zero" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage", ["1", "2", "corollary"])
     def test_family_on_a_two_piece_stage_is_precondition(self, xor_csv, capsys, stage):
         # the family is sampled on route 3 only, so --stage cannot pick another

@@ -1,10 +1,6 @@
 import dataclasses
 import itertools
-import json
-import re
 import warnings
-from decimal import Decimal
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -68,10 +64,12 @@ class TestShallowMinimum:
         assert np.max(np.abs(out - 0.5)) <= 1e-12
 
     def test_family_member_same_risk(self, xor, xor_fit, relu_act):
-        deep_eta = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1", eta=-10.0)
-        assert np.allclose(deep_eta.net.biases[0], [10.5, 10.0, 10.0], atol=1e-12)
-        assert np.allclose(deep_eta.net.biases[1], [-10.0], atol=1e-12)
-        assert deep_eta.risk == pytest.approx(0.125, abs=1e-9)
+        # a deeper shift eta = -10 moves the biases and keeps the risk
+        weights, biases = construction._minimum_layers(xor_fit, (2, 3, 1), 1.0, -10.0)
+        assert np.allclose(biases[0], [10.5, 10.0, 10.0], atol=1e-12)
+        assert np.allclose(biases[1], [-10.0], atol=1e-12)
+        deep_eta = Mlp((2, 3, 1), tuple(weights), tuple(biases), relu_act)
+        assert empirical_risk(deep_eta, xor, SQ) == pytest.approx(0.125, abs=1e-9)
 
     def test_pre_activations_strictly_positive(self, xor, xor_fit, relu_act):
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
@@ -187,11 +185,15 @@ class TestDeepRoutes:
         assert np.max(np.abs(out_s - out_d)) <= 1e-12
 
     def test_lambda_doubling_same_output(self, xor, xor_fit, relu_act):
+        # the shallow witness through the depth chain at twice the default
+        # lambda computes what the route-2 witness does
+        shallow = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         d1 = build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
-        d2 = build_descent(
-            xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2", lambda_shift=2.0 * d1.params.lambda_shift
-        )
-        assert np.max(np.abs(forward(d1.net, xor.X).output - forward(d2.net, xor.X).output)) <= 1e-12
+        weights, biases = construction._positive_chain(
+            shallow.net.weights[1], shallow.net.biases[1], 2.0 * d1.params.lambda_shift, (3,), 1.0)
+        d2 = Mlp((2, 3, 3, 1), (shallow.net.weights[0], *weights),
+                 (shallow.net.biases[0], *biases), relu_act)
+        assert np.max(np.abs(forward(d1.net, xor.X).output - forward(d2, xor.X).output)) <= 1e-12
 
     def test_lambda_default_on_positive_output(self, xor, xor_fit, relu_act):
         # the shallow witness output is strictly positive here, so the
@@ -210,8 +212,8 @@ class TestGeneralRoute:
             assert np.all(z > 0.0) and np.all(z < 1.0)
 
     def test_alpha_scale_family(self, xor, xor_fit):
-        p1 = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", alpha_scales=(0.25,))
-        p2 = build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", alpha_scales=(0.5,))
+        p1, p2 = enumerate_family(xor_fit, xor, (2, 3, 3, 1), three_piece(), k=2)
+        assert p1.params.alpha_scales != p2.params.alpha_scales
         assert params_distance(p1.net, p2.net) > 1e-3
         assert np.max(np.abs(forward(p1.net, xor.X).output - forward(p2.net, xor.X).output)) <= 1e-12
 
@@ -229,12 +231,20 @@ class TestGeneralRoute:
         assert w3.risk < 0.125 - 1e-12
 
     def test_m_scaling_same_output(self, xor, xor_fit):
-        w_def = build_descent(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3")
-        w_big = build_descent(
-            xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", m_scale=3.0 * w_def.params.m_scale
-        )
+        # the two-piece witness of the turning point's slopes squeezed at
+        # three times the default M computes what the route-3 witness does
+        act = three_piece()
+        w_def = build_descent(xor_fit, xor, (2, 3, 3, 1), act, stage="3")
+        tp = find_turning_point(act)
+        local = build_descent(xor_fit, xor, (2, 3, 3, 1), two_piece(tp.s_minus, tp.s_plus),
+                              stage="2")
+        m, m_tilde = 3.0 * w_def.params.m_scale, w_def.params.m_tilde
+        weights = [local.net.weights[0], local.net.weights[1] / m_tilde, local.net.weights[2]]
+        h_t = float(act(tp.t))
+        w_big = Mlp((2, 3, 3, 1), *map(tuple, construction._squeeze(
+            weights, list(local.net.biases), tp.t, h_t, m, m * m_tilde, m * m_tilde * h_t)), act)
         assert np.max(np.abs(
-            forward(w_def.net, xor.X).output - forward(w_big.net, xor.X).output
+            forward(w_def.net, xor.X).output - forward(w_big, xor.X).output
         )) <= 1e-12
 
     def test_tiny_sigma_still_consistent(self, xor, xor_fit):
@@ -264,9 +274,19 @@ class TestBalancedRoute:
         assert w.risk == pytest.approx(0.09375, abs=1e-12)
 
     def test_gamma_zero_boundary_control(self, xor, xor_fit):
-        w = build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary", gamma=0.0)
-        assert w.risk == pytest.approx(xor_fit.risk, abs=1e-12)
-        assert not w.spurious
+        # the balanced rows at the witness's alpha but gamma = 0 shift no
+        # prediction, so the risk stays at the baseline's
+        w = build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary")
+        fitp, inv, res = construction._split(xor_fit, xor)
+        consts = next(c for c in admissible_constants(res, fitp.v[0], fitp.y_tilde[0], xor.X, None)
+                      if c.alpha == w.params.alpha)
+        W1, b1, W2, b2 = construction._shallow_descent_params(
+            fitp, (2, 4, 1), -1.0, 1.0, res.beta, dataclasses.replace(consts, gamma=0.0),
+            construction._default_eta_rest(fitp))
+        net = Mlp((2, 4, 1), (W1, W2[inv]), (b1, b2[inv]), absolute_value())
+        risk = empirical_risk(net, xor, SQ)
+        assert risk == pytest.approx(xor_fit.risk, abs=1e-12)
+        assert not verification._descends(xor_fit.risk, risk)
 
     def test_width_violation(self, xor, xor_fit):
         with pytest.raises(WidthViolation):
@@ -706,9 +726,9 @@ def test_witness_search_shares_one_halving_budget(xor, xor_fit, relu_act, monkey
 ])
 def test_witness_search_and_gap_certificate_share_one_threshold(xor, xor_fit, monkeypatch, stage,
                                                                 dims, act):
-    # patched in verification only, the threshold moves the search, the
-    # balanced route's spurious flag and the certificate together, to the
-    # last rounding of the witness's gap: every witness built passes
+    # patched in verification only, the threshold moves the search and the
+    # certificate together, to the last rounding of the witness's gap:
+    # every witness built passes
     witness = build_descent(xor_fit, xor, dims, act, stage=stage)
     gap = descent_gap_certificate(xor_fit.risk, witness.risk).checks[0].value
     for threshold in (float(np.nextafter(gap, -np.inf)), gap):
@@ -724,10 +744,6 @@ def test_witness_search_and_gap_certificate_share_one_threshold(xor, xor_fit, mo
             assert found is None or found.as_dict() != witness.as_dict()
         elif stage in ("1", "corollary"):  # the witness is the search's own candidate
             assert found.as_dict() == witness.as_dict()
-    if stage == "corollary":
-        # an explicit gamma skips the search; its flag is the certificate's verdict
-        fixed = build_descent(xor_fit, xor, dims, act, stage=stage, gamma=witness.params.gamma)
-        assert fixed.risk == witness.risk and not fixed.spurious
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -837,8 +853,7 @@ def test_shallow_witness_uses_the_common_width_rule(two_outputs):
 
 
 # ---------------------------------------------------------------------------
-# one witness scaffold: balanced witnesses at any depth, one width rule,
-# typed errors for bad overrides
+# one witness scaffold: balanced witnesses at any depth, one width rule
 
 
 @pytest.mark.parametrize("dims, two_outputs", [
@@ -904,109 +919,6 @@ def test_one_width_rule_for_reports_and_builders(two_outputs):
                     assert ok, (stage, dims)
 
 
-@pytest.mark.parametrize("build, stage, override, value", [
-    (build_descent, "corollary", "gamma", float("nan")),
-    (build_descent, "corollary", "gamma", float("inf")),
-    (build_descent, "corollary", "gamma", -float("inf")),
-    (build_minimum, "3", "m_scale", 0.0),
-    (build_minimum, "3", "m_scale", -2.0),
-    (build_minimum, "3", "m_scale", float("nan")),
-    (build_minimum, "3", "m_scale", float("inf")),
-    (build_descent, "3", "m_scale", 0.0),
-    (build_descent, "3", "m_scale", -2.0),
-    (build_descent, "3", "m_scale", float("nan")),
-    (build_descent, "3", "m_scale", float("inf")),
-    (build_minimum, "2", "eta", -float("inf")),
-    (build_descent, "2", "lambda_shift", float("nan")),
-    (build_descent, "2", "lambda_shift", float("inf")),
-])
-def test_bad_override_is_precondition_before_any_build(xor, xor_fit, build, stage, override,
-                                                       value):
-    act = absolute_value() if override == "gamma" else relu()
-    # the value is rejected where it enters, before the scaffold divides by it
-    with mock.patch.object(construction, "_split", side_effect=AssertionError), \
-            mock.patch.object(construction, "_minimum_layers", side_effect=AssertionError), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(PreconditionViolated, match=f"{override} must lie in"):
-            build(xor_fit, xor, (2, 4, 3, 1), act, stage=stage, **{override: value})
-
-
-NOT_REAL_OVERRIDES = [
-    (build_minimum, "3", "m_scale", "3", "m_scale must be a real number"),
-    (build_descent, "3", "m_scale", 1j, "m_scale must be a real number"),
-    (build_descent, "corollary", "gamma", "0", "gamma must be a real number"),
-    (build_descent, "corollary", "gamma", True, "gamma must be a real number"),
-    (build_minimum, "3", "alpha_scales", 0.5, "alpha_scales must be a sequence"),
-    (build_minimum, "3", "alpha_scales", (None,), r"alpha_scales\[0\] must be a real number"),
-    (build_minimum, "3", "eta", "-2", "eta must be a real number"),
-    (build_minimum, "2", "eta", Decimal("-2"), "eta must be a real number"),
-    (build_descent, "2", "lambda_shift", "1", "lambda_shift must be a real number"),
-    (build_descent, "2", "lambda_shift", True, "lambda_shift must be a real number"),
-]
-
-
-@pytest.mark.parametrize("build, stage, override, value, message", NOT_REAL_OVERRIDES)
-def test_an_override_that_is_not_a_real_number_is_precondition(xor, xor_fit, build, stage,
-                                                               override, value, message):
-    # one real-number rule (errors.check_real), before the range checks and
-    # before any build; a bool is not read as 0 or 1
-    dims, act = {"2": ((2, 3, 3, 1), relu()), "3": ((2, 3, 3, 1), three_piece()),
-                 "corollary": ((2, 4, 1), absolute_value())}[stage]
-    with mock.patch.object(construction, "_split", side_effect=AssertionError), \
-            mock.patch.object(construction, "_minimum_layers", side_effect=AssertionError):
-        with pytest.raises(PreconditionViolated, match=message):
-            build(xor_fit, xor, dims, act, stage=stage, **{override: value})
-
-
-@pytest.mark.parametrize("build, stage, dims, act, override, value, same", [
-    (build_descent, "corollary", (2, 4, 1), absolute_value(), "gamma", 0, 0.0),
-    (build_descent, "2", (2, 3, 3, 1), relu(), "lambda_shift", Fraction(5, 2), 2.5),
-    (build_minimum, "3", (2, 3, 3, 1), three_piece(), "m_scale", np.int64(300), 300.0),
-    (build_minimum, "3", (2, 3, 3, 1), three_piece(), "alpha_scales", [np.float32(0.25)],
-     (0.25,)),
-    (build_minimum, "3", (2, 3, 3, 1), three_piece(), "alpha_scales", np.array([0.25]), (0.25,)),
-    (build_minimum, "1", (2, 3, 1), relu(), "eta", -3, -3.0),
-])
-def test_a_real_override_builds_as_its_float(xor, xor_fit, build, stage, dims, act, override,
-                                             value, same):
-    got = build(xor_fit, xor, dims, act, stage=stage, **{override: value})
-    want = build(xor_fit, xor, dims, act, stage=stage, **{override: same})
-    assert json.dumps(got.as_dict(), sort_keys=True) == json.dumps(want.as_dict(), sort_keys=True)
-
-
-@pytest.mark.parametrize("build, stage, dims, act, overrides, takes", [
-    (build_minimum, "1", (2, 3, 1), relu(), {"gamma": 1.0}, "eta"),
-    (build_minimum, "2", (2, 3, 3, 1), relu(), {"lambda_shift": 2.0}, "eta"),
-    (build_minimum, "3", (2, 3, 3, 1), three_piece(), {"gamma": 1.0},
-     "eta, m_scale, alpha_scales"),
-    (build_descent, "1", (2, 3, 1), relu(), {"lambda_shift": 2.0}, "no override"),
-    (build_descent, "2", (2, 3, 3, 1), relu(), {"eta": -2.0, "gamma": None}, "lambda_shift"),
-    (build_descent, "3", (2, 3, 3, 1), three_piece(), {"alpha_scales": (0.5,)}, "m_scale"),
-    (build_descent, "corollary", (2, 4, 1), absolute_value(), {"m_scale": 2.0}, "gamma"),
-], ids=["minimum-1", "minimum-2", "minimum-3", "witness-1", "witness-2", "witness-3",
-        "witness-corollary"])
-def test_an_override_the_route_does_not_take_is_precondition(xor, xor_fit, build, stage, dims,
-                                                             act, overrides, takes):
-    # refused by the route's table, naming the route and what it takes,
-    # before the dimensions are checked
-    kind = "minimum" if build is build_minimum else "witness"
-    refused = ", ".join(sorted(overrides))
-    with mock.patch.object(construction, "_check_dims", side_effect=AssertionError):
-        with pytest.raises(PreconditionViolated,
-                           match=re.escape(f"route {stage}'s {kind} takes {takes}; got {refused}")):
-            build(xor_fit, xor, dims, act, stage=stage, **overrides)
-
-
-def test_auto_refuses_an_override_of_the_route_it_resolves_to(xor, xor_fit):
-    with pytest.raises(PreconditionViolated, match="route 1's minimum takes eta; got m_scale"):
-        build_minimum(xor_fit, xor, (2, 3, 1), relu(), m_scale=2.0)
-    with pytest.raises(PreconditionViolated, match="route 1's minimum takes eta; got gamma"):
-        build_minimum(xor_fit, xor, (2, 4, 1), absolute_value(), stage="corollary", gamma=0.0)
-    with pytest.raises(PreconditionViolated, match="route corollary's witness takes gamma; got eta"):
-        build_descent(xor_fit, xor, (2, 4, 1), absolute_value(), eta=-2.0)
-
-
 # ---------------------------------------------------------------------------
 # one stage rule, one stage label per depth, typed failures of the builders
 
@@ -1027,6 +939,20 @@ def test_a_two_piece_point_is_labelled_by_its_depth(xor, xor_fit, stage):
     assert build_descent(xor_fit, xor, (2, 3, 1), relu(), stage="2").stage == "1"
 
 
+def test_the_routers_take_no_construction_override(xor, xor_fit, relu_act):
+    # every route builds its one default point; the family's coordinates
+    # eta, M and alpha are sampled by enumerate_family
+    routers = [lambda **kw: build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, **kw),
+               lambda **kw: build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, **kw),
+               lambda **kw: construction._Witnesses(xor_fit, xor).descent((2, 3, 3, 1), relu_act,
+                                                                          **kw)]
+    for router in routers:
+        assert router(stage="2").stage == "2"
+        for name in ("eta", "m_scale", "alpha_scales", "lambda_shift", "gamma"):
+            with pytest.raises(TypeError, match=name):
+                router(stage="2", **{name: 1.0})
+
+
 def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
     with pytest.raises(PreconditionViolated, match="k must be >= 1"):
         enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=0)
@@ -1038,31 +964,12 @@ def test_family_size_must_be_an_integer(xor, xor_fit, relu_act, k):
         enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu_act, k=k)
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"alpha_scales": (0.5, 0.5)}, "need 1 alpha scales for 3 layers"),
-    ({"alpha_scales": (1.5,)}, r"alpha scales must lie in \(0, 1\)"),
-    ({"alpha_scales": (0.0,)}, r"alpha scales must lie in \(0, 1\)"),
-    ({"m_scale": 1e-3}, "m_scale too small for the linearity radius sigma"),
-])
-def test_general_minimum_rejects_bad_scales(xor, xor_fit, overrides, message):
-    with pytest.raises(PreconditionViolated, match=message):
-        build_minimum(xor_fit, xor, (2, 3, 3, 1), three_piece(), stage="3", **overrides)
-
-
 def test_general_minimum_rejects_alphas_whose_product_underflows(xor, xor_fit, relu_act):
+    # at depth 900, member 0's 899 alphas of 0.5 multiply to 2e-271, but
+    # member 1's drawn alphas multiply to zero: the family refuses it
+    # rather than dividing M by zero
     with pytest.raises(PreconditionViolated, match="product underflows to zero"):
-        build_minimum(xor_fit, xor, (2, 3, 3, 3, 1), relu_act, stage="3",
-                      alpha_scales=(1e-200, 1e-200))
-
-
-def test_route_1_minimum_rejects_an_eta_above_the_baseline(xor, xor_fit, relu_act):
-    with pytest.raises(PreconditionViolated, match="eta must keep the shifted baseline"):
-        build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1", eta=10.0)
-
-
-def test_route_2_witness_rejects_a_lambda_below_its_output(xor, xor_fit, relu_act):
-    with pytest.raises(PreconditionViolated, match="lambda must make the witness output"):
-        build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2", lambda_shift=-100.0)
+        enumerate_family(xor_fit, xor, (2, *[3] * 900, 1), relu_act, k=3)
 
 
 def test_shallow_minimum_needs_a_two_piece_activation(xor, xor_fit):
@@ -1191,12 +1098,11 @@ def _squeeze_one(weights, biases, t, h_t, m_scale, out_scale):
     return sq_w, sq_b
 
 
-def _general_minimum(fit, data, dims, act, frame, eta=None, m_scale=None, alpha_scales=None,
-                     m_factor=1.0):
+def _general_minimum(fit, data, dims, act, frame, eta=None, alpha_scales=None, m_factor=1.0):
     """One member of the general route's family, built but not certified."""
     build_act, reflected, tp = frame
     n_alpha = max(0, len(dims) - 3)
-    eta = construction._checked_eta(fit, eta)
+    eta = construction.default_eta(fit) if eta is None else eta
     if alpha_scales is None:
         alpha_scales = tuple(0.5 for _ in range(n_alpha))
     if len(alpha_scales) != n_alpha:
@@ -1206,7 +1112,7 @@ def _general_minimum(fit, data, dims, act, frame, eta=None, m_scale=None, alpha_
 
     weights, biases = construction._minimum_layers(fit, dims, tp.s_plus, eta)
     pre1 = weights[0] @ data.X + biases[0][:, None]
-    m_scale = construction._radius_scale(pre1, tp.sigma, m_scale, "m_scale", m_factor)
+    m_scale = construction._radius_scale(pre1, tp.sigma, m_factor)
     prod = 1.0
     for i, a_i in enumerate(alpha_scales, start=1):
         prod *= a_i
@@ -1222,10 +1128,10 @@ def _general_minimum(fit, data, dims, act, frame, eta=None, m_scale=None, alpha_
 
 
 @construction._float_checked
-def _family_one_at_a_time(fit, data, dims, act, k, seed, **first):
+def _family_one_at_a_time(fit, data, dims, act, k, seed):
     """enumerate_family as a loop: each member built, forwarded and
-    certified before the next is drawn; member 0 takes the overrides in
-    first, as route 3's build_minimum does."""
+    certified before the next is drawn; member 0 takes the defaults, as
+    route 3's build_minimum does."""
     frame = construction._turning_frame(act)
 
     def member(**draw):
@@ -1234,7 +1140,7 @@ def _family_one_at_a_time(fit, data, dims, act, k, seed, **first):
         return construction._certify_minimum(draft, trace, fit, data,
                                              construction._leaves_residual(fit))
 
-    members = [member(**first)]
+    members = [member()]
     for idx in range(1, k):
         rng = np.random.default_rng([seed, idx])
         eta = construction.default_eta(fit) - 2.0 * rng.random()
@@ -1298,15 +1204,6 @@ class TestStackedFamilyMatchesTheLoop:
             want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0)
             _assert_same_members([build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3")], want)
             _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), act, k=1), want)
-
-    @pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
-    def test_member_0_takes_explicit_overrides(self, xor, xor_fit, act):
-        dims, first = (2, 3, 3, 3, 1), dict(eta=-2.5, m_scale=100.0, alpha_scales=(0.3, 0.8))
-        want = _family_one_at_a_time(xor_fit, xor, dims, act, 1, 0, **first)
-        got = build_minimum(xor_fit, xor, dims, act, stage="3", **first)
-        _assert_same_members([got], want)
-        assert got.params.eta == -2.5 and got.params.m_scale == 100.0
-        assert got.params.alpha_scales == (0.3, 0.8)
 
     @pytest.mark.parametrize("budget", [1, 960, 1920, 2880, 1 << 17])
     @pytest.mark.parametrize("dims", [(2, 16, 1), (2, 16, 16, 1)], ids=["depth1", "depth2"])
@@ -1524,18 +1421,17 @@ def test_a_stacked_squeeze_that_overflows_rebuilds_bit_identical_members(xor, xo
     assert [(m.start, m.stop) for m in calls] == [(0, 5)] + [(j, j + 1) for j in range(5)]
 
 
-@pytest.mark.parametrize("anchor", [1e5, 1e10])
+@pytest.mark.parametrize("anchor", [1e308, -1e308])
 def test_an_output_scale_times_h_t_past_the_float_range_fails_as_one_member_does(xor, xor_fit,
                                                                                  anchor):
-    # M / alpha = 1e302 is finite, but times h(t) = anchor it passes the
+    # M / alpha = 2 is finite, but times h(t) = anchor it passes the
     # float64 range: each member forms that product in floats, where it is
     # infinite rather than an error, so the build fails where the
     # one-member build does
     act = PiecewiseLinear((0.0,), (0.5, 2.0), anchor)
-    first = dict(alpha_scales=(1e-300,), m_scale=100.0)
     outcomes = []
-    for run in (lambda: build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3", **first),
-                lambda: _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0, **first)):
+    for run in (lambda: build_minimum(xor_fit, xor, (2, 3, 3, 1), act, stage="3"),
+                lambda: _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0)):
         with pytest.raises(SpurminError) as info:
             run()
         outcomes.append((type(info.value), str(info.value)))
@@ -1543,18 +1439,16 @@ def test_an_output_scale_times_h_t_past_the_float_range_fails_as_one_member_does
 
 
 def test_an_output_bias_past_the_float_range_is_the_float_range_error(xor, xor_fit):
-    # M / alpha = 1e302 times h(t) = 2e6, and M * M-tilde = 2e298 times
-    # h(t) = 1e10, pass the float64 range while the forward would not
-    # overflow: an output bias of -inf, which failed as a ConstructionError
-    # or a lost strict decrease, is the float-range PreconditionViolated (a
-    # route-3 minimum is member 0 of a family of one)
-    wide = PiecewiseLinear((0.0,), (0.5, 2.0), 2e6)
-    first = dict(alpha_scales=(1e-300,), m_scale=100.0)
+    # M / alpha = 2 times h(t) = 1e308, and M * M-tilde times h(t) = 1e300
+    # on a piece of width 1e-12, pass the float64 range while the forward
+    # would not overflow: an output bias of -inf, which failed as a
+    # ConstructionError or a lost strict decrease, is the float-range
+    # PreconditionViolated (a route-3 minimum is member 0 of a family of one)
+    wide = PiecewiseLinear((0.0,), (0.5, 2.0), 1e308)
+    narrow = PiecewiseLinear((0.0, 1e-12), (0.2, 1.0, 0.5), 1e300)
     runs = {
-        "minimum": lambda: build_minimum(xor_fit, xor, (2, 3, 3, 1), wide, stage="3", **first),
-        "descent": lambda: build_descent(xor_fit, xor, (2, 3, 3, 1),
-                                         PiecewiseLinear((0.0,), (0.5, 2.0), 1e10), stage="3",
-                                         m_scale=2e298),
+        "minimum": lambda: build_minimum(xor_fit, xor, (2, 3, 3, 1), wide, stage="3"),
+        "descent": lambda: build_descent(xor_fit, xor, (2, 3, 3, 1), narrow, stage="3"),
     }
     for name, run in runs.items():
         with pytest.raises(PreconditionViolated) as info:
