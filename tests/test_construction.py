@@ -63,11 +63,12 @@ class TestShallowMinimum:
         out = forward(point.net, xor.X).output
         assert np.max(np.abs(out - 0.5)) <= 1e-12
 
-    def test_family_member_same_risk(self, xor, xor_fit, relu_act):
-        # a deeper shift eta = -10 moves the biases and keeps the risk
-        weights, biases = construction._minimum_layers(xor_fit, (2, 3, 1), 1.0, -10.0)
-        assert np.allclose(biases[0], [10.5, 10.0, 10.0], atol=1e-12)
-        assert np.allclose(biases[1], [-10.0], atol=1e-12)
+    @pytest.mark.parametrize("eta", [-10.0, -2.5, -1.0, -0.25])
+    def test_family_member_same_risk(self, xor, xor_fit, relu_act, eta):
+        # any negative shift eta moves the biases and keeps the risk
+        weights, biases = construction._minimum_layers(xor_fit, (2, 3, 1), 1.0, eta)
+        assert np.allclose(biases[0], [0.5 - eta, -eta, -eta], atol=1e-12)
+        assert np.allclose(biases[1], [eta], atol=1e-12)
         deep_eta = Mlp((2, 3, 1), tuple(weights), tuple(biases), relu_act)
         assert empirical_risk(deep_eta, xor, SQ) == pytest.approx(0.125, abs=1e-9)
 
@@ -184,13 +185,15 @@ class TestDeepRoutes:
         out_d = forward(deep.net, xor.X).output
         assert np.max(np.abs(out_s - out_d)) <= 1e-12
 
-    def test_lambda_doubling_same_output(self, xor, xor_fit, relu_act):
-        # the shallow witness through the depth chain at twice the default
-        # lambda computes what the route-2 witness does
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0, 1e3])
+    def test_lambda_doubling_same_output(self, xor, xor_fit, relu_act, factor):
+        # the shallow witness through the depth chain at a multiple of the
+        # default lambda computes what the route-2 witness does
         shallow = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         d1 = build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, stage="2")
+        lam = factor * d1.params.lambda_shift
         weights, biases = construction._positive_chain(
-            shallow.net.weights[1], shallow.net.biases[1], 2.0 * d1.params.lambda_shift, (3,), 1.0)
+            shallow.net.weights[1], shallow.net.biases[1], lam, (3,), 1.0)
         d2 = Mlp((2, 3, 3, 1), (shallow.net.weights[0], *weights),
                  (shallow.net.biases[0], *biases), relu_act)
         assert np.max(np.abs(forward(d1.net, xor.X).output - forward(d2, xor.X).output)) <= 1e-12
@@ -230,15 +233,16 @@ class TestGeneralRoute:
         assert abs(w3.risk - w1.risk) <= 1e-10
         assert w3.risk < 0.125 - 1e-12
 
-    def test_m_scaling_same_output(self, xor, xor_fit):
-        # the two-piece witness of the turning point's slopes squeezed at
-        # three times the default M computes what the route-3 witness does
+    @pytest.mark.parametrize("factor", [2.0, 3.0, 10.0, 100.0])
+    def test_m_scaling_same_output(self, xor, xor_fit, factor):
+        # the two-piece witness of the turning point's slopes squeezed at a
+        # multiple of the default M computes what the route-3 witness does
         act = three_piece()
         w_def = build_descent(xor_fit, xor, (2, 3, 3, 1), act, stage="3")
         tp = find_turning_point(act)
         local = build_descent(xor_fit, xor, (2, 3, 3, 1), two_piece(tp.s_minus, tp.s_plus),
                               stage="2")
-        m, m_tilde = 3.0 * w_def.params.m_scale, w_def.params.m_tilde
+        m, m_tilde = factor * w_def.params.m_scale, w_def.params.m_tilde
         weights = [local.net.weights[0], local.net.weights[1] / m_tilde, local.net.weights[2]]
         h_t = float(act(tp.t))
         w_big = Mlp((2, 3, 3, 1), *map(tuple, construction._squeeze(
@@ -939,18 +943,48 @@ def test_a_two_piece_point_is_labelled_by_its_depth(xor, xor_fit, stage):
     assert build_descent(xor_fit, xor, (2, 3, 1), relu(), stage="2").stage == "1"
 
 
-def test_the_routers_take_no_construction_override(xor, xor_fit, relu_act):
+ROUTERS = {
+    "minimum": lambda fit, data, **kw: build_minimum(fit, data, (2, 3, 3, 1), relu(), **kw),
+    "descent": lambda fit, data, **kw: build_descent(fit, data, (2, 3, 3, 1), relu(), **kw),
+    "witnesses": lambda fit, data, **kw: construction._Witnesses(fit, data).descent(
+        (2, 3, 3, 1), relu(), **kw),
+}
+
+
+@pytest.mark.parametrize("name", ["eta", "m_scale", "alpha_scales", "lambda_shift", "gamma"])
+@pytest.mark.parametrize("router", ROUTERS.values(), ids=ROUTERS.keys())
+def test_the_routers_take_no_construction_override(xor, xor_fit, router, name):
     # every route builds its one default point; the family's coordinates
     # eta, M and alpha are sampled by enumerate_family
-    routers = [lambda **kw: build_minimum(xor_fit, xor, (2, 3, 3, 1), relu_act, **kw),
-               lambda **kw: build_descent(xor_fit, xor, (2, 3, 3, 1), relu_act, **kw),
-               lambda **kw: construction._Witnesses(xor_fit, xor).descent((2, 3, 3, 1), relu_act,
-                                                                          **kw)]
-    for router in routers:
-        assert router(stage="2").stage == "2"
-        for name in ("eta", "m_scale", "alpha_scales", "lambda_shift", "gamma"):
-            with pytest.raises(TypeError, match=name):
-                router(stage="2", **{name: 1.0})
+    assert router(xor_fit, xor, stage="2").stage == "2"
+    with pytest.raises(TypeError, match=name):
+        router(xor_fit, xor, stage="2", **{name: 1.0})
+
+
+@pytest.mark.parametrize("stage, dims, act", [
+    ("1", (2, 3, 1), relu()), ("2", (2, 3, 3, 1), relu()), ("3", (2, 3, 3, 3, 1), three_piece()),
+])
+def test_every_minimum_route_builds_its_default_point(xor, xor_fit, stage, dims, act):
+    point = build_minimum(xor_fit, xor, dims, act, stage=stage)
+    assert point.params.eta == construction.default_eta(xor_fit)
+    if stage == "3":
+        assert point.params.alpha_scales == (0.5, 0.5)
+        tp = point.params.turning
+        weights, biases = construction._minimum_layers(xor_fit, dims, tp.s_plus, point.params.eta)
+        pre = weights[0] @ xor.X + biases[0][:, None]
+        assert point.params.m_scale == construction._radius_scale(pre, tp.sigma)
+
+
+@pytest.mark.parametrize("stage, dims, act", [
+    ("1", (2, 3, 1), relu()), ("2", (2, 3, 3, 1), relu()), ("3", (2, 3, 3, 1), three_piece()),
+    ("corollary", (2, 4, 1), absolute_value()),
+])
+def test_every_witness_is_searched_and_spurious(xor, xor_fit, stage, dims, act):
+    # no route takes an explicit gamma any more, so every witness comes out
+    # of the alpha search and strictly undercuts the baseline
+    witness = build_descent(xor_fit, xor, dims, act, stage=stage)
+    assert witness.spurious and witness.risk < xor_fit.risk
+    assert verification._descends(xor_fit.risk, witness.risk)
 
 
 def test_family_needs_at_least_one_member(xor, xor_fit, relu_act):
@@ -1128,25 +1162,30 @@ def _general_minimum(fit, data, dims, act, frame, eta=None, alpha_scales=None, m
 
 
 @construction._float_checked
-def _family_one_at_a_time(fit, data, dims, act, k, seed):
-    """enumerate_family as a loop: each member built, forwarded and
-    certified before the next is drawn; member 0 takes the defaults, as
-    route 3's build_minimum does."""
+def _members_one_at_a_time(fit, data, dims, act, draws):
+    """_family as a loop: each (eta, alphas, M factor) draw built, forwarded
+    and certified before the next."""
     frame = construction._turning_frame(act)
-
-    def member(**draw):
-        draft = _general_minimum(fit, data, dims, act, frame, **draw)
+    members = []
+    for eta, alphas, factor in draws:
+        draft = _general_minimum(fit, data, dims, act, frame, eta, alphas, factor)
         trace = construction.forward(draft.net, data.X)
-        return construction._certify_minimum(draft, trace, fit, data,
-                                             construction._leaves_residual(fit))
+        members.append(construction._certify_minimum(draft, trace, fit, data,
+                                                     construction._leaves_residual(fit)))
+    return members
 
-    members = [member()]
+
+def _family_one_at_a_time(fit, data, dims, act, k, seed):
+    """enumerate_family as a loop: member 0 takes the defaults, as route 3's
+    build_minimum does, and member idx >= 1 draws from default_rng([seed, idx])."""
+    n_alpha = max(0, len(dims) - 3)
+    draws = [(construction.default_eta(fit), (0.5,) * n_alpha, 1.0)]
     for idx in range(1, k):
         rng = np.random.default_rng([seed, idx])
         eta = construction.default_eta(fit) - 2.0 * rng.random()
-        alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(max(0, len(dims) - 3)))
-        members.append(member(eta=eta, alpha_scales=alphas, m_factor=1.0 + rng.random()))
-    return members
+        alphas = tuple(0.1 + 0.8 * rng.random() for _ in range(n_alpha))
+        draws.append((eta, alphas, 1.0 + rng.random()))
+    return _members_one_at_a_time(fit, data, dims, act, draws)
 
 
 def _assert_same_members(got, want):
@@ -1199,6 +1238,17 @@ class TestStackedFamilyMatchesTheLoop:
         want = _family_one_at_a_time(fit, data, dims, act, 6, 3)
         _assert_same_members(enumerate_family(fit, data, dims, act, k=6, seed=3), want)
 
+    @pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
+    @pytest.mark.parametrize("dims", [(2, 3, 3, 1), (2, 3, 3, 3, 1)], ids=["depth2", "depth3"])
+    def test_given_draws_build_bit_identical_members(self, xor, xor_fit, act, dims):
+        # _family builds exactly the draws it is given, defaults or not
+        n_alpha = len(dims) - 3
+        draws = [(-2.5, (0.3, 0.8)[:n_alpha], 1.0), (-4.0, (0.9, 0.2)[:n_alpha], 1.7),
+                 (construction.default_eta(xor_fit), (0.5,) * n_alpha, 1.0)]
+        got = construction._float_checked(construction._family)(xor_fit, xor, dims, act, draws)
+        _assert_same_members(got, _members_one_at_a_time(xor_fit, xor, dims, act, draws))
+        assert [(m.params.eta, m.params.alpha_scales) for m in got] == [d[:2] for d in draws]
+
     def test_family_of_one_is_the_general_minimum(self, xor, xor_fit):
         for act in FAMILY_ACTS.values():
             want = _family_one_at_a_time(xor_fit, xor, (2, 3, 3, 1), act, 1, 0)
@@ -1248,6 +1298,56 @@ class TestStackedFamilyMatchesTheLoop:
         monkeypatch.setattr(construction, "_layer_outputs", overflowing)
         _assert_same_members(enumerate_family(xor_fit, xor, (2, 3, 3, 1), relu(), k=5, seed=2),
                              want)
+
+
+@pytest.mark.parametrize("member", [0, 1, 3])
+def test_family_refuses_the_first_draw_whose_alphas_underflow(xor, xor_fit, relu_act, member):
+    # every draw's product is checked, not only member 0's
+    dims = (2, 3, 3, 3, 1)
+    draws = construction._draws(xor_fit, dims, 5, 0)
+    draws[member] = (draws[member][0], (1e-200, 1e-200), draws[member][2])
+    with pytest.raises(PreconditionViolated, match="product underflows to zero"):
+        construction._float_checked(construction._family)(xor_fit, xor, dims, relu_act, draws)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 1), (2, 3, 3, 1), (2, 3, 3, 3, 1), (2, 4, 3, 3, 3, 1)])
+def test_draw_0_is_the_default_point(xor_fit, dims):
+    eta, alphas, factor = construction._draws(xor_fit, dims, 3, 5)[0]
+    assert eta == construction.default_eta(xor_fit)
+    assert alphas == (0.5,) * max(0, len(dims) - 3) and factor == 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_later_draws_come_from_their_own_stream_in_range(xor_fit, seed):
+    eta_0 = construction.default_eta(xor_fit)
+    draws = construction._draws(xor_fit, (2, 3, 3, 3, 1), 6, seed)
+    assert len(draws) == 6
+    for idx, (eta, alphas, factor) in enumerate(draws[1:], start=1):
+        u = np.random.default_rng([seed, idx]).random(4)
+        assert (eta, alphas, factor) == (eta_0 - 2.0 * u[0], tuple(0.1 + 0.8 * u[1:3]), 1.0 + u[3])
+        assert eta_0 - 2.0 < eta <= eta_0 and 1.0 <= factor < 2.0
+        assert all(0.1 <= a < 0.9 for a in alphas)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_smaller_family_is_a_prefix_of_a_larger_one(xor, xor_fit, relu_act, k):
+    dims = (2, 3, 3, 3, 1)
+    longer = construction._draws(xor_fit, dims, k + 3, 9)
+    assert construction._draws(xor_fit, dims, k, 9) == longer[:k]
+    _assert_same_members(enumerate_family(xor_fit, xor, dims, relu_act, k=k, seed=9),
+                         enumerate_family(xor_fit, xor, dims, relu_act, k=k + 3, seed=9)[:k])
+
+
+@pytest.mark.parametrize("act", FAMILY_ACTS.values(), ids=FAMILY_ACTS.keys())
+def test_every_member_squeezes_its_first_layer_inside_half_the_radius(xor, xor_fit, act):
+    # the computed M keeps ||pre||_F / M <= sigma / 2, which is why
+    # _radius_scale needs no "too small" refusal
+    dims = (2, 3, 3, 1)
+    for member in enumerate_family(xor_fit, xor, dims, act, k=5, seed=2):
+        tp = member.params.turning
+        weights, biases = construction._minimum_layers(xor_fit, dims, tp.s_plus, member.params.eta)
+        pre = weights[0] @ xor.X + biases[0][:, None]
+        assert np.linalg.norm(pre) / member.params.m_scale <= tp.sigma / 2
 
 
 def _outcome(monkeypatch, run, failures):
