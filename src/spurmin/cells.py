@@ -32,8 +32,8 @@ from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .io import rle_encode
 from .network import (
-    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _stacked_outputs, augment, forward,
-    loss_gradient, per_sample_loss, risk_of_outputs,
+    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _hidden_pre, _stacked_outputs, augment,
+    forward, loss_gradient, per_sample_loss, risk_of_outputs,
 )
 from .verification import _stack_size
 
@@ -66,20 +66,22 @@ class CellSignature:
 def signatures_equal(a: CellSignature, b: CellSignature) -> bool:
     """Cell identity is exact equality of all slope matrices."""
     return len(a.layers) == len(b.layers) and all(
-        x.shape == y.shape and bool(np.all(x == y)) for x, y in zip(a.layers, b.layers)
+        x.shape == y.shape and bool((x == y).all()) for x, y in zip(a.layers, b.layers)
     )
 
 
 def activation_pattern(net: Mlp, X: np.ndarray) -> CellSignature:
     """Collect the activation slope at every hidden (unit, sample)
-    pre-activation; entries within BOUNDARY_TOL of a breakpoint are hits."""
-    return _signature(net.activation, forward(net, X))
+    pre-activation; entries within BOUNDARY_TOL of a breakpoint are hits.
+    Only the hidden layers are forwarded (`network._hidden_pre`)."""
+    return _signature(net.activation, _hidden_pre(net, X))
 
 
-def _signature(act: PiecewiseLinear, trace: ForwardTrace) -> CellSignature:
+def _signature(act: PiecewiseLinear, hidden_pre) -> CellSignature:
+    """The cell signature of the hidden layers' pre-activations."""
     layers = []
     boundary = set()
-    for li, z in enumerate(trace.hidden_pre):
+    for li, z in enumerate(hidden_pre):
         slopes, on_bp = act.piece_slopes(z, boundary_tol=BOUNDARY_TOL)
         layers.append(slopes)
         if on_bp.any():
@@ -96,7 +98,8 @@ def _risk_and_signature(
     `network.empirical_risk`."""
     _check_fits(net.dims, data)
     trace = forward(net, data.X)
-    return risk_of_outputs(trace.output, data.Y, loss), _signature(net.activation, trace), trace
+    return (risk_of_outputs(trace.output, data.Y, loss),
+            _signature(net.activation, trace.hidden_pre), trace)
 
 
 def _pieces_through_origin(act: PiecewiseLinear, z: np.ndarray) -> bool:

@@ -44,7 +44,7 @@ from .io import (
     save_dataset_csv,
     xor_dataset,
 )
-from .linear_fit import _assumptions, fit_linear
+from .linear_fit import _assumptions, _leaves_residual, fit_linear
 from .network import LossKind, Mlp, loss_gradient, per_sample_loss
 from .verification import (
     _PROBE_RADIUS,
@@ -229,7 +229,7 @@ def run_demo(
     fit = fit_linear(data, loss)
     report["assumptions"] = _assumptions(data, (2, 3, 1), act, fit).as_dict()
     report["fit"] = fit.as_dict()
-    record("fit_risk_positive", fit.risk > 0)
+    record("fit_risk_positive", _leaves_residual(fit))
 
     if corollary_only:
         stages: list[tuple[str, tuple[int, ...], object]] = []

@@ -120,7 +120,7 @@ from .errors import (
 from .io import mlp_to_dict
 from .linear_fit import LinearFit, _leaves_residual, permute_fit_rows, select_nonzero_residual_row
 from .network import (Dataset, ForwardTrace, Mlp, _affine, _balanced_widths_ok, _check_fits,
-                      _layer_outputs, _widths_ok, augment, forward, risk_of_outputs)
+                      _layer_outputs, _widths_ok, forward, risk_of_outputs)
 from .separation import (
     MAX_HALVINGS,
     DescentConstants,
@@ -403,14 +403,13 @@ def _certified(drafts: list[_Draft], layers: Layers, fit: LinearFit,
     spurious, X, Y = _leaves_residual(fit), data.X, fit.y_tilde
     target_max, (lo, hi) = float(np.abs(Y).max()), _bounds(drafts[0])
     size = _stack_size(drafts[0].net.dims, X.shape[1]) if len(drafts) > 1 else 1
-    X1 = augment(X) if size > 1 else None  # read by the stacked passes only
     points = []
     for start in range(0, len(drafts), size):
         chunk, values = drafts[start:start + size], None
         if len(chunk) > 1:
             try:
                 pre, post = _layer_outputs(*([p[start:start + size] for p in ps] for ps in layers),
-                                           chunk[0].net.activation, X1)
+                                           chunk[0].net.activation, data.X1)
                 values = zip(np.abs(post[-1] - Y).max(axis=(-2, -1)).tolist(),
                              risk_of_outputs(post[-1], data.Y, fit.loss).tolist(),
                              _interval_margin(pre[:-1], lo, hi).tolist())
@@ -784,7 +783,7 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
     M / prod(alpha_i) would divide by it.
 
     The scaffold's weights do not depend on eta, so `_minimum_layers` runs
-    once with a column of shifts, and the data's [X; 1] is formed once.
+    once with a column of shifts, and the data's [X; 1] is `Dataset.X1`.
     Each member's M comes from its own first-layer pre-activations, the
     forward's one matmul [W1 | b1] @ [X; 1] (`network._affine`), in draw
     order (`_radius_scale`), and the alphas, the squeeze and the reflection
@@ -798,7 +797,7 @@ def _family(fit: LinearFit, data: Dataset, dims: tuple[int, ...], act: Piecewise
     build_act, reflected, tp = _turning_frame(act)
     etas, alpha_scales, factors = zip(*draws)
     layers = _minimum_layers(fit, dims, tp.s_plus, np.array(etas, dtype=float)[:, None])
-    W1, X1, h_t = layers[0][0], augment(data.X), float(build_act(tp.t))
+    W1, X1, h_t = layers[0][0], data.X1, float(build_act(tp.t))
     scales, built = [], []
     try:
         try:

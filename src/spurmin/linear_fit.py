@@ -19,6 +19,7 @@ import numpy as np
 from .activations import PiecewiseLinear, find_turning_point
 from .errors import (AllRowsZero, NoAdmissibleTurningPoint, NonConvergence, PreconditionViolated,
                      SpurminError, check_integer, check_real)
+# augment is re-exported: the fits read [X; 1] from `Dataset.X1`
 from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, augment, loss_gradient,
                       risk_of_outputs)
 
@@ -55,7 +56,7 @@ class LinearFit:
 
 
 def _finish(W: np.ndarray, data: Dataset, loss: LossKind, unbounded: bool = False) -> LinearFit:
-    Xt = augment(data.X)
+    Xt = data.X1
     y_tilde = W @ Xt
     V = loss_gradient(loss, data.Y, y_tilde)
     grad = (V @ Xt.T) / data.n
@@ -95,7 +96,7 @@ def fit_linear(
     if not 0.0 < param_cap < np.inf:
         raise PreconditionViolated(f"param_cap must be finite and positive, not {param_cap}")
     max_iter = check_integer("max_iter", max_iter, minimum=1)
-    Xt = augment(data.X)
+    Xt = data.X1
     if loss is LossKind.SQUARED:
         W = data.Y @ np.linalg.pinv(Xt, rcond=1e-12)
         return _finish(W, data, loss)

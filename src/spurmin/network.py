@@ -7,15 +7,18 @@ rules of the construction routes.  Conventions fixed package-wide: the squared l
 l(y, yhat) = 0.5*||y - yhat||^2, the empirical risk averages per-sample
 losses with 1/n, and the output layer is affine (no final activation).
 
-Every forward reads the data with a row of ones under it (`augment`), and
-forms the first layer as one matmul, [W_1 | b_1] @ [X; 1] (`_affine`):
-on tall data a broadcast bias add costs more than the matmul itself.
-Later layers add their bias after the matmul.
+The first layer of every forward is one matmul over the data with a row
+of ones under it, [W_1 | b_1] @ [X; 1] (`_affine`): on tall data a
+broadcast bias add costs more than the matmul itself.  Later layers add
+their bias after the matmul.  A `Dataset` forms its [X; 1] once
+(`Dataset.X1`), and every scorer that holds one reads it there; `forward`
+and the other scorers of a bare X stack the ones row per call (`augment`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -27,14 +30,17 @@ from .errors import InvalidLabels, PreconditionViolated, ShapeViolation
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix X (d_X x n, one column per sample) and labels Y (d_Y x n)."""
+    """Feature matrix X (d_X x n, one column per sample) and labels Y (d_Y x n).
+
+    X and Y are read-only float copies of the arrays given, in their memory
+    layout, so [X; 1] is formed once (`X1`) and cannot go stale."""
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
+        X = np.array(self.X, dtype=float)
+        Y = np.array(self.Y, dtype=float)
         if X.ndim != 2 or Y.ndim != 2:
             raise ShapeViolation("X and Y must be 2-d matrices (columns are samples)")
         if X.shape[1] != Y.shape[1]:
@@ -43,8 +49,16 @@ class Dataset:
             raise PreconditionViolated("need at least one sample")
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise PreconditionViolated("X and Y must be finite (no NaN or infinity)")
+        X.flags.writeable = Y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+
+    @functools.cached_property
+    def X1(self) -> np.ndarray:
+        """augment(X), formed on first read and read-only."""
+        X1 = augment(self.X)
+        X1.flags.writeable = False
+        return X1
 
     @property
     def n(self) -> int:
@@ -86,8 +100,12 @@ def per_sample_loss(kind: LossKind, Y: np.ndarray, Yhat: np.ndarray) -> np.ndarr
     if Y.ndim != 2 or Y.shape != Yhat.shape[-2:]:
         raise ShapeViolation(f"label/prediction shape mismatch: {Y.shape} vs {Yhat.shape}")
     if kind is LossKind.SQUARED:
+        # in place, bit for bit 0.5 * np.sum(d * d, axis=-2)
         d = Yhat - Y
-        return 0.5 * np.sum(d * d, axis=-2)
+        d *= d
+        out = d.sum(axis=-2)
+        out *= 0.5
+        return out
     _check_one_hot(Y)
     z = Yhat - np.max(Yhat, axis=-2, keepdims=True)
     log_softmax = z - np.log(np.sum(np.exp(z), axis=-2, keepdims=True))
@@ -208,24 +226,44 @@ def _affine(W: np.ndarray, b: np.ndarray, X1: np.ndarray) -> np.ndarray:
     return np.concatenate((W, b[..., None]), axis=-1) @ X1
 
 
+def _checked_input(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """X as a float array, or ShapeViolation unless it is d_x x n."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != net.dims[0]:
+        raise ShapeViolation(f"input must be {net.dims[0]} x n, got {X.shape}")
+    return X
+
+
 def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     """Evaluate the network on all columns of X, recording layer outputs.
 
     A hidden layer that the activation maps to itself bit for bit is
     recorded once, as both pre[j] and post[j]; the trace is read-only."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != net.dims[0]:
-        raise ShapeViolation(f"input must be {net.dims[0]} x n, got {X.shape}")
-    pre, post = _layer_outputs(net.weights, net.biases, net.activation, augment(X))
+    X1 = augment(_checked_input(net, X))
+    pre, post = _layer_outputs(net.weights, net.biases, net.activation, X1)
     return ForwardTrace(tuple(pre), tuple(post))
+
+
+def _hidden_pre(net: Mlp, X: np.ndarray) -> list:
+    """The hidden layers' pre-activations on the columns of X, bit-identical
+    to `forward(net, X).hidden_pre`: the forward stops at the last hidden
+    layer, before its activation and the output layer.  Empty for a network
+    with no hidden layer; X is checked as `forward` checks it."""
+    X = _checked_input(net, X)
+    if net.n_layers == 1:
+        return []
+    pre, _ = _layer_outputs(net.weights[:-1], net.biases[:-1], net.activation, augment(X))
+    return pre
 
 
 def _layer_outputs(
     weights, biases, activation: PiecewiseLinear, X1: np.ndarray
 ) -> tuple[list, list]:
     """Pre- and post-activation outputs of every layer on the columns of X,
-    given as X1 = augment(X), so a caller that forwards many networks on one
-    dataset stacks the ones row once.
+    given as X1 = augment(X), which the caller forms: a caller that holds a
+    `Dataset` reads its `X1`, so no pass on it stacks the ones row again.
+    The last layer given is affine, so the hidden layers alone give their
+    pre-activations (`_hidden_pre`).
 
     The first layer is one matmul, [W_1 | b_1] @ X1 (`_affine`); each later
     layer is W_j @ post[j-1] with b_j added in place.  The fold changes the
@@ -280,7 +318,8 @@ def _check_fits(dims: tuple[int, ...], data: Dataset) -> None:
 def empirical_risk(net: Mlp, data: Dataset, loss: LossKind) -> float:
     """(1/n) sum of per-sample losses at the network outputs."""
     _check_fits(net.dims, data)
-    return risk_of_outputs(forward(net, data.X).output, data.Y, loss)
+    _, post = _layer_outputs(net.weights, net.biases, net.activation, data.X1)
+    return risk_of_outputs(post[-1], data.Y, loss)
 
 
 def _widths_ok(dims: tuple[int, ...], d_y: int) -> bool:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,7 @@ from spurmin import (
     lift_data,
     linear_collapse_check,
     net_cell_inputs,
+    parse_activation,
     quotient_gradient_residual,
     quotient_map,
     reformulated_risk,
@@ -103,6 +105,48 @@ class TestPattern:
         sig = activation_pattern(net, X)
         assert sig.boundary == expected
         assert sig.interior == (not expected)
+
+
+class TestHiddenOnlyPattern:
+    """activation_pattern forwards the hidden layers only; its signature is
+    the full forward's, array for array."""
+
+    @pytest.mark.parametrize("name", ["relu", "abs", "threepiece", "identity"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("entries", ["normal", "integer", "nan"])
+    def test_matches_the_full_forward(self, name, depth, entries):
+        act = parse_activation(name)
+        rng = np.random.default_rng([depth, len(name), len(entries)])
+        dims = (3, *rng.integers(1, 6, size=depth).tolist(), int(rng.integers(1, 3)))
+        # integer entries put pre-activations exactly on breakpoints
+        draw = ((lambda s: rng.integers(-2, 3, size=s).astype(float)) if entries == "integer"
+                else rng.standard_normal)
+        net = Mlp(dims, tuple(draw((b, a)) for a, b in zip(dims, dims[1:])),
+                  tuple(draw(b) for b in dims[1:]), act)
+        X = draw((3, 11))
+        if entries == "nan":
+            X[1, ::3] = np.nan
+        got = activation_pattern(net, X)
+        want = cells._signature(act, forward(net, X).hidden_pre)
+        assert len(got.layers) == len(want.layers) == depth
+        for a, b in zip(got.layers, want.layers):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.boundary == want.boundary
+
+    def test_no_hidden_layer_has_the_empty_signature(self, xor):
+        for d_y in (1, 2):
+            net = Mlp((2, d_y), (np.ones((d_y, 2)),), (np.zeros(d_y),), relu())
+            assert activation_pattern(net, xor.X) == CellSignature((), frozenset())
+
+    @pytest.mark.parametrize("dims", [(2, 1), (2, 3, 1), (2, 3, 3, 1)])
+    def test_wrong_input_width_is_forwards_shape_violation(self, dims):
+        net = Mlp(dims, tuple(np.ones((b, a)) for a, b in zip(dims, dims[1:])),
+                  tuple(np.zeros(b) for b in dims[1:]), relu())
+        for X in (np.zeros((3, 4)), np.zeros(4)):
+            message = re.escape(f"input must be 2 x n, got {X.shape}")
+            for score in (forward, activation_pattern):
+                with pytest.raises(ShapeViolation, match=message):
+                    score(net, X)
 
 
 class TestQuotient:

@@ -10,12 +10,13 @@ checks that no fault here can flip.
 """
 
 import re
+import traceback
 
 import numpy as np
 import pytest
 
-from spurmin import (Dataset, LossKind, Mlp, build_minimum, cells, empirical_risk,
-                     enumerate_family, fit_linear, forward, min_pairwise_distance, network,
+from spurmin import (AllRowsZero, Dataset, LossKind, Mlp, build_minimum, cells, cli,
+                     empirical_risk, enumerate_family, forward, min_pairwise_distance, network,
                      perturbation_local_min_test, trace_interval_check)
 from spurmin.cli import run_demo
 from spurmin.verification import _risk_match, descent_gap_certificate
@@ -135,7 +136,16 @@ def test_a_moved_members_risk_fails_family_risks_match(xor, xor_fit, family):
     assert not all(_risk_match(r, xor_fit.risk).passed for r in risks)
 
 
-def test_constant_labels_fail_fit_risk_positive(xor):
-    fit = fit_linear(Dataset(xor.X, np.zeros_like(xor.Y)), SQ)
-    assert fit.risk == 0.0
-    assert not fit.risk > 0
+@pytest.mark.parametrize("label", [0.0, 0.5, 1.0])
+def test_constant_labels_fail_fit_risk_positive(xor, monkeypatch, label):
+    # an affine map fits constant labels: 0.5 and 1.0 leave only a rounding
+    # risk (about 1e-31 here), which is no residual.  The demo records the
+    # check before its witnesses refuse the fit, so it is read from the
+    # demo's frame.
+    data = Dataset(xor.X, np.full_like(xor.Y, label))
+    monkeypatch.setattr(cli, "xor_dataset", lambda: data)
+    with pytest.raises(AllRowsZero) as raised:
+        run_demo(seed=7)
+    checks = next(frame.f_locals["checks"] for frame, _ in traceback.walk_tb(raised.tb)
+                  if frame.f_code is run_demo.__code__)
+    assert checks == [("fit_risk_positive", False)]

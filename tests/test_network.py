@@ -320,6 +320,54 @@ class TestRisk:
             per_sample_loss(LossKind.CROSS_ENTROPY, y, np.zeros((2, 1)))
 
 
+class TestInPlaceScoring:
+    """The squared loss squares and halves in place, and empirical_risk
+    reads the output of one pass on the Dataset's [X; 1], bit for bit the
+    forms they replace."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 4)])
+    @pytest.mark.parametrize("d_y", [1, 2])
+    def test_squared_loss_matches_the_two_temporary_form(self, lead, d_y):
+        rng = np.random.default_rng([d_y, *lead])
+        Y = rng.standard_normal((d_y, 9))
+        Yhat = rng.standard_normal((*lead, d_y, 9)) * 10.0 ** rng.integers(-150, 150, (*lead, 1, 9))
+        Yhat[..., 0] = Y[:, 0]  # a zero difference
+        d = Yhat - Y
+        assert_same_bits(per_sample_loss(LossKind.SQUARED, Y, Yhat), 0.5 * np.sum(d * d, axis=-2))
+
+    @pytest.mark.parametrize("act", [relu(), leaky_relu(0.2), three_piece(), identity_act])
+    @pytest.mark.parametrize("dims", [(3, 1), (3, 5, 1), (3, 4, 6, 2)])
+    def test_empirical_risk_matches_the_forward_output(self, act, dims):
+        rng = np.random.default_rng(list(dims))
+        data = Dataset(rng.standard_normal((3, 50)), rng.standard_normal((dims[-1], 50)))
+        net = random_net(dims, act, rng)
+        want = risk_of_outputs(forward(net, data.X).output, data.Y, LossKind.SQUARED)
+        assert empirical_risk(net, data, LossKind.SQUARED) == want
+
+
+class TestDatasetX1:
+    """A Dataset holds read-only float copies of X and Y and forms [X; 1]
+    once."""
+
+    def test_x1_is_augment_of_x_formed_once(self, rng):
+        data = Dataset(rng.standard_normal((3, 5)), rng.standard_normal((2, 5)))
+        assert_same_bits(data.X1, augment(data.X))
+        assert data.X1 is data.X1
+
+    @pytest.mark.parametrize("name", ["X", "Y", "X1"])
+    def test_arrays_are_read_only(self, rng, name):
+        data = Dataset(rng.standard_normal((3, 5)), rng.standard_normal((2, 5)))
+        with pytest.raises(ValueError):
+            getattr(data, name)[0, 0] = 1.0
+
+    def test_arrays_are_copies_in_the_callers_layout(self, rng):
+        X, Y = np.asfortranarray(rng.standard_normal((3, 5))), np.arange(5)[None, :]
+        data = Dataset(X, Y)
+        X[0, 0], Y[0, 0] = 7.0, 7
+        assert data.X[0, 0] != 7.0 and data.Y[0, 0] == 0.0
+        assert data.X.flags.f_contiguous and data.Y.dtype == np.float64
+
+
 class TestLossGradients:
     def test_squared_example(self):
         g = loss_gradient(LossKind.SQUARED, np.array([[1.0]]), np.array([[0.5]]))
