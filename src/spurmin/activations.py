@@ -218,18 +218,6 @@ class PiecewiseLinear:
         hi = float(x.max())
         return p, lo, hi, hi >= bps[p]
 
-    def slope_at(self, x: float) -> tuple[float, bool]:
-        """Slope of the open piece containing x.
-
-        If x coincides exactly with a breakpoint, returns the right slope and
-        flags the boundary hit; pattern builders must treat that as a
-        degenerate cell-boundary event.
-        """
-        if not self.breakpoints:
-            return self.slopes[0], False
-        slope, _, ref = self._piece(np.asarray(x, dtype=float))
-        return float(slope), bool(ref == x)
-
     def piece_slopes(self, x: np.ndarray, boundary_tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized slope lookup plus a boundary mask.
 

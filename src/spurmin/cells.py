@@ -32,8 +32,8 @@ from .activations import PiecewiseLinear
 from .errors import BoundaryCell, NotEquivalent, PreconditionViolated, ShapeViolation, check_integer
 from .io import rle_encode
 from .network import (
-    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _hidden_pre, _stacked_outputs, augment,
-    forward, loss_gradient, per_sample_loss, risk_of_outputs,
+    Dataset, ForwardTrace, LossKind, Mlp, _check_fits, _hidden_pre, _layer_outputs, augment,
+    forward, loss_gradient, risk_of_outputs,
 )
 from .verification import _stack_size
 
@@ -51,12 +51,6 @@ class CellSignature:
 
     layers: tuple[np.ndarray, ...]
     boundary: frozenset
-
-    @property
-    def pattern(self) -> np.ndarray:
-        if len(self.layers) != 1:
-            raise ShapeViolation("pattern is the single-hidden-layer accessor")
-        return self.layers[0]
 
     @property
     def interior(self) -> bool:
@@ -160,7 +154,7 @@ def reformulated_risk(
     in-cell parameters with the same quotient image."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     preds = (q.w_hat @ lifted.x_hat + output_bias)[None, :]
-    return float(np.sum(per_sample_loss(loss, Y, preds)) / Y.shape[1])
+    return risk_of_outputs(preds, Y, loss)
 
 
 def quotient_gradient_residual(
@@ -349,10 +343,11 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     """Score the valley path between two networks, of any depth and output
     width, that are per-unit rescalings of each other and share the output
     bias and the activation.  The points of `_valley_points` are built and
-    forwarded in stacked chunks of `verification._stack_size` networks, so
-    one chunk of the path is held at a time; each chunk gives its points'
-    risks from one `risk_of_outputs` and their slopes from one
-    `piece_slopes` per hidden layer.  Risks and slopes are bit-identical to building and forwarding
+    forwarded in stacked chunks of `verification._stack_size` networks, one
+    `_layer_outputs` pass on `data.X1` each, so one chunk of the path is
+    held at a time; each chunk gives its points' risks from one
+    `risk_of_outputs` and their slopes from one `piece_slopes` per hidden
+    layer.  Risks and slopes are bit-identical to building and forwarding
     each point's network.
 
     Returns n_points, the risk at each point (Python floats), the largest
@@ -373,7 +368,8 @@ def walk_valley(net_a: Mlp, net_b: Mlp, data: Dataset, loss: LossKind,
     size = _stack_size(net_a.dims, data.n)
     risks, pattern_constant, ref = [], True, None
     while chunk := list(islice(points, size)):
-        pre, post = _stacked_outputs(chunk, act, data.X)
+        weights, biases = ([np.stack(layer) for layer in zip(*side)] for side in zip(*chunk))
+        pre, post = _layer_outputs(weights, biases, act, data.X1)
         risks += risk_of_outputs(post[-1], data.Y, loss).tolist()
         slopes = [act.piece_slopes(z)[0] for z in pre[:-1]]
         ref = [s[0] for s in slopes] if ref is None else ref

@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--radius", type=float, default=_PROBE_RADIUS)
     p.add_argument("--samples", type=int, default=_PROBE_SAMPLES)
-    p.add_argument("--cert-out", dest="out", help="alias of --out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("separate", help="debug: the separation backing the descent")

@@ -19,8 +19,7 @@ import numpy as np
 from .activations import PiecewiseLinear, find_turning_point
 from .errors import (AllRowsZero, NoAdmissibleTurningPoint, NonConvergence, PreconditionViolated,
                      SpurminError, check_integer, check_real)
-# augment is re-exported: the fits read [X; 1] from `Dataset.X1`
-from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, augment, loss_gradient,
+from .network import (Dataset, LossKind, _balanced_widths_ok, _widths_ok, loss_gradient,
                       risk_of_outputs)
 
 # Residual size, relative to 1 + max |baseline|, below which a row counts as fitted.

@@ -296,16 +296,6 @@ def _layer_outputs(
     return pre, post
 
 
-def _stacked_outputs(layers: list, activation: PiecewiseLinear, X: np.ndarray) -> tuple[list, list]:
-    """`_layer_outputs` of networks of one shape, each given as its
-    (weights, biases), in one stacked pass on the columns of X: every output
-    carries a leading axis with one entry per network, bit-identical to its
-    own pass."""
-    weights = [np.stack(Ws) for Ws in zip(*(w for w, _ in layers))]
-    biases = [np.stack(bs) for bs in zip(*(b for _, b in layers))]
-    return _layer_outputs(weights, biases, activation, augment(X))
-
-
 def _check_fits(dims: tuple[int, ...], data: Dataset) -> None:
     """Raise ShapeViolation unless a network of these dims writes data's
     labels and reads its features, the output width checked first."""

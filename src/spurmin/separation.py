@@ -64,10 +64,6 @@ class SeparationResult:
     def I_indices(self) -> np.ndarray:
         return self.perm[: self.l_prime]
 
-    @property
-    def J_indices(self) -> np.ndarray:
-        return self.perm[self.l_prime :]
-
     def as_dict(self) -> dict:
         return asdict(self)
 

@@ -7,9 +7,9 @@ These are the only copies of the checks, each with one rule.
 it from one forward trace, and construction from every minimum it builds (a
 family's members a stacked chunk at a time) and keeps the certificate on the
 point.  `_descends` is the one descent rule: `descent_gap_certificate` and
-construction's witness search both read it.  `witness_pair_certificate`
-bundles a pair's risk match (`_risk_match`), descent gap and probe, and the
-reports are written from these certificates.
+construction's witness search both read it.  `_risk_match` is the one
+risk-match rule.  The reports are written from these checks: the demo
+records a stage's risk match, descent gap and probe side by side.
 
 The probe has one path, `_shared_draw_risks`, which takes a list of
 networks; the public checks are its one-network case, and the demo probes
@@ -432,22 +432,3 @@ def _risk_match(risk: float, baseline_risk: float) -> Check:
     deviation = float(abs(risk - baseline_risk))
     return Check("minimum_matches_baseline", bool(deviation <= tol), deviation, tol)
 
-
-def witness_pair_certificate(
-    minimum,
-    witness,
-    data: Dataset,
-    loss: LossKind,
-    radius: float = _PROBE_RADIUS,
-    samples: int = _PROBE_SAMPLES,
-    seed: int = 0,
-) -> Certificate:
-    """Bundle of the standard checks for a (minimum, witness) pair: risk match
-    to the baseline, strictly positive descent gap, and the sampled
-    local-minimality probe.  The minimum's interval check stays on the
-    minimum (`CertifiedPoint.interval`), where its construction ran it."""
-    return Certificate(subject=f"stage_{minimum.stage}_pair", checks=(
-        _risk_match(minimum.risk, minimum.baseline_risk),
-        *descent_gap_certificate(minimum.risk, witness.risk).checks,
-        *perturbation_local_min_test(minimum.net, data, loss, radius, samples, seed).checks,
-    ))

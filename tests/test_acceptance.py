@@ -7,7 +7,7 @@ import pytest
 import spurmin as sp
 from spurmin import LossKind, cells
 from spurmin.cli import main
-from spurmin.linear_fit import augment
+from spurmin.network import augment
 from spurmin.separation import check_separation, separate
 
 SQ = LossKind.SQUARED

@@ -80,13 +80,16 @@ class TestEval:
 
 class TestSlopeAt:
     def test_relu_positive(self):
-        assert relu().slope_at(5.0) == (1.0, False)
+        slopes, on_bp = relu().piece_slopes(np.array([5.0]))
+        assert (slopes.tolist(), on_bp.tolist()) == ([1.0], [False])
 
     def test_relu_breakpoint_right_slope_flagged(self):
-        assert relu().slope_at(0.0) == (1.0, True)
+        slopes, on_bp = relu().piece_slopes(np.array([0.0]))
+        assert (slopes.tolist(), on_bp.tolist()) == ([1.0], [True])
 
     def test_three_piece_middle(self):
-        assert three_piece().slope_at(0.5) == (1.0, False)
+        slopes, on_bp = three_piece().piece_slopes(np.array([0.5]))
+        assert (slopes.tolist(), on_bp.tolist()) == ([1.0], [False])
 
     def test_piece_slopes_boundary_tolerance(self):
         act = relu()
@@ -221,7 +224,7 @@ class TestValidationAndSerde:
         assert not PiecewiseLinear((0.0,), (2.0, 2.0), 0.0).is_nonlinear
 
 
-# Oracles: the former searchsorted forms of the three piece lookups.
+# Oracles: the former searchsorted forms of the two piece lookups.
 def searchsorted_call(act, x):
     x = np.asarray(x, dtype=float)
     if not act.breakpoints:
@@ -232,13 +235,6 @@ def searchsorted_call(act, x):
     ref = np.clip(p - 1, 0, len(bps) - 1)
     out = knots[ref] + slopes[p] * (x - bps[ref])
     return out if out.ndim else float(out)
-
-
-def searchsorted_slope_at(act, x):
-    if not act.breakpoints:
-        return act.slopes[0], False
-    p = int(np.searchsorted(np.asarray(act.breakpoints), x, side="right"))
-    return act.slopes[p], bool(p > 0 and act.breakpoints[p - 1] == x)
 
 
 def searchsorted_piece_slopes(act, x, boundary_tol=0.0):
@@ -300,14 +296,16 @@ class TestComparisonLookupMatchesSearchsorted:
                 for got_part, want_part in zip(act.piece_slopes(arg, tol),
                                                searchsorted_piece_slopes(act, arg, tol)):
                     assert_same_bits(got_part, want_part)
-            got, want = act.slope_at(float(v)), searchsorted_slope_at(act, float(v))
-            assert got == want and type(got[0]) is type(want[0]) is float
 
     def test_signed_zero_at_a_zero_breakpoint(self):
         for act in (relu(), two_piece(-0.5, 2.0), three_piece(), three_piece().reflect()):
             x = np.array([-0.0, 0.0])
             assert_same_bits(act(x), searchsorted_call(act, x))
-            assert act.slope_at(-0.0) == searchsorted_slope_at(act, -0.0) == act.slope_at(0.0)
+            slopes, boundary = act.piece_slopes(x)
+            want_slopes, want_boundary = searchsorted_piece_slopes(act, x)
+            assert_same_bits(slopes, want_slopes)
+            assert_same_bits(boundary, want_boundary)
+            assert slopes[0] == slopes[1] and boundary[0] == boundary[1]
 
     def test_non_finite_inputs(self):
         x = np.array([np.nan, np.inf, -np.inf, 0.0])
@@ -316,7 +314,6 @@ class TestComparisonLookupMatchesSearchsorted:
                 assert_same_bits(act(x), searchsorted_call(act, x))
                 for got, want in zip(act.piece_slopes(x, 0.1), searchsorted_piece_slopes(act, x, 0.1)):
                     assert_same_bits(got, want)
-            assert act.slope_at(float("nan")) == searchsorted_slope_at(act, float("nan"))
 
 
 ONE_PIECE_ACTS = (
@@ -357,9 +354,6 @@ def assert_matches_oracles(act, x, tol=0.0):
     assert_same_bits(slopes, want_slopes)
     assert_same_bits(boundary, want_boundary)
     assert slopes.flags.writeable and slopes.flags.owndata
-    for v in np.asarray(x).reshape(-1):
-        got, want = act.slope_at(float(v)), searchsorted_slope_at(act, float(v))
-        assert got == want and type(got[0]) is type(want[0]) is float
 
 
 class TestOnePiecePath:
@@ -631,10 +625,6 @@ class TestLinearActivationSharesThePieceLookup:
         assert_same_bits(got.slopes, want.slopes)
         assert_same_bits(got.anchor, want.anchor)
         assert got.breakpoints == ()
-
-    def test_slope_at_flags_no_boundary(self):
-        # the lookup's reference 0 is not a breakpoint
-        assert PiecewiseLinear((), (2.0,), 1.0).slope_at(0.0) == (2.0, False)
 
 
 class TestOneCancellationRule:

@@ -63,7 +63,7 @@ class TestPattern:
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         sig = activation_pattern(point.net, xor.X)
         assert sig.interior
-        assert np.array_equal(sig.pattern, np.ones((3, 4)))
+        assert np.array_equal(sig.layers[0], np.ones((3, 4)))
 
     def test_sign_indicator(self, xor):
         net = Mlp(
@@ -74,7 +74,7 @@ class TestPattern:
         )
         sig = activation_pattern(net, xor.X)
         pre = forward(net, xor.X).pre[0]
-        assert np.array_equal(sig.pattern, (pre > 0).astype(float))
+        assert np.array_equal(sig.layers[0], (pre > 0).astype(float))
 
     def test_exact_zero_flags_boundary(self, xor):
         net = Mlp(
@@ -212,7 +212,7 @@ class TestLiftAndReformulation:
         for _ in range(100):
             net = random_interior_net(rng, act, X=X)
             sig = activation_pattern(net, X)
-            A = sig.pattern
+            A = sig.layers[0]
             W1, W2 = net.weights[0], net.weights[1][0]
             for i in range(X.shape[1]):
                 lhs = W2 @ (np.diag(A[:, i]) @ (W1 @ X[:, i]))
@@ -479,19 +479,20 @@ class TestWalkValley:
     def test_one_stacked_pass_per_chunk(self, xor, xor_fit, relu_act, forward_calls,
                                         monkeypatch):
         # 31 points of (2, 3, 1) on 4 samples fit one chunk: one stacked
-        # pass over all of them, and no network built or forwarded per point
-        passes, stacked = [], cells._stacked_outputs
+        # pass over all of them on the Dataset's own [X; 1], and no network
+        # built or forwarded per point
+        passes, layer_outputs = [], cells._layer_outputs
 
-        def counting(layers, act, X):
-            passes.append(len(layers))
-            return stacked(layers, act, X)
+        def counting(weights, biases, act, X1):
+            passes.append((len(weights[0]), X1 is xor.X1))
+            return layer_outputs(weights, biases, act, X1)
 
-        monkeypatch.setattr(cells, "_stacked_outputs", counting)
+        monkeypatch.setattr(cells, "_layer_outputs", counting)
         net = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1").net
         far = _rescaled(net, np.array([2.0, 0.5, 3.0]))
         monkeypatch.setattr(cells, "Mlp", None)  # a network built per point raises
         valley = walk_valley(net, far, xor, SQ, steps_per_move=10)
-        assert passes == [valley["n_points"]] == [31]
+        assert passes == [(valley["n_points"], True)] == [(31, True)]
         assert not forward_calls
 
 

@@ -142,7 +142,7 @@ class TestSubcommands:
         assert main([
             "verify", "--data", xor_csv, "--net", str(net_path),
             "--radius", "1e-4", "--samples", "100", "--seed", "7",
-            "--cert-out", str(cert_out),
+            "--out", str(cert_out),
         ]) == 0
         assert json.loads(cert_out.read_text())["verdict"] is True
 
@@ -260,8 +260,7 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["l_prime"] == 1 and out["beta"] == [1.0, 1.0]
 
-    @pytest.mark.parametrize("option", ["--out", "--cert-out"])
-    def test_verify_writes_the_certificate_to_out(self, tmp_path, xor_csv, capsys, option):
+    def test_verify_writes_the_certificate_to_out(self, tmp_path, xor_csv, capsys):
         from spurmin import build_minimum, fit_linear, relu
         from spurmin.io import save_mlp
 
@@ -270,7 +269,7 @@ class TestSubcommands:
         save_mlp(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net, net_path)
         cert_out = tmp_path / "cert.json"
         assert main(["verify", "--data", xor_csv, "--net", str(net_path),
-                     "--samples", "20", option, str(cert_out)]) == 0
+                     "--samples", "20", "--out", str(cert_out)]) == 0
         assert capsys.readouterr().out == ""
         cert = json.loads(cert_out.read_text())
         assert cert["verdict"] is True
@@ -332,7 +331,7 @@ class TestExitCodes:
         cert_out = tmp_path / "cert.json"
         argv = ["verify", "--data", xor_csv, "--net", str(net_path), "--samples", "0"]
         if to_file:
-            argv += ["--cert-out", str(cert_out)]
+            argv += ["--out", str(cert_out)]
         assert main(argv) == 3
         assert not cert_out.exists()
         captured = capsys.readouterr()
@@ -350,7 +349,7 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any draw runs
             code = main(["verify", "--data", xor_csv, "--net", str(net_path),
-                         f"--radius={radius}", "--cert-out", str(cert_out)])
+                         f"--radius={radius}", "--out", str(cert_out)])
         assert code == 3
         assert not cert_out.exists()
         assert "radius must be finite and nonnegative" in capsys.readouterr().err
@@ -421,7 +420,7 @@ class TestExitCodes:
             mlp_from_dict(json.loads(net_path.read_text()))
         cert_out = tmp_path / "cert.json"
         assert main(["verify", "--data", xor_csv, "--net", str(net_path),
-                     "--cert-out", str(cert_out)]) == 2
+                     "--out", str(cert_out)]) == 2
         assert not cert_out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -677,6 +676,7 @@ class TestReportConfig:
     @pytest.mark.parametrize("command, option", [
         *[(c, "--seed") for c in ("fit", "descend", "separate", "cells", "path")],
         *[(c, "--tol") for c in ("verify", "cells", "path")],
+        ("verify", "--cert-out"),
     ])
     def test_options_a_subcommand_does_not_read_are_usage_errors(self, argvs, command, option):
         with pytest.raises(SystemExit) as exc:

@@ -34,8 +34,8 @@ from spurmin import (
 from spurmin import construction, verification
 from spurmin.activations import find_turning_point, parse_activation
 from spurmin.network import risk_of_outputs
-from spurmin.verification import (_risk_match, descent_gap_certificate, trace_interval_check,
-                                  witness_pair_certificate)
+from spurmin.verification import (_risk_match, descent_gap_certificate,
+                                  perturbation_local_min_test, trace_interval_check)
 from spurmin.linear_fit import permute_fit_rows, select_nonzero_residual_row
 from spurmin.separation import separate, shifted_keys
 from spurmin import ConstructionError, StrictDecreaseNotAchieved, check_assumptions
@@ -873,7 +873,9 @@ def test_deep_balanced_witness_is_the_lifted_shallow_one(dims, two_outputs):
     assert witness.stage == "corollary"
     assert witness.params.lambda_shift is not None
     minimum = build_minimum(fit, data, dims, act, stage="corollary")
-    assert witness_pair_certificate(minimum, witness, data, SQ).verdict
+    assert _risk_match(minimum.risk, minimum.baseline_risk).passed
+    assert descent_gap_certificate(minimum.risk, witness.risk).verdict
+    assert perturbation_local_min_test(minimum.net, data, SQ).verdict
     shallow = build_descent(fit, data, (dims[0], dims[1], dims[-1]), act, stage="corollary")
     assert shallow.params.lambda_shift is None
     deviation = forward(witness.net, data.X).output - forward(shallow.net, data.X).output

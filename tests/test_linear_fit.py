@@ -12,7 +12,8 @@ from spurmin import (
     select_nonzero_residual_row,
 )
 from spurmin import linear_fit
-from spurmin.linear_fit import _finish, augment, permute_fit_rows
+from spurmin.linear_fit import _finish, permute_fit_rows
+from spurmin.network import augment
 
 from conftest import random_two_output_dataset
 
@@ -153,8 +154,10 @@ class TestFitArguments:
     ])
     def test_bad_argument_refused_before_the_first_gradient(self, monkeypatch, loss, name,
                                                             value):
+        # the fits read the Dataset's [X; 1] first; a property on the class
+        # takes precedence over an X1 the Dataset has already formed
         monkeypatch.setattr(linear_fit, "loss_gradient", mock.Mock(side_effect=AssertionError))
-        monkeypatch.setattr(linear_fit, "augment", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(Dataset, "X1", property(mock.Mock(side_effect=AssertionError)))
         with pytest.raises(PreconditionViolated, match=f"^{name} must be"):
             fit_linear(ONE_HOT_XOR, loss, **{name: value})
 

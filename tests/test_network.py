@@ -22,7 +22,7 @@ from spurmin import (
     relu,
     three_piece,
 )
-from spurmin.network import _layer_outputs, _stacked_outputs, augment, risk_of_outputs
+from spurmin.network import _layer_outputs, augment, risk_of_outputs
 from spurmin.verification import fd_gradient_check
 from test_verification import pl_activations
 
@@ -149,8 +149,10 @@ class TestPassThrough:
         X = np.array([x])
         with np.errstate(all="ignore"):
             if stacked:
-                twin = chain_net(dims, act, params[::-1])
-                pre, post = _stacked_outputs([(n.weights, n.biases) for n in (net, twin)], act, X)
+                nets = (net, chain_net(dims, act, params[::-1]))
+                pre, post = _layer_outputs([np.stack(Ws) for Ws in zip(*(n.weights for n in nets))],
+                                           [np.stack(bs) for bs in zip(*(n.biases for n in nets))],
+                                           act, augment(X))
             else:
                 trace = forward(net, X)
                 pre, post = trace.pre, trace.post
@@ -214,7 +216,9 @@ class TestPassThrough:
     def test_stacked_chunk_is_passed_through(self, rng):
         nets = [chain_net((2, 4, 3, 1), relu(), rng.uniform(0.1, 1.0, 30)) for _ in range(3)]
         X = rng.uniform(0.5, 1.0, (2, 5))
-        pre, post = _stacked_outputs([(n.weights, n.biases) for n in nets], relu(), X)
+        pre, post = _layer_outputs([np.stack(Ws) for Ws in zip(*(n.weights for n in nets))],
+                                   [np.stack(bs) for bs in zip(*(n.biases for n in nets))],
+                                   relu(), augment(X))
         assert post[0] is pre[0] and post[1] is pre[1]
         for i, net in enumerate(nets):
             trace = forward(net, X)
@@ -256,7 +260,9 @@ class TestFoldedFirstLayer:
         rng = np.random.default_rng([d_x, n, batch])
         nets = [random_net((d_x, 16, 5, 1), three_piece(), rng) for _ in range(batch)]
         X = rng.standard_normal((d_x, n))
-        pre, post = _stacked_outputs([(net.weights, net.biases) for net in nets], three_piece(), X)
+        pre, post = _layer_outputs([np.stack(Ws) for Ws in zip(*(n.weights for n in nets))],
+                                   [np.stack(bs) for bs in zip(*(n.biases for n in nets))],
+                                   three_piece(), augment(X))
         for i, net in enumerate(nets):
             trace = forward(net, X)
             for j in range(3):

@@ -80,7 +80,7 @@ class TestSeparateExamples:
         res = separate(np.array([1.0, -1.0]), np.array([0.0, 1.0]), np.array([[2.0, 1.0]]))
         assert res.trivial_branch
         assert res.I_indices.tolist() == [0]
-        assert res.J_indices.tolist() == [1]
+        assert res.perm[res.l_prime:].tolist() == [1]
         assert np.all(res.beta == 0.0)
 
     def test_single_group_max_norm(self):

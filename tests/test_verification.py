@@ -34,7 +34,7 @@ from spurmin import (
 )
 from spurmin import verification
 from spurmin.network import ForwardTrace, risk_of_outputs
-from spurmin.verification import descent_gap_certificate, witness_pair_certificate
+from spurmin.verification import _risk_match, descent_gap_certificate
 
 SQ = LossKind.SQUARED
 CE = LossKind.CROSS_ENTROPY
@@ -85,7 +85,6 @@ class TestPerturbationTest:
         # any network: one that does not fit the data, or whose risk
         # overflows, included
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        witness = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         nets = [point.net, random_net((3, 2, 1), relu_act, 0), overflowing_net(relu_act)]
         vacuous = "^radius 0 makes the local-minimality test vacuous$"
         with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError), \
@@ -93,8 +92,6 @@ class TestPerturbationTest:
             for net in nets:
                 with pytest.raises(PreconditionViolated, match=vacuous):
                     perturbation_local_min_test(net, xor, SQ, radius=radius, samples=10, seed=7)
-            with pytest.raises(PreconditionViolated, match=vacuous):
-                witness_pair_certificate(point, witness, xor, SQ, radius=radius, seed=7)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_draws_rejected(self, xor, xor_fit, relu_act, samples):
@@ -127,12 +124,9 @@ class TestPerturbationTest:
     def test_non_real_radius_rejected_before_any_draw(self, xor, xor_fit, relu_act, radius):
         # True would otherwise probe at radius 1.0, where the XOR minimum passes
         point = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        witness = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
         with mock.patch.object(verification, "_shared_draw_risks", side_effect=AssertionError):
             with pytest.raises(PreconditionViolated, match="radius must be a real number"):
                 perturbation_local_min_test(point.net, xor, SQ, radius=radius, seed=7)
-            with pytest.raises(PreconditionViolated, match="radius must be a real number"):
-                witness_pair_certificate(point, witness, xor, SQ, radius=radius, seed=7)
 
     @pytest.mark.parametrize("radius", [np.float64(1e-4), np.float32(1e-4), Fraction(1, 10**4)])
     def test_real_radius_types_accepted(self, xor, xor_fit, relu_act, radius):
@@ -211,15 +205,6 @@ class TestDescentGap:
         gap3 = descent_gap_certificate(m3.risk, w3.risk).checks[0].value
         gap1 = descent_gap_certificate(m1.risk, w1.risk).checks[0].value
         assert gap3 > 0 and abs(gap3 - gap1) <= 1e-10
-
-    def test_pair_certificate_bundle(self, xor, xor_fit, relu_act):
-        m = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
-        cert = witness_pair_certificate(m, w, xor, SQ, samples=100, seed=2)
-        assert cert.verdict
-        assert {c.name for c in cert.checks} == {
-            "minimum_matches_baseline", "descent_gap", "min_risk_delta",
-        }
 
 
 class TestFdGradient:
@@ -632,15 +617,16 @@ class TestSharedStreams:
         with mock.patch.object(verification, "_uniform_draws", spy):
             report, ok, _ = run_demo(seed=7)
         assert ok and calls == [(0, 500, 25)]
-        # each stage reports the checks of its own pair certificate
+        # each stage reports the checks of its own pair, each made alone
         stages = [("1", (2, 3, 1), relu_act), ("2", (2, 3, 3, 1), relu_act),
                   ("3", (2, 3, 3, 1), three_piece())]
         passed = {c["name"]: c["passed"] for c in report["checks"]}
         for stage, dims, act in stages:
-            cert = witness_pair_certificate(build_minimum(xor_fit, xor, dims, act, stage=stage),
-                                            build_descent(xor_fit, xor, dims, act, stage=stage),
-                                            xor, SQ, seed=7)
-            match, gap, probe = cert.checks
+            minimum = build_minimum(xor_fit, xor, dims, act, stage=stage)
+            witness = build_descent(xor_fit, xor, dims, act, stage=stage)
+            match = _risk_match(minimum.risk, minimum.baseline_risk)
+            (gap,) = descent_gap_certificate(minimum.risk, witness.risk).checks
+            (probe,) = perturbation_local_min_test(minimum.net, xor, SQ, seed=7).checks
             got = report["stages"][stage]
             assert got["gap"] == gap.value
             assert got["perturbation"]["checks"] == (probe.as_dict(),)
@@ -710,7 +696,7 @@ class TestNonFiniteRisk:
         cert_out = tmp_path / "cert.json"
         proc = run_cli(["-W", "error::RuntimeWarning", "-m", "spurmin.cli", "verify",
                         "--data", str(tmp_path / "d.csv"), "--net", str(tmp_path / "net.json"),
-                        "--samples", "20", "--cert-out", str(cert_out)])
+                        "--samples", "20", "--out", str(cert_out)])
         assert proc.returncode == 3
         assert "precondition violated: risk is not finite" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
@@ -731,7 +717,7 @@ class TestRadiusZeroCli:
         with mock.patch.object(verification, "empirical_risk", side_effect=AssertionError):
             code = main(["verify", "--data", str(tmp_path / "d.csv"),
                          "--net", str(tmp_path / "net.json"), "--radius", "0",
-                         "--cert-out", str(cert_out)])
+                         "--out", str(cert_out)])
         assert code == 3
         assert "radius 0 makes the local-minimality test vacuous" in capsys.readouterr().err
         assert not cert_out.exists()
