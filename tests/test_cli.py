@@ -260,7 +260,8 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["l_prime"] == 1 and out["beta"] == [1.0, 1.0]
 
-    def test_verify_writes_the_certificate_to_out(self, tmp_path, xor_csv, capsys):
+    @pytest.mark.parametrize("option", ["--out", "--out="])
+    def test_verify_writes_the_certificate_to_out(self, tmp_path, xor_csv, capsys, option):
         from spurmin import build_minimum, fit_linear, relu
         from spurmin.io import save_mlp
 
@@ -268,8 +269,10 @@ class TestSubcommands:
         net_path = tmp_path / "net.json"
         save_mlp(build_minimum(fit_linear(xor), xor, (2, 3, 1), relu(), stage="1").net, net_path)
         cert_out = tmp_path / "cert.json"
+        # either spelling of the one option records the same path
+        out_args = [option + str(cert_out)] if option.endswith("=") else [option, str(cert_out)]
         assert main(["verify", "--data", xor_csv, "--net", str(net_path),
-                     "--samples", "20", "--out", str(cert_out)]) == 0
+                     "--samples", "20", *out_args]) == 0
         assert capsys.readouterr().out == ""
         cert = json.loads(cert_out.read_text())
         assert cert["verdict"] is True

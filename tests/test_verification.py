@@ -206,6 +206,18 @@ class TestDescentGap:
         gap1 = descent_gap_certificate(m1.risk, w1.risk).checks[0].value
         assert gap3 > 0 and abs(gap3 - gap1) <= 1e-10
 
+    def test_stage1_pair_passes_its_three_checks(self, xor, xor_fit, relu_act):
+        # the demo's three checks of a pair, each made alone on other draws
+        m = build_minimum(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        w = build_descent(xor_fit, xor, (2, 3, 1), relu_act, stage="1")
+        checks = [_risk_match(m.risk, m.baseline_risk),
+                  *descent_gap_certificate(m.risk, w.risk).checks,
+                  *perturbation_local_min_test(m.net, xor, SQ, samples=100, seed=2).checks]
+        assert [c.name for c in checks] == [
+            "minimum_matches_baseline", "descent_gap", "min_risk_delta",
+        ]
+        assert all(c.passed for c in checks)
+
 
 class TestFdGradient:
     def test_quadratic(self, rng):
